@@ -48,6 +48,8 @@ OPERATIONS = ("minimal", "exceptional", "rp-certify", "rp-transfer", "cube",
               "nd-compare", "poly-density", "fiber-coverage", "suspend",
               "susp-rp", "average", "ud", "density", "potts", "nilres",
               "embed", "membership", "validate")
+# operations that read params.delta with no default
+_NEEDS_DELTA = ("rp-certify", "rp-transfer", "susp-rp")
 
 
 class SchemaError(ValueError):
@@ -176,11 +178,25 @@ def validate_config(cfg: dict) -> list[str]:
 
     alphas = params.get("alphas")
     if alphas is not None:
-        vals = [float(a) for a in alphas]
-        if len(set(vals)) != len(vals) or any(v == 0 for v in vals):
-            diags.append("params.alphas: must be distinct and nonzero")
-    if "delta" in params and float(params["delta"]) <= 0:
-        diags.append("params.delta: must be positive")
+        try:
+            vals = [float(a) for a in alphas]
+        except (TypeError, ValueError):
+            diags.append(f"params.alphas: must be a list of numbers, got {alphas!r}")
+        else:
+            if len(set(vals)) != len(vals) or any(v == 0 for v in vals):
+                diags.append("params.alphas: must be distinct and nonzero")
+    swept = (cfg.get("sweep") or {}).get("param")
+    if op in _NEEDS_DELTA and "delta" not in params and swept != "params.delta":
+        diags.append("params.delta: missing")
+    if "delta" in params:
+        try:
+            if not float(params["delta"]) > 0:
+                diags.append("params.delta: must be positive")
+        except (TypeError, ValueError):
+            diags.append(f"params.delta: must be a number, got {params['delta']!r}")
+    budget = params.get("budget", 1)
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        diags.append(f"params.budget: must be an integer >= 1, got {budget!r}")
     if "polys" in params:
         try:
             polys = _parse_polys(params["polys"])

@@ -13,10 +13,9 @@ and the lattice is the subgroup of integer triples.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (Basis, IndependenceResult, SymbolicReal,
@@ -273,28 +272,27 @@ def torus_evolve(spec: TorusFlowSpec, p: TorusPoint, t: float) -> TorusPoint:
 
 
 def nil_evolve(spec: NilflowSpec, p: HeisenbergElement, t: float) -> HeisenbergElement:
-    """Canonical form of (a^t * p) Gamma.
+    """Canonical form of (a^t * p) Gamma, in dyadic integer arithmetic.
 
-    The raw central coordinate grows like t^2, so the mod-1 result is
-    computed through exact rational arithmetic on the float inputs (one
-    rounding at the end); plain float evaluation would lose the flow law
-    at |t| ~ 1e3.
+    The raw central coordinate grows like t^2, so float evaluation would
+    lose the flow law at |t| ~ 1e3.  Each float input is n / 2^e; scaled
+    to one denominator 2^E, x and y become ints over 2^(2E) and z over
+    2^(4E+1).  Floors are shifts, and each coordinate is rounded once, by
+    the correctly rounded int / int division.
     """
     a = spec.generator
-    ax, ay, az = Fraction(a.x), Fraction(a.y), Fraction(a.z)
-    px, py, pz = Fraction(p.x), Fraction(p.y), Fraction(p.z)
-    tf = Fraction(t)
-    gx = tf * ax
-    gy = tf * ay
-    gz = tf * az + tf * (tf - 1) / 2 * ax * ay
-    rx = gx + px
-    ry = gy + py
-    rz = gz + pz + gx * py
-    n = -math.floor(ry)
-    z = rz + rx * n
-    return HeisenbergElement(wrap_unit(float(rx - math.floor(rx))),
-                             wrap_unit(float(ry - math.floor(ry))),
-                             wrap_unit(float(z - math.floor(z))))
+    ratios = [v.as_integer_ratio() if isinstance(v, float) else (operator.index(v), 1)
+              for v in (t, a.x, a.y, a.z, p.x, p.y, p.z)]
+    e = max(den for _, den in ratios).bit_length() - 1
+    tt, ax, ay, az, px, py, pz = (num << e - den.bit_length() + 1 for num, den in ratios)
+    rx, ry = tt * ax + (px << e), tt * ay + (py << e)
+    n = -(ry >> 2 * e)
+    rz = (tt * ((az << 2 * e + 1) + (tt - (1 << e)) * ax * ay + (ax * py << e + 1))
+          + (pz << 3 * e + 1) + (rx * n << 2 * e + 1))
+    xy_mask, z_mask = (1 << 2 * e) - 1, (1 << 4 * e + 1) - 1
+    return HeisenbergElement(wrap_unit((rx & xy_mask) / (xy_mask + 1)),
+                             wrap_unit((ry & xy_mask) / (xy_mask + 1)),
+                             wrap_unit((rz & z_mask) / (z_mask + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +303,25 @@ def circle_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-_LATTICE_WINDOW = [HeisenbergElement(float(m), float(n), float(k))
-                   for m, n, k in itertools.product((-2, -1, 0, 1, 2), repeat=3)]
+_WINDOW = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 def _heis_window_gap(p: HeisenbergElement, q: HeisenbergElement) -> float:
-    best = math.inf
-    for gamma in _LATTICE_WINDOW:
-        qg = heis_multiply(q, gamma)
-        d = math.sqrt((p.x - qg.x) ** 2 + (p.y - qg.y) ** 2 + (p.z - qg.z) ** 2)
-        if d < best:
-            best = d
-    return best
+    """Least Euclidean gap from p to q * (m, n, k) over m, n, k in _WINDOW.
+
+    The squared gap is (dx(m)^2 + dy(n)^2) + dz(n, k)^2; float + and sqrt
+    are monotone, so minimising term by term equals the 125-translate
+    minimum bit for bit."""
+    bx = min((p.x - (q.x + m)) ** 2 for m in _WINDOW)
+    return math.sqrt(min((bx + (p.y - (q.y + n)) ** 2)
+                         + min((p.z - ((q.z + k) + q.x * n)) ** 2 for k in _WINDOW)
+                         for n in _WINDOW))
 
 
 def metric_dist(sys: SystemHandle, p, q) -> float:
-    """Quotient metric realization: torus max-circle metric, Heisenberg
-    lattice-window Euclidean gap (symmetrized), suspension chart metric."""
+    """Quotient metric realization: torus max-circle metric, suspension
+    chart metric, Heisenberg least Euclidean gap over the 5x5x5 lattice
+    window in both directions, minimised separably (_heis_window_gap)."""
     if sys.tag in (TORUS_FLOW, TORUS_MAP):
         if len(p.coords) != len(q.coords):
             raise ValueError("mismatched systems")

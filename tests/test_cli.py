@@ -86,6 +86,14 @@ class TestRun:
         assert len(rep["result"]["rows"]) == 3
         assert rep["pass"] is True
 
+    def test_sweep_supplies_delta(self):
+        cfg = {"operation": "rp-certify",
+               "system": {"kind": "torus-map", "freqs": [{"SQRT2": "1"}]},
+               "params": {"x": [0.2], "y": [0.2], "d": 1, "budget": 500},
+               "sweep": {"param": "params.delta", "values": [0.2, 0.1]}}
+        assert validate_config(cfg) == []
+        assert len(run(cfg)["result"]["rows"]) == 2
+
     def test_expectation_failure(self):
         cfg = {"operation": "minimal", "system": TORUS_1_SQRT2,
                "expect": [{"path": "minimal", "op": "false"}]}
@@ -118,6 +126,27 @@ class TestMainExitCodes:
         path = write_cfg(tmp_path, cfg)
         assert main(["minimal", "--config", str(path)]) == EXIT_EXPECT_FAIL
         capsys.readouterr()
+
+    @pytest.mark.parametrize("op, params, named", [
+        ("rp-certify", {"x": [0.3], "y": [0.3], "d": 1, "budget": 100},
+         "params.delta"),
+        ("cube", {"x": [0.1], "d": 2, "budget": 0}, "params.budget"),
+        ("rp-certify", {"x": [0.3], "y": [0.3], "d": 1, "delta": 0.05,
+                        "budget": -5}, "params.budget"),
+        ("fiber-coverage", {"alphas": ["x"], "projection": "torus-coord-0",
+                            "x": [0.0]}, "params.alphas"),
+        ("rp-certify", {"x": [0.3], "y": [0.3], "delta": "small"},
+         "params.delta"),
+    ], ids=["missing-delta", "zero-budget", "negative-budget", "alpha-not-number",
+            "delta-not-number"])
+    def test_malformed_params_exit_schema(self, tmp_path, capsys, op, params, named):
+        cfg = {"operation": op,
+               "system": {"kind": "torus-map", "freqs": [{"SQRT2": "1"}]},
+               "params": params}
+        assert any(named in d for d in validate_config(cfg))
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run", "--config", str(path)]) == EXIT_SCHEMA
+        assert named in capsys.readouterr().err
 
     def test_report_and_artifacts_written(self, tmp_path, capsys):
         cfg = {"operation": "nd-compare", "seed": 1,

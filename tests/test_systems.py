@@ -1,21 +1,78 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilflow.algebra import SymbolicReal, UnsupportedBasisError
-from nilflow.systems import (HEIS_IDENTITY, HeisenbergElement, TorusPoint,
-                             flow_minimal, heis_conjugate_power_identity,
-                             heis_multiply, heis_power, heis_reduce,
-                             heisenberg_nilflow,
+from nilflow.systems import (HEIS_IDENTITY, HeisenbergElement, NilflowSpec,
+                             TorusPoint, flow_minimal,
+                             heis_conjugate_power_identity, heis_multiply,
+                             heis_power, heis_reduce, heisenberg_nilflow,
                              metric_dist, nil_evolve, orbit_sample,
                              time_t_minimal, torus_evolve, torus_flow,
-                             torus_map, torus_rotation)
+                             torus_map, torus_rotation, wrap_unit)
 
 
 def coords_gap(a, b):
     return max(abs(u - v) for u, v in zip(a.coords, b.coords))
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the straightforward forms the fast kernels must match
+# bit for bit
+
+_LATTICE_WINDOW = [HeisenbergElement(float(m), float(n), float(k))
+                   for m, n, k in itertools.product((-2, -1, 0, 1, 2), repeat=3)]
+
+
+def reference_window_gap(p, q):
+    """Least gap from p over all 125 translates q * gamma, one sqrt each."""
+    best = math.inf
+    for gamma in _LATTICE_WINDOW:
+        qg = heis_multiply(q, gamma)
+        d = math.sqrt((p.x - qg.x) ** 2 + (p.y - qg.y) ** 2 + (p.z - qg.z) ** 2)
+        if d < best:
+            best = d
+    return best
+
+
+def reference_nil_evolve(spec, p, t):
+    """(a^t * p) Gamma in exact Fraction arithmetic, rounded once at the end."""
+    a = spec.generator
+    ax, ay, az = Fraction(a.x), Fraction(a.y), Fraction(a.z)
+    px, py, pz = Fraction(p.x), Fraction(p.y), Fraction(p.z)
+    tf = Fraction(t)
+    gx = tf * ax
+    gy = tf * ay
+    gz = tf * az + tf * (tf - 1) / 2 * ax * ay
+    rx = gx + px
+    ry = gy + py
+    rz = gz + pz + gx * py
+    n = -math.floor(ry)
+    z = rz + rx * n
+    return HeisenbergElement(wrap_unit(float(rx - math.floor(rx))),
+                             wrap_unit(float(ry - math.floor(ry))),
+                             wrap_unit(float(z - math.floor(z))))
+
+
+def _elements(lo, hi):
+    coord = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    return st.builds(HeisenbergElement, coord, coord, coord)
+
+
+canonical_points = _elements(0.0, 1.0).map(lambda g: heis_reduce(g)[0])
+raw_points = _elements(-3.0, 3.0)
+any_points = st.one_of(canonical_points, raw_points)
+generators = st.builds(HeisenbergElement,
+                       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                       st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+times = st.one_of(st.integers(-10 ** 5, 10 ** 5),
+                  st.integers(-10 ** 5, 10 ** 5).map(float),
+                  st.floats(-1e5, 1e5))
 
 
 class TestTorusEvolve:
@@ -222,13 +279,57 @@ class TestMetric:
         q = HeisenbergElement(0.0, 0.0, 0.05)
         assert metric_dist(nil, p, q) <= 0.15 + 1e-12
 
-    def test_symmetry(self, basis, sqrt2, sqrt3):
+    @settings(max_examples=300, deadline=None)
+    @given(any_points, any_points)
+    def test_symmetry(self, basis, sqrt2, sqrt3, p, q):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            p = nil.from_coords(tuple(rng.random(3)))
-            q = nil.from_coords(tuple(rng.random(3)))
-            assert metric_dist(nil, p, q) == metric_dist(nil, q, p)
+        assert metric_dist(nil, p, q) == metric_dist(nil, q, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_points)
+    def test_zero_on_diagonal(self, basis, sqrt2, sqrt3, p):
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        assert metric_dist(nil, p, p) == 0.0
+
+    # The window gap is a Euclidean distance in Malcev coordinates, and
+    # right translation by a lattice element with n != 0 shears z by x * n,
+    # so it is not an isometry of those coordinates.  In the example
+    # d(p, q) = 0.400 and d(q, r) = 0.020, yet d(p, r) = 0.566.
+    @pytest.mark.xfail(strict=True, reason="the lattice-window gap is not a "
+                       "metric on the quotient: the triangle inequality fails")
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_points, canonical_points, canonical_points)
+    @example(HeisenbergElement(0.6, 0.99, 0.6), HeisenbergElement(0.0, 0.0, 0.0),
+             HeisenbergElement(0.0, 0.98, 0.0))
+    def test_triangle_inequality(self, basis, sqrt2, sqrt3, p, q, r):
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        assert metric_dist(nil, p, r) <= \
+            metric_dist(nil, p, q) + metric_dist(nil, q, r) + 1e-12
+
+
+class TestKernelsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(any_points, any_points)
+    def test_window_gap_bits(self, basis, sqrt2, sqrt3, p, q):
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        expected = min(reference_window_gap(p, q), reference_window_gap(q, p))
+        assert metric_dist(nil, p, q) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(generators, any_points, times)
+    @example(HeisenbergElement(math.sqrt(2) - 1, math.sqrt(3) - 1, 0.0),
+             HeisenbergElement(0.1, 0.2, 0.3), 10 ** 5)
+    @example(HeisenbergElement(-1.5, 2.25, 0.75),
+             HeisenbergElement(-2.5, 2.999, -0.125), -99999.5)
+    def test_nil_evolve_bits(self, a, p, t):
+        spec = NilflowSpec(a)
+        assert nil_evolve(spec, p, t) == reference_nil_evolve(spec, p, t)
+
+    def test_nil_evolve_numpy_integer_time(self, basis, sqrt2, sqrt3):
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        p = nil.from_coords((0.4, 0.6, 0.8))
+        assert nil_evolve(nil.spec, p, np.int64(54321)) == \
+            reference_nil_evolve(nil.spec, p, 54321)
 
 
 class TestMinimality:
