@@ -211,12 +211,6 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum((r[j] * vec[j] for j in range(self.cols)), Fraction(0))
-                     for r in self.entries)
-
 
 def rational_kernel(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of {v : M v = 0}; empty list iff the kernel is trivial.

@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import RealPolynomial, binom_real, polys_r_independent
-from .systems import (HEIS_NILFLOW, HEIS_NILSYSTEM, TORUS_FLOW, TORUS_MAP,
-                      HeisenbergElement, SystemHandle, heis_multiply,
+from .systems import (HeisenbergElement, SystemHandle, heis_multiply,
                       heis_power)
 
 
@@ -82,34 +81,15 @@ class Observable:
         return sum((c for k, c in self.terms if not any(k)), 0j)
 
 
-def _phase_translation(sys: SystemHandle) -> np.ndarray | None:
-    """Unit-time translation of the phase coordinates, None if unavailable.
-
-    Torus systems translate all coordinates; Heisenberg systems translate
-    the base 2-torus factor, which carries every pullback observable.
-    """
-    if sys.tag == TORUS_FLOW:
-        return np.array(sys.spec.float_freqs)
-    if sys.tag == TORUS_MAP:
-        return np.array(sys.spec.flow.float_freqs) * sys.spec.step
-    if sys.tag == HEIS_NILFLOW:
-        g = sys.spec.generator
-        return np.array([g.x, g.y])
-    if sys.tag == HEIS_NILSYSTEM:
-        g = sys.spec.flow.generator
-        return np.array([g.x, g.y]) * sys.spec.step
-    return None
-
-
-def _phase_dim(sys: SystemHandle) -> int:
-    return 2 if sys.tag in (HEIS_NILFLOW, HEIS_NILSYSTEM) else sys.dim
-
-
 def _check_trig_fits(sys: SystemHandle, f: Observable) -> None:
-    if f.dim != _phase_dim(sys):
+    """Trig observables live on the rotation factor (sys.phase_step): the
+    whole torus, or the base 2-torus that carries every Heisenberg pullback."""
+    omega = sys.phase_step
+    dim = sys.dim if omega is None else len(omega)
+    if f.dim != dim:
         raise ValueError(
             f"observable frequency dimension {f.dim} does not match the "
-            f"system's phase dimension {_phase_dim(sys)}")
+            f"system's phase dimension {dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +156,7 @@ def _exact_correlation_terms(sys: SystemHandle, f: Observable,
     frequency tuples summing to zero survive the Haar integral, each
     contributing coeff-product times exp(2 pi i rate t).
     """
-    omega = _phase_translation(sys)
+    omega = sys.phase_step
     if omega is None or f.kind != "trig":
         return None
     _check_trig_fits(sys, f)
@@ -219,19 +199,15 @@ def multi_average_I(sys: SystemHandle, f: Observable, alphas: Sequence[float],
     return MultiAverageResult(complex(values[0]), float(stderrs[0]), False)
 
 
-def _mc_phase_points(sys: SystemHandle, n: int, rng) -> np.ndarray:
-    return rng.random((n, _phase_dim(sys)))
-
-
 def _sample_correlation(sys: SystemHandle, f: Observable, alphas, t_grid,
                         n_samples: int, seed: int):
     """Monte-Carlo I_f(k, t) over a t grid: (values, stderrs) arrays."""
     rng = np.random.default_rng(seed)
-    omega = _phase_translation(sys)
+    omega = sys.phase_step
     values = np.empty(len(t_grid), dtype=complex)
     stderrs = np.empty(len(t_grid))
     if f.kind == "trig" and omega is not None:
-        pts = _mc_phase_points(sys, n_samples, rng)
+        pts = rng.random((n_samples, len(omega)))
         for i, t in enumerate(t_grid):
             prod = f.eval_phases(pts)
             for a in alphas:
@@ -261,15 +237,14 @@ def _quadrature_correlation(sys: SystemHandle, f: Observable, alphas,
     independent exact evaluation path (pointwise orbit evaluation, no
     frequency algebra).
     """
-    omega = _phase_translation(sys)
+    omega = sys.phase_step
     if omega is None or f.kind != "trig":
         raise ValueError("quadrature path needs a trig observable on a "
                          "torus or Heisenberg system")
     _check_trig_fits(sys, f)
     maxfreq = max(max(abs(v) for v in k) for k, _ in f.terms)
     M = max(64, 2 * (len(alphas) + 1) * maxfreq + 2)
-    dim = _phase_dim(sys)
-    axes = [np.arange(M) / M for _ in range(dim)]
+    axes = [np.arange(M) / M for _ in range(len(omega))]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     t = np.asarray(t_grid, dtype=float)
     base_vals = f.eval_phases(mesh)
@@ -388,7 +363,7 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
     if not dep.independent:
         raise IndependenceViolation(
             f"polynomials admit the rational dependence {dep.certificate}")
-    omega = _phase_translation(flow_sys)
+    omega = flow_sys.phase_step
     if omega is None:
         raise ValueError("potts_average supports torus and Heisenberg flows")
     for f in fs:
@@ -397,7 +372,7 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
         h = min(1e-3 * math.sqrt(R), 0.01)
     n_time = int(math.ceil(R / h))
     rng = np.random.default_rng(seed)
-    xs = _mc_phase_points(flow_sys, n_x, rng)
+    xs = rng.random((n_x, len(omega)))
     total = 0j
     chunk = 10 ** 6
     for start in range(0, n_time, chunk):
@@ -462,7 +437,7 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
     pred = np.zeros(len(t), dtype=complex)
     for r, c in terms:
         pred += c * np.exp(2j * np.pi * r * t)
-    if sys.tag in (TORUS_FLOW, TORUS_MAP):
+    if sys.is_isometric:
         sampled = _quadrature_correlation(sys, f, alphas, t)
         stderrs = None
         exact = True

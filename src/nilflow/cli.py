@@ -1,6 +1,6 @@
 """Config-driven command-line surface.
 
-One JSON config describes the basis, the system(s), the operation and
+One JSON config gives the basis, the system(s), the operation and
 its parameters; subcommands are thin aliases that inject the operation
 name.  Reports are deterministic under (config, seed): identical inputs
 produce byte-identical result payloads (wall time excluded).
@@ -32,10 +32,9 @@ from .averages import (Observable, TimeSeries, banach_density,
 from .proximality import (EXHAUSTED, commuting_rp_transfer, cube_orbit_sample,
                           fiber_coverage, hausdorff_distance, nd_sample,
                           poly_orbit_density, return_set, rp_witness_search)
-from .suspension import integer_part_orbit, susp_rp_transfer_check
+from .suspension import integer_part_orbit, susp_rp_transfer_check, suspend
 from .systems import (HeisenbergElement, SystemHandle, flow_minimal_result,
-                      heisenberg_nilflow, heisenberg_nilsystem, time_t_minimal,
-                      torus_flow, torus_map)
+                      heisenberg_nilflow, time_t_minimal, torus_flow)
 
 EXIT_OK = 0
 EXIT_EXPECT_FAIL = 1
@@ -84,27 +83,19 @@ def build_basis(cfg: dict) -> Basis:
 
 def build_system(spec: dict, basis: Basis) -> SystemHandle:
     kind = spec.get("kind")
-    if kind == "torus-flow":
-        freqs = tuple(_parse_symbolic(f) for f in spec["freqs"])
-        return torus_flow(freqs, basis)
-    if kind == "torus-map":
-        freqs = tuple(_parse_symbolic(f) for f in spec["freqs"])
-        step_sym = _parse_symbolic(spec["step_symbolic"]) if "step_symbolic" in spec else None
-        step = float(spec.get("step", 1.0))
-        return torus_map(torus_flow(freqs, basis), step, step_sym)
-    if kind == "heisenberg-nilflow":
-        return heisenberg_nilflow(_parse_symbolic(spec["alpha"]),
+    if kind in ("torus-flow", "torus-map"):
+        flow = torus_flow(tuple(_parse_symbolic(f) for f in spec["freqs"]), basis)
+    elif kind in ("heisenberg-nilflow", "heisenberg-nilsystem"):
+        flow = heisenberg_nilflow(_parse_symbolic(spec["alpha"]),
                                   _parse_symbolic(spec["beta"]), basis,
                                   float(spec.get("z", 0.0)))
-    if kind == "heisenberg-nilsystem":
-        nf = heisenberg_nilflow(_parse_symbolic(spec["alpha"]),
-                                _parse_symbolic(spec["beta"]), basis,
-                                float(spec.get("z", 0.0)))
-        return heisenberg_nilsystem(nf, float(spec.get("step", 1.0)))
-    if kind == "suspension":
-        from .suspension import suspend
+    elif kind == "suspension":
         return suspend(build_system(spec["base"], basis))
-    raise SchemaError(f"unknown system kind {kind!r}")
+    else:
+        raise SchemaError(f"unknown system kind {kind!r}")
+    if kind in ("torus-map", "heisenberg-nilsystem"):
+        return SystemHandle(flow.spec, float(spec.get("step", 1.0)))
+    return flow
 
 
 def _parse_observable(obj: dict) -> Observable:
@@ -164,17 +155,18 @@ def validate_config(cfg: dict) -> list[str]:
         return diags
 
     needs_system = op not in ("ud", "embed", "membership", "validate")
-    sys_handle = None
-    if needs_system:
-        if "system" not in cfg:
-            diags.append("system: missing")
-        else:
+    handles: dict[str, SystemHandle] = {}
+    for key in ("system", "system_h") if needs_system else ():
+        if key in cfg:
             try:
-                sys_handle = build_system(cfg["system"], basis)
+                handles[key] = build_system(cfg[key], basis)
             except (SchemaError, KeyError, ValueError) as e:
-                diags.append(f"system: {e}")
-    if op in ("rp-transfer", "nd-compare") and "system_h" not in cfg:
-        diags.append("system_h: missing second action")
+                diags.append(f"{key}: {e}")
+        elif key == "system":
+            diags.append("system: missing")
+        elif op in ("rp-transfer", "nd-compare"):
+            diags.append("system_h: missing second action")
+    sys_handle = handles.get("system")
 
     alphas = params.get("alphas")
     if alphas is not None:
@@ -188,15 +180,31 @@ def validate_config(cfg: dict) -> list[str]:
     swept = (cfg.get("sweep") or {}).get("param")
     if op in _NEEDS_DELTA and "delta" not in params and swept != "params.delta":
         diags.append("params.delta: missing")
-    if "delta" in params:
-        try:
-            if not float(params["delta"]) > 0:
-                diags.append("params.delta: must be positive")
-        except (TypeError, ValueError):
-            diags.append(f"params.delta: must be a number, got {params['delta']!r}")
-    budget = params.get("budget", 1)
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-        diags.append(f"params.budget: must be an integer >= 1, got {budget!r}")
+    for key, ok, rule in (("delta", lambda v: v > 0, "must be positive"),
+                          ("resolution", lambda v: 0 < v <= 1, "must lie in (0, 1]")):
+        if key in params:
+            try:
+                if not ok(float(params[key])):
+                    diags.append(f"params.{key}: {rule}")
+            except (TypeError, ValueError):
+                diags.append(f"params.{key}: must be a number, got {params[key]!r}")
+    for key in ("budget", "d"):
+        val = params.get(key, 1)
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            diags.append(f"params.{key}: must be an integer >= 1, got {val!r}")
+    for key in ("x", "y", "center", "x1", "x2"):
+        # a point needs dim coordinates; cube and nd-compare read x on both systems
+        both = key == "x" and op in ("cube", "nd-compare")
+        for name, h in handles.items():
+            pt = params.get(key)
+            if (pt is not None and (both or name == "system")
+                    and not (isinstance(pt, list) and len(pt) == h.dim)):
+                diags.append(f"params.{key}: needs {h.dim} coordinates on {name}, got {pt!r}")
+    if op == "fiber-coverage" and sys_handle:
+        table = sys_handle.spec.projections
+        if params.get("projection") not in table:
+            diags.append(f"params.projection: {params.get('projection')!r} does not apply to "
+                         f"{sys_handle.tag} of dimension {sys_handle.dim} (has {sorted(table)})")
     if "polys" in params:
         try:
             polys = _parse_polys(params["polys"])
@@ -236,8 +244,8 @@ class RunContext:
     def params(self) -> dict:
         return self.cfg.get("params", {})
 
-    def point(self, sys_handle: SystemHandle, key: str, default=None):
-        coords = self.params().get(key, default)
+    def point(self, sys_handle: SystemHandle, key: str):
+        coords = self.params().get(key)
         if coords is None:
             raise SchemaError(f"params.{key}: missing point")
         return sys_handle.from_coords(tuple(float(c) for c in coords))
@@ -491,14 +499,12 @@ _OPS = {
 
 def _render_floats(obj):
     """Pass floats through 17-significant-digit formatting (round-trip safe)."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.17g}")
     if isinstance(obj, dict):
         return {k: _render_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_render_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.17g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj

@@ -7,10 +7,10 @@ return-time sets and fiber-coverage (characteristic factor) checks.
 
 Search semantics: a verified witness certifies the delta-resolution
 membership condition; EXHAUSTED is informative only.  PROVEN-ABSENT is a
-genuine non-membership certificate for the relation and is issued only
-on the isometry fast path (torus rotations/flows, suspensions of
-rotations, and the height-circle factor of a suspension), where a
-positive distance already rules the pair out at every scale.
+genuine non-membership certificate for the relation, issued only when
+the pair is at least 2 delta apart on an isometric factor of the system
+(SystemHandle.isometric_gaps), where a positive distance already rules
+the pair out at every scale.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import RealPolynomial
-from .systems import (HEIS_NILFLOW, HEIS_NILSYSTEM, SUSPENSION, TORUS_FLOW,
-                      TORUS_MAP, SystemHandle, circle_dist)
+from .systems import SystemHandle
 
 WITNESS = "witness"
 EXHAUSTED = "exhausted"
@@ -149,36 +148,17 @@ def rp_witness_verify(sys: SystemHandle, x, y, witness: RPWitness,
 # ---------------------------------------------------------------------------
 # witness search
 
-def _grid_dt(sys: SystemHandle) -> float:
-    if sys.discrete:
-        return 1.0
-    return 1.0 if sys.tag == SUSPENSION else 0.25
-
-
 def _group_grid(sys: SystemHandle, count: int) -> list[float]:
-    """Deterministic grid 0, +dt, -dt, +2dt, ... of group elements."""
-    dt = _grid_dt(sys)
-    out = [0.0]
-    k = 1
-    while len(out) < count:
-        out.append(k * dt)
-        if len(out) < count:
-            out.append(-k * dt)
-        k += 1
-    if sys.discrete:
-        return [int(v) for v in out]
-    return out
+    """Deterministic grid 0, +dt, -dt, +2dt, ...: integers for maps, the
+    spec's pitch for flows."""
+    dt = 1.0 if sys.discrete else sys.spec.pitch
+    out = [0.0] + [s * k * dt for k in range(1, count) for s in (1, -1)][:count - 1]
+    return [int(v) for v in out] if sys.discrete else out
 
 
 def _axis_offsets(dim: int, delta: float) -> list[tuple[float, ...]]:
-    offs = []
-    for axis in range(dim):
-        for j in range(1, 8):
-            for sign in (1.0, -1.0):
-                v = [0.0] * dim
-                v[axis] = sign * j * delta / 8.0
-                offs.append(tuple(v))
-    return offs
+    return [tuple(sign * j * delta / 8.0 if i == axis else 0.0 for i in range(dim))
+            for axis in range(dim) for j in range(1, 8) for sign in (1.0, -1.0)]
 
 
 def _candidate_offsets(dim: int, delta: float) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
@@ -221,16 +201,9 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
         raise ValueError("delta must be positive")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if sys.is_isometric and sys.dist(x, y) >= 2 * delta:
-        return RPSearchResult(PROVEN_ABSENT, checked=0, best_gap=sys.dist(x, y))
-    if sys.tag == SUSPENSION:
-        hgap = circle_dist(x.s, y.s)
-        if hgap >= 2 * delta:
-            # the height factor is an exact isometric circle flow
-            return RPSearchResult(PROVEN_ABSENT, checked=0, best_gap=hgap)
-        if sys.spec.base.is_isometric and sys.dist(x, y) >= 2 * delta:
-            # suspension of an equicontinuous map is equicontinuous
-            return RPSearchResult(PROVEN_ABSENT, checked=0, best_gap=sys.dist(x, y))
+    for gap in sys.isometric_gaps(x, y):
+        if gap >= 2 * delta:
+            return RPSearchResult(PROVEN_ABSENT, checked=0, best_gap=gap)
 
     offsets = _candidate_offsets(sys.dim, delta)
     grid = _group_grid(sys, grid_count)
@@ -255,33 +228,21 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
                 del best_tuples[:-8]
         return None
 
-    for g_tuple in itertools.product(grid, repeat=d):
-        hit = try_tuple(g_tuple, offsets)
+    def rounds():
+        yield from ((g_tuple, offsets) for g_tuple in itertools.product(grid, repeat=d))
+        joint = _joint_offsets(sys.dim, delta)
+        yield from ((g_tuple, joint) for g_tuple in itertools.product(grid, repeat=d))
+        if not sys.discrete:
+            for _, g_tuple in sorted(best_tuples):
+                for j in (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9):
+                    yield tuple(g + sys.spec.pitch * j / 10.0 for g in g_tuple), offsets
+
+    for g_tuple, offset_list in rounds():
+        hit = try_tuple(g_tuple, offset_list)
         if hit:
             return RPSearchResult(WITNESS, hit, checked, best_gap)
         if checked >= budget:
-            return RPSearchResult(EXHAUSTED, None, checked, best_gap)
-
-    joint = _joint_offsets(sys.dim, delta)
-    for g_tuple in itertools.product(grid, repeat=d):
-        hit = try_tuple(g_tuple, joint)
-        if hit:
-            return RPSearchResult(WITNESS, hit, checked, best_gap)
-        if checked >= budget:
-            return RPSearchResult(EXHAUSTED, None, checked, best_gap)
-
-    if not sys.discrete:
-        dt = _grid_dt(sys)
-        for _, g_tuple in sorted(best_tuples):
-            fine = [tuple(g + dt * j / 10.0 for g in g_tuple)
-                    for j in (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9)]
-            for refined in fine:
-                hit = try_tuple(refined, offsets)
-                if hit:
-                    return RPSearchResult(WITNESS, hit, checked, best_gap)
-                if checked >= budget:
-                    return RPSearchResult(EXHAUSTED, None, checked, best_gap)
-
+            break
     return RPSearchResult(EXHAUSTED, None, checked, best_gap)
 
 
@@ -320,7 +281,7 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
         raise CommutationViolation(f"sample commutation gap {gap:.3e}")
     if not rp_witness_verify(sysG, x, y, witnessG, delta_out / 3.0):
         raise ValueError("witnessG does not verify at delta_out/3")
-    if sysG is sysH or (sysG.tag == sysH.tag and sysG.spec == sysH.spec):
+    if sysG == sysH:
         return RPSearchResult(WITNESS, witnessG, 0,
                               witness_max_gap(sysG, x, y, witnessG))
 
@@ -338,21 +299,19 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
     top = min(16, len(grid))
     checked = 0
     best_gap = math.inf
-    for total in range(top * d + 1):
-        for combo in itertools.product(range(top), repeat=d):
-            if sum(combo) != total:
-                continue
-            if checked >= budget:
-                return RPSearchResult(EXHAUSTED, None, checked, best_gap)
-            checked += 1
-            h_tuple = tuple(ranked[j][combo[j]] for j in range(d))
-            w = RPWitness(witnessG.x_prime, witnessG.y_prime, h_tuple, delta_out)
-            g = witness_max_gap(sysH, x, y, w)
-            if g < delta_out:
-                return RPSearchResult(WITNESS,
-                                      RPWitness(w.x_prime, w.y_prime, h_tuple, g),
-                                      checked, best_gap)
-            best_gap = min(best_gap, g)
+    # combined rank order: by rank sum, ties in product order
+    for combo in sorted(itertools.product(range(top), repeat=d), key=sum):
+        if checked >= budget:
+            return RPSearchResult(EXHAUSTED, None, checked, best_gap)
+        checked += 1
+        h_tuple = tuple(ranked[j][combo[j]] for j in range(d))
+        w = RPWitness(witnessG.x_prime, witnessG.y_prime, h_tuple, delta_out)
+        g = witness_max_gap(sysH, x, y, w)
+        if g < delta_out:
+            return RPSearchResult(WITNESS,
+                                  RPWitness(w.x_prime, w.y_prime, h_tuple, g),
+                                  checked, best_gap)
+        best_gap = min(best_gap, g)
     return RPSearchResult(EXHAUSTED, None, checked, best_gap)
 
 
@@ -361,15 +320,6 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
 
 _DEFAULT_INT_RANGE = 10 ** 4
 _DEFAULT_HORIZON = 10 ** 3
-
-
-def _torus_phase_step(sys: SystemHandle) -> np.ndarray | None:
-    """Per-unit-time phase translation for torus systems, else None."""
-    if sys.tag == TORUS_FLOW:
-        return np.array(sys.spec.float_freqs)
-    if sys.tag == TORUS_MAP:
-        return np.array(sys.spec.flow.float_freqs) * sys.spec.step
-    return None
 
 
 def _draw_elements(sys: SystemHandle, rng, shape, horizon) -> np.ndarray:
@@ -383,7 +333,7 @@ def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
     """Sample the face-group orbit of the diagonal point (x, ..., x).
 
     Each sample draws d group elements and emits (g^(eps) x) over all
-    eps in {0,1}^d, indexed with eps_1 as the least significant bit.
+    eps in {0,1}^d, indexed with eps_1 as the most significant bit.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -391,23 +341,11 @@ def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
     draws = _draw_elements(sys, rng, (budget, d), horizon)
     draws[0, :] = 0.0  # identity tuple first: the cloud always holds the diagonal
     eps_list = face_vectors(d, include_zero=True)
-    arity = len(eps_list)
-    omega = _torus_phase_step(sys)
-    if omega is not None:
-        base = np.array(sys.coords(x))
-        pts = np.empty((budget, arity, len(base)))
-        for idx, eps in enumerate(eps_list):
-            s = draws @ np.array(eps, dtype=float)
-            pts[:, idx, :] = (base[None, :] + np.outer(s, omega)) % 1.0
-    else:
-        pts = np.empty((budget, arity, sys.dim))
-        for i in range(budget):
-            for idx, eps in enumerate(eps_list):
-                t = float(np.dot(draws[i], eps))
-                pts[i, idx, :] = sys.coords(sys.evolve(x, t))
+    pts = np.stack([sys.orbit_coords(x, draws @ np.array(eps, dtype=float))
+                    for eps in eps_list], axis=1)
     meta = {"generator": "cube_orbit_sample", "budget": budget, "seed": seed,
             "d": d, "base_point": list(sys.coords(x))}
-    return PointCloud(pts, sys.tag, arity, meta, sys)
+    return PointCloud(pts, sys.tag, len(eps_list), meta, sys)
 
 
 def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
@@ -430,17 +368,7 @@ def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
     rng = np.random.default_rng(seed)
     ts = _draw_elements(sys, rng, budget, horizon)
     ss = _draw_elements(sys, rng, budget, horizon)
-    omega = _torus_phase_step(sys)
-    if omega is not None:
-        base = np.array(sys.coords(x))
-        pts = np.empty((budget, d, len(base)))
-        for j, a in enumerate(alphas):
-            pts[:, j, :] = (base[None, :] + np.outer(ss + a * ts, omega)) % 1.0
-    else:
-        pts = np.empty((budget, d, sys.dim))
-        for i in range(budget):
-            for j, a in enumerate(alphas):
-                pts[i, j, :] = sys.coords(sys.evolve(x, float(ss[i] + a * ts[i])))
+    pts = np.stack([sys.orbit_coords(x, ss + a * ts) for a in alphas], axis=1)
     meta = {"generator": "nd_sample", "budget": budget, "seed": seed, "d": d,
             "alphas": list(alphas), "base_point": list(sys.coords(x))}
     return PointCloud(pts, sys.tag, d, meta, sys)
@@ -455,31 +383,24 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
         raise ValueError("arity mismatch")
     if a.system_tag != b.system_tag:
         raise ValueError("clouds live over different system metrics")
-    if a.system_tag in (TORUS_FLOW, TORUS_MAP):
+    sys = a.system or b.system
+    if sys is None:
+        raise ValueError("clouds need an attached system handle")
+    if sys.is_isometric:
         from scipy.spatial import cKDTree
         fa = a.flat() % 1.0
         fb = b.flat() % 1.0
         d1 = cKDTree(fb, boxsize=1.0).query(fa, p=np.inf)[0].max()
         d2 = cKDTree(fa, boxsize=1.0).query(fb, p=np.inf)[0].max()
         return float(max(d1, d2))
-    sys = a.system or b.system
-    if sys is None:
-        raise ValueError("non-torus clouds need an attached system handle")
 
     def tuple_dist(u, v):
         return max(sys.dist(sys.from_coords(u[k]), sys.from_coords(v[k]))
                    for k in range(a.arity))
 
     def directed(pa, pb):
-        worst = 0.0
-        for u in pa:
-            best = math.inf
-            for v in pb:
-                dv = tuple_dist(u, v)
-                if dv < best:
-                    best = dv
-            worst = max(worst, best)
-        return worst
+        return max((min((tuple_dist(u, v) for v in pb), default=math.inf) for u in pa),
+                   default=0.0)
 
     return max(directed(a.points, b.points), directed(b.points, a.points))
 
@@ -495,22 +416,17 @@ def poly_orbit_density(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
         raise ValueError("polys must be nonempty")
     if any(p.is_constant for p in polys):
         raise ValueError("polys must be nonconstant")
+    if not flow_sys.is_isometric:
+        raise ValueError("poly_orbit_density supports torus systems")
     rng = np.random.default_rng(seed)
     ts = rng.random(budget) * t_span
     bins = int(round(1.0 / resolution))
-    omega = _torus_phase_step(flow_sys)
-    if omega is None:
-        raise ValueError("poly_orbit_density supports torus flows")
-    base = np.array(flow_sys.coords(x))
-    dim = len(base)
     idx = np.zeros(budget, dtype=np.int64)
     for p in polys:
-        phases = (base[None, :] + np.outer(p.eval_array(ts), omega)) % 1.0
-        for c in range(dim):
-            digit = np.minimum((phases[:, c] * bins).astype(np.int64), bins - 1)
-            idx = idx * bins + digit
-    hit = len(np.unique(idx))
-    return hit / float(bins ** (dim * len(polys)))
+        phases = flow_sys.orbit_coords(x, p.eval_array(ts))
+        for c in range(flow_sys.dim):
+            idx = idx * bins + np.minimum((phases[:, c] * bins).astype(np.int64), bins - 1)
+    return len(np.unique(idx)) / float(bins ** (flow_sys.dim * len(polys)))
 
 
 def return_set(sys: SystemHandle, x, center, radius: float,
@@ -538,34 +454,23 @@ def rp_return_intersection(sys: SystemHandle, x, y, d: int, radius: float,
     return False
 
 
-_PROJECTIONS = ("identity", "heisenberg-base", "torus-coord-0")
-
-
-def _nil_evolve_coords(spec, p, ts: np.ndarray) -> np.ndarray:
-    """Vectorized canonical coordinates of the nilflow orbit of p."""
-    a = spec.generator
-    gx = ts * a.x
-    gy = ts * a.y
-    gz = ts * a.z + 0.5 * ts * (ts - 1.0) * a.x * a.y
-    rx = gx + p.x
-    ry = gy + p.y
-    rz = gz + p.z + gx * p.y
-    n = -np.floor(ry)
-    z = rz + rx * n
-    return np.stack([rx % 1.0, ry % 1.0, z % 1.0], axis=1)
-
-
 def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
                    alphas: Sequence[float], x, budget: int, resolution: float,
                    seed: int = 0, horizon: float = 1e4) -> float:
     """Coverage of the fiber power (pi^-1(pi x))^d by the diagonal orbit cloud.
 
-    A sampled tuple enters a fiber cell when each component lies within
-    one resolution of the fiber in the constrained coordinates; cells
-    quantize the fiber's free coordinates at the same pitch.
+    The system's projection table names, for each projection pi, the
+    coordinates a fiber constrains and the free ones.  A sampled tuple
+    enters a fiber cell when each component lies within one resolution of
+    the fiber in the constrained coordinates; cells quantize the free
+    coordinates at the same pitch.  The identity has no free coordinates,
+    so its coverage is 1 or 0.
     """
-    if factor_projection not in _PROJECTIONS:
-        raise ValueError(f"unsupported projection {factor_projection!r}")
+    table = sys.spec.projections
+    if factor_projection not in table:
+        raise ValueError(f"projection {factor_projection!r} does not apply to "
+                         f"{sys.tag} of dimension {sys.dim} (has {sorted(table)})")
+    constrained, free = table[factor_projection]
     alphas = tuple(float(a) for a in alphas)
     if len(alphas) != d:
         raise ValueError("need d alphas")
@@ -573,61 +478,13 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
     ts = np.concatenate([[0.0], rng.random(budget - 1) * horizon])
     bins = int(round(1.0 / resolution))
     base = np.array(sys.coords(x))
-
-    if factor_projection == "identity":
-        ok = np.ones(len(ts), dtype=bool)
-        for a in alphas:
-            comp = _component_coords(sys, x, a * ts)
-            for c in range(comp.shape[1]):
-                gap = np.abs(comp[:, c] - base[c]) % 1.0
-                ok &= np.minimum(gap, 1.0 - gap) <= resolution
-        return 1.0 if ok.any() else 0.0
-
-    if factor_projection == "heisenberg-base":
-        if sys.tag not in (HEIS_NILFLOW, HEIS_NILSYSTEM):
-            raise ValueError("heisenberg-base projection needs a Heisenberg system")
-        idx = np.zeros(len(ts), dtype=np.int64)
-        ok = np.ones(len(ts), dtype=bool)
-        for a in alphas:
-            comp = _component_coords(sys, x, a * ts)
-            for c in (0, 1):
-                gap = np.abs(comp[:, c] - base[c]) % 1.0
-                ok &= np.minimum(gap, 1.0 - gap) <= resolution
-            digit = np.minimum((comp[:, 2] * bins).astype(np.int64), bins - 1)
-            idx = idx * bins + digit
-        hit = len(np.unique(idx[ok]))
-        return hit / float(bins ** d)
-
-    # torus-coord-0: fiber over the first coordinate
-    if sys.tag not in (TORUS_FLOW, TORUS_MAP):
-        raise ValueError("torus-coord-0 projection needs a torus system")
-    dim = sys.dim
-    if dim < 2:
-        raise ValueError("torus-coord-0 needs dimension >= 2")
     idx = np.zeros(len(ts), dtype=np.int64)
     ok = np.ones(len(ts), dtype=bool)
     for a in alphas:
-        comp = _component_coords(sys, x, a * ts)
-        gap = np.abs(comp[:, 0] - base[0]) % 1.0
-        ok &= np.minimum(gap, 1.0 - gap) <= resolution
-        for c in range(1, dim):
-            digit = np.minimum((comp[:, c] * bins).astype(np.int64), bins - 1)
-            idx = idx * bins + digit
-    hit = len(np.unique(idx[ok]))
-    return hit / float(bins ** ((dim - 1) * d))
-
-
-def _component_coords(sys: SystemHandle, x, ts: np.ndarray) -> np.ndarray:
-    """Vectorized canonical coordinates of evolve(x, t) over a time array."""
-    omega = _torus_phase_step(sys)
-    if omega is not None:
-        base = np.array(sys.coords(x))
-        return (base[None, :] + np.outer(ts, omega)) % 1.0
-    if sys.tag == HEIS_NILFLOW:
-        return _nil_evolve_coords(sys.spec, x, ts)
-    if sys.tag == HEIS_NILSYSTEM:
-        return _nil_evolve_coords(sys.spec.flow, x, ts * sys.spec.step)
-    out = np.empty((len(ts), sys.dim))
-    for i, t in enumerate(ts):
-        out[i] = sys.coords(sys.evolve(x, float(t)))
-    return out
+        comp = sys.fiber_orbit_coords(x, a * ts)
+        for c in constrained:
+            gap = np.abs(comp[:, c] - base[c]) % 1.0
+            ok &= np.minimum(gap, 1.0 - gap) <= resolution
+        for c in free:
+            idx = idx * bins + np.minimum((comp[:, c] * bins).astype(np.int64), bins - 1)
+    return len(np.unique(idx[ok])) / float(bins ** (len(free) * d))

@@ -10,12 +10,12 @@ pair, and the integer-part orbit projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .systems import SUSPENSION, SuspensionSpec, SystemHandle
+from .systems import SUSPENSION, SystemHandle, circle_dist
 
 INTEGRAL_GAP_TOL = 1e-12
 BASE_MATCH_TOL = 1e-10
@@ -27,11 +27,51 @@ class SuspensionPoint:
     s: float
 
 
+@dataclass(frozen=True)
+class SuspensionSpec:
+    """Spec of the suspension flow over a discrete base (see systems.py);
+    it has no rotation factor, no time-t map kind and no float kernel."""
+
+    base: SystemHandle
+
+    tags = (SUSPENSION, None)
+    isometric = False
+    pitch = 1.0
+    freqs = float_freqs = float_orbit = None
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim + 1
+
+    @property
+    def projections(self) -> dict:
+        return {"identity": (tuple(range(self.dim)), ())}
+
+    def evolve(self, p: SuspensionPoint, t: float) -> SuspensionPoint:
+        return susp_evolve(self.base, p, t)
+
+    def dist(self, p: SuspensionPoint, q: SuspensionPoint) -> float:
+        return susp_metric(self.base, p, q)
+
+    def coords(self, p: SuspensionPoint) -> tuple[float, ...]:
+        return self.base.coords(p.base) + (p.s,)
+
+    def from_coords(self, c: Sequence[float]) -> SuspensionPoint:
+        return susp_canonical(self.base, self.base.from_coords(c[:-1]), c[-1])
+
+    def factor_gaps(self, p: SuspensionPoint, q: SuspensionPoint):
+        """The height circle, an exact isometric circle flow; then the whole
+        suspension when the base is isometric, since it is equicontinuous."""
+        yield circle_dist(p.s, q.s)
+        if self.base.is_isometric:
+            yield self.dist(p, q)
+
+
 def suspend(base: SystemHandle) -> SystemHandle:
     """Suspension flow handle over a discrete base system."""
     if not base.discrete:
         raise ValueError("suspension needs a discrete base system")
-    return SystemHandle(SUSPENSION, SuspensionSpec(base))
+    return SystemHandle(SuspensionSpec(base))
 
 
 def susp_canonical(base_sys: SystemHandle, x, s: float) -> SuspensionPoint:
@@ -57,13 +97,8 @@ def susp_evolve(base_sys: SystemHandle, p: SuspensionPoint, t: float) -> Suspens
 
 
 def _chart_gap(base_sys: SystemHandle, p: SuspensionPoint, q: SuspensionPoint) -> float:
-    best = math.inf
-    for k in (-1, 0, 1):
-        d = max(base_sys.dist(base_sys.evolve(p.base, k), q.base),
-                abs(p.s - k - q.s))
-        if d < best:
-            best = d
-    return best
+    return min(max(base_sys.dist(base_sys.evolve(p.base, k), q.base), abs(p.s - k - q.s))
+               for k in (-1, 0, 1))
 
 
 def susp_metric(base_sys: SystemHandle, p: SuspensionPoint,
@@ -91,11 +126,7 @@ class SuspensionTransferReport:
         return self.forward == bool(self.backward)
 
     def to_jsonable(self) -> dict:
-        return {"forward": self.forward, "backward": self.backward,
-                "height_gap_integral": self.height_gap_integral,
-                "forward_status": self.forward_status,
-                "backward_status": self.backward_status,
-                "agreement": self.agreement, "checked": self.checked}
+        return {**asdict(self), "agreement": self.agreement}
 
 
 def susp_rp_transfer_check(base_sys: SystemHandle, x1, x2, s1: float, s2: float,
@@ -131,21 +162,9 @@ def susp_rp_transfer_check(base_sys: SystemHandle, x1, x2, s1: float, s2: float,
 def integer_part_orbit(base_sys: SystemHandle, x, times: Sequence[float],
                        resolution: float) -> float:
     """Coverage of the base space by {T^[t] x : t in times} at the given pitch."""
-    from .proximality import _torus_phase_step
     bins = int(round(1.0 / resolution))
-    ms = np.floor(np.asarray(times, dtype=float))
-    omega = _torus_phase_step(base_sys)
-    if omega is not None:
-        base = np.array(base_sys.coords(x))
-        phases = (base[None, :] + np.outer(ms, omega)) % 1.0
-        idx = np.zeros(len(ms), dtype=np.int64)
-        for c in range(phases.shape[1]):
-            digit = np.minimum((phases[:, c] * bins).astype(np.int64), bins - 1)
-            idx = idx * bins + digit
-        hit = len(np.unique(idx))
-        return hit / float(bins ** phases.shape[1])
-    cells = set()
-    for m in ms:
-        c = base_sys.coords(base_sys.evolve(x, int(m)))
-        cells.add(tuple(min(int(v * bins), bins - 1) for v in c))
-    return len(cells) / float(bins ** base_sys.dim)
+    phases = base_sys.orbit_coords(x, np.floor(np.asarray(times, dtype=float)))
+    idx = np.zeros(len(phases), dtype=np.int64)
+    for c in range(phases.shape[1]):
+        idx = idx * bins + np.minimum((phases[:, c] * bins).astype(np.int64), bins - 1)
+    return len(np.unique(idx)) / float(bins ** phases.shape[1])

@@ -1,9 +1,16 @@
 """Explicit computable dynamical systems.
 
-Torus flows and their time-t maps, the 3-dimensional Heisenberg
-nilmanifold with its nilflow and time-t nilsystems, quotient metrics,
-orbit sampling, and the exact minimality tests that reduce to rational
-independence of the frequency data.
+A system is a SystemHandle(spec, step=None): the frozen spec of an R-flow
+(TorusFlowSpec, NilflowSpec, suspension.SuspensionSpec), or with a step
+the flow's time-step map.  Besides dim, evolve, dist, coords and
+from_coords a spec declares its tags (kind as a flow and as a time-t
+map), isometric, the search grid pitch, freqs and float_freqs (exact and
+float frequencies of its rotation factor), projections (fiber name ->
+constrained and free coordinates), factor_gaps (gaps on proper isometric
+factors) and float_orbit (a float batch kernel), None where it has none.
+Only the specs tell kinds apart.  Also here: the Heisenberg group law,
+lattice reduction, quotient metrics, orbit sampling, and the exact
+minimality tests by rational independence of the frequencies.
 
 Conventions: torus points live in [0, 1)^n; Heisenberg elements carry
 Malcev coordinates (x, y, z) with group law
@@ -17,6 +24,8 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .algebra import (Basis, IndependenceResult, SymbolicReal,
                       rationally_independent)
@@ -102,167 +111,6 @@ def heis_reduce(g: HeisenbergElement) -> tuple[HeisenbergElement, HeisenbergElem
 
 
 # ---------------------------------------------------------------------------
-# system specs
-
-@dataclass(frozen=True)
-class TorusFlowSpec:
-    freqs: tuple[SymbolicReal, ...]
-    float_freqs: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.freqs)
-
-
-@dataclass(frozen=True)
-class TorusMapSpec:
-    flow: TorusFlowSpec
-    step: float = 1.0
-    step_symbolic: SymbolicReal | None = None
-
-
-@dataclass(frozen=True)
-class NilflowSpec:
-    generator: HeisenbergElement
-    shadow: tuple[SymbolicReal, SymbolicReal] | None = None
-
-
-@dataclass(frozen=True)
-class NilsystemSpec:
-    flow: NilflowSpec
-    step: float = 1.0
-    step_symbolic: SymbolicReal | None = None
-
-
-@dataclass(frozen=True)
-class SuspensionSpec:
-    base: "SystemHandle"
-
-
-class SystemHandle:
-    """Tagged handle for one supported system; exposes evolve and dist.
-
-    ``discrete`` systems take integer group elements (map iterates),
-    flows take real times.  ``is_isometric`` marks systems whose action
-    provably preserves the metric (torus rotations/flows), which the
-    proximality search uses as a certified no-witness oracle.
-    """
-
-    def __init__(self, tag: str, spec):
-        if tag not in (TORUS_FLOW, TORUS_MAP, HEIS_NILFLOW, HEIS_NILSYSTEM, SUSPENSION):
-            raise ValueError(f"unknown system tag {tag!r}")
-        self.tag = tag
-        self.spec = spec
-
-    # -- structural attributes -------------------------------------------
-    @property
-    def discrete(self) -> bool:
-        return self.tag in (TORUS_MAP, HEIS_NILSYSTEM)
-
-    @property
-    def is_isometric(self) -> bool:
-        return self.tag in (TORUS_FLOW, TORUS_MAP)
-
-    @property
-    def dim(self) -> int:
-        if self.tag in (TORUS_FLOW, TORUS_MAP):
-            return self._flow_spec().dim
-        if self.tag in (HEIS_NILFLOW, HEIS_NILSYSTEM):
-            return 3
-        return self.spec.base.dim + 1
-
-    def _flow_spec(self):
-        return self.spec.flow if self.tag in (TORUS_MAP, HEIS_NILSYSTEM) else self.spec
-
-    # -- dynamics ---------------------------------------------------------
-    def evolve(self, p, t: float):
-        if self.tag == TORUS_FLOW:
-            return torus_evolve(self.spec, p, t)
-        if self.tag == TORUS_MAP:
-            return torus_evolve(self.spec.flow, p, t * self.spec.step)
-        if self.tag == HEIS_NILFLOW:
-            return nil_evolve(self.spec, p, t)
-        if self.tag == HEIS_NILSYSTEM:
-            return nil_evolve(self.spec.flow, p, t * self.spec.step)
-        from .suspension import susp_evolve
-        return susp_evolve(self.spec.base, p, t)
-
-    def dist(self, p, q) -> float:
-        return metric_dist(self, p, q)
-
-    # -- coordinate plumbing ----------------------------------------------
-    def coords(self, p) -> tuple[float, ...]:
-        if self.tag in (TORUS_FLOW, TORUS_MAP):
-            return p.coords
-        if self.tag in (HEIS_NILFLOW, HEIS_NILSYSTEM):
-            return p.coords
-        return self.spec.base.coords(p.base) + (p.s,)
-
-    def from_coords(self, c: Sequence[float]):
-        if self.tag in (TORUS_FLOW, TORUS_MAP):
-            return TorusPoint(tuple(c))
-        if self.tag in (HEIS_NILFLOW, HEIS_NILSYSTEM):
-            canonical, _ = heis_reduce(HeisenbergElement(c[0], c[1], c[2]))
-            return canonical
-        from .suspension import susp_canonical
-        base = self.spec.base.from_coords(c[:-1])
-        return susp_canonical(self.spec.base, base, c[-1])
-
-    def origin(self):
-        return self.from_coords((0.0,) * self.dim)
-
-    def describe(self) -> dict:
-        out = {"tag": self.tag}
-        if self.tag in (TORUS_FLOW, TORUS_MAP):
-            out["freqs"] = [float(f) for f in self._flow_spec().float_freqs]
-        if self.tag in (HEIS_NILFLOW, HEIS_NILSYSTEM):
-            out["generator"] = list(self._flow_spec().generator.coords)
-        if self.tag in (TORUS_MAP, HEIS_NILSYSTEM):
-            out["step"] = self.spec.step
-        if self.tag == SUSPENSION:
-            out["base"] = self.spec.base.describe()
-        return out
-
-    def __repr__(self):
-        return f"SystemHandle({self.tag})"
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-def torus_flow(freqs: Sequence[SymbolicReal], basis: Basis) -> SystemHandle:
-    if not freqs:
-        raise ValueError("torus flow needs at least one frequency")
-    spec = TorusFlowSpec(tuple(freqs), tuple(basis.to_float(f) for f in freqs))
-    return SystemHandle(TORUS_FLOW, spec)
-
-
-def torus_map(flow: SystemHandle, step: float = 1.0,
-              step_symbolic: SymbolicReal | None = None) -> SystemHandle:
-    if flow.tag != TORUS_FLOW:
-        raise ValueError("torus_map wraps a torus flow")
-    return SystemHandle(TORUS_MAP, TorusMapSpec(flow.spec, step, step_symbolic))
-
-
-def torus_rotation(alpha: SymbolicReal, basis: Basis) -> SystemHandle:
-    """The rotation x -> x + alpha on T^1 as the time-1 map of its flow."""
-    return torus_map(torus_flow((alpha,), basis), 1.0)
-
-
-def heisenberg_nilflow(alpha: SymbolicReal, beta: SymbolicReal, basis: Basis,
-                       z: float = 0.0) -> SystemHandle:
-    gen = HeisenbergElement(basis.to_float(alpha), basis.to_float(beta), z)
-    return SystemHandle(HEIS_NILFLOW, NilflowSpec(gen, (alpha, beta)))
-
-
-def heisenberg_nilsystem(nilflow: SystemHandle, step: float = 1.0,
-                         step_symbolic: SymbolicReal | None = None) -> SystemHandle:
-    if nilflow.tag != HEIS_NILFLOW:
-        raise ValueError("heisenberg_nilsystem wraps a heisenberg nilflow")
-    return SystemHandle(HEIS_NILSYSTEM, NilsystemSpec(nilflow.spec, step, step_symbolic))
-
-
-# ---------------------------------------------------------------------------
 # evolution
 
 def torus_evolve(spec: TorusFlowSpec, p: TorusPoint, t: float) -> TorusPoint:
@@ -318,22 +166,220 @@ def _heis_window_gap(p: HeisenbergElement, q: HeisenbergElement) -> float:
                          for n in _WINDOW))
 
 
-def metric_dist(sys: SystemHandle, p, q) -> float:
-    """Quotient metric realization: torus max-circle metric, suspension
-    chart metric, Heisenberg least Euclidean gap over the 5x5x5 lattice
-    window in both directions, minimised separably (_heis_window_gap)."""
-    if sys.tag in (TORUS_FLOW, TORUS_MAP):
+# ---------------------------------------------------------------------------
+# system specs (the protocol is in the module docstring) and the handle
+
+@dataclass(frozen=True)
+class TorusFlowSpec:
+    """The linear flow x -> x + t * freqs on the torus T^dim."""
+
+    freqs: tuple[SymbolicReal, ...]
+    float_freqs: tuple[float, ...]
+
+    tags = (TORUS_FLOW, TORUS_MAP)
+    isometric = True
+    pitch = 0.25
+    float_orbit = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.freqs)
+
+    @property
+    def projections(self) -> dict:
+        out = {"identity": (tuple(range(self.dim)), ())}
+        if self.dim >= 2:
+            out["torus-coord-0"] = ((0,), tuple(range(1, self.dim)))
+        return out
+
+    evolve = torus_evolve
+
+    def dist(self, p: TorusPoint, q: TorusPoint) -> float:
+        """Max circle distance over the coordinates."""
         if len(p.coords) != len(q.coords):
             raise ValueError("mismatched systems")
         return max(circle_dist(a, b) for a, b in zip(p.coords, q.coords))
-    if sys.tag in (HEIS_NILFLOW, HEIS_NILSYSTEM):
+
+    def coords(self, p: TorusPoint) -> tuple[float, ...]:
+        return p.coords
+
+    def from_coords(self, c: Sequence[float]) -> TorusPoint:
+        return TorusPoint(tuple(c))
+
+    def factor_gaps(self, p, q) -> tuple:
+        return ()  # its one isometric factor is itself (SystemHandle.isometric_gaps)
+
+
+@dataclass(frozen=True)
+class NilflowSpec:
+    """The nilflow x Gamma -> a^t x Gamma on the Heisenberg nilmanifold.  Its
+    rotation factor is the base 2-torus, rotated by (a.x, a.y); shadow holds
+    the exact values of those two frequencies."""
+
+    generator: HeisenbergElement
+    shadow: tuple[SymbolicReal, SymbolicReal] | None = None
+
+    tags = (HEIS_NILFLOW, HEIS_NILSYSTEM)
+    isometric = False
+    pitch = 0.25
+    dim = 3
+    projections = {"identity": ((0, 1, 2), ()), "heisenberg-base": ((0, 1), (2,))}
+
+    @property
+    def freqs(self) -> tuple[SymbolicReal, SymbolicReal]:
+        if self.shadow is None:
+            raise ValueError("nilflow lacks an exact frequency shadow")
+        return self.shadow
+
+    @property
+    def float_freqs(self) -> tuple[float, float]:
+        return (self.generator.x, self.generator.y)
+
+    evolve = nil_evolve
+
+    def dist(self, p: HeisenbergElement, q: HeisenbergElement) -> float:
+        """Least Euclidean gap over the 5x5x5 lattice window, both ways."""
         return min(_heis_window_gap(p, q), _heis_window_gap(q, p))
-    from .suspension import susp_metric
-    return susp_metric(sys.spec.base, p, q)
+
+    def coords(self, p: HeisenbergElement) -> tuple[float, float, float]:
+        return p.coords
+
+    def from_coords(self, c: Sequence[float]) -> HeisenbergElement:
+        return heis_reduce(HeisenbergElement(c[0], c[1], c[2]))[0]
+
+    def factor_gaps(self, p, q) -> tuple:
+        return ()  # the base 2-torus is not declared as a factor yet
+
+    def float_orbit(self, p: HeisenbergElement, ts: np.ndarray) -> np.ndarray:
+        """Float batch form of the orbit coordinates, for coverage counts; it
+        drifts from nil_evolve as t grows (6.6e-10 at t ~ 1e3, 5.5e-8 at 1e4)."""
+        a = self.generator
+        gx = ts * a.x
+        rx, ry = gx + p.x, ts * a.y + p.y
+        rz = ts * a.z + 0.5 * ts * (ts - 1.0) * a.x * a.y + p.z + gx * p.y
+        z = rz + rx * -np.floor(ry)
+        return np.stack([rx % 1.0, ry % 1.0, z % 1.0], axis=1)
+
+
+@dataclass(frozen=True)
+class SystemHandle:
+    """A flow, given by its spec, or its time-step map when step is set.
+    Maps (``discrete``) take integer group elements, flows real times;
+    ``tag`` names the kind in reports."""
+
+    spec: object
+    step: float | None = None
+
+    def __post_init__(self):
+        if self.tag is None:
+            raise ValueError(f"{self.spec.tags[0]} has no time-t map")
+
+    @property
+    def tag(self) -> str:
+        return self.spec.tags[self.step is not None]
+
+    @property
+    def discrete(self) -> bool:
+        return self.step is not None
+
+    @property
+    def is_isometric(self) -> bool:
+        """Does the action preserve the metric (torus flows and rotations)?"""
+        return self.spec.isometric
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
+
+    @property
+    def phase_step(self) -> np.ndarray | None:
+        """Translation of the rotation factor per unit time or step."""
+        if self.spec.float_freqs is None:
+            return None
+        omega = np.array(self.spec.float_freqs)
+        return omega if self.step is None else omega * self.step
+
+    def evolve(self, p, t: float):
+        return self.spec.evolve(p, t if self.step is None else t * self.step)
+
+    def dist(self, p, q) -> float:
+        return self.spec.dist(p, q)
+
+    def coords(self, p) -> tuple[float, ...]:
+        return self.spec.coords(p)
+
+    def from_coords(self, c: Sequence[float]):
+        return self.spec.from_coords(c)
+
+    def origin(self):
+        return self.from_coords((0.0,) * self.dim)
+
+    def orbit_coords(self, x, ts) -> np.ndarray:
+        """Rows coords(evolve(x, t)) over the times ts.  An isometric system
+        is its own rotation factor: closed form from phase_step, equal to the
+        scalar path up to rounding.  Others run the exact scalar evolution."""
+        if self.is_isometric:
+            return (np.array(self.coords(x))[None, :] + np.outer(ts, self.phase_step)) % 1.0
+        out = np.empty((len(ts), self.dim))
+        for i, t in enumerate(ts):
+            out[i] = self.coords(self.evolve(x, float(t)))
+        return out
+
+    def fiber_orbit_coords(self, x, ts: np.ndarray) -> np.ndarray:
+        """orbit_coords through the spec's float batch kernel where it has one."""
+        if self.spec.float_orbit is None:
+            return self.orbit_coords(x, ts)
+        return self.spec.float_orbit(x, ts if self.step is None else ts * self.step)
+
+    def isometric_gaps(self, p, q):
+        """Gaps between p and q on isometric factors, computed lazily: the
+        system itself when it is isometric, then the spec's factors."""
+        if self.is_isometric:
+            yield self.dist(p, q)
+        yield from self.spec.factor_gaps(p, q)
+
+
+# ---------------------------------------------------------------------------
+# constructors
+
+def torus_flow(freqs: Sequence[SymbolicReal], basis: Basis) -> SystemHandle:
+    if not freqs:
+        raise ValueError("torus flow needs at least one frequency")
+    return SystemHandle(TorusFlowSpec(tuple(freqs), tuple(basis.to_float(f) for f in freqs)))
+
+
+def torus_map(flow: SystemHandle, step: float = 1.0) -> SystemHandle:
+    if flow.tag != TORUS_FLOW:
+        raise ValueError("torus_map wraps a torus flow")
+    return SystemHandle(flow.spec, step)
+
+
+def torus_rotation(alpha: SymbolicReal, basis: Basis) -> SystemHandle:
+    """The rotation x -> x + alpha on T^1 as the time-1 map of its flow."""
+    return torus_map(torus_flow((alpha,), basis), 1.0)
+
+
+def heisenberg_nilflow(alpha: SymbolicReal, beta: SymbolicReal, basis: Basis,
+                       z: float = 0.0) -> SystemHandle:
+    gen = HeisenbergElement(basis.to_float(alpha), basis.to_float(beta), z)
+    return SystemHandle(NilflowSpec(gen, (alpha, beta)))
+
+
+def heisenberg_nilsystem(nilflow: SystemHandle, step: float = 1.0) -> SystemHandle:
+    if nilflow.tag != HEIS_NILFLOW:
+        raise ValueError("heisenberg_nilsystem wraps a heisenberg nilflow")
+    return SystemHandle(nilflow.spec, step)
 
 
 # ---------------------------------------------------------------------------
 # minimality
+
+def _exact_freqs(sys: SystemHandle, name: str) -> list[SymbolicReal]:
+    freqs = None if sys.discrete else sys.spec.freqs
+    if freqs is None:
+        raise ValueError(f"{name} applies to torus flows and Heisenberg nilflows")
+    return list(freqs)
+
 
 def flow_minimal(sys: SystemHandle) -> bool:
     """Kronecker-Weyl minimality of the flow, decided exactly.
@@ -346,13 +392,7 @@ def flow_minimal(sys: SystemHandle) -> bool:
 
 
 def flow_minimal_result(sys: SystemHandle) -> IndependenceResult:
-    if sys.tag == TORUS_FLOW:
-        return rationally_independent(list(sys.spec.freqs))
-    if sys.tag == HEIS_NILFLOW:
-        if sys.spec.shadow is None:
-            raise ValueError("nilflow lacks an exact frequency shadow")
-        return rationally_independent(list(sys.spec.shadow))
-    raise ValueError("flow_minimal applies to torus flows and Heisenberg nilflows")
+    return rationally_independent(_exact_freqs(sys, "flow_minimal"))
 
 
 def time_t_minimal(sys: SystemHandle, t: SymbolicReal, basis: Basis) -> bool:
@@ -364,16 +404,8 @@ def time_t_minimal(sys: SystemHandle, t: SymbolicReal, basis: Basis) -> bool:
     """
     if t.is_zero:
         raise ValueError("t must be nonzero")
-    if sys.tag == TORUS_FLOW:
-        freqs = list(sys.spec.freqs)
-    elif sys.tag == HEIS_NILFLOW:
-        if sys.spec.shadow is None:
-            raise ValueError("nilflow lacks an exact frequency shadow")
-        freqs = list(sys.spec.shadow)
-    else:
-        raise ValueError("time_t_minimal applies to torus flows and Heisenberg nilflows")
     vals = [SymbolicReal.rational(1)]
-    vals.extend(basis.multiply(f, t) for f in freqs)
+    vals.extend(basis.multiply(f, t) for f in _exact_freqs(sys, "time_t_minimal"))
     return rationally_independent(vals).independent
 
 
@@ -383,10 +415,6 @@ def time_t_minimal(sys: SystemHandle, t: SymbolicReal, basis: Basis) -> bool:
 def orbit_sample(sys: SystemHandle, x, times: Sequence[float], seed: int = 0):
     """Deterministic arity-1 cloud of evolve(x, t) over the given times."""
     from .proximality import PointCloud
-    import numpy as np
-    pts = np.empty((len(times), 1, sys.dim))
-    for i, t in enumerate(times):
-        pts[i, 0, :] = sys.coords(sys.evolve(x, t))
     meta = {"generator": "orbit_sample", "budget": len(times), "seed": seed,
             "base_point": list(sys.coords(x))}
-    return PointCloud(points=pts, system_tag=sys.tag, arity=1, meta=meta)
+    return PointCloud(sys.orbit_coords(x, times)[:, None, :], sys.tag, 1, meta, sys)

@@ -14,6 +14,14 @@ def mat(rows):
     return RationalMatrix.from_rows(rows)
 
 
+def matvec(m, vec):
+    """The exact product M v."""
+    if len(vec) != m.cols:
+        raise ValueError("dimension mismatch")
+    return tuple(sum((r[j] * vec[j] for j in range(m.cols)), Fraction(0))
+                 for r in m.entries)
+
+
 class TestRationalKernel:
     def test_identity_has_trivial_kernel(self):
         assert rational_kernel(mat([[1, 0], [0, 1]])) == []
@@ -34,7 +42,7 @@ class TestRationalKernel:
                       for _ in range(cols)] for _ in range(rows)])
             basis = rational_kernel(m)
             for v in basis:
-                assert all(val == 0 for val in m.apply(v))
+                assert all(val == 0 for val in matvec(m, v))
             # kernel of a 4x6 matrix has dimension >= 2
             assert len(basis) >= 2
 
@@ -42,7 +50,7 @@ class TestRationalKernel:
         with pytest.raises(ValueError):
             mat([[1, 2], [1]])
         with pytest.raises(ValueError):
-            mat([[1, 2]]).apply((Fraction(1),))
+            matvec(mat([[1, 2]]), (Fraction(1),))
 
 
 class TestRationallyIndependent:

@@ -148,6 +148,56 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(path)]) == EXIT_SCHEMA
         assert named in capsys.readouterr().err
 
+    HEIS_MAP = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT2": "1"},
+                "beta": {"SQRT3": "1"}}
+    ROT = {"kind": "torus-map", "freqs": [{"SQRT2": "1"}]}
+    PLANE = {"kind": "torus-flow", "freqs": [{"SQRT2": "1"}, {"SQRT3": "1"}]}
+
+    @pytest.mark.parametrize("system, op, params, named", [
+        (ROT, "rp-certify", {"x": [0.3], "y": [0.3], "d": 0, "delta": 0.05},
+         "params.d"),
+        (ROT, "cube", {"x": [0.1], "d": 0, "budget": 10}, "params.d"),
+        (ROT, "suspend", {"x": [0.0], "times": [1.0], "resolution": 0},
+         "params.resolution"),
+        (ROT, "suspend", {"x": [0.0], "times": [1.0], "resolution": 2},
+         "params.resolution"),
+        (ROT, "fiber-coverage", {"projection": "identity", "d": 1, "alphas": [1.0],
+                                 "x": [0.0], "resolution": -0.05},
+         "params.resolution"),
+        (ROT, "rp-certify", {"x": [0.1, 0.2], "y": [0.1], "d": 1, "delta": 0.05},
+         "params.x"),
+        (HEIS_MAP, "rp-certify", {"x": [0.1, 0.2], "y": [0.0, 0.0, 0.0], "d": 1,
+                                  "delta": 0.05}, "params.x"),
+        (ROT, "fiber-coverage", {"projection": "no-such", "d": 1, "alphas": [1.0],
+                                 "x": [0.0]}, "params.projection"),
+        (PLANE, "fiber-coverage", {"projection": "heisenberg-base", "d": 1,
+                                   "alphas": [1.0], "x": [0.0, 0.0]},
+         "params.projection"),
+        (HEIS_MAP, "fiber-coverage", {"projection": "torus-coord-0", "d": 1,
+                                      "alphas": [1.0], "x": [0.0, 0.0, 0.0]},
+         "params.projection"),
+        (ROT, "fiber-coverage", {"projection": "torus-coord-0", "d": 1,
+                                 "alphas": [1.0], "x": [0.0]}, "params.projection"),
+    ], ids=["d-zero-rp-certify", "d-zero-cube", "resolution-zero", "resolution-two",
+            "resolution-negative", "x-dim-rotation", "x-dim-heisenberg",
+            "projection-unknown", "projection-base-on-torus",
+            "projection-coord-on-heisenberg", "projection-coord-on-circle"])
+    def test_out_of_range_params_exit_schema(self, tmp_path, capsys, system, op,
+                                             params, named):
+        cfg = {"operation": op, "system": system, "params": params}
+        assert any(named in d for d in validate_config(cfg))
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run", "--config", str(path)]) == EXIT_SCHEMA
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", ["cube", "nd-compare"])
+    def test_point_checked_on_both_systems(self, op):
+        # x is read on system and system_h; a point fitting only one is named
+        cfg = {"operation": op, "system": self.ROT, "system_h": self.PLANE,
+               "params": {"x": [0.1], "d": 2, "alphas": [1.0, 2.0], "budget": 10}}
+        diags = validate_config(cfg)
+        assert any("params.x" in d and "system_h" in d for d in diags)
+
     def test_report_and_artifacts_written(self, tmp_path, capsys):
         cfg = {"operation": "nd-compare", "seed": 1,
                "system": {"kind": "torus-map", "freqs": [{"SQRT2": "1"}]},
@@ -184,11 +234,15 @@ class TestMainExitCodes:
         assert main(["rp-certify", "--config", str(path)]) == EXIT_BUDGET
         capsys.readouterr()
 
-    def test_internal_error_exit(self, tmp_path, capsys):
-        # a point of the wrong dimension breaks an invariant mid-run
+    def test_internal_error_exit(self, tmp_path, capsys, monkeypatch):
+        # an invariant breach mid-run (here planted in the search) maps to
+        # exit 5; config defects such as a wrong-dimension point exit 2
+        def breach(*args, **kwargs):
+            raise RuntimeError("planted invariant breach")
+        monkeypatch.setattr("nilflow.cli.rp_witness_search", breach)
         cfg = {"operation": "rp-certify",
                "system": {"kind": "torus-map", "freqs": [{"SQRT2": "1"}]},
-               "params": {"x": [0.1, 0.2], "y": [0.1, 0.2], "d": 1,
+               "params": {"x": [0.1], "y": [0.2], "d": 1,
                           "delta": 0.05, "budget": 10}}
         path = write_cfg(tmp_path, cfg)
         from nilflow.cli import EXIT_INTERNAL

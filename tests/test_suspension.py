@@ -156,6 +156,13 @@ class TestTransferCheck:
         assert rep.backward is None
         assert rep.agreement
 
+    def test_height_factor_decides_over_heisenberg(self, nilsys):
+        # the base is not isometric, so only the height circle can decide
+        x = nilsys.from_coords((0.3, 0.1, 0.2))
+        rep = susp_rp_transfer_check(nilsys, x, x, 0.8, 0.3, 1, 0.1, 10 ** 4)
+        assert rep.forward_status == "proven-absent" and rep.checked == 0
+        assert rep.agreement
+
     def test_heisenberg_fiber_pair(self, nilsys):
         x = nilsys.from_coords((0.3, 0.1, 0.2))
         y = nilsys.from_coords((0.3, 0.1, 0.7))

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilflow.algebra import SymbolicReal, UnsupportedBasisError
+from nilflow.suspension import suspend
 from nilflow.systems import (HEIS_IDENTITY, HeisenbergElement, NilflowSpec,
-                             TorusPoint, flow_minimal,
+                             TorusPoint, circle_dist, flow_minimal,
                              heis_conjugate_power_identity, heis_multiply,
                              heis_power, heis_reduce, heisenberg_nilflow,
-                             metric_dist, nil_evolve, orbit_sample,
+                             heisenberg_nilsystem, nil_evolve, orbit_sample,
                              time_t_minimal, torus_evolve, torus_flow,
                              torus_map, torus_rotation, wrap_unit)
 
@@ -262,34 +263,34 @@ class TestNilflow:
 class TestMetric:
     def test_torus_wraparound(self, basis, one):
         flow = torus_flow((one,), basis)
-        assert metric_dist(flow, TorusPoint((0.1,)), TorusPoint((0.9,))) == \
+        assert flow.dist(TorusPoint((0.1,)), TorusPoint((0.9,))) == \
             pytest.approx(0.2, abs=1e-15)
 
     def test_zero_iff_equal(self, basis, one, sqrt2, sqrt3):
         flow = torus_flow((one,), basis)
         p = TorusPoint((0.37,))
-        assert metric_dist(flow, p, p) == 0.0
+        assert flow.dist(p, p) == 0.0
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
         q = nil.from_coords((0.1, 0.2, 0.3))
-        assert metric_dist(nil, q, q) == 0.0
+        assert nil.dist(q, q) == 0.0
 
     def test_central_translate(self, basis, sqrt2, sqrt3):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
         p = HeisenbergElement(0.0, 0.0, 0.9)
         q = HeisenbergElement(0.0, 0.0, 0.05)
-        assert metric_dist(nil, p, q) <= 0.15 + 1e-12
+        assert nil.dist(p, q) <= 0.15 + 1e-12
 
     @settings(max_examples=300, deadline=None)
     @given(any_points, any_points)
     def test_symmetry(self, basis, sqrt2, sqrt3, p, q):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
-        assert metric_dist(nil, p, q) == metric_dist(nil, q, p)
+        assert nil.dist(p, q) == nil.dist(q, p)
 
     @settings(max_examples=300, deadline=None)
     @given(any_points)
     def test_zero_on_diagonal(self, basis, sqrt2, sqrt3, p):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
-        assert metric_dist(nil, p, p) == 0.0
+        assert nil.dist(p, p) == 0.0
 
     # The window gap is a Euclidean distance in Malcev coordinates, and
     # right translation by a lattice element with n != 0 shears z by x * n,
@@ -303,8 +304,8 @@ class TestMetric:
              HeisenbergElement(0.0, 0.98, 0.0))
     def test_triangle_inequality(self, basis, sqrt2, sqrt3, p, q, r):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
-        assert metric_dist(nil, p, r) <= \
-            metric_dist(nil, p, q) + metric_dist(nil, q, r) + 1e-12
+        assert nil.dist(p, r) <= \
+            nil.dist(p, q) + nil.dist(q, r) + 1e-12
 
 
 class TestKernelsMatchReference:
@@ -313,7 +314,7 @@ class TestKernelsMatchReference:
     def test_window_gap_bits(self, basis, sqrt2, sqrt3, p, q):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
         expected = min(reference_window_gap(p, q), reference_window_gap(q, p))
-        assert metric_dist(nil, p, q) == expected
+        assert nil.dist(p, q) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(generators, any_points, times)
@@ -371,6 +372,59 @@ class TestMinimality:
         rot = torus_rotation(sqrt2, basis)
         with pytest.raises(ValueError):
             flow_minimal(rot)
+
+
+KINDS = ("torus-flow", "torus-map", "heisenberg-nilflow", "heisenberg-nilsystem",
+         "suspension")
+
+
+def system_of_kind(kind, basis, sqrt2, sqrt3, step):
+    """One system per kind; the suspension sits over the Heisenberg nilsystem."""
+    torus = torus_flow((sqrt2, sqrt3), basis)
+    nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+    return {"torus-flow": lambda: torus,
+            "torus-map": lambda: torus_map(torus, step),
+            "heisenberg-nilflow": lambda: nil,
+            "heisenberg-nilsystem": lambda: heisenberg_nilsystem(nil, step),
+            "suspension": lambda: suspend(heisenberg_nilsystem(nil, step))}[kind]()
+
+
+unit_coords = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4)
+steps = st.floats(-3.0, 3.0).filter(lambda s: abs(s) >= 1e-3)
+
+
+class TestOrbitCoords:
+    # the torus closed form adds t * (omega * step) where evolve adds
+    # omega * (t * step), so rows agree to rounding there, exactly elsewhere
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(unit_coords, st.lists(st.one_of(st.integers(-1000, 1000),
+                                           st.floats(-1e3, 1e3)), max_size=6), steps)
+    def test_rows_match_scalar_evolution(self, basis, sqrt2, sqrt3, kind, unit, times, step):
+        sys = system_of_kind(kind, basis, sqrt2, sqrt3, step)
+        assert sys.tag == kind
+        x = sys.from_coords(unit[:sys.dim])
+        ts = np.array(times, dtype=float)
+        rows = sys.orbit_coords(x, ts)
+        assert rows.shape == (len(ts), sys.dim)
+        assert np.all((rows >= 0.0) & (rows <= 1.0))  # canonical coordinates
+        for row, t in zip(rows, ts):
+            want = sys.coords(sys.evolve(x, t))
+            if sys.is_isometric:
+                assert max(circle_dist(a, b) for a, b in zip(row, want)) <= 1e-12
+            else:
+                assert tuple(row) == want
+
+    @pytest.mark.parametrize("kind", ("torus-map", "heisenberg-nilsystem"))
+    @settings(max_examples=100, deadline=None)
+    @given(unit_coords, st.integers(-10 ** 4, 10 ** 4), steps)
+    def test_time_map_is_flow_at_step_multiple(self, basis, sqrt2, sqrt3, kind,
+                                               unit, n, step):
+        tmap = system_of_kind(kind, basis, sqrt2, sqrt3, step)
+        flow = system_of_kind(kind.replace("map", "flow").replace("nilsystem", "nilflow"),
+                              basis, sqrt2, sqrt3, step)
+        p = flow.from_coords(unit[:flow.dim])
+        assert tmap.evolve(p, n) == flow.evolve(p, n * step)
 
 
 class TestOrbitSample:
