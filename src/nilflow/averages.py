@@ -185,18 +185,35 @@ class MultiAverageResult:
     exact: bool
 
 
+def multi_average_series(sys: SystemHandle, f: Observable,
+                         alphas: Sequence[float], t_grid: Sequence[float],
+                         n_samples: int = 2 * 10 ** 4,
+                         seed: int = 0) -> list[MultiAverageResult]:
+    """I_f(k, t) = int f(x) f(T^{a_1 t} x)...f(T^{a_k t} x) dmu at each grid t.
+
+    The exact frequency terms are built once for the whole grid; the
+    Monte-Carlo fallback draws one seeded point set and reuses it for
+    every t.  Each value equals the one-point call at that t.
+    """
+    alphas = _validate_alphas(alphas)
+    ts = [float(t) for t in t_grid]
+    terms = _exact_correlation_terms(sys, f, alphas)
+    if terms is not None:
+        return [MultiAverageResult(
+                    complex(sum(c * np.exp(2j * np.pi * r * t) for r, c in terms)),
+                    0.0, True)
+                for t in ts]
+    values, stderrs = _sample_correlation(sys, f, alphas, np.array(ts),
+                                          n_samples, seed)
+    return [MultiAverageResult(complex(v), float(e), False)
+            for v, e in zip(values, stderrs)]
+
+
 def multi_average_I(sys: SystemHandle, f: Observable, alphas: Sequence[float],
                     t: float, n_samples: int = 2 * 10 ** 4,
                     seed: int = 0) -> MultiAverageResult:
-    """The correlation I_f(k, t) = int f(x) f(T^{a_1 t} x)...f(T^{a_k t} x) dmu."""
-    alphas = _validate_alphas(alphas)
-    terms = _exact_correlation_terms(sys, f, alphas)
-    if terms is not None:
-        val = sum(c * np.exp(2j * np.pi * r * t) for r, c in terms)
-        return MultiAverageResult(complex(val), 0.0, True)
-    values, stderrs = _sample_correlation(sys, f, alphas, np.array([t]),
-                                          n_samples, seed)
-    return MultiAverageResult(complex(values[0]), float(stderrs[0]), False)
+    """The correlation I_f(k, t) at one t (see multi_average_series)."""
+    return multi_average_series(sys, f, alphas, [t], n_samples, seed)[0]
 
 
 def _sample_correlation(sys: SystemHandle, f: Observable, alphas, t_grid,

@@ -28,7 +28,8 @@ from .algebra import (Basis, RealPolynomial, SymbolicReal,
 from .averages import (Observable, TimeSeries, banach_density,
                        jstar_embed, gtilde_star_conjugation_check,
                        gtilde_star_membership, multi_average_I,
-                       nilfunction_residual, potts_average, ud_sup)
+                       multi_average_series, nilfunction_residual,
+                       potts_average, ud_sup)
 from .proximality import (EXHAUSTED, commuting_rp_transfer, cube_orbit_sample,
                           fiber_coverage, hausdorff_distance, nd_sample,
                           poly_orbit_density, return_set, rp_witness_search)
@@ -49,6 +50,8 @@ OPERATIONS = ("minimal", "exceptional", "rp-certify", "rp-transfer", "cube",
               "embed", "membership", "validate")
 # operations that read params.delta with no default
 _NEEDS_DELTA = ("rp-certify", "rp-transfer", "susp-rp")
+# operations that take one alpha per arm: their default d
+_ALPHA_PER_D = {"fiber-coverage": 1, "nd-compare": 2}
 
 
 class SchemaError(ValueError):
@@ -169,6 +172,7 @@ def validate_config(cfg: dict) -> list[str]:
     sys_handle = handles.get("system")
 
     alphas = params.get("alphas")
+    vals = None
     if alphas is not None:
         try:
             vals = [float(a) for a in alphas]
@@ -177,6 +181,15 @@ def validate_config(cfg: dict) -> list[str]:
         else:
             if len(set(vals)) != len(vals) or any(v == 0 for v in vals):
                 diags.append("params.alphas: must be distinct and nonzero")
+    if op in _ALPHA_PER_D:
+        # one alpha per arm; nd-compare defaults to (1, ..., d) on maps only
+        d = params.get("d", _ALPHA_PER_D[op])
+        if alphas is None:
+            if op == "fiber-coverage" or any(not h.discrete for h in handles.values()):
+                diags.append("params.alphas: missing (flows and fiber-coverage "
+                             "need explicit alphas)")
+        elif vals is not None and isinstance(d, int) and len(vals) != d:
+            diags.append(f"params.alphas: needs d = {d} values, got {len(vals)}")
     swept = (cfg.get("sweep") or {}).get("param")
     if op in _NEEDS_DELTA and "delta" not in params and swept != "params.delta":
         diags.append("params.delta: missing")
@@ -384,9 +397,8 @@ def _op_average(ctx: RunContext) -> dict:
     alphas = [float(a) for a in p["alphas"]]
     if "t_grid" in p:
         grid = _parse_times(p["t_grid"])
-        vals = [multi_average_I(sysh, f, alphas, float(t),
-                                int(p.get("n_samples", 2 * 10 ** 4)), ctx.seed)
-                for t in grid]
+        vals = multi_average_series(sysh, f, alphas, grid,
+                                    int(p.get("n_samples", 2 * 10 ** 4)), ctx.seed)
         series = TimeSeries(grid, np.array([v.value for v in vals]))
         ctx.write_artifact("series", series.to_csv)
         return {"n_points": len(grid), "exact": all(v.exact for v in vals),

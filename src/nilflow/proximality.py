@@ -377,8 +377,31 @@ def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
 # ---------------------------------------------------------------------------
 # Hausdorff distance
 
+_BOUND_STRIDE = 64
+
+
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
-    """Hausdorff distance between finite clouds under the product max metric."""
+    """Hausdorff distance between finite clouds under the product max metric.
+
+    On isometric (torus) systems the clouds are flat points of a periodic
+    unit box and the distance comes from periodic KD-trees, in the
+    early-break manner of Taha & Hanbury (TPAMI 2015):
+
+    1. each cloud is queried against the other's tree in the leaf order
+       of its own tree, so consecutive queries reach the same subtrees;
+    2. every 64th query row, in both directions, gives a lower bound:
+       a nearest-neighbour distance that some point attains;
+    3. all rows are queried with that bound as ``distance_upper_bound``,
+       and only the rows that come back ``inf`` are queried again
+       without it.  scipy's bound is strict (a row at exactly the bound,
+       and every row when the bound is 0, comes back ``inf``), so
+       ``inf`` only ever means "query again", never a distance.
+
+    The result is exact, bit for bit: every kept number is an exact
+    nearest-neighbour distance (``eps=0``), the query order only
+    permutes the rows, and the bound is attained, so the maximum of the
+    bound and the re-queried rows is the maximum over all rows.
+    """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
     if a.system_tag != b.system_tag:
@@ -388,11 +411,22 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
         raise ValueError("clouds need an attached system handle")
     if sys.is_isometric:
         from scipy.spatial import cKDTree
-        fa = a.flat() % 1.0
-        fb = b.flat() % 1.0
-        d1 = cKDTree(fb, boxsize=1.0).query(fa, p=np.inf)[0].max()
-        d2 = cKDTree(fa, boxsize=1.0).query(fb, p=np.inf)[0].max()
-        return float(max(d1, d2))
+        fa, fb = a.flat() % 1.0, b.flat() % 1.0
+        # unbalanced, non-compacted trees build faster and query no slower here
+        ta, tb = (cKDTree(f, boxsize=1.0, balanced_tree=False, compact_nodes=False)
+                  for f in (fa, fb))
+        # (tree queried, query points, their leaf order)
+        directions = ((tb, fa, ta.indices), (ta, fb, tb.indices))
+        worst = max(tree.query(f[order[::_BOUND_STRIDE]], p=np.inf)[0].max()
+                    for tree, f, order in directions)
+        bound = worst
+        for tree, f, order in directions:
+            q = f[order]
+            beyond = np.isinf(tree.query(q, p=np.inf, distance_upper_bound=bound)[0])
+            if beyond.any():
+                worst = max(worst, tree.query(q[beyond], p=np.inf)[0].max())
+            del q  # one leaf-ordered copy alive at a time keeps peak memory down
+        return float(worst)
 
     def tuple_dist(u, v):
         return max(sys.dist(sys.from_coords(u[k]), sys.from_coords(v[k]))

@@ -8,7 +8,8 @@ from nilflow.averages import (IndependenceViolation, Observable, TimeSeries,
                               banach_density, gtilde_star_conjugation_check,
                               gtilde_star_membership, integrate_haar,
                               jstar_embed, multi_average_I,
-                              nilfunction_residual, potts_average, ud_sup)
+                              multi_average_series, nilfunction_residual,
+                              potts_average, ud_sup)
 from nilflow.systems import (HeisenbergElement, TorusPoint, heis_multiply,
                              heis_power, heisenberg_nilflow, torus_flow)
 
@@ -97,6 +98,26 @@ class TestMultiAverage:
         assert not r.exact
         expect = 0.5 * math.cos(2 * math.pi * t)
         assert abs(r.value - expect) <= 3 * r.stderr + 1e-12
+
+    @pytest.mark.parametrize("path", ["exact", "trig-sampled", "callback-sampled"])
+    def test_series_equals_pointwise(self, circle_flow, path):
+        # one build of the terms (or one seeded point set) for the whole
+        # grid gives the same bits as one call per t
+        sys_h, f, alphas = {
+            "exact": (circle_flow, Observable.cosine(1), (0.5, 1.0, 3.0)),
+            # 8^6 frequency tuples exceed the exact expansion's limit
+            "trig-sampled": (circle_flow, Observable.trig(
+                [((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]),
+                (0.5, 1.0, 1.5, 2.0, 3.0)),
+            "callback-sampled": (circle_flow, Observable.callback(
+                lambda c: math.cos(2 * math.pi * c[0]), 1.0), (1.0,)),
+        }[path]
+        grid = np.arange(12.5, 12.5 + 40 * 0.37, 0.37)
+        series = multi_average_series(sys_h, f, alphas, grid, n_samples=500, seed=3)
+        pointwise = [multi_average_I(sys_h, f, alphas, float(t), n_samples=500, seed=3)
+                     for t in grid]
+        assert series == pointwise
+        assert all(r.exact == (path == "exact") for r in series)
 
     def test_measure_invariance_under_evolved_sampling(self, nil):
         # estimates from an evolved sample set agree within Monte-Carlo error

@@ -190,6 +190,37 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(path)]) == EXIT_SCHEMA
         assert named in capsys.readouterr().err
 
+    LINE = {"kind": "torus-flow", "freqs": [{"SQRT2": "1"}]}
+    LINE_H = {"kind": "torus-flow", "freqs": [{"SQRT3": "1"}]}
+
+    @pytest.mark.parametrize("op, system, system_h, params", [
+        ("fiber-coverage", PLANE, None, {"projection": "torus-coord-0", "d": 2,
+                                         "alphas": [1.0], "x": [0.0, 0.0]}),
+        ("fiber-coverage", PLANE, None, {"projection": "torus-coord-0", "d": 1,
+                                         "x": [0.0, 0.0]}),
+        ("nd-compare", LINE, LINE_H, {"x": [0.1], "d": 2, "budget": 10}),
+        ("nd-compare", LINE, LINE_H, {"x": [0.1], "d": 3, "alphas": [1.0, 2.0],
+                                      "budget": 10}),
+        ("nd-compare", ROT, ROT, {"x": [0.1], "alphas": [1.0, 2.0, 3.0],
+                                  "budget": 10}),
+    ], ids=["fiber-d-vs-alphas", "fiber-no-alphas", "nd-flows-no-alphas",
+            "nd-d-vs-alphas", "nd-default-d-vs-alphas"])
+    def test_alpha_per_arm_exit_schema(self, tmp_path, capsys, op, system,
+                                       system_h, params):
+        # each arm needs one alpha; only maps default to (1, ..., d)
+        cfg = {"operation": op, "system": system, "params": params}
+        if system_h is not None:
+            cfg["system_h"] = system_h
+        assert any("params.alphas" in d for d in validate_config(cfg))
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run", "--config", str(path)]) == EXIT_SCHEMA
+        assert "params.alphas" in capsys.readouterr().err
+
+    def test_maps_default_alphas(self):
+        cfg = {"operation": "nd-compare", "system": self.ROT, "system_h": self.ROT,
+               "params": {"x": [0.1], "d": 3, "budget": 10}}
+        assert validate_config(cfg) == []
+
     @pytest.mark.parametrize("op", ["cube", "nd-compare"])
     def test_point_checked_on_both_systems(self, op):
         # x is read on system and system_h; a point fitting only one is named

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilflow.algebra import RealPolynomial, SymbolicReal
+from nilflow.algebra import Basis, RealPolynomial, SymbolicReal
 from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  CommutationViolation, PointCloud, RPWitness,
                                  check_commutation, commuting_rp_transfer,
@@ -267,6 +269,82 @@ class TestHausdorff:
         d02 = hausdorff_distance(clouds[0], clouds[2])
         d12 = hausdorff_distance(clouds[1], clouds[2])
         assert d02 <= d01 + d12 + 1e-12
+
+
+def periodic_hausdorff_reference(pa, pb):
+    """Brute-force Hausdorff distance under the periodic product max metric."""
+    fa = pa.reshape(len(pa), -1) % 1.0
+    fb = pb.reshape(len(pb), -1) % 1.0
+    diff = np.abs(fa[:, None, :] - fb[None, :, :])
+    d = np.minimum(diff, 1.0 - diff).max(axis=2)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+_SYMBOLS = (SymbolicReal.rational(1),) + tuple(
+    SymbolicReal.symbol(s) for s in ("SQRT2", "SQRT3", "SQRT5"))
+TORI = {dim: torus_flow(_SYMBOLS[:dim], Basis.default()) for dim in range(1, 5)}
+EDGE_COORDS = np.array([0.0, math.nextafter(1.0, 0.0)])
+
+
+@st.composite
+def cloud_pairs(draw):
+    """Two clouds of one shape: unequal sizes (many below the 64-row stride),
+    optionally on a coarse grid (duplicates and exact distance ties), with
+    coordinates pinned to 0 and to one ulp below 1, or the second cloud an
+    exact or jittered copy of the first."""
+    arity, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_a, n_b = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    levels = draw(st.sampled_from([0, 2, 3, 8, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def cloud(n):
+        u = rng.random((n, arity, dim))
+        return np.floor(u * levels) / levels if levels else u
+
+    pa, pb = cloud(n_a), cloud(n_b)
+    relation = draw(st.sampled_from(["independent", "identical", "jittered"]))
+    if relation == "identical":
+        pb = pa[rng.permutation(n_a)]
+    elif relation == "jittered":
+        pb = (pa + rng.random(pa.shape) * 1e-3) % 1.0
+    if draw(st.booleans()):
+        for p in (pa, pb):
+            mask = rng.random(p.shape) < 0.25
+            p[mask] = rng.choice(EDGE_COORDS, size=int(mask.sum()))
+    return pa, pb
+
+
+def torus_cloud(points):
+    sys_h = TORI[points.shape[2]]
+    return PointCloud(points, sys_h.tag, points.shape[1], {}, sys_h)
+
+
+class TestHausdorffExact:
+    @settings(max_examples=300, deadline=None)
+    @given(cloud_pairs())
+    def test_equals_brute_force(self, pair):
+        pa, pb = pair
+        expect = periodic_hausdorff_reference(pa, pb)
+        assert hausdorff_distance(torus_cloud(pa), torus_cloud(pb)) == expect
+        assert hausdorff_distance(torus_cloud(pb), torus_cloud(pa)) == expect
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_planted_outlier(self, side):
+        # a 32x32 grid against a jittered copy of itself; one point of one
+        # cloud moves to a cell centre, so only the rows at and next to it
+        # are far from the other cloud: a bound taken from every 64th row
+        # misses them for most placements and the re-query has to find them
+        rng = np.random.default_rng(5)
+        grid = np.stack(np.meshgrid(np.arange(32) / 32, np.arange(32) / 32),
+                        axis=-1).reshape(-1, 1, 2)
+        near = (grid + rng.random(grid.shape) / 512) % 1.0
+        for k in range(0, 1024, 131):
+            pa, pb = grid.copy(), near.copy()
+            planted = pa if side == "a" else pb
+            planted[k] = (grid[k] + 1 / 64) % 1.0
+            expect = periodic_hausdorff_reference(pa, pb)
+            assert expect >= 1 / 128
+            assert hausdorff_distance(torus_cloud(pa), torus_cloud(pb)) == expect
 
 
 class TestPolyDensity:
