@@ -2,8 +2,12 @@
 
 One JSON config gives the basis, the system(s), the operation and
 its parameters; subcommands are thin aliases that inject the operation
-name.  Reports are deterministic under (config, seed): identical inputs
-produce byte-identical result payloads (wall time excluded).
+name.  Each operation declares its parameters once, in ``_TABLE``: a
+parser giving the type and the allowed range, and a default unless the
+parameter is required.  A config is parsed once, before anything runs,
+into typed parameters per sweep row.  Reports are deterministic under
+(config, seed): identical inputs produce byte-identical result payloads
+(wall time excluded).
 
 Exit codes: 0 success, 1 declared expectation failed, 2 schema
 violation, 3 unsupported basis product, 4 budget exhaustion where the
@@ -16,7 +20,7 @@ import argparse
 import json
 import sys as _sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -44,15 +48,6 @@ EXIT_BASIS = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
-OPERATIONS = ("minimal", "exceptional", "rp-certify", "rp-transfer", "cube",
-              "nd-compare", "poly-density", "fiber-coverage", "suspend",
-              "susp-rp", "average", "ud", "density", "potts", "nilres",
-              "embed", "membership", "validate")
-# operations that read params.delta with no default
-_NEEDS_DELTA = ("rp-certify", "rp-transfer", "susp-rp")
-# operations that take one alpha per arm: their default d
-_ALPHA_PER_D = {"fiber-coverage": 1, "nd-compare": 2}
-
 
 class SchemaError(ValueError):
     """Config failed schema or semantic validation."""
@@ -63,7 +58,7 @@ class BudgetExhaustedFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# basis and systems
 
 def _parse_symbolic(obj) -> SymbolicReal:
     if isinstance(obj, dict):
@@ -101,7 +96,69 @@ def build_system(spec: dict, basis: Basis) -> SystemHandle:
     return flow
 
 
-def _parse_observable(obj: dict) -> Observable:
+# ---------------------------------------------------------------------------
+# parameter parsers: each returns the typed value; SchemaError names the
+# rule a value breaks, and any other error of a parser means malformed input
+
+_MALFORMED = (ArithmeticError, AttributeError, LookupError, OSError, TypeError,
+              ValueError)
+
+
+def _positive(v) -> float:
+    if not float(v) > 0:
+        raise SchemaError(f"must be positive, got {v!r}")
+    return float(v)
+
+
+def _unit(v) -> float:
+    if not 0 < float(v) <= 1:
+        raise SchemaError(f"must lie in (0, 1], got {v!r}")
+    return float(v)
+
+
+def _count(v) -> int:
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise SchemaError(f"must be an integer >= 1, got {v!r}")
+    return v
+
+
+def _nonempty(v) -> list:
+    if not (isinstance(v, list) and v):
+        raise SchemaError(f"must be a nonempty list, got {v!r}")
+    return v
+
+
+def _floats(v) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise SchemaError(f"must be a list of numbers, got {v!r}")
+    return tuple(float(c) for c in v)
+
+
+def _alphas(v) -> list[float]:
+    vals = [float(a) for a in _nonempty(v)]
+    if len(set(vals)) != len(vals) or 0.0 in vals:
+        raise SchemaError("must be distinct and nonzero")
+    return vals
+
+
+def _nonzero_time(v) -> SymbolicReal:
+    t = _parse_symbolic(v)
+    if t.is_zero:
+        raise SchemaError("must be nonzero")
+    return t
+
+
+def _polys(v) -> list[RealPolynomial]:
+    polys = [RealPolynomial.from_coeffs([str(c) for c in p["coeffs"]])
+             for p in _nonempty(v)]
+    if any(p.is_constant for p in polys):
+        raise SchemaError("polynomials must be nonconstant")
+    return polys
+
+
+def _observable(obj) -> Observable:
     kind = obj.get("kind", "exp")
     if kind == "exp":
         return Observable.exponential(*obj["freq"])
@@ -111,17 +168,17 @@ def _parse_observable(obj: dict) -> Observable:
         return Observable.constant(complex(obj.get("value", 1.0)),
                                    int(obj.get("dim", 1)))
     if kind == "trig":
-        terms = [(tuple(t["freq"]), complex(t.get("re", 0.0), t.get("im", 0.0)))
-                 for t in obj["terms"]]
-        return Observable.trig(terms)
+        return Observable.trig([(tuple(t["freq"]),
+                                 complex(t.get("re", 0.0), t.get("im", 0.0)))
+                                for t in obj["terms"]])
     raise SchemaError(f"unknown observable kind {kind!r}")
 
 
-def _parse_polys(objs) -> list[RealPolynomial]:
-    return [RealPolynomial.from_coeffs([str(c) for c in p["coeffs"]]) for p in objs]
+def _observables(v) -> list[Observable]:
+    return [_observable(o) for o in _nonempty(v)]
 
 
-def _parse_times(obj) -> np.ndarray:
+def _times(obj) -> np.ndarray:
     if isinstance(obj, list):
         return np.asarray(obj, dtype=float)
     kind = obj.get("kind")
@@ -137,373 +194,354 @@ def _parse_times(obj) -> np.ndarray:
     raise SchemaError(f"unknown times spec {obj!r}")
 
 
-# ---------------------------------------------------------------------------
-# validation
+def _windows(v) -> list[tuple[float, float]]:
+    return [(float(s), float(r)) for s, r in _nonempty(v)]
 
-def validate_config(cfg: dict) -> list[str]:
-    """All schema and semantic problems, without executing the operation."""
-    diags: list[str] = []
-    op = cfg.get("operation")
-    if op not in OPERATIONS:
-        diags.append(f"operation: unknown or missing ({op!r})")
-        return diags
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        diags.append("params: must be an object")
-        return diags
-    try:
-        basis = build_basis(cfg)
-    except (KeyError, ValueError) as e:
-        diags.append(f"basis: {e}")
-        return diags
 
-    needs_system = op not in ("ud", "embed", "membership", "validate")
-    handles: dict[str, SystemHandle] = {}
-    for key in ("system", "system_h") if needs_system else ():
-        if key in cfg:
-            try:
-                handles[key] = build_system(cfg[key], basis)
-            except (SchemaError, KeyError, ValueError) as e:
-                diags.append(f"{key}: {e}")
-        elif key == "system":
-            diags.append("system: missing")
-        elif op in ("rp-transfer", "nd-compare"):
-            diags.append("system_h: missing second action")
-    sys_handle = handles.get("system")
+def _series(obj) -> TimeSeries:
+    if "csv" in obj:
+        data = np.loadtxt(obj["csv"], delimiter=",", ndmin=2)
+        values = data[:, 1] if data.shape[1] < 3 else data[:, 1] + 1j * data[:, 2]
+        return TimeSeries(data[:, 0], values)
+    return TimeSeries(np.asarray(obj["grid"], dtype=float),
+                      np.asarray(obj["values"], dtype=float))
 
-    alphas = params.get("alphas")
-    vals = None
-    if alphas is not None:
-        try:
-            vals = [float(a) for a in alphas]
-        except (TypeError, ValueError):
-            diags.append(f"params.alphas: must be a list of numbers, got {alphas!r}")
-        else:
-            if len(set(vals)) != len(vals) or any(v == 0 for v in vals):
-                diags.append("params.alphas: must be distinct and nonzero")
-    if op in _ALPHA_PER_D:
-        # one alpha per arm; nd-compare defaults to (1, ..., d) on maps only
-        d = params.get("d", _ALPHA_PER_D[op])
-        if alphas is None:
-            if op == "fiber-coverage" or any(not h.discrete for h in handles.values()):
-                diags.append("params.alphas: missing (flows and fiber-coverage "
-                             "need explicit alphas)")
-        elif vals is not None and isinstance(d, int) and len(vals) != d:
-            diags.append(f"params.alphas: needs d = {d} values, got {len(vals)}")
-    swept = (cfg.get("sweep") or {}).get("param")
-    if op in _NEEDS_DELTA and "delta" not in params and swept != "params.delta":
-        diags.append("params.delta: missing")
-    for key, ok, rule in (("delta", lambda v: v > 0, "must be positive"),
-                          ("resolution", lambda v: 0 < v <= 1, "must lie in (0, 1]")):
-        if key in params:
-            try:
-                if not ok(float(params[key])):
-                    diags.append(f"params.{key}: {rule}")
-            except (TypeError, ValueError):
-                diags.append(f"params.{key}: must be a number, got {params[key]!r}")
-    for key in ("budget", "d"):
-        val = params.get(key, 1)
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            diags.append(f"params.{key}: must be an integer >= 1, got {val!r}")
-    for key in ("x", "y", "center", "x1", "x2"):
-        # a point needs dim coordinates; cube and nd-compare read x on both systems
-        both = key == "x" and op in ("cube", "nd-compare")
-        for name, h in handles.items():
-            pt = params.get(key)
-            if (pt is not None and (both or name == "system")
-                    and not (isinstance(pt, list) and len(pt) == h.dim)):
-                diags.append(f"params.{key}: needs {h.dim} coordinates on {name}, got {pt!r}")
-    if op == "fiber-coverage" and sys_handle:
-        table = sys_handle.spec.projections
-        if params.get("projection") not in table:
-            diags.append(f"params.projection: {params.get('projection')!r} does not apply to "
-                         f"{sys_handle.tag} of dimension {sys_handle.dim} (has {sorted(table)})")
-    if "polys" in params:
-        try:
-            polys = _parse_polys(params["polys"])
-            if any(p.is_constant for p in polys):
-                diags.append("params.polys: polynomials must be nonconstant")
-        except (KeyError, ValueError) as e:
-            diags.append(f"params.polys: {e}")
 
-    if op == "exceptional" and sys_handle is not None:
-        try:
-            t = _parse_symbolic(params.get("t", 0))
-            if t.is_zero:
-                diags.append("params.t: must be nonzero")
-            else:
-                time_t_minimal(sys_handle, t, basis)
-        except UnsupportedBasisError as e:
-            diags.append(f"UNSUPPORTED-BASIS: {e}")
-        except (SchemaError, ValueError) as e:
-            diags.append(f"params.t: {e}")
-    return diags
+def _element(v) -> HeisenbergElement:
+    return HeisenbergElement(*_floats(v))
+
+
+def _elements(v) -> list[HeisenbergElement]:
+    return [_element(g) for g in _nonempty(v)]
 
 
 # ---------------------------------------------------------------------------
-# operations
+# operations: each takes its typed parameters (defaults filled in), the
+# config's system and the run context
 
 @dataclass
 class RunContext:
-    cfg: dict
-    basis: Basis
+    sys_h: SystemHandle | None
     seed: int
     out_path: Path | None
-    artifacts: dict
+    artifacts: dict = field(default_factory=dict)
 
-    def system(self, key: str = "system") -> SystemHandle:
-        return build_system(self.cfg[key], self.basis)
-
-    def params(self) -> dict:
-        return self.cfg.get("params", {})
-
-    def point(self, sys_handle: SystemHandle, key: str):
-        coords = self.params().get(key)
-        if coords is None:
-            raise SchemaError(f"params.{key}: missing point")
-        return sys_handle.from_coords(tuple(float(c) for c in coords))
-
-    def write_artifact(self, name: str, writer) -> str | None:
-        if self.out_path is None:
-            self.artifacts[name] = None
-            return None
-        path = self.out_path.with_name(self.out_path.stem + f".{name}.csv")
-        writer(path)
-        self.artifacts[name] = str(path)
-        return str(path)
+    def write_artifact(self, name: str, writer) -> None:
+        self.artifacts[name] = None
+        if self.out_path is not None:
+            path = self.out_path.with_name(self.out_path.stem + f".{name}.csv")
+            writer(path)
+            self.artifacts[name] = str(path)
 
 
-def _op_minimal(ctx: RunContext) -> dict:
-    res = flow_minimal_result(ctx.system())
+def _op_minimal(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    res = flow_minimal_result(sysh)
     return {"minimal": res.independent,
             "certificate": None if res.certificate is None
             else [str(q) for q in res.certificate]}
 
 
-def _op_exceptional(ctx: RunContext) -> dict:
-    t = _parse_symbolic(ctx.params()["t"])
-    return {"minimal": time_t_minimal(ctx.system(), t, ctx.basis)}
+def _op_exceptional(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    # decided while parsing, where it doubles as the basis check
+    return {"minimal": p["minimal"]}
 
 
-def _op_rp_certify(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysh = ctx.system()
-    res = rp_witness_search(sysh, ctx.point(sysh, "x"), ctx.point(sysh, "y"),
-                            int(p.get("d", 1)), float(p["delta"]),
-                            int(p.get("budget", 10 ** 5)))
-    if p.get("require_witness") and res.status == EXHAUSTED:
+def _op_rp_certify(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    res = rp_witness_search(sysh, sysh.from_coords(p["x"]), sysh.from_coords(p["y"]),
+                            p["d"], p["delta"], p["budget"])
+    if p["require_witness"] and res.status == EXHAUSTED:
         raise BudgetExhaustedFailure(f"search exhausted after {res.checked} candidates")
     return res.to_jsonable(sysh)
 
 
-def _op_rp_transfer(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysG = ctx.system("system")
-    sysH = ctx.system("system_h")
-    x = ctx.point(sysG, "x")
-    y = ctx.point(sysG, "y")
-    delta = float(p["delta"])
-    budget = int(p.get("budget", 10 ** 5))
-    found = rp_witness_search(sysG, x, y, int(p.get("d", 1)), delta, budget)
+def _op_rp_transfer(p: dict, sysG: SystemHandle, ctx: RunContext) -> dict:
+    x = sysG.from_coords(p["x"])
+    y = sysG.from_coords(p["y"])
+    found = rp_witness_search(sysG, x, y, p["d"], p["delta"], p["budget"])
     out = {"witness_g": found.to_jsonable(sysG)}
     if found.found:
-        tr = commuting_rp_transfer(sysG, sysH, x, y, found.witness,
-                                   3.0 * delta, budget)
-        if p.get("require_witness") and tr.status == EXHAUSTED:
+        tr = commuting_rp_transfer(sysG, ctx.sys_h, x, y, found.witness,
+                                   3.0 * p["delta"], p["budget"])
+        if p["require_witness"] and tr.status == EXHAUSTED:
             raise BudgetExhaustedFailure("transfer exhausted")
-        out["transfer"] = tr.to_jsonable(sysH)
-    elif p.get("require_witness"):
+        out["transfer"] = tr.to_jsonable(ctx.sys_h)
+    elif p["require_witness"]:
         raise BudgetExhaustedFailure("no witness to transfer")
     return out
 
 
-def _op_cube(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysh = ctx.system()
-    d = int(p.get("d", 2))
-    budget = int(p.get("budget", 10 ** 4))
-    cloud = cube_orbit_sample(sysh, ctx.point(sysh, "x"), d, budget, ctx.seed)
+def _op_cube(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    cloud = cube_orbit_sample(sysh, sysh.from_coords(p["x"]), p["d"], p["budget"],
+                              ctx.seed)
     ctx.write_artifact("cloud_g", cloud.to_csv)
     out = {"cloud_g": cloud.manifest()}
-    if "system_h" in ctx.cfg:
-        sysH = ctx.system("system_h")
-        cloud_h = cube_orbit_sample(sysH, ctx.point(sysH, "x"), d, budget,
-                                    ctx.seed + 1)
+    if ctx.sys_h is not None:
+        cloud_h = cube_orbit_sample(ctx.sys_h, ctx.sys_h.from_coords(p["x"]), p["d"],
+                                    p["budget"], ctx.seed + 1)
         ctx.write_artifact("cloud_h", cloud_h.to_csv)
         out["cloud_h"] = cloud_h.manifest()
         out["hausdorff"] = hausdorff_distance(cloud, cloud_h)
     return out
 
 
-def _op_nd_compare(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysG = ctx.system("system")
-    sysH = ctx.system("system_h")
-    d = int(p.get("d", 2))
-    budget = int(p.get("budget", 10 ** 4))
-    alphas = p.get("alphas")
-    a = nd_sample(sysG, ctx.point(sysG, "x"), d, budget, ctx.seed, alphas)
-    b = nd_sample(sysH, ctx.point(sysH, "x"), d, budget, ctx.seed + 1, alphas)
+def _op_nd_compare(p: dict, sysG: SystemHandle, ctx: RunContext) -> dict:
+    a, b = (nd_sample(s, s.from_coords(p["x"]), p["d"], p["budget"], ctx.seed + i,
+                      p["alphas"]) for i, s in enumerate((sysG, ctx.sys_h)))
     ctx.write_artifact("cloud_g", a.to_csv)
     ctx.write_artifact("cloud_h", b.to_csv)
     return {"cloud_g": a.manifest(), "cloud_h": b.manifest(),
             "hausdorff": hausdorff_distance(a, b)}
 
 
-def _op_poly_density(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysh = ctx.system()
-    cov = poly_orbit_density(sysh, _parse_polys(p["polys"]),
-                             ctx.point(sysh, "x"), int(p.get("budget", 10 ** 5)),
-                             float(p.get("resolution", 0.05)), ctx.seed,
-                             float(p.get("t_span", 1e4)))
+def _op_poly_density(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    cov = poly_orbit_density(sysh, p["polys"], sysh.from_coords(p["x"]), p["budget"],
+                             p["resolution"], ctx.seed, p["t_span"])
     return {"coverage": cov}
 
 
-def _op_fiber_coverage(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysh = ctx.system()
-    cov = fiber_coverage(sysh, p["projection"], int(p.get("d", 1)),
-                         [float(a) for a in p["alphas"]], ctx.point(sysh, "x"),
-                         int(p.get("budget", 10 ** 5)),
-                         float(p.get("resolution", 0.05)), ctx.seed,
-                         float(p.get("horizon", 1e4)))
+def _op_fiber_coverage(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    cov = fiber_coverage(sysh, p["projection"], p["d"], p["alphas"],
+                         sysh.from_coords(p["x"]), p["budget"], p["resolution"],
+                         ctx.seed, p["horizon"])
     return {"coverage": cov}
 
 
-def _op_suspend(ctx: RunContext) -> dict:
-    p = ctx.params()
-    base = ctx.system()
-    times = _parse_times(p["times"])
-    cov = integer_part_orbit(base, ctx.point(base, "x"), times,
-                             float(p.get("resolution", 0.05)))
-    return {"coverage": cov, "n_times": int(len(times))}
+def _op_suspend(p: dict, base: SystemHandle, ctx: RunContext) -> dict:
+    cov = integer_part_orbit(base, base.from_coords(p["x"]), p["times"],
+                             p["resolution"])
+    return {"coverage": cov, "n_times": int(len(p["times"]))}
 
 
-def _op_susp_rp(ctx: RunContext) -> dict:
-    p = ctx.params()
-    base = ctx.system()
-    rep = susp_rp_transfer_check(base, ctx.point(base, "x1"),
-                                 ctx.point(base, "x2"), float(p["s1"]),
-                                 float(p["s2"]), int(p.get("d", 1)),
-                                 float(p["delta"]), int(p.get("budget", 10 ** 5)))
+def _op_susp_rp(p: dict, base: SystemHandle, ctx: RunContext) -> dict:
+    rep = susp_rp_transfer_check(base, base.from_coords(p["x1"]),
+                                 base.from_coords(p["x2"]), p["s1"], p["s2"],
+                                 p["d"], p["delta"], p["budget"])
     return rep.to_jsonable()
 
 
-def _op_average(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysh = ctx.system()
-    f = _parse_observable(p["observable"])
-    alphas = [float(a) for a in p["alphas"]]
-    if "t_grid" in p:
-        grid = _parse_times(p["t_grid"])
-        vals = multi_average_series(sysh, f, alphas, grid,
-                                    int(p.get("n_samples", 2 * 10 ** 4)), ctx.seed)
+def _op_average(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    if p["t_grid"] is not None:
+        grid = p["t_grid"]
+        vals = multi_average_series(sysh, p["observable"], p["alphas"], grid,
+                                    p["n_samples"], ctx.seed)
         series = TimeSeries(grid, np.array([v.value for v in vals]))
         ctx.write_artifact("series", series.to_csv)
         return {"n_points": len(grid), "exact": all(v.exact for v in vals),
                 "max_abs": max(abs(v.value) for v in vals)}
-    v = multi_average_I(sysh, f, alphas, float(p["t"]),
-                        int(p.get("n_samples", 2 * 10 ** 4)), ctx.seed)
+    v = multi_average_I(sysh, p["observable"], p["alphas"], p["t"],
+                        p["n_samples"], ctx.seed)
     return {"value_re": v.value.real, "value_im": v.value.imag,
             "stderr": v.stderr, "exact": v.exact}
 
 
-def _op_ud(ctx: RunContext) -> dict:
-    p = ctx.params()
-    if "csv" in p.get("series", {}):
-        data = np.loadtxt(p["series"]["csv"], delimiter=",", ndmin=2)
-        values = data[:, 1] if data.shape[1] < 3 else data[:, 1] + 1j * data[:, 2]
-        series = TimeSeries(data[:, 0], values)
-    else:
-        series = TimeSeries(np.asarray(p["series"]["grid"], dtype=float),
-                            np.asarray(p["series"]["values"], dtype=float))
-    res = ud_sup(series, [(float(s), float(r)) for s, r in p["windows"]])
+def _op_ud(p: dict, sysh: SystemHandle | None, ctx: RunContext) -> dict:
+    res = ud_sup(p["series"], p["windows"])
     return {"sup": res.sup,
             "table": [{"sigma": s, "rho": r, "avg": a} for s, r, a in res.table]}
 
 
-def _op_density(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysh = ctx.system()
-    grid = _parse_times(p["time_grid"])
-    hits = return_set(sysh, ctx.point(sysh, "x"), ctx.point(sysh, "center"),
-                      float(p["radius"]), grid)
-    horizon = float(p.get("horizon", grid[-1] if len(grid) else 0.0))
-    lower, upper = banach_density(hits, float(p["rho"]), float(p["step"]),
-                                  horizon, float(p.get("half_width", 0.05)))
+def _op_density(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    grid = p["time_grid"]
+    hits = return_set(sysh, sysh.from_coords(p["x"]), sysh.from_coords(p["center"]),
+                      p["radius"], grid)
+    horizon = p["horizon"]
+    if horizon is None:
+        horizon = float(grid[-1] if len(grid) else 0.0)
+    lower, upper = banach_density(hits, p["rho"], p["step"], horizon, p["half_width"])
     return {"n_hits": len(hits), "lower": lower, "upper": upper}
 
 
-def _op_potts(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysh = ctx.system()
-    rep = potts_average(sysh, _parse_polys(p["polys"]),
-                        [_parse_observable(o) for o in p["observables"]],
-                        float(p["R"]), int(p.get("n_x", 4)), ctx.seed,
-                        p.get("h"))
+def _op_potts(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    rep = potts_average(sysh, p["polys"], p["observables"], p["R"], p["n_x"],
+                        ctx.seed, p["h"])
     return rep.to_jsonable()
 
 
-def _op_nilres(ctx: RunContext) -> dict:
-    p = ctx.params()
-    sysh = ctx.system()
-    f = _parse_observable(p["observable"])
-    grid = _parse_times(p["t_grid"])
-    rep = nilfunction_residual(sysh, f, [float(a) for a in p["alphas"]], grid,
-                               int(p.get("n_samples", 10 ** 5)), ctx.seed)
+def _op_nilres(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
+    rep = nilfunction_residual(sysh, p["observable"], p["alphas"], p["t_grid"],
+                               p["n_samples"], ctx.seed)
     ctx.write_artifact("residual", rep.residual.to_csv)
     out = {"exact_sampling": rep.exact_sampling,
            "max_abs_residual": float(np.max(np.abs(rep.residual.values)))}
-    if "windows" in p:
-        res = ud_sup(rep.residual, [(float(s), float(r)) for s, r in p["windows"]])
-        out["ud_sup"] = res.sup
+    if p["windows"] is not None:
+        out["ud_sup"] = ud_sup(rep.residual, p["windows"]).sup
     if rep.stderrs is not None:
         out["within_3_stderr"] = rep.residual_within_stderr(3.0)
     return out
 
 
-def _op_embed(ctx: RunContext) -> dict:
-    p = ctx.params()
-    gs = [HeisenbergElement(*map(float, g)) for g in p["gs"]]
-    comps = jstar_embed(gs, [float(a) for a in p["alphas"]])
+def _op_embed(p: dict, sysh: SystemHandle | None, ctx: RunContext) -> dict:
+    comps = jstar_embed(p["gs"], p["alphas"])
     return {"components": [list(c.coords) for c in comps]}
 
 
-def _op_membership(ctx: RunContext) -> dict:
-    p = ctx.params()
-    hs = [HeisenbergElement(*map(float, g)) for g in p["tuple"]]
-    alphas = [float(a) for a in p["alphas"]]
-    tol = float(p.get("tol", 1e-10))
-    res = gtilde_star_membership(hs, alphas, tol)
+def _op_membership(p: dict, sysh: SystemHandle | None, ctx: RunContext) -> dict:
+    res = gtilde_star_membership(p["tuple"], p["alphas"], p["tol"])
     out = {"member": res.member, "residual": res.residual,
            "preimage": None if res.preimage is None
            else [list(g.coords) for g in res.preimage]}
-    if "conjugate_by" in p and res.member:
-        g = HeisenbergElement(*map(float, p["conjugate_by"]))
-        out["conjugation_closed"] = gtilde_star_conjugation_check(g, hs, alphas, tol)
+    if p["conjugate_by"] is not None and res.member:
+        out["conjugation_closed"] = gtilde_star_conjugation_check(
+            p["conjugate_by"], p["tuple"], p["alphas"], p["tol"])
     return out
 
 
-_OPS = {
-    "minimal": _op_minimal,
-    "exceptional": _op_exceptional,
-    "rp-certify": _op_rp_certify,
-    "rp-transfer": _op_rp_transfer,
-    "cube": _op_cube,
-    "nd-compare": _op_nd_compare,
-    "poly-density": _op_poly_density,
-    "fiber-coverage": _op_fiber_coverage,
-    "suspend": _op_suspend,
-    "susp-rp": _op_susp_rp,
-    "average": _op_average,
-    "ud": _op_ud,
-    "density": _op_density,
-    "potts": _op_potts,
-    "nilres": _op_nilres,
-    "embed": _op_embed,
-    "membership": _op_membership,
+# ---------------------------------------------------------------------------
+# the parameter table: operation -> (op, {param: parser | (parser, default)});
+# a bare parser marks a required parameter, and null means the default
+
+_SEARCH = {"d": (_count, 1), "delta": _positive, "budget": (_count, 10 ** 5)}
+_CLOUD = {"x": _floats, "d": (_count, 2), "budget": (_count, 10 ** 4)}
+_RP = {**_SEARCH, "x": _floats, "y": _floats, "require_witness": (bool, False)}
+
+_TABLE = {
+    "minimal": (_op_minimal, {}),
+    "exceptional": (_op_exceptional, {"t": _nonzero_time}),
+    "rp-certify": (_op_rp_certify, _RP),
+    "rp-transfer": (_op_rp_transfer, _RP),
+    "cube": (_op_cube, _CLOUD),
+    "nd-compare": (_op_nd_compare, {**_CLOUD, "alphas": (_alphas, None)}),
+    "poly-density": (_op_poly_density, {
+        "polys": _polys, "x": _floats, "budget": (_count, 10 ** 5),
+        "resolution": (_unit, 0.05), "t_span": (float, 1e4)}),
+    "fiber-coverage": (_op_fiber_coverage, {
+        "projection": str, "d": (_count, 1), "alphas": _alphas, "x": _floats,
+        "budget": (_count, 10 ** 5), "resolution": (_unit, 0.05),
+        "horizon": (float, 1e4)}),
+    "suspend": (_op_suspend, {"times": _times, "x": _floats,
+                              "resolution": (_unit, 0.05)}),
+    "susp-rp": (_op_susp_rp, {**_SEARCH, "x1": _floats, "x2": _floats,
+                              "s1": float, "s2": float}),
+    "average": (_op_average, {
+        "observable": _observable, "alphas": _alphas, "t": (float, None),
+        "t_grid": (_times, None), "n_samples": (_count, 2 * 10 ** 4)}),
+    "ud": (_op_ud, {"series": _series, "windows": _windows}),
+    "density": (_op_density, {
+        "time_grid": _times, "x": _floats, "center": _floats, "radius": _positive,
+        "rho": _positive, "step": _positive, "horizon": (float, None),
+        "half_width": (float, 0.05)}),
+    "potts": (_op_potts, {
+        "polys": _polys, "observables": _observables, "R": _positive,
+        "n_x": (_count, 4), "h": (_positive, None)}),
+    "nilres": (_op_nilres, {
+        "observable": _observable, "t_grid": _times, "alphas": _alphas,
+        "n_samples": (_count, 10 ** 5), "windows": (_windows, None)}),
+    "embed": (_op_embed, {"gs": _elements, "alphas": _alphas}),
+    "membership": (_op_membership, {
+        "tuple": _elements, "alphas": _alphas, "tol": (_positive, 1e-10),
+        "conjugate_by": (_element, None)}),
 }
+OPERATIONS = (*_TABLE, "validate")
+
+
+def _parse_row(op: str, params: dict, handles: dict,
+               basis: Basis) -> tuple[list[str], dict]:
+    """Diagnostics and typed parameters of one row, defaults filled in and
+    each parameter its parser rejects left out; then the cross rules."""
+    spec = _TABLE[op][1]
+    diags = [f"params.{k}: unknown parameter" for k in params if k not in spec]
+    p: dict = {}
+    for key, entry in spec.items():
+        parser = entry[0] if isinstance(entry, tuple) else entry
+        if params.get(key) is not None:
+            try:
+                p[key] = parser(params[key])
+            except SchemaError as e:
+                diags.append(f"params.{key}: {e}")
+            except _MALFORMED as e:
+                diags.append(f"params.{key}: cannot parse {params[key]!r:.80} "
+                             f"({type(e).__name__}: {e})")
+        elif isinstance(entry, tuple):
+            p[key] = entry[1]
+        else:
+            diags.append(f"params.{key}: missing")
+    for key in ("x", "y", "center", "x1", "x2"):
+        # cube and nd-compare read x on both systems
+        names = handles if key == "x" and op in ("cube", "nd-compare") else ("system",)
+        for name in names:
+            h = handles.get(name)
+            if key in p and h is not None and len(p[key]) != h.dim:
+                diags.append(f"params.{key}: needs {h.dim} coordinates on {name}, "
+                             f"got {list(p[key])}")
+    if op in ("fiber-coverage", "nd-compare") and "alphas" in p and "d" in p:
+        # one alpha per arm; nd-compare defaults to (1, ..., d) on maps only
+        if p["alphas"] is None:
+            if any(not h.discrete for h in handles.values()):
+                diags.append("params.alphas: missing (flows need explicit alphas)")
+        elif len(p["alphas"]) != p["d"]:
+            diags.append(f"params.alphas: needs d = {p['d']} values, "
+                         f"got {len(p['alphas'])}")
+    sysh = handles.get("system")
+    if op == "fiber-coverage" and sysh is not None and "projection" in p:
+        table = sysh.spec.projections
+        if p["projection"] not in table:
+            diags.append(f"params.projection: {p['projection']!r} does not apply to "
+                         f"{sysh.tag} of dimension {sysh.dim} (has {sorted(table)})")
+    if op == "average" and p.get("t", 0) is None and p.get("t_grid", 0) is None:
+        diags.append("params.t: missing (average needs t or t_grid)")
+    if op == "exceptional" and sysh is not None and "t" in p:
+        try:
+            p["minimal"] = time_t_minimal(sysh, p["t"], basis)
+        except UnsupportedBasisError as e:
+            diags.append(f"UNSUPPORTED-BASIS: {e}")
+        except ValueError as e:
+            diags.append(f"params.t: {e}")
+    return diags, p
+
+
+def _parse(cfg: dict) -> tuple[list[str], dict, list[dict]]:
+    """(diagnostics, systems by config key, typed parameters per sweep row).
+
+    The basis and the systems are built once per config, the parameters
+    once per sweep row (once when there is no sweep).
+    """
+    op = cfg.get("operation")
+    if op not in OPERATIONS:
+        return [f"operation: unknown or missing ({op!r})"], {}, []
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        return ["params: must be an object"], {}, []
+    try:
+        basis = build_basis(cfg)
+    except (KeyError, TypeError, ValueError) as e:
+        return [f"basis: {e}"], {}, []
+    if op == "validate":
+        return [], {}, []
+
+    diags: list[str] = []
+    handles: dict[str, SystemHandle] = {}
+    for key in ("system", "system_h") if op not in ("ud", "embed", "membership") else ():
+        if key in cfg:
+            try:
+                handles[key] = build_system(cfg[key], basis)
+            except (SchemaError, KeyError, TypeError, ValueError) as e:
+                diags.append(f"{key}: {e}")
+        elif key == "system":
+            diags.append("system: missing")
+        elif op in ("rp-transfer", "nd-compare"):
+            diags.append("system_h: missing second action")
+
+    spec = _TABLE[op][1]
+    rows = [params]
+    sweep = cfg.get("sweep")
+    if sweep:
+        path = sweep.get("param") if isinstance(sweep, dict) else None
+        values = sweep.get("values") if isinstance(sweep, dict) else None
+        if not (isinstance(path, str) and path.startswith("params.") and path[7:] in spec):
+            diags.append(f"sweep.param: must be params.<name> for a parameter of {op}, "
+                         f"got {path!r}")
+        elif not (isinstance(values, list) and values):
+            diags.append(f"sweep.values: must be a nonempty list, got {values!r}")
+        else:
+            rows = [{**params, path[7:]: v} for v in values]
+    parsed = [_parse_row(op, row, handles, basis) for row in rows]
+    diags += [d for row_diags, _ in parsed for d in row_diags]
+    return list(dict.fromkeys(diags)), handles, [p for _, p in parsed]
+
+
+def validate_config(cfg: dict) -> list[str]:
+    """All schema and semantic problems, without executing the operation."""
+    return _parse(cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -522,35 +560,23 @@ def _render_floats(obj):
     return obj
 
 
-def _budget_consumed(result: dict) -> int | None:
-    """Total search candidates consumed, summed over nested result payloads."""
-    total = 0
-    seen = False
-
-    def walk(obj):
-        nonlocal total, seen
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                if k == "checked" and isinstance(v, (int, float)):
-                    total += int(v)
-                    seen = True
-                else:
-                    walk(v)
-        elif isinstance(obj, list):
-            for v in obj:
-                walk(v)
-
-    walk(result)
-    return total if seen else None
+def _checked_counts(obj):
+    """The candidate count of every search in a nested result payload."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if k == "checked" and isinstance(v, (int, float)):
+                yield int(v)
+            else:
+                yield from _checked_counts(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _checked_counts(v)
 
 
 def _lookup(result: dict, path: str):
     cur: Any = result
     for part in path.split("."):
-        if isinstance(cur, list):
-            cur = cur[int(part)]
-        else:
-            cur = cur[part]
+        cur = cur[int(part)] if isinstance(cur, list) else cur[part]
     return cur
 
 
@@ -574,19 +600,9 @@ def _check_expectations(result: dict, expects: list[dict]) -> bool:
     return True
 
 
-def _set_by_path(cfg: dict, path: str, value) -> None:
-    parts = path.split(".")
-    cur = cfg
-    for p in parts[:-1]:
-        cur = cur.setdefault(p, {})
-    cur[parts[-1]] = value
-
-
 def run_validate(cfg: dict, seed: int | None = None) -> dict:
     """The validate operation: diagnostics as data, never an error exit."""
-    diags = validate_config(cfg) if cfg.get("operation") not in (None, "validate") \
-        else ([] if cfg.get("operation") == "validate" else ["operation: missing"])
-    return {"operation": "validate", "result": {"diagnostics": diags},
+    return {"operation": "validate", "result": {"diagnostics": validate_config(cfg)},
             "artifacts": {},
             "seed": seed if seed is not None else cfg.get("seed", 0)}
 
@@ -596,58 +612,41 @@ def run(cfg: dict, seed: int | None = None, out_path: Path | None = None) -> dic
     op = cfg.get("operation")
     if op == "validate":
         return run_validate(cfg, seed)
-    diags = validate_config(cfg)
+    diags, handles, rows = _parse(cfg)
     if diags:
         basis_diags = [d for d in diags if "UNSUPPORTED-BASIS" in d]
         if basis_diags:
             raise UnsupportedBasisError("; ".join(basis_diags))
         raise SchemaError("; ".join(diags))
     eff_seed = int(seed if seed is not None else cfg.get("seed", 0))
-    basis = build_basis(cfg)
     start = time.perf_counter()
-
-    def one_run(one_cfg: dict) -> tuple[dict, dict]:
-        ctx = RunContext(one_cfg, basis, eff_seed, out_path, {})
-        result = _OPS[op](ctx)
-        return result, ctx.artifacts
-
-    sweep = cfg.get("sweep")
-    artifacts: dict = {}
+    ctx = RunContext(handles.get("system_h"), eff_seed, out_path)
+    results = [_TABLE[op][0](p, handles.get("system"), ctx) for p in rows]
+    sweep, result = cfg.get("sweep"), results[0]
     if sweep:
-        rows = []
-        for value in sweep["values"]:
-            sub = json.loads(json.dumps(cfg))
-            _set_by_path(sub, sweep["param"], value)
-            result, _ = one_run(sub)
-            rows.append({"value": value, "result": result})
-        result = {"sweep_param": sweep["param"], "rows": rows}
-    else:
-        result, artifacts = one_run(cfg)
-
+        result = {"sweep_param": sweep["param"],
+                  "rows": [{"value": v, "result": r} for v, r in zip(sweep["values"], results)]}
+    counts = list(_checked_counts(result))
     report = {
         "operation": op,
         "seed": eff_seed,
         "config": {k: v for k, v in cfg.items() if k != "expect"},
         "result": _render_floats(result),
-        "artifacts": artifacts,
-        "budget_consumed": _budget_consumed(result),
+        # a sweep reports no artifacts: each row overwrites the last one's files
+        "artifacts": {} if sweep else ctx.artifacts,
+        "budget_consumed": sum(counts) if counts else None,
         "wall_time_s": time.perf_counter() - start,
     }
     if "expect" in cfg:
-        if sweep:
-            report["pass"] = all(_check_expectations(r["result"], cfg["expect"])
-                                 for r in result["rows"])
-        else:
-            report["pass"] = _check_expectations(report["result"], cfg["expect"])
+        checked = [r["result"] for r in result["rows"]] if sweep else [report["result"]]
+        report["pass"] = all(_check_expectations(r, cfg["expect"]) for r in checked)
     return report
 
 
 def report_json(report: dict) -> str:
-    body = dict(report)
-    body.pop("wall_time_s", None)
-    stable = json.dumps(_render_floats(body), sort_keys=True, indent=2)
-    # wall time re-attached outside the deterministic payload
-    return json.dumps({"payload": json.loads(stable),
+    # wall time sits outside the deterministic payload
+    body = {k: v for k, v in report.items() if k != "wall_time_s"}
+    return json.dumps({"payload": _render_floats(body),
                        "wall_time_s": report.get("wall_time_s")},
                       sort_keys=True, indent=2)
 

@@ -131,18 +131,7 @@ def witness_max_gap(sys: SystemHandle, x, y, witness: RPWitness) -> float:
 def rp_witness_verify(sys: SystemHandle, x, y, witness: RPWitness,
                       delta: float) -> bool:
     """Strict check of every inequality in the RP^[d] witness condition."""
-    if witness.order < 1:
-        raise ValueError("witness arity must be >= 1")
-    if sys.dist(x, witness.x_prime) >= delta:
-        return False
-    if sys.dist(y, witness.y_prime) >= delta:
-        return False
-    for eps in face_vectors(witness.order):
-        t = sum(g for g, e in zip(witness.g, eps) if e)
-        if sys.dist(sys.evolve(witness.x_prime, t),
-                    sys.evolve(witness.y_prime, t)) >= delta:
-            return False
-    return True
+    return witness_max_gap(sys, x, y, witness) < delta
 
 
 # ---------------------------------------------------------------------------

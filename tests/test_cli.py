@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from nilflow import cli
 from nilflow.cli import (EXIT_BASIS, EXIT_EXPECT_FAIL, EXIT_OK, EXIT_SCHEMA,
                          main, run, validate_config)
 
@@ -373,3 +380,165 @@ class TestMoreOperations:
                           "windows": [[0.0, 1000.0], [100.0, 1000.0]]}}
         rep = run(cfg)
         assert rep["result"]["ud_sup"] <= 1e-6
+
+
+LINE = {"kind": "torus-flow", "freqs": [{"ONE": "1"}]}
+ROT = {"kind": "torus-map", "freqs": [{"SQRT2": "1"}]}
+HEIS_FLOW = {"kind": "heisenberg-nilflow", "alpha": {"SQRT2": "1"},
+             "beta": {"SQRT3": "1"}}
+COS = {"kind": "cos", "freq": [1]}
+POLYS = [{"coeffs": ["0", "1"]}, {"coeffs": ["0", "0", "1"]}]
+GRID = {"kind": "grid", "start": 0.0, "stop": 20.0, "step": 1.0}
+
+# one valid config per operation; budgets stay small
+VALID = {
+    "minimal": {"system": TORUS_1_SQRT2},
+    "exceptional": {"system": TORUS_1_SQRT2, "params": {"t": "1"}},
+    "rp-certify": {"system": ROT, "params": {"x": [0.3], "y": [0.3], "delta": 0.05,
+                                             "budget": 10}},
+    "rp-transfer": {"system": ROT, "system_h": ROT,
+                    "params": {"x": [0.3], "y": [0.3], "delta": 0.05, "budget": 10}},
+    "cube": {"system": ROT, "system_h": ROT, "params": {"x": [0.1], "budget": 10}},
+    "nd-compare": {"system": LINE, "system_h": LINE,
+                   "params": {"x": [0.1], "alphas": [1.0, 2.0], "budget": 10}},
+    "poly-density": {"system": LINE, "params": {"polys": POLYS, "x": [0.0],
+                                                "budget": 10}},
+    "fiber-coverage": {"system": HEIS_FLOW,
+                       "params": {"projection": "heisenberg-base", "alphas": [1.0],
+                                  "x": [0.0, 0.0, 0.0], "budget": 10}},
+    "suspend": {"system": ROT, "params": {"x": [0.0], "times": [1.0, 4.0]}},
+    "susp-rp": {"system": ROT, "params": {"x1": [0.2], "x2": [0.2], "s1": 0.4,
+                                          "s2": 0.4, "delta": 0.1, "budget": 10}},
+    "average": {"system": LINE, "params": {"observable": COS, "alphas": [1.0],
+                                           "t": 0.3, "n_samples": 10}},
+    "ud": {"params": {"series": {"grid": [0.0, 1.0, 2.0], "values": [0.0, 0.5, 1.0]},
+                      "windows": [[0.0, 1.0]]}},
+    "density": {"system": ROT, "params": {"x": [0.0], "center": [0.0], "radius": 0.1,
+                                          "time_grid": GRID, "rho": 5.0, "step": 1.0}},
+    "potts": {"system": LINE, "params": {"polys": POLYS, "observables": [COS, COS],
+                                         "R": 10.0, "h": 0.5}},
+    "nilres": {"system": LINE, "params": {"observable": COS, "alphas": [1.0],
+                                          "t_grid": GRID, "windows": [[0.0, 5.0]]}},
+    "embed": {"params": {"gs": [[1, 0, 0], [0, 0, 1]], "alphas": [1.0, 2.0]}},
+    "membership": {"params": {"tuple": [[1, 0, 0], [2, 0, 1]], "alphas": [1.0, 2.0],
+                              "conjugate_by": [0.5, -0.3, 0.1]}},
+}
+
+
+def valid(op, **params):
+    cfg = json.loads(json.dumps({"operation": op, **VALID[op]}))
+    cfg.setdefault("params", {}).update(params)
+    return cfg
+
+
+def without(op, key):
+    cfg = valid(op)
+    del cfg["params"][key]
+    return cfg
+
+
+def swept(op, param, values, **params):
+    return {**valid(op, **params), "sweep": {"param": param, "values": values}}
+
+
+class TestParameterTable:
+    def test_valid_configs_cover_every_operation(self):
+        assert set(VALID) == set(cli._TABLE)
+        for op in VALID:
+            assert validate_config(valid(op)) == [], op
+
+    @pytest.mark.parametrize("cfg, diag", [
+        (without("average", "alphas"), "params.alphas: missing"),
+        (without("average", "observable"), "params.observable: missing"),
+        (without("average", "t"), "params.t: missing"),
+        (without("potts", "R"), "params.R: missing"),
+        (without("susp-rp", "s1"), "params.s1: missing"),
+        (without("density", "radius"), "params.radius: missing"),
+        (valid("density", radius=-1), "params.radius: must be positive"),
+        (without("suspend", "times"), "params.times: missing"),
+        (without("embed", "gs"), "params.gs: missing"),
+        (without("exceptional", "t"), "params.t: missing"),
+        (swept("cube", "params.budget", [5, 0]), "params.budget: must be an integer"),
+        ({**valid("rp-certify"), "sweep": {"param": "params.delta"}}, "sweep.values"),
+        (valid("rp-certify", budgte=10), "params.budgte: unknown parameter"),
+        (valid("average", n_samples=0), "params.n_samples: must be an integer"),
+        (swept("minimal", "seed", [1, 2]), "sweep.param"),
+    ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
+            "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
+            "suspend-no-times", "embed-no-gs", "exceptional-no-t", "swept-zero-budget",
+            "sweep-no-values", "budget-typo", "zero-n-samples", "sweep-not-params"])
+    def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
+        assert any(d.startswith(diag) for d in validate_config(cfg))
+        assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA
+        assert diag in capsys.readouterr().err
+
+    def test_null_means_default(self):
+        explicit = run(valid("rp-certify", budget=None, d=None))
+        default = run(without("rp-certify", "budget"))
+        assert validate_config(valid("potts", h=None)) == []
+        assert explicit["result"] == default["result"]
+
+    def test_unknown_key_named(self):
+        diags = validate_config(valid("cube", x=[0.1], alphas=[1.0, 2.0]))
+        assert diags == ["params.alphas: unknown parameter"]
+
+    def test_readme_examples_validate(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+        assert blocks
+        for block in blocks:
+            assert validate_config(json.loads(block)) == []
+
+
+# values each parser must reject; a parser without an entry accepts everything
+BAD = {
+    cli._count: [0, -3, True, 2.5, "7", [1]],
+    cli._positive: [0, -1.5, "abc", [0.1]],
+    cli._unit: [0, 1.5, -0.05, "abc"],
+    float: ["abc", [1.0], {"v": 1}],
+    cli._floats: ["abc", 5, {"x": 1}, ["a"]],
+    cli._alphas: [[], [1.0, 1.0], [0.0, 1.0], ["x"], 3],
+    cli._nonzero_time: ["0", {"ONE": "0"}, 1.5, "abc", [1]],
+    cli._polys: [[], [{"coeffs": [1]}], [{"c": [0, 1]}], "x"],
+    cli._observable: [{"kind": "nope"}, {"kind": "exp"}, 5, "cos"],
+    cli._observables: [[], [{"kind": "nope"}], 5],
+    cli._times: [{"kind": "nope"}, "x", {"kind": "grid"}, ["a"]],
+    cli._windows: [[], [[1.0]], "x", [["a", 1.0]]],
+    cli._series: [{"grid": [0, 1], "values": [0]}, {"grid": [1, 0], "values": [0, 0]},
+                  5, {"csv": "no-such-series.csv"}],
+    cli._element: [[1, 2], "x", [1, 2, "a"]],
+    cli._elements: [[], [[1, 2]], 5],
+    str: ["no-such-projection"],
+}
+
+
+@st.composite
+def broken_configs(draw):
+    """A valid config with one required parameter dropped, or with one
+    parameter set outside its declared range: (config, parameter)."""
+    op = draw(st.sampled_from(sorted(VALID)))
+    spec = cli._TABLE[op][1]
+    required = [k for k, entry in spec.items() if not isinstance(entry, tuple)]
+    ranged = [k for k, entry in spec.items()
+              if BAD.get(entry[0] if isinstance(entry, tuple) else entry)]
+    assume(required or ranged)
+    if required and draw(st.booleans()) or not ranged:
+        key = draw(st.sampled_from(required))
+        return without(op, key), key
+    key = draw(st.sampled_from(ranged))
+    entry = spec[key]
+    bad = draw(st.sampled_from(BAD[entry[0] if isinstance(entry, tuple) else entry]))
+    return valid(op, **{key: bad}), key
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=broken_configs())
+def test_broken_parameter_named_and_exits_schema(tmp_path_factory, case):
+    cfg, key = case
+    assert any(d.startswith(f"params.{key}:") for d in validate_config(cfg))
+    path = write_cfg(tmp_path_factory.mktemp("cfg"), cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["run", "--config", str(path)]) == EXIT_SCHEMA
+    assert f"params.{key}" in err.getvalue()

@@ -34,6 +34,17 @@ def nilsys(basis, sqrt2, sqrt3):
     return heisenberg_nilsystem(heisenberg_nilflow(sqrt2, sqrt3, basis))
 
 
+def verify_reference(sys, x, y, w, delta):
+    """Each inequality of the RP^[d] witness condition, checked on its own."""
+    if sys.dist(x, w.x_prime) >= delta or sys.dist(y, w.y_prime) >= delta:
+        return False
+    for eps in face_vectors(w.order):
+        t = sum(g for g, e in zip(w.g, eps) if e)
+        if sys.dist(sys.evolve(w.x_prime, t), sys.evolve(w.y_prime, t)) >= delta:
+            return False
+    return True
+
+
 def fiber_pair(nilsys, xc, c):
     x = nilsys.from_coords(tuple(xc))
     y = nilsys.from_coords((xc[0], xc[1], (xc[2] + c) % 1.0))
@@ -81,6 +92,26 @@ class TestVerify:
         res = rp_witness_search(rot2, x, y, 1, 0.05, 10 ** 5)
         assert rp_witness_verify(rot2, x, y, res.witness, 0.07)
         assert rp_witness_verify(rot2, x, y, res.witness, 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(heisenberg=st.booleans(), data=st.data())
+    def test_verify_iff_max_gap_below_delta(self, rot2, nilsys, heisenberg, data):
+        # verify holds exactly when the largest gap is below delta, and
+        # agrees with each inequality of the witness condition checked alone
+        sys = nilsys if heisenberg else rot2
+        unit = st.floats(0.0, 1.0, exclude_max=True)
+
+        def point():
+            return sys.from_coords(tuple(data.draw(unit) for _ in range(sys.dim)))
+
+        x, y, xp, yp = point(), point(), point(), point()
+        g = tuple(data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=3)))
+        w = RPWitness(xp, yp, g, 0.0)
+        gap = witness_max_gap(sys, x, y, w)
+        delta = data.draw(st.sampled_from([gap, math.nextafter(gap, math.inf)])
+                          | st.floats(1e-6, 1.0))
+        verified = rp_witness_verify(sys, x, y, w, delta)
+        assert verified == (gap < delta) == verify_reference(sys, x, y, w, delta)
 
 
 class TestSearch:
