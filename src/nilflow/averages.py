@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import RealPolynomial, binom_real, polys_r_independent
-from .systems import (HeisenbergElement, SystemHandle, heis_multiply,
-                      heis_power)
+from .systems import (HeisenbergElement, SystemHandle, heis_conjugate,
+                      heis_multiply, heis_power)
 
 
 class IndependenceViolation(ValueError):
@@ -120,9 +120,10 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class IntegralEstimate:
+    """An integral over X: exact, or Monte-Carlo with its standard error."""
+
     value: complex
     stderr: float
-    n: int
     exact: bool
 
 
@@ -131,14 +132,14 @@ def integrate_haar(sys: SystemHandle, f: Observable, n_samples: int = 10 ** 5,
     """Haar integral: exact for trig observables, Monte-Carlo otherwise."""
     if f.kind == "trig":
         _check_trig_fits(sys, f)
-        return IntegralEstimate(f.haar_integral(), 0.0, 0, True)
+        return IntegralEstimate(f.haar_integral(), 0.0, True)
     if f.func is None:
         raise ValueError("callback observable lacks a function")
     rng = np.random.default_rng(seed)
     pts = rng.random((n_samples, sys.dim))
     vals = np.array([f.func(tuple(row)) for row in pts])
     stderr = float(np.std(vals) / math.sqrt(n_samples))
-    return IntegralEstimate(complex(np.mean(vals)), stderr, n_samples, False)
+    return IntegralEstimate(complex(np.mean(vals)), stderr, False)
 
 
 def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
@@ -178,17 +179,10 @@ def _exact_correlation_terms(sys: SystemHandle, f: Observable,
     return sorted(rates.items())
 
 
-@dataclass(frozen=True)
-class MultiAverageResult:
-    value: complex
-    stderr: float
-    exact: bool
-
-
 def multi_average_series(sys: SystemHandle, f: Observable,
                          alphas: Sequence[float], t_grid: Sequence[float],
                          n_samples: int = 2 * 10 ** 4,
-                         seed: int = 0) -> list[MultiAverageResult]:
+                         seed: int = 0) -> list[IntegralEstimate]:
     """I_f(k, t) = int f(x) f(T^{a_1 t} x)...f(T^{a_k t} x) dmu at each grid t.
 
     The exact frequency terms are built once for the whole grid; the
@@ -199,19 +193,19 @@ def multi_average_series(sys: SystemHandle, f: Observable,
     ts = [float(t) for t in t_grid]
     terms = _exact_correlation_terms(sys, f, alphas)
     if terms is not None:
-        return [MultiAverageResult(
+        return [IntegralEstimate(
                     complex(sum(c * np.exp(2j * np.pi * r * t) for r, c in terms)),
                     0.0, True)
                 for t in ts]
     values, stderrs = _sample_correlation(sys, f, alphas, np.array(ts),
                                           n_samples, seed)
-    return [MultiAverageResult(complex(v), float(e), False)
+    return [IntegralEstimate(complex(v), float(e), False)
             for v, e in zip(values, stderrs)]
 
 
 def multi_average_I(sys: SystemHandle, f: Observable, alphas: Sequence[float],
                     t: float, n_samples: int = 2 * 10 ** 4,
-                    seed: int = 0) -> MultiAverageResult:
+                    seed: int = 0) -> IntegralEstimate:
     """The correlation I_f(k, t) at one t (see multi_average_series)."""
     return multi_average_series(sys, f, alphas, [t], n_samples, seed)[0]
 
@@ -287,21 +281,25 @@ class UDSupResult:
     table: tuple[tuple[float, float, float], ...]  # (sigma, rho, window average)
 
 
+def window_span(grid: np.ndarray, sigma: float, rho: float) -> slice:
+    """The grid points of the window [sigma, sigma + rho], at least two."""
+    if sigma < grid[0] - 1e-9 or sigma + rho > grid[-1] + 1e-9:
+        raise ValueError(f"window ({sigma}, {rho}) exceeds grid span")
+    lo = int(np.searchsorted(grid, sigma - 1e-12, side="left"))
+    hi = int(np.searchsorted(grid, sigma + rho + 1e-12, side="right"))
+    if hi - lo < 2:
+        raise ValueError("window contains fewer than two grid points")
+    return slice(lo, hi)
+
+
 def ud_sup(series: TimeSeries, windows: Sequence[tuple[float, float]]) -> UDSupResult:
     """Max over windows of (1/rho) * integral of |phi| via the trapezoid rule."""
     grid = np.asarray(series.grid, dtype=float)
     absval = np.abs(np.asarray(series.values))
     rows = []
     for sigma, rho in windows:
-        if sigma < grid[0] - 1e-9 or sigma + rho > grid[-1] + 1e-9:
-            raise ValueError(f"window ({sigma}, {rho}) exceeds grid span")
-        lo = int(np.searchsorted(grid, sigma - 1e-12, side="left"))
-        hi = int(np.searchsorted(grid, sigma + rho + 1e-12, side="right"))
-        seg_t = grid[lo:hi]
-        seg_v = absval[lo:hi]
-        if len(seg_t) < 2:
-            raise ValueError("window contains fewer than two grid points")
-        avg = float(np.trapezoid(seg_v, seg_t) / rho)
+        span = window_span(grid, sigma, rho)
+        avg = float(np.trapezoid(absval[span], grid[span]) / rho)
         rows.append((float(sigma), float(rho), avg))
     return UDSupResult(max(r[2] for r in rows), tuple(rows))
 
@@ -349,8 +347,6 @@ def banach_density(hit_times: Sequence[float], rho: float, step: float,
 class ProductLawReport:
     deviation: complex
     abs_deviation: float
-    product_of_integrals: complex
-    time_average: complex
     R: float
     time_step: float
     n_time: int
@@ -407,8 +403,7 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
     for f in fs:
         prod *= integrate_haar(flow_sys, f).value
     dev = complex(time_avg - prod)
-    return ProductLawReport(dev, abs(dev), complex(prod), complex(time_avg),
-                       float(R), float(h), n_time, n_x)
+    return ProductLawReport(dev, abs(dev), float(R), float(h), n_time, n_x)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +412,6 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
 @dataclass(frozen=True)
 class NilfunctionReport:
     prediction: TimeSeries
-    sampled: TimeSeries
     residual: TimeSeries
     stderrs: np.ndarray | None
     exact_sampling: bool
@@ -427,16 +421,6 @@ class NilfunctionReport:
             raise ValueError("no Monte-Carlo stderrs available")
         return bool(np.all(np.abs(self.residual.values) <=
                            factor * np.maximum(self.stderrs, 1e-15)))
-
-
-def nilfunction_prediction(sys: SystemHandle, f: Observable,
-                           alphas: Sequence[float]):
-    """Closed-form trig polynomial in t predicted for I_f(k, t)."""
-    alphas = _validate_alphas(alphas)
-    terms = _exact_correlation_terms(sys, f, alphas)
-    if terms is None:
-        raise ValueError("unsupported observable kind for the exact prediction")
-    return terms
 
 
 def nilfunction_residual(sys: SystemHandle, f: Observable,
@@ -449,7 +433,9 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
     Heisenberg pullbacks sample by Monte-Carlo and report stderrs.
     """
     alphas = _validate_alphas(alphas)
-    terms = nilfunction_prediction(sys, f, alphas)
+    terms = _exact_correlation_terms(sys, f, alphas)
+    if terms is None:
+        raise ValueError("unsupported observable kind for the exact prediction")
     t = np.asarray(t_grid, dtype=float)
     pred = np.zeros(len(t), dtype=complex)
     for r, c in terms:
@@ -462,8 +448,7 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
         sampled, stderrs = _sample_correlation(sys, f, alphas, t, n_samples, seed)
         exact = False
     residual = sampled - pred
-    return NilfunctionReport(TimeSeries(t, pred), TimeSeries(t, sampled),
-                             TimeSeries(t, residual), stderrs, exact)
+    return NilfunctionReport(TimeSeries(t, pred), TimeSeries(t, residual), stderrs, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +537,5 @@ def gtilde_star_conjugation_check(g: HeisenbergElement,
     """Conjugation by any group element must preserve tuple membership."""
     if not gtilde_star_membership(tuple_hs, alphas, tol).member:
         raise ValueError("input tuple fails membership at the given tolerance")
-    from .systems import heis_conjugate
     conj = [heis_conjugate(g, h) for h in tuple_hs]
     return gtilde_star_membership(conj, alphas, tol).member

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys as _sys
 import time
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .averages import (Observable, TimeSeries, banach_density,
                        jstar_embed, gtilde_star_conjugation_check,
                        gtilde_star_membership, multi_average_I,
                        multi_average_series, nilfunction_residual,
-                       potts_average, ud_sup)
+                       potts_average, ud_sup, window_span)
 from .proximality import (EXHAUSTED, commuting_rp_transfer, cube_orbit_sample,
                           fiber_coverage, hausdorff_distance, nd_sample,
                           poly_orbit_density, return_set, rp_witness_search)
@@ -341,13 +342,10 @@ def _op_ud(p: dict, sysh: SystemHandle | None, ctx: RunContext) -> dict:
 
 
 def _op_density(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
-    grid = p["time_grid"]
     hits = return_set(sysh, sysh.from_coords(p["x"]), sysh.from_coords(p["center"]),
-                      p["radius"], grid)
-    horizon = p["horizon"]
-    if horizon is None:
-        horizon = float(grid[-1] if len(grid) else 0.0)
-    lower, upper = banach_density(hits, p["rho"], p["step"], horizon, p["half_width"])
+                      p["radius"], p["time_grid"])
+    lower, upper = banach_density(hits, p["rho"], p["step"], p["horizon"],
+                                  p["half_width"])
     return {"n_hits": len(hits), "lower": lower, "upper": upper}
 
 
@@ -479,6 +477,26 @@ def _parse_row(op: str, params: dict, handles: dict,
                          f"{sysh.tag} of dimension {sysh.dim} (has {sorted(table)})")
     if op == "average" and p.get("t", 0) is None and p.get("t_grid", 0) is None:
         diags.append("params.t: missing (average needs t or t_grid)")
+    pair = {"embed": ("alphas", "gs"), "potts": ("observables", "polys")}.get(op, ())
+    if pair and all(k in p for k in pair) and len(p[pair[0]]) != len(p[pair[1]]):
+        diags.append(f"params.{pair[0]}: needs one per entry of {pair[1]} "
+                     f"({len(p[pair[1]])}), got {len(p[pair[0]])}")
+    for key in ("tuple", "alphas") if op == "membership" else ():
+        if key in p and len(p[key]) != 2:
+            diags.append(f"params.{key}: needs 2 entries (k = 2), got {len(p[key])}")
+    if op in ("ud", "nilres") and p.get("windows") and ("series" in p or "t_grid" in p):
+        grid = p["series"].grid if op == "ud" else p["t_grid"]
+        for sigma, rho in p["windows"]:
+            try:
+                window_span(grid, sigma, rho)
+            except (IndexError, ValueError) as e:
+                diags.append(f"params.windows: {e}")
+    if op == "density" and {"time_grid", "rho", "horizon"} <= p.keys():
+        if p["horizon"] is None:
+            grid = p["time_grid"]
+            p["horizon"] = float(grid[-1] if len(grid) else 0.0)
+        if p["rho"] > p["horizon"]:
+            diags.append(f"params.rho: {p['rho']} exceeds the horizon {p['horizon']}")
     if op == "exceptional" and sysh is not None and "t" in p:
         try:
             p["minimal"] = time_t_minimal(sysh, p["t"], basis)
@@ -487,6 +505,11 @@ def _parse_row(op: str, params: dict, handles: dict,
         except ValueError as e:
             diags.append(f"params.t: {e}")
     return diags, p
+
+
+# expectation ops: (value at the path, expected value) -> pass
+_EXPECT_OPS = {"eq": operator.eq, "le": operator.le, "ge": operator.ge,
+               "true": lambda got, _: bool(got), "false": lambda got, _: not got}
 
 
 def _parse(cfg: dict) -> tuple[list[str], dict, list[dict]]:
@@ -509,6 +532,18 @@ def _parse(cfg: dict) -> tuple[list[str], dict, list[dict]]:
         return [], {}, []
 
     diags: list[str] = []
+    seed = cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        diags.append(f"seed: must be an integer >= 0, got {seed!r:.80}")
+    expects = cfg.get("expect", [])
+    if not isinstance(expects, list):
+        diags.append(f"expect: must be a list, got {expects!r:.80}")
+    for i, exp in enumerate(expects if isinstance(expects, list) else ()):
+        # list(...): an op that is a JSON list is unhashable
+        if not (isinstance(exp, dict) and isinstance(exp.get("path"), str)
+                and exp.get("op", "eq") in list(_EXPECT_OPS)):
+            diags.append(f"expect[{i}]: needs a string path and an op in "
+                         f"{list(_EXPECT_OPS)}, got {exp!r:.80}")
     handles: dict[str, SystemHandle] = {}
     for key in ("system", "system_h") if op not in ("ud", "embed", "membership") else ():
         if key in cfg:
@@ -586,16 +621,7 @@ def _check_expectations(result: dict, expects: list[dict]) -> bool:
             got = _lookup(result, exp["path"])
         except (KeyError, IndexError, TypeError):
             return False
-        op = exp.get("op", "eq")
-        val = exp.get("value")
-        ok = {"eq": lambda: got == val,
-              "le": lambda: got <= val,
-              "ge": lambda: got >= val,
-              "true": lambda: bool(got),
-              "false": lambda: not bool(got)}.get(op)
-        if ok is None:
-            raise SchemaError(f"unknown expectation op {op!r}")
-        if not ok():
+        if not _EXPECT_OPS[exp.get("op", "eq")](got, exp.get("value")):
             return False
     return True
 

@@ -5,6 +5,11 @@ the commuting-action witness transfer, dynamical-cube and N_d cloud
 samplers, Hausdorff comparison of clouds, polynomial orbit density,
 return-time sets and fiber-coverage (characteristic factor) checks.
 
+Witness search: g-grid x axis offsets, g-grid x joint offsets, then (flows,
+once both are spent) a refinement near the best misses.  One loop,
+_first_witness, charges a unit of budget per verified candidate; the
+commuting transfer shares it.
+
 Search semantics: a verified witness certifies the delta-resolution
 membership condition; EXHAUSTED is informative only.  PROVEN-ABSENT is a
 genuine non-membership certificate for the relation, issued only when
@@ -137,28 +142,26 @@ def rp_witness_verify(sys: SystemHandle, x, y, witness: RPWitness,
 # ---------------------------------------------------------------------------
 # witness search
 
-def _group_grid(sys: SystemHandle, count: int) -> list[float]:
+_GRID_COUNT = 257  # group elements on each search grid
+
+
+def _group_grid(sys: SystemHandle) -> list[float]:
     """Deterministic grid 0, +dt, -dt, +2dt, ...: integers for maps, the
     spec's pitch for flows."""
     dt = 1.0 if sys.discrete else sys.spec.pitch
-    out = [0.0] + [s * k * dt for k in range(1, count) for s in (1, -1)][:count - 1]
+    n = _GRID_COUNT
+    out = [0.0] + [s * k * dt for k in range(1, n) for s in (1, -1)][:n - 1]
     return [int(v) for v in out] if sys.discrete else out
 
 
-def _axis_offsets(dim: int, delta: float) -> list[tuple[float, ...]]:
-    return [tuple(sign * j * delta / 8.0 if i == axis else 0.0 for i in range(dim))
-            for axis in range(dim) for j in range(1, 8) for sign in (1.0, -1.0)]
-
-
 def _candidate_offsets(dim: int, delta: float) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Perturbation lattice inside the delta-balls, cheap candidates first."""
+    """Perturbation lattice inside the delta-balls, cheap candidates first:
+    none, then axis sweeps of x', of y', and of both in opposite directions."""
     zero = (0.0,) * dim
-    axis = _axis_offsets(dim, delta)
-    out = [(zero, zero)]
-    out.extend((o, zero) for o in axis)
-    out.extend((zero, o) for o in axis)
-    out.extend((o, tuple(-v for v in o)) for o in axis)
-    return out
+    axis = [tuple(sign * j * delta / 8.0 if i == a else 0.0 for i in range(dim))
+            for a in range(dim) for j in range(1, 8) for sign in (1.0, -1.0)]
+    return [(zero, zero), *((o, zero) for o in axis), *((zero, o) for o in axis),
+            *((o, tuple(-v for v in o)) for o in axis)]
 
 
 def _joint_offsets(dim: int, delta: float) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
@@ -175,16 +178,38 @@ def _perturb(sys: SystemHandle, p, offset: tuple[float, ...]):
     return sys.from_coords(tuple(ci + oi for ci, oi in zip(c, offset)))
 
 
+def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: int,
+                   near: list | None = None) -> RPSearchResult:
+    """Verify (x', y', g) candidates in order; the first delta-witness wins.
+
+    Each verified candidate costs one unit of budget, and no candidate
+    past the budget is drawn.  A miss that improves the best gap is
+    appended to near as (gap, g).
+    """
+    checked = 0
+    best_gap = math.inf
+    for xp, yp, g in itertools.islice(candidates, budget):
+        checked += 1
+        gap = witness_max_gap(sys, x, y, RPWitness(xp, yp, g, delta))
+        if gap < delta:
+            return RPSearchResult(WITNESS, RPWitness(xp, yp, g, gap), checked, best_gap)
+        if gap < best_gap:
+            best_gap = gap
+            if near is not None:
+                near.append((gap, g))
+    return RPSearchResult(EXHAUSTED, None, checked, best_gap)
+
+
 def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
-                      budget: int, grid_count: int = 257) -> RPSearchResult:
+                      budget: int) -> RPSearchResult:
     """Budget-bounded deterministic grid search for an RP^[d] witness.
 
     Candidate order: round one walks the group-element grid with axis
     perturbation sweeps, round two adds a coarse joint perturbation
-    lattice, round three (flows) refines the grid tenfold around the best
-    near misses.  Within each round the order is lexicographic over
-    (g-tuple index, x'-offset index, y'-offset index); the first verified
-    witness wins.  Every candidate verification counts against budget.
+    lattice, round three (flows) refines the grid tenfold around the
+    last eight best near misses.  Within each round the order is
+    lexicographic over (g-tuple index, x'-offset index, y'-offset index);
+    the first verified witness wins (see _first_witness).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -195,44 +220,21 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
             return RPSearchResult(PROVEN_ABSENT, checked=0, best_gap=gap)
 
     offsets = _candidate_offsets(sys.dim, delta)
-    grid = _group_grid(sys, grid_count)
-    checked = 0
-    best_gap = math.inf
-    best_tuples: list[tuple[float, tuple]] = []
-
-    def try_tuple(g_tuple, offset_list):
-        nonlocal checked, best_gap
-        for dx, dy in offset_list:
-            if checked >= budget:
-                return None
-            checked += 1
-            w = RPWitness(_perturb(sys, x, dx), _perturb(sys, y, dy),
-                          tuple(g_tuple), delta)
-            gap = witness_max_gap(sys, x, y, w)
-            if gap < delta:
-                return RPWitness(w.x_prime, w.y_prime, w.g, gap)
-            if gap < best_gap:
-                best_gap = gap
-                best_tuples.append((gap, tuple(g_tuple)))
-                del best_tuples[:-8]
-        return None
+    grid = _group_grid(sys)
+    near: list[tuple[float, tuple]] = []
 
     def rounds():
-        yield from ((g_tuple, offsets) for g_tuple in itertools.product(grid, repeat=d))
+        yield from ((g, offsets) for g in itertools.product(grid, repeat=d))
         joint = _joint_offsets(sys.dim, delta)
-        yield from ((g_tuple, joint) for g_tuple in itertools.product(grid, repeat=d))
+        yield from ((g, joint) for g in itertools.product(grid, repeat=d))
         if not sys.discrete:
-            for _, g_tuple in sorted(best_tuples):
+            for _, g in sorted(near[-8:]):
                 for j in (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9):
-                    yield tuple(g + sys.spec.pitch * j / 10.0 for g in g_tuple), offsets
+                    yield tuple(gi + sys.spec.pitch * j / 10.0 for gi in g), offsets
 
-    for g_tuple, offset_list in rounds():
-        hit = try_tuple(g_tuple, offset_list)
-        if hit:
-            return RPSearchResult(WITNESS, hit, checked, best_gap)
-        if checked >= budget:
-            break
-    return RPSearchResult(EXHAUSTED, None, checked, best_gap)
+    candidates = ((_perturb(sys, x, dx), _perturb(sys, y, dy), g)
+                  for g, offset_list in rounds() for dx, dy in offset_list)
+    return _first_witness(sys, x, y, candidates, delta, budget, near)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +259,13 @@ def check_commutation(sysG: SystemHandle, sysH: SystemHandle, points,
 
 def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
                           witnessG: RPWitness, delta_out: float,
-                          budget: int, grid_count: int = 257) -> RPSearchResult:
+                          budget: int) -> RPSearchResult:
     """Transfer a G-witness to a commuting H-action at delta_out = 3 delta.
 
     Realizes the nested open-set construction numerically: for each slot j
     the candidate h's are ranked by how closely their action on x'
     tracks g_j's action, and ranked tuples are verified against the
-    H-action until one passes at delta_out.
+    H-action (see _first_witness) until one passes at delta_out.
     """
     gap = check_commutation(sysG, sysH, [x, y, witnessG.x_prime])
     if gap > COMMUTATION_TOL:
@@ -274,34 +276,20 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
         return RPSearchResult(WITNESS, witnessG, 0,
                               witness_max_gap(sysG, x, y, witnessG))
 
-    d = witnessG.order
-    grid = _group_grid(sysH, grid_count)
-    xp = witnessG.x_prime
-
+    grid = _group_grid(sysH)
+    xp, yp = witnessG.x_prime, witnessG.y_prime
     ranked: list[list[float]] = []
-    for j in range(d):
-        target = sysG.evolve(xp, witnessG.g[j])
+    for g in witnessG.g:
+        target = sysG.evolve(xp, g)
         scored = sorted(range(len(grid)),
                         key=lambda i: (sysH.dist(sysH.evolve(xp, grid[i]), target), i))
         ranked.append([grid[i] for i in scored])
 
     top = min(16, len(grid))
-    checked = 0
-    best_gap = math.inf
     # combined rank order: by rank sum, ties in product order
-    for combo in sorted(itertools.product(range(top), repeat=d), key=sum):
-        if checked >= budget:
-            return RPSearchResult(EXHAUSTED, None, checked, best_gap)
-        checked += 1
-        h_tuple = tuple(ranked[j][combo[j]] for j in range(d))
-        w = RPWitness(witnessG.x_prime, witnessG.y_prime, h_tuple, delta_out)
-        g = witness_max_gap(sysH, x, y, w)
-        if g < delta_out:
-            return RPSearchResult(WITNESS,
-                                  RPWitness(w.x_prime, w.y_prime, h_tuple, g),
-                                  checked, best_gap)
-        best_gap = min(best_gap, g)
-    return RPSearchResult(EXHAUSTED, None, checked, best_gap)
+    combos = sorted(itertools.product(range(top), repeat=witnessG.order), key=sum)
+    candidates = ((xp, yp, tuple(r[c] for r, c in zip(ranked, combo))) for combo in combos)
+    return _first_witness(sysH, x, y, candidates, delta_out, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +299,13 @@ _DEFAULT_INT_RANGE = 10 ** 4
 _DEFAULT_HORIZON = 10 ** 3
 
 
-def _draw_elements(sys: SystemHandle, rng, shape, horizon) -> np.ndarray:
+def _draw_elements(sys: SystemHandle, rng, shape) -> np.ndarray:
     if sys.discrete:
         return rng.integers(0, _DEFAULT_INT_RANGE, size=shape).astype(float)
-    return rng.random(shape) * (horizon or _DEFAULT_HORIZON)
+    return rng.random(shape) * _DEFAULT_HORIZON
 
 
-def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
-                      horizon: float | None = None) -> PointCloud:
+def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int) -> PointCloud:
     """Sample the face-group orbit of the diagonal point (x, ..., x).
 
     Each sample draws d group elements and emits (g^(eps) x) over all
@@ -327,7 +314,7 @@ def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
     if d < 1:
         raise ValueError("d must be >= 1")
     rng = np.random.default_rng(seed)
-    draws = _draw_elements(sys, rng, (budget, d), horizon)
+    draws = _draw_elements(sys, rng, (budget, d))
     draws[0, :] = 0.0  # identity tuple first: the cloud always holds the diagonal
     eps_list = face_vectors(d, include_zero=True)
     pts = np.stack([sys.orbit_coords(x, draws @ np.array(eps, dtype=float))
@@ -338,8 +325,7 @@ def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
 
 
 def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
-              alphas: Sequence[float] | None = None,
-              horizon: float | None = None) -> PointCloud:
+              alphas: Sequence[float] | None = None) -> PointCloud:
     """Sample tuples (T^{a_1 t} x', ..., T^{a_d t} x') with x' on the orbit of x.
 
     Discrete systems default to alphas (1, ..., d) (the N_d set); flows
@@ -355,8 +341,8 @@ def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
     if len(alphas) != d or len(set(alphas)) != d or any(a == 0 for a in alphas):
         raise ValueError("alphas must be d distinct nonzero numbers")
     rng = np.random.default_rng(seed)
-    ts = _draw_elements(sys, rng, budget, horizon)
-    ss = _draw_elements(sys, rng, budget, horizon)
+    ts = _draw_elements(sys, rng, budget)
+    ss = _draw_elements(sys, rng, budget)
     pts = np.stack([sys.orbit_coords(x, ss + a * ts) for a in alphas], axis=1)
     meta = {"generator": "nd_sample", "budget": budget, "seed": seed, "d": d,
             "alphas": list(alphas), "base_point": list(sys.coords(x))}

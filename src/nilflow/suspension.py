@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .proximality import rp_witness_search
 from .systems import SUSPENSION, SystemHandle, circle_dist
 
 INTEGRAL_GAP_TOL = 1e-12
@@ -82,14 +83,18 @@ def susp_canonical(base_sys: SystemHandle, x, s: float) -> SuspensionPoint:
     return SuspensionPoint(base_sys.evolve(x, n), s - n)
 
 
+def _integral_gap(s: float, t: float) -> int | None:
+    """The integer k = s - t, or None when the height gap is not integral."""
+    k = round(s - t)
+    return k if abs(s - t - k) <= INTEGRAL_GAP_TOL else None
+
+
 def susp_equivalent(base_sys: SystemHandle, p: SuspensionPoint,
                     q: SuspensionPoint) -> bool:
     """(x, s) ~ (y, t) iff s - t is an integer and T^{s-t} x = y."""
-    gap = p.s - q.s
-    k = round(gap)
-    if abs(gap - k) > INTEGRAL_GAP_TOL:
-        return False
-    return base_sys.dist(base_sys.evolve(p.base, k), q.base) <= BASE_MATCH_TOL
+    k = _integral_gap(p.s, q.s)
+    return k is not None and \
+        base_sys.dist(base_sys.evolve(p.base, k), q.base) <= BASE_MATCH_TOL
 
 
 def susp_evolve(base_sys: SystemHandle, p: SuspensionPoint, t: float) -> SuspensionPoint:
@@ -138,21 +143,18 @@ def susp_rp_transfer_check(base_sys: SystemHandle, x1, x2, s1: float, s2: float,
     when the height gap is integral (otherwise the circle factor already
     obstructs membership).
     """
-    from .proximality import rp_witness_search
     susp_sys = suspend(base_sys)
     p1 = susp_canonical(base_sys, x1, s1)
     p2 = susp_canonical(base_sys, x2, s2)
     fwd = rp_witness_search(susp_sys, p1, p2, d, delta, budget)
-    gap = s1 - s2
-    k = round(gap)
-    integral = abs(gap - k) <= INTEGRAL_GAP_TOL
+    k = _integral_gap(s1, s2)
     bwd = None
-    if integral:
+    if k is not None:
         bwd = rp_witness_search(base_sys, base_sys.evolve(x1, k), x2, d, delta, budget)
     return SuspensionTransferReport(
         forward=fwd.found,
         backward=None if bwd is None else bwd.found,
-        height_gap_integral=integral,
+        height_gap_integral=k is not None,
         forward_status=fwd.status,
         backward_status=None if bwd is None else bwd.status,
         checked=fwd.checked + (bwd.checked if bwd else 0),

@@ -463,10 +463,27 @@ class TestParameterTable:
         (valid("rp-certify", budgte=10), "params.budgte: unknown parameter"),
         (valid("average", n_samples=0), "params.n_samples: must be an integer"),
         (swept("minimal", "seed", [1, 2]), "sweep.param"),
+        ({**valid("minimal"), "seed": "abc"}, "seed: must be an integer"),
+        ({**valid("minimal"), "expect": [{"path": "minimal", "op": "nope"}]},
+         "expect[0]: needs a string path and an op in"),
+        (valid("embed", gs=[[1, 0, 0], [0, 0, 1], [0, 0, 2]]),
+         "params.alphas: needs one per entry of gs (3), got 2"),
+        (valid("membership", tuple=[[1, 0, 0], [2, 0, 1], [0, 0, 1]]),
+         "params.tuple: needs 2 entries"),
+        (valid("potts", observables=[COS, COS, COS]),
+         "params.observables: needs one per entry of polys (2), got 3"),
+        (valid("ud", series={"grid": [0.0, 1.0, 2.0, 3.0], "values": [0.0] * 4},
+               windows=[[0.0, 10.0]]), "params.windows: window (0.0, 10.0) exceeds"),
+        (valid("nilres", windows=[[0.0, 50.0]]),
+         "params.windows: window (0.0, 50.0) exceeds"),
+        (valid("density", rho=50.0), "params.rho: 50.0 exceeds the horizon 20.0"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
             "suspend-no-times", "embed-no-gs", "exceptional-no-t", "swept-zero-budget",
-            "sweep-no-values", "budget-typo", "zero-n-samples", "sweep-not-params"])
+            "sweep-no-values", "budget-typo", "zero-n-samples", "sweep-not-params",
+            "seed-not-integer", "expect-unknown-op", "embed-alpha-per-element",
+            "membership-three-tuple", "potts-observable-per-poly", "ud-window-too-wide",
+            "nilres-window-too-wide", "density-rho-above-horizon"])
     def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
         assert any(d.startswith(diag) for d in validate_config(cfg))
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA

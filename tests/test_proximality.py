@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilflow import proximality
 from nilflow.algebra import Basis, RealPolynomial, SymbolicReal
 from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  CommutationViolation, PointCloud, RPWitness,
@@ -156,6 +157,57 @@ class TestSearch:
             rp_witness_search(rot2, x, x, 1, -0.1, 10)
         with pytest.raises(ValueError):
             rp_witness_search(rot2, x, x, 0, 0.1, 10)
+
+
+class TestSearchRounds:
+    """Round three and whole-search exhaustion on a three-element grid.
+
+    At the full grid, round three on a Heisenberg flow at d = 1 starts only
+    after 257 * 127 + 257 * 728 candidates.  The pinned values were
+    computed with the grid-count parameter the search had before its
+    candidate loop was shared with the commuting transfer.
+    """
+
+    @pytest.fixture
+    def nilflow(self, basis, sqrt2, sqrt3, monkeypatch):
+        monkeypatch.setattr(proximality, "_GRID_COUNT", 3)
+        return heisenberg_nilflow(sqrt2, sqrt3, basis)
+
+    def test_round_three_witness(self, nilflow):
+        x = nilflow.from_coords((0.9837499292732876, 0.002747147602664146,
+                                 0.3658435291805171))
+        y = nilflow.from_coords((0.987839809168345, 0.9895008270237401,
+                                 0.0684096355417223))
+        res = rp_witness_search(nilflow, x, y, 1, 0.1, 2692)
+        assert res.status == WITNESS and res.checked == 2692
+        assert res.witness.g == (-0.475,)  # off the grid {0, +-0.25}: round three
+        assert res.witness.delta == 0.09826839650273615
+        assert res.best_gap == 0.10244292080230784
+        short = rp_witness_search(nilflow, x, y, 1, 0.1, 2691)
+        assert short.status == EXHAUSTED and short.checked == 2691
+        assert short.best_gap == 0.10244292080230784
+
+    def test_all_rounds_exhausted(self, nilflow):
+        x = nilflow.from_coords((0.1, 0.2, 0.3))
+        y = nilflow.from_coords((0.6, 0.5, 0.9))
+        res = rp_witness_search(nilflow, x, y, 1, 0.1, 10 ** 6)
+        assert res.status == EXHAUSTED and res.checked == 12725
+        assert res.best_gap == 0.44769289941670337
+
+    def test_never_draws_past_budget(self, rot2):
+        x, y = TorusPoint((0.1,)), TorusPoint((0.6,))
+
+        def candidates(budget):
+            for i in range(budget):
+                yield x, y, (i,)  # the rotation keeps every face gap at 0.5
+            raise AssertionError("drew candidate budget + 1")
+
+        near = []
+        res = proximality._first_witness(rot2, x, y, candidates(5), 0.1, 5, near)
+        assert res.status == EXHAUSTED and res.checked == 5
+        # near holds each new best miss, the last one being the best gap
+        assert near[0] == (0.5, (0,)) and near[-1][0] == res.best_gap
+        assert res.best_gap == pytest.approx(0.5)
 
 
 class TestCommutingTransfer:
