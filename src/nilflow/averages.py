@@ -1,11 +1,12 @@
 """Multiple ergodic averages along flows and their decompositions.
 
-Trigonometric observables keep every integral exactly computable
-(frequency bookkeeping on the torus, base pullbacks on the Heisenberg
-nilmanifold); raw callbacks fall back to seeded Monte-Carlo with
-reported standard errors.  Also houses uniform-density window suprema,
-Banach density estimates, the polynomial product law deviation, the
-closed-form decomposition residual, and the level-by-level embedding
+Trigonometric observables live on the rotation factor (trig_phase_step)
+and keep every integral exact by frequency bookkeeping; one chunked loop
+samples correlations over rotation-factor points, seeded Monte-Carlo
+with standard errors or an exact mesh; raw callbacks fall back to
+Monte-Carlo along the evolution.  Also houses uniform-density window
+suprema, Banach density estimates, the polynomial product law deviation,
+the closed-form decomposition residual, and the level-by-level embedding
 solve for tuples of Heisenberg elements.
 """
 
@@ -68,10 +69,11 @@ class Observable:
         return len(self.terms[0][0])
 
     def eval_phases(self, phases: np.ndarray) -> np.ndarray:
-        """Evaluate at phase rows; phases has shape (..., dim)."""
+        """Evaluate at phase rows; phases has shape (..., dim).  Terms are
+        exp * c: numpy swaps c * tmp on large arrays, changing the bits."""
         out = np.zeros(phases.shape[:-1], dtype=complex)
         for k, c in self.terms:
-            out += c * np.exp(2j * np.pi * (phases @ np.array(k, dtype=float)))
+            out += np.exp(2j * np.pi * (phases @ np.array(k, dtype=float))) * c
         return out
 
     def haar_integral(self) -> complex:
@@ -81,19 +83,27 @@ class Observable:
         return sum((c for k, c in self.terms if not any(k)), 0j)
 
 
-def _check_trig_fits(sys: SystemHandle, f: Observable) -> None:
-    """Trig observables live on the rotation factor (sys.phase_step): the
-    whole torus, or the base 2-torus that carries every Heisenberg pullback."""
+def trig_phase_step(sys: SystemHandle, f: Observable) -> np.ndarray:
+    """The phase step of the rotation factor that trig observable f lives
+    on: the whole torus, or the base 2-torus that carries every Heisenberg
+    pullback.  ValueError when sys has no rotation factor of f's dimension."""
     omega = sys.phase_step
-    dim = sys.dim if omega is None else len(omega)
-    if f.dim != dim:
+    if omega is None:
+        raise ValueError(f"a {sys.tag} system has no rotation factor for trig observables")
+    if f.dim != len(omega):
         raise ValueError(
             f"observable frequency dimension {f.dim} does not match the "
-            f"system's phase dimension {dim}")
+            f"rotation factor's dimension {len(omega)}")
+    return omega
 
 
 # ---------------------------------------------------------------------------
 # time series
+
+def require_increasing(grid) -> None:
+    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be strictly increasing")
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -103,8 +113,7 @@ class TimeSeries:
     def __post_init__(self):
         if len(self.grid) != len(self.values):
             raise ValueError("grid/values length mismatch")
-        if len(self.grid) > 1 and not np.all(np.diff(self.grid) > 0):
-            raise ValueError("grid must be strictly increasing")
+        require_increasing(self.grid)
 
     def to_csv(self, path) -> None:
         vals = np.asarray(self.values)
@@ -131,7 +140,7 @@ def integrate_haar(sys: SystemHandle, f: Observable, n_samples: int = 10 ** 5,
                    seed: int = 0) -> IntegralEstimate:
     """Haar integral: exact for trig observables, Monte-Carlo otherwise."""
     if f.kind == "trig":
-        _check_trig_fits(sys, f)
+        trig_phase_step(sys, f)
         return IntegralEstimate(f.haar_integral(), 0.0, True)
     if f.func is None:
         raise ValueError("callback observable lacks a function")
@@ -157,10 +166,9 @@ def _exact_correlation_terms(sys: SystemHandle, f: Observable,
     frequency tuples summing to zero survive the Haar integral, each
     contributing coeff-product times exp(2 pi i rate t).
     """
-    omega = sys.phase_step
-    if omega is None or f.kind != "trig":
+    if f.kind != "trig":
         return None
-    _check_trig_fits(sys, f)
+    omega = trig_phase_step(sys, f)
     if len(f.terms) ** (len(alphas) + 1) > 200_000:
         return None
     rates: dict[float, complex] = {}
@@ -179,6 +187,12 @@ def _exact_correlation_terms(sys: SystemHandle, f: Observable,
     return sorted(rates.items())
 
 
+def _sum_terms(terms, t: np.ndarray) -> np.ndarray:
+    """The exact correlation sum_r c * e(r t) at each t of an array (each
+    term is exp * c, as in Observable.eval_phases)."""
+    return sum((np.exp(2j * np.pi * r * t) * c for r, c in terms), np.zeros(len(t), complex))
+
+
 def multi_average_series(sys: SystemHandle, f: Observable,
                          alphas: Sequence[float], t_grid: Sequence[float],
                          n_samples: int = 2 * 10 ** 4,
@@ -190,15 +204,11 @@ def multi_average_series(sys: SystemHandle, f: Observable,
     every t.  Each value equals the one-point call at that t.
     """
     alphas = _validate_alphas(alphas)
-    ts = [float(t) for t in t_grid]
+    ts = np.array(t_grid, dtype=float)
     terms = _exact_correlation_terms(sys, f, alphas)
     if terms is not None:
-        return [IntegralEstimate(
-                    complex(sum(c * np.exp(2j * np.pi * r * t) for r, c in terms)),
-                    0.0, True)
-                for t in ts]
-    values, stderrs = _sample_correlation(sys, f, alphas, np.array(ts),
-                                          n_samples, seed)
+        return [IntegralEstimate(complex(v), 0.0, True) for v in _sum_terms(terms, ts)]
+    values, stderrs = _sample_correlation(sys, f, alphas, ts, n_samples, seed)
     return [IntegralEstimate(complex(v), float(e), False)
             for v, e in zip(values, stderrs)]
 
@@ -214,20 +224,13 @@ def _sample_correlation(sys: SystemHandle, f: Observable, alphas, t_grid,
                         n_samples: int, seed: int):
     """Monte-Carlo I_f(k, t) over a t grid: (values, stderrs) arrays."""
     rng = np.random.default_rng(seed)
-    omega = sys.phase_step
-    values = np.empty(len(t_grid), dtype=complex)
-    stderrs = np.empty(len(t_grid))
-    if f.kind == "trig" and omega is not None:
-        pts = rng.random((n_samples, len(omega)))
-        for i, t in enumerate(t_grid):
-            prod = f.eval_phases(pts)
-            for a in alphas:
-                prod = prod * f.eval_phases((pts + a * t * omega[None, :]) % 1.0)
-            values[i] = prod.mean()
-            stderrs[i] = float(np.std(prod) / math.sqrt(n_samples))
-        return values, stderrs
+    if f.kind == "trig":
+        pts = rng.random((n_samples, len(trig_phase_step(sys, f))))
+        return _phase_correlation(sys, f, alphas, pts, t_grid)
     if f.func is None:
         raise ValueError("correlation sampling needs a trig or callback observable")
+    values = np.empty(len(t_grid), dtype=complex)
+    stderrs = np.empty(len(t_grid))
     points = [sys.from_coords(tuple(row)) for row in rng.random((n_samples, sys.dim))]
     for i, t in enumerate(t_grid):
         prod = np.array([f.func(sys.coords(p)) for p in points], dtype=complex)
@@ -239,37 +242,23 @@ def _sample_correlation(sys: SystemHandle, f: Observable, alphas, t_grid,
     return values, stderrs
 
 
-def _quadrature_correlation(sys: SystemHandle, f: Observable, alphas,
-                            t_grid) -> np.ndarray:
-    """Rectangle-rule I_f(k, t): exact for trig observables on tori.
-
-    The uniform M-point rule integrates e^{2 pi i m x} exactly for
-    |m| < M, so with M above the largest combined frequency this is an
-    independent exact evaluation path (pointwise orbit evaluation, no
-    frequency algebra).
-    """
-    omega = sys.phase_step
-    if omega is None or f.kind != "trig":
-        raise ValueError("quadrature path needs a trig observable on a "
-                         "torus or Heisenberg system")
-    _check_trig_fits(sys, f)
-    maxfreq = max(max(abs(v) for v in k) for k, _ in f.terms)
-    M = max(64, 2 * (len(alphas) + 1) * maxfreq + 2)
-    axes = [np.arange(M) / M for _ in range(len(omega))]
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    t = np.asarray(t_grid, dtype=float)
-    base_vals = f.eval_phases(mesh)
-    out = np.empty(len(t), dtype=complex)
-    chunk = max(1, 10 ** 6 // len(mesh))
+def _phase_correlation(sys: SystemHandle, f: Observable, alphas, pts,
+                       t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the rotation-factor points x of
+    f(x) f(x + a_1 t omega) ... f(x + a_k t omega) at each t, holding at
+    most 10^6 products at once: (values, stderrs) arrays."""
+    base_vals = f.eval_phases(pts)
+    values = np.empty(len(t), dtype=complex)
+    stderrs = np.empty(len(t))
+    chunk = max(1, 10 ** 6 // len(pts))
     for start in range(0, len(t), chunk):
         tc = t[start:start + chunk]
-        prod = np.broadcast_to(base_vals[None, :], (len(tc), len(mesh))).copy()
+        prod = np.broadcast_to(base_vals, (len(tc), len(pts))).copy()
         for a in alphas:
-            shifted = (mesh[None, :, :]
-                       + (a * tc)[:, None, None] * omega[None, None, :]) % 1.0
-            prod *= f.eval_phases(shifted)
-        out[start:start + chunk] = prod.mean(axis=1)
-    return out
+            prod *= f.eval_phases(sys.rotate(pts, (a * tc)[:, None]))  # prod * g order
+        values[start:start + chunk] = prod.mean(axis=1)
+        stderrs[start:start + chunk] = np.std(prod, axis=1) / math.sqrt(len(pts))
+    return values, stderrs
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +349,13 @@ class ProductLawReport:
                 "n_time": self.n_time, "n_x": self.n_x}
 
 
+def require_independent(polys: Sequence[RealPolynomial]) -> None:
+    dep = polys_r_independent(polys)
+    if not dep.independent:
+        raise IndependenceViolation(
+            f"polynomials admit the rational dependence {dep.certificate}")
+
+
 def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
                   fs: Sequence[Observable], R: float, n_x: int = 4,
                   seed: int = 0, h: float | None = None) -> ProductLawReport:
@@ -372,20 +368,14 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
     """
     if len(polys) != len(fs):
         raise ValueError("one observable per polynomial")
-    dep = polys_r_independent(polys)
-    if not dep.independent:
-        raise IndependenceViolation(
-            f"polynomials admit the rational dependence {dep.certificate}")
-    omega = flow_sys.phase_step
-    if omega is None:
-        raise ValueError("potts_average supports torus and Heisenberg flows")
+    require_independent(polys)
     for f in fs:
-        _check_trig_fits(flow_sys, f)
+        trig_phase_step(flow_sys, f)
     if h is None:
         h = min(1e-3 * math.sqrt(R), 0.01)
     n_time = int(math.ceil(R / h))
     rng = np.random.default_rng(seed)
-    xs = rng.random((n_x, len(omega)))
+    xs = rng.random((n_x, len(flow_sys.phase_step)))
     total = 0j
     chunk = 10 ** 6
     for start in range(0, n_time, chunk):
@@ -395,8 +385,7 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
         for p, f in zip(polys, fs):
             pt = p.eval_array(ts)
             for i in range(n_x):
-                phases = (xs[i][None, :] + pt[:, None] * omega[None, :]) % 1.0
-                vals[i] *= f.eval_phases(phases)
+                vals[i] *= f.eval_phases(flow_sys.rotate(xs[i], pt))
         total += vals.sum()
     time_avg = total / (n_x * n_time)
     prod = 1.0 + 0j
@@ -428,8 +417,10 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
                          n_samples: int = 10 ** 5, seed: int = 0) -> NilfunctionReport:
     """Sampled I_f(k, t) minus the predicted trig polynomial.
 
-    Torus systems sample through exact rectangle-rule quadrature (an
-    independent pointwise-orbit path), so the residual is float noise;
+    Torus systems sample on the uniform M-point mesh.  That rule
+    integrates e(m x) exactly for |m| < M, so with M above the largest
+    combined frequency it is an independent exact path (pointwise orbit
+    evaluation, no frequency algebra) and the residual is float noise.
     Heisenberg pullbacks sample by Monte-Carlo and report stderrs.
     """
     alphas = _validate_alphas(alphas)
@@ -437,18 +428,16 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
     if terms is None:
         raise ValueError("unsupported observable kind for the exact prediction")
     t = np.asarray(t_grid, dtype=float)
-    pred = np.zeros(len(t), dtype=complex)
-    for r, c in terms:
-        pred += c * np.exp(2j * np.pi * r * t)
+    pred = _sum_terms(terms, t)
+    stderrs = None
     if sys.is_isometric:
-        sampled = _quadrature_correlation(sys, f, alphas, t)
-        stderrs = None
-        exact = True
+        M = max(64, 2 * (len(alphas) + 1) * max(abs(v) for k, _ in f.terms for v in k) + 2)
+        mesh = np.stack(np.meshgrid(*[np.arange(M) / M] * sys.dim, indexing="ij"), axis=-1)
+        sampled = _phase_correlation(sys, f, alphas, mesh.reshape(-1, sys.dim), t)[0]
     else:
         sampled, stderrs = _sample_correlation(sys, f, alphas, t, n_samples, seed)
-        exact = False
-    residual = sampled - pred
-    return NilfunctionReport(TimeSeries(t, pred), TimeSeries(t, residual), stderrs, exact)
+    return NilfunctionReport(TimeSeries(t, pred), TimeSeries(t, sampled - pred), stderrs,
+                             stderrs is None)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +446,11 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
 _CENTRAL_TOL = 1e-12
 
 
-def _require_central(g: HeisenbergElement) -> None:
-    if abs(g.x) > _CENTRAL_TOL or abs(g.y) > _CENTRAL_TOL:
+def require_jstar_elements(gs: Sequence[HeisenbergElement]) -> None:
+    """At most two elements (the two-step case), the second one central."""
+    if len(gs) > 2:
+        raise ValueError("only k <= 2 is supported on the Heisenberg group")
+    if len(gs) == 2 and (abs(gs[1].x) > _CENTRAL_TOL or abs(gs[1].y) > _CENTRAL_TOL):
         raise ValueError("component must lie in the center (0, 0, z)")
 
 
@@ -472,10 +464,7 @@ def jstar_embed(gs: Sequence[HeisenbergElement],
     k = len(gs)
     if k != len(alphas):
         raise ValueError("need one alpha per group element")
-    if k > 2:
-        raise ValueError("only k <= 2 is supported on the Heisenberg group")
-    if k == 2:
-        _require_central(gs[1])
+    require_jstar_elements(gs)
     out = []
     for a in alphas:
         comp = heis_power(gs[0], float(binom_real(a, 1)))

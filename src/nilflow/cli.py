@@ -34,13 +34,17 @@ from .averages import (Observable, TimeSeries, banach_density,
                        jstar_embed, gtilde_star_conjugation_check,
                        gtilde_star_membership, multi_average_I,
                        multi_average_series, nilfunction_residual,
-                       potts_average, ud_sup, window_span)
-from .proximality import (EXHAUSTED, commuting_rp_transfer, cube_orbit_sample,
-                          fiber_coverage, hausdorff_distance, nd_sample,
-                          poly_orbit_density, return_set, rp_witness_search)
+                       potts_average, require_increasing, require_independent,
+                       require_jstar_elements, trig_phase_step, ud_sup,
+                       window_span)
+from .proximality import (EXHAUSTED, CommutationViolation, commuting_rp_transfer,
+                          cube_orbit_sample, fiber_coverage, hausdorff_distance,
+                          nd_sample, poly_orbit_density, require_commuting,
+                          return_set, rp_witness_search)
 from .suspension import integer_part_orbit, susp_rp_transfer_check, suspend
-from .systems import (HeisenbergElement, SystemHandle, flow_minimal_result,
-                      heisenberg_nilflow, time_t_minimal, torus_flow)
+from .systems import (HeisenbergElement, SystemHandle, exact_freqs,
+                      flow_minimal_result, heisenberg_nilflow, time_t_minimal,
+                      torus_flow)
 
 EXIT_OK = 0
 EXIT_EXPECT_FAIL = 1
@@ -180,19 +184,23 @@ def _observables(v) -> list[Observable]:
 
 
 def _times(obj) -> np.ndarray:
-    if isinstance(obj, list):
-        return np.asarray(obj, dtype=float)
-    kind = obj.get("kind")
-    if kind == "quadratic":
+    kind = "list" if isinstance(obj, list) else obj.get("kind")
+    if kind == "list":
+        ts = np.asarray(obj, dtype=float)
+    elif kind == "quadratic":
         n = np.arange(1, int(obj["n_max"]) + 1, dtype=float)
-        return float(obj["beta"]) * n * n
-    if kind == "uniform":
+        ts = float(obj["beta"]) * n * n
+    elif kind == "uniform":
         rng = np.random.default_rng(int(obj.get("seed", 0)))
-        return rng.random(int(obj["count"])) * float(obj["horizon"])
-    if kind == "grid":
-        return np.arange(float(obj["start"]), float(obj["stop"]) + 1e-12,
-                         float(obj["step"]))
-    raise SchemaError(f"unknown times spec {obj!r}")
+        ts = rng.random(int(obj["count"])) * float(obj["horizon"])
+    elif kind == "grid":
+        ts = np.arange(float(obj["start"]), float(obj["stop"]) + 1e-12,
+                       float(obj["step"]))
+    else:
+        raise SchemaError(f"unknown times spec {obj!r}")
+    if not len(ts):
+        raise SchemaError("must hold at least one time")
+    return ts
 
 
 def _windows(v) -> list[tuple[float, float]]:
@@ -432,6 +440,37 @@ _TABLE = {
 OPERATIONS = (*_TABLE, "validate")
 
 
+def _check(diags: list[str], prefix: str, check, *args) -> None:
+    """Run a library check; the error it raises becomes a diagnostic."""
+    try:
+        check(*args)
+    except (CommutationViolation, *_MALFORMED) as e:
+        diags.append(f"{prefix}: {e}")
+
+
+def _system_rules(op: str, p: dict, sysh: SystemHandle, sys_h: SystemHandle | None,
+                  diags: list[str]) -> None:
+    """The cross rules between an operation and the kind of its systems."""
+    key = "observables" if op == "potts" else "observable"
+    if op in ("average", "nilres", "potts") and key in p:
+        for f in p[key] if op == "potts" else [p[key]]:
+            _check(diags, f"params.{key}", trig_phase_step, sysh, f)
+    if op == "minimal":
+        _check(diags, "system", exact_freqs, sysh, "minimal")
+    if op == "poly-density" and not sysh.is_isometric:
+        diags.append(f"system: poly-density supports torus systems, got {sysh.tag}")
+    if op == "susp-rp":
+        _check(diags, "system", suspend, sysh)
+    if op in ("cube", "nd-compare") and sys_h is not None and sys_h.tag != sysh.tag:
+        diags.append(f"system_h: a {sys_h.tag} cloud cannot be compared with a "
+                     f"{sysh.tag} cloud (clouds live over different system metrics)")
+    if op == "rp-transfer" and sys_h is not None and all(
+            k in p and len(p[k]) == sysh.dim == sys_h.dim for k in ("x", "y")):
+        pts = [sysh.from_coords(p["x"]), sysh.from_coords(p["y"])]
+        _check(diags, "system_h: must commute with system", require_commuting,
+               sysh, sys_h, pts)
+
+
 def _parse_row(op: str, params: dict, handles: dict,
                basis: Basis) -> tuple[list[str], dict]:
     """Diagnostics and typed parameters of one row, defaults filled in and
@@ -454,8 +493,9 @@ def _parse_row(op: str, params: dict, handles: dict,
         else:
             diags.append(f"params.{key}: missing")
     for key in ("x", "y", "center", "x1", "x2"):
-        # cube and nd-compare read x on both systems
-        names = handles if key == "x" and op in ("cube", "nd-compare") else ("system",)
+        # cube, nd-compare and rp-transfer evolve x (and y) on both systems
+        both = key in ("x", "y") and op in ("cube", "nd-compare", "rp-transfer")
+        names = handles if both else ("system",)
         for name in names:
             h = handles.get(name)
             if key in p and h is not None and len(p[key]) != h.dim:
@@ -487,16 +527,21 @@ def _parse_row(op: str, params: dict, handles: dict,
     if op in ("ud", "nilres") and p.get("windows") and ("series" in p or "t_grid" in p):
         grid = p["series"].grid if op == "ud" else p["t_grid"]
         for sigma, rho in p["windows"]:
-            try:
-                window_span(grid, sigma, rho)
-            except (IndexError, ValueError) as e:
-                diags.append(f"params.windows: {e}")
+            _check(diags, "params.windows", window_span, grid, sigma, rho)
+    if op in ("average", "nilres") and p.get("t_grid") is not None:
+        _check(diags, "params.t_grid", require_increasing, p["t_grid"])
+    if op == "embed" and "gs" in p:
+        _check(diags, "params.gs", require_jstar_elements, p["gs"])
+    if op == "potts" and "polys" in p:
+        _check(diags, "params.polys", require_independent, p["polys"])
     if op == "density" and {"time_grid", "rho", "horizon"} <= p.keys():
         if p["horizon"] is None:
             grid = p["time_grid"]
             p["horizon"] = float(grid[-1] if len(grid) else 0.0)
         if p["rho"] > p["horizon"]:
             diags.append(f"params.rho: {p['rho']} exceeds the horizon {p['horizon']}")
+    if sysh is not None:
+        _system_rules(op, p, sysh, handles.get("system_h"), diags)
     if op == "exceptional" and sysh is not None and "t" in p:
         try:
             p["minimal"] = time_t_minimal(sysh, p["t"], basis)
@@ -512,11 +557,12 @@ _EXPECT_OPS = {"eq": operator.eq, "le": operator.le, "ge": operator.ge,
                "true": lambda got, _: bool(got), "false": lambda got, _: not got}
 
 
-def _parse(cfg: dict) -> tuple[list[str], dict, list[dict]]:
+def _parse(cfg: dict, seed: int | None = None) -> tuple[list[str], dict, list[dict]]:
     """(diagnostics, systems by config key, typed parameters per sweep row).
 
     The basis and the systems are built once per config, the parameters
-    once per sweep row (once when there is no sweep).
+    once per sweep row (once when there is no sweep).  A seed given here
+    (the --seed flag) is checked in place of the config's.
     """
     op = cfg.get("operation")
     if op not in OPERATIONS:
@@ -532,7 +578,7 @@ def _parse(cfg: dict) -> tuple[list[str], dict, list[dict]]:
         return [], {}, []
 
     diags: list[str] = []
-    seed = cfg.get("seed", 0)
+    seed = cfg.get("seed", 0) if seed is None else seed
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         diags.append(f"seed: must be an integer >= 0, got {seed!r:.80}")
     expects = cfg.get("expect", [])
@@ -574,9 +620,9 @@ def _parse(cfg: dict) -> tuple[list[str], dict, list[dict]]:
     return list(dict.fromkeys(diags)), handles, [p for _, p in parsed]
 
 
-def validate_config(cfg: dict) -> list[str]:
+def validate_config(cfg: dict, seed: int | None = None) -> list[str]:
     """All schema and semantic problems, without executing the operation."""
-    return _parse(cfg)[0]
+    return _parse(cfg, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +674,7 @@ def _check_expectations(result: dict, expects: list[dict]) -> bool:
 
 def run_validate(cfg: dict, seed: int | None = None) -> dict:
     """The validate operation: diagnostics as data, never an error exit."""
-    return {"operation": "validate", "result": {"diagnostics": validate_config(cfg)},
+    return {"operation": "validate", "result": {"diagnostics": validate_config(cfg, seed)},
             "artifacts": {},
             "seed": seed if seed is not None else cfg.get("seed", 0)}
 
@@ -638,7 +684,7 @@ def run(cfg: dict, seed: int | None = None, out_path: Path | None = None) -> dic
     op = cfg.get("operation")
     if op == "validate":
         return run_validate(cfg, seed)
-    diags, handles, rows = _parse(cfg)
+    diags, handles, rows = _parse(cfg, seed)
     if diags:
         basis_diags = [d for d in diags if "UNSUPPORTED-BASIS" in d]
         if basis_diags:

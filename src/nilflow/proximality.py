@@ -244,8 +244,7 @@ def _sample_elements(sys: SystemHandle) -> list[float]:
     return [1, 2, 5] if sys.discrete else [0.7, 1.3, 2.9]
 
 
-def check_commutation(sysG: SystemHandle, sysH: SystemHandle, points,
-                      tol: float = COMMUTATION_TOL) -> float:
+def check_commutation(sysG: SystemHandle, sysH: SystemHandle, points) -> float:
     """Max commutator gap of the two actions over sample points/elements."""
     worst = 0.0
     for p in points:
@@ -255,6 +254,14 @@ def check_commutation(sysG: SystemHandle, sysH: SystemHandle, points,
                 b = sysH.evolve(sysG.evolve(p, g), h)
                 worst = max(worst, sysG.dist(a, b))
     return worst
+
+
+def require_commuting(sysG: SystemHandle, sysH: SystemHandle, points) -> None:
+    """CommutationViolation unless the commutator gap at the points is at
+    most COMMUTATION_TOL."""
+    gap = check_commutation(sysG, sysH, points)
+    if gap > COMMUTATION_TOL:
+        raise CommutationViolation(f"sample commutation gap {gap:.3e}")
 
 
 def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
@@ -267,9 +274,7 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
     tracks g_j's action, and ranked tuples are verified against the
     H-action (see _first_witness) until one passes at delta_out.
     """
-    gap = check_commutation(sysG, sysH, [x, y, witnessG.x_prime])
-    if gap > COMMUTATION_TOL:
-        raise CommutationViolation(f"sample commutation gap {gap:.3e}")
+    require_commuting(sysG, sysH, [x, y, witnessG.x_prime])
     if not rp_witness_verify(sysG, x, y, witnessG, delta_out / 3.0):
         raise ValueError("witnessG does not verify at delta_out/3")
     if sysG == sysH:

@@ -8,9 +8,11 @@ map), isometric, the search grid pitch, freqs and float_freqs (exact and
 float frequencies of its rotation factor), projections (fiber name ->
 constrained and free coordinates), factor_gaps (gaps on proper isometric
 factors) and float_orbit (a float batch kernel), None where it has none.
-Only the specs tell kinds apart.  Also here: the Heisenberg group law,
-lattice reduction, quotient metrics, orbit sampling, and the exact
-minimality tests by rational independence of the frequencies.
+Only the specs tell kinds apart.  From float_freqs the handle derives
+phase_step and rotate, the one code that moves rotation-factor phases.
+Also here: the Heisenberg group law, lattice reduction, quotient
+metrics, orbit sampling, and the exact minimality tests by rational
+independence of the frequencies.
 
 Conventions: torus points live in [0, 1)^n; Heisenberg elements carry
 Malcev coordinates (x, y, z) with group law
@@ -299,6 +301,11 @@ class SystemHandle:
         omega = np.array(self.spec.float_freqs)
         return omega if self.step is None else omega * self.step
 
+    def rotate(self, phases, s) -> np.ndarray:
+        """Phases moved by s * phase_step mod 1; the step is the outer product
+        of shape s.shape + (dim,), broadcast against the phases."""
+        return (phases + np.multiply.outer(s, self.phase_step)) % 1.0
+
     def evolve(self, p, t: float):
         return self.spec.evolve(p, t if self.step is None else t * self.step)
 
@@ -316,10 +323,10 @@ class SystemHandle:
 
     def orbit_coords(self, x, ts) -> np.ndarray:
         """Rows coords(evolve(x, t)) over the times ts.  An isometric system
-        is its own rotation factor: closed form from phase_step, equal to the
+        is its own rotation factor: closed form by rotate, equal to the
         scalar path up to rounding.  Others run the exact scalar evolution."""
         if self.is_isometric:
-            return (np.array(self.coords(x))[None, :] + np.outer(ts, self.phase_step)) % 1.0
+            return self.rotate(np.array(self.coords(x)), ts)
         out = np.empty((len(ts), self.dim))
         for i, t in enumerate(ts):
             out[i] = self.coords(self.evolve(x, float(t)))
@@ -374,7 +381,7 @@ def heisenberg_nilsystem(nilflow: SystemHandle, step: float = 1.0) -> SystemHand
 # ---------------------------------------------------------------------------
 # minimality
 
-def _exact_freqs(sys: SystemHandle, name: str) -> list[SymbolicReal]:
+def exact_freqs(sys: SystemHandle, name: str) -> list[SymbolicReal]:
     freqs = None if sys.discrete else sys.spec.freqs
     if freqs is None:
         raise ValueError(f"{name} applies to torus flows and Heisenberg nilflows")
@@ -392,7 +399,7 @@ def flow_minimal(sys: SystemHandle) -> bool:
 
 
 def flow_minimal_result(sys: SystemHandle) -> IndependenceResult:
-    return rationally_independent(_exact_freqs(sys, "flow_minimal"))
+    return rationally_independent(exact_freqs(sys, "flow_minimal"))
 
 
 def time_t_minimal(sys: SystemHandle, t: SymbolicReal, basis: Basis) -> bool:
@@ -405,7 +412,7 @@ def time_t_minimal(sys: SystemHandle, t: SymbolicReal, basis: Basis) -> bool:
     if t.is_zero:
         raise ValueError("t must be nonzero")
     vals = [SymbolicReal.rational(1)]
-    vals.extend(basis.multiply(f, t) for f in _exact_freqs(sys, "time_t_minimal"))
+    vals.extend(basis.multiply(f, t) for f in exact_freqs(sys, "time_t_minimal"))
     return rationally_independent(vals).independent
 
 

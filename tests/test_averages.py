@@ -24,6 +24,12 @@ def nil(basis, sqrt2, sqrt3):
     return heisenberg_nilflow(sqrt2, sqrt3, basis)
 
 
+# four complex coefficients: with eight alphas, 4^9 frequency tuples exceed
+# the exact expansion's limit
+SKEW = Observable.trig([((k,), complex(1.0 / abs(k), 0.3 * k)) for k in (-2, -1, 1, 2)])
+EIGHT = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+
+
 def poly(*coeffs):
     return RealPolynomial.from_coeffs(list(coeffs))
 
@@ -99,22 +105,27 @@ class TestMultiAverage:
         expect = 0.5 * math.cos(2 * math.pi * t)
         assert abs(r.value - expect) <= 3 * r.stderr + 1e-12
 
-    @pytest.mark.parametrize("path", ["exact", "trig-sampled", "callback-sampled"])
+    @pytest.mark.parametrize("path", ["exact", "trig-sampled", "callback-sampled",
+                                      "trig-sampled-complex", "trig-sampled-chunks"])
     def test_series_equals_pointwise(self, circle_flow, path):
         # one build of the terms (or one seeded point set) for the whole
         # grid gives the same bits as one call per t
-        sys_h, f, alphas = {
-            "exact": (circle_flow, Observable.cosine(1), (0.5, 1.0, 3.0)),
+        f, alphas, n_samples, n_t = {
+            "exact": (Observable.cosine(1), (0.5, 1.0, 3.0), 500, 40),
             # 8^6 frequency tuples exceed the exact expansion's limit
-            "trig-sampled": (circle_flow, Observable.trig(
+            "trig-sampled": (Observable.trig(
                 [((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]),
-                (0.5, 1.0, 1.5, 2.0, 3.0)),
-            "callback-sampled": (circle_flow, Observable.callback(
-                lambda c: math.cos(2 * math.pi * c[0]), 1.0), (1.0,)),
+                (0.5, 1.0, 1.5, 2.0, 3.0), 500, 40),
+            "callback-sampled": (Observable.callback(
+                lambda c: math.cos(2 * math.pi * c[0]), 1.0), (1.0,), 500, 40),
+            # the series holds 40 rows of products at once, each t-call one row
+            "trig-sampled-complex": (SKEW, EIGHT, 500, 40),
+            # 10^6 products per chunk: two t's, then one
+            "trig-sampled-chunks": (SKEW, EIGHT, 10 ** 6 // 3 + 1, 3),
         }[path]
-        grid = np.arange(12.5, 12.5 + 40 * 0.37, 0.37)
-        series = multi_average_series(sys_h, f, alphas, grid, n_samples=500, seed=3)
-        pointwise = [multi_average_I(sys_h, f, alphas, float(t), n_samples=500, seed=3)
+        grid = np.arange(12.5, 12.5 + 40 * 0.37, 0.37)[:n_t]
+        series = multi_average_series(circle_flow, f, alphas, grid, n_samples, seed=3)
+        pointwise = [multi_average_I(circle_flow, f, alphas, float(t), n_samples, seed=3)
                      for t in grid]
         assert series == pointwise
         assert all(r.exact == (path == "exact") for r in series)
@@ -228,6 +239,20 @@ class TestNilfunctionResidual:
         f = Observable.callback(lambda c: 1.0, 1.0)
         with pytest.raises(ValueError):
             nilfunction_residual(nil, f, (1.0,), [0.0, 1.0])
+
+    def test_mesh_chunks_equal_pointwise(self, basis, one, sqrt2):
+        # the 64 x 64 mesh of the 2-torus takes 244 t's per chunk of 10^6
+        # products: 600 t's span three chunks, with the same bits as one
+        # call per t
+        plane = torus_flow((one, sqrt2), basis)
+        f = Observable.trig([((1, 0), 0.5 + 0.25j), ((0, -1), 0.5 - 0.25j)])
+        grid = np.arange(0.0, 300.0, 0.5)
+        rep = nilfunction_residual(plane, f, (1.0,), grid)
+        assert rep.exact_sampling and np.max(np.abs(rep.residual.values)) <= 1e-12
+        pointwise = [nilfunction_residual(plane, f, (1.0,), [t]) for t in grid]
+        for name in ("prediction", "residual"):
+            values = [getattr(r, name).values[0] for r in pointwise]
+            assert np.array_equal(getattr(rep, name).values, values)
 
 
 class TestJstarEmbed:

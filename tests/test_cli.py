@@ -389,6 +389,10 @@ HEIS_FLOW = {"kind": "heisenberg-nilflow", "alpha": {"SQRT2": "1"},
 COS = {"kind": "cos", "freq": [1]}
 POLYS = [{"coeffs": ["0", "1"]}, {"coeffs": ["0", "0", "1"]}]
 GRID = {"kind": "grid", "start": 0.0, "stop": 20.0, "step": 1.0}
+PLANE = {"kind": "torus-flow", "freqs": [{"ONE": "1"}, {"SQRT2": "1"}]}
+SUSP = {"kind": "suspension", "base": ROT}
+HEIS_MAP = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT2": "1"}, "beta": {"SQRT3": "1"}}
+HEIS_MAP_H = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT3": "1"}, "beta": {"SQRT5": "1"}}
 
 # one valid config per operation; budgets stay small
 VALID = {
@@ -428,6 +432,13 @@ VALID = {
 def valid(op, **params):
     cfg = json.loads(json.dumps({"operation": op, **VALID[op]}))
     cfg.setdefault("params", {}).update(params)
+    return cfg
+
+
+def on(op, system=None, system_h=None, **params):
+    """valid(op, **params) with its system and/or second system replaced."""
+    cfg = valid(op, **params)
+    cfg.update({k: v for k, v in (("system", system), ("system_h", system_h)) if v})
     return cfg
 
 
@@ -477,17 +488,56 @@ class TestParameterTable:
         (valid("nilres", windows=[[0.0, 50.0]]),
          "params.windows: window (0.0, 50.0) exceeds"),
         (valid("density", rho=50.0), "params.rho: 50.0 exceeds the horizon 20.0"),
+        (on("average", PLANE), "params.observable: observable frequency dimension 1"),
+        (on("average", SUSP), "params.observable: a suspension system has no rotation"),
+        (on("potts", SUSP), "params.observables: a suspension system has no rotation"),
+        (on("nilres", SUSP), "params.observable: a suspension system has no rotation"),
+        (valid("embed", gs=[[1, 0, 0], [0, 0, 1], [0, 0, 2]], alphas=[1.0, 2.0, 3.0]),
+         "params.gs: only k <= 2 is supported"),
+        (valid("embed", gs=[[1, 0, 0], [1, 0, 1]]),
+         "params.gs: component must lie in the center"),
+        (valid("nilres", t_grid=[3.0, 2.0, 1.0], windows=None),
+         "params.t_grid: grid must be strictly increasing"),
+        (valid("average", t=None, t_grid=[3.0, 2.0, 1.0]),
+         "params.t_grid: grid must be strictly increasing"),
+        (valid("nilres", t_grid=[], windows=None), "params.t_grid: must hold at least one"),
+        (on("poly-density", HEIS_FLOW, x=[0.0, 0.0, 0.0]),
+         "system: poly-density supports torus systems, got heisenberg-nilflow"),
+        (on("minimal", ROT), "system: minimal applies to torus flows"),
+        (on("susp-rp", LINE), "system: suspension needs a discrete base system"),
+        (on("cube", system_h=LINE), "system_h: a torus-flow cloud cannot be compared"),
+        (on("nd-compare", system_h=ROT), "system_h: a torus-map cloud cannot be compared"),
+        (valid("potts", polys=[{"coeffs": ["0", "1"]}, {"coeffs": ["0", "2"]}]),
+         "params.polys: polynomials admit the rational dependence"),
+        (on("rp-transfer", HEIS_MAP, HEIS_MAP_H, x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3],
+            delta=0.3, budget=100),
+         "system_h: must commute with system: sample commutation gap"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
             "suspend-no-times", "embed-no-gs", "exceptional-no-t", "swept-zero-budget",
             "sweep-no-values", "budget-typo", "zero-n-samples", "sweep-not-params",
             "seed-not-integer", "expect-unknown-op", "embed-alpha-per-element",
             "membership-three-tuple", "potts-observable-per-poly", "ud-window-too-wide",
-            "nilres-window-too-wide", "density-rho-above-horizon"])
+            "nilres-window-too-wide", "density-rho-above-horizon",
+            "average-1d-observable-on-2-torus", "average-on-suspension",
+            "potts-on-suspension", "nilres-on-suspension", "embed-three-gs",
+            "embed-noncentral-second", "nilres-decreasing-grid", "average-decreasing-grid",
+            "nilres-empty-grid", "poly-density-on-heisenberg", "minimal-on-torus-map",
+            "susp-rp-on-flow",
+            "cube-mixed-kinds", "nd-compare-mixed-kinds", "potts-dependent-polys",
+            "rp-transfer-noncommuting"])
     def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
         assert any(d.startswith(diag) for d in validate_config(cfg))
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA
         assert diag in capsys.readouterr().err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        path = str(write_cfg(tmp_path, valid("cube")))
+        assert main(["run", "--config", path, "--seed", "-1"]) == EXIT_SCHEMA
+        assert "seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert main(["validate", "--config", path, "--seed", "-1"]) == EXIT_OK
+        diags = json.loads(capsys.readouterr().out)["payload"]["result"]["diagnostics"]
+        assert diags == ["seed: must be an integer >= 0, got -1"]
 
     def test_null_means_default(self):
         explicit = run(valid("rp-certify", budget=None, d=None))
@@ -520,7 +570,8 @@ BAD = {
     cli._polys: [[], [{"coeffs": [1]}], [{"c": [0, 1]}], "x"],
     cli._observable: [{"kind": "nope"}, {"kind": "exp"}, 5, "cos"],
     cli._observables: [[], [{"kind": "nope"}], 5],
-    cli._times: [{"kind": "nope"}, "x", {"kind": "grid"}, ["a"]],
+    cli._times: [{"kind": "nope"}, "x", {"kind": "grid"}, ["a"], [],
+                 {"kind": "grid", "start": 2.0, "stop": 1.0, "step": 0.5}],
     cli._windows: [[], [[1.0]], "x", [["a", 1.0]]],
     cli._series: [{"grid": [0, 1], "values": [0]}, {"grid": [1, 0], "values": [0, 0]},
                   5, {"csv": "no-such-series.csv"}],
