@@ -26,11 +26,7 @@ class UnsupportedBasisError(ValueError):
 
 
 def _as_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    if isinstance(q, int):
-        return Fraction(q)
-    if isinstance(q, str):
+    if isinstance(q, (Fraction, int, str)):
         return Fraction(q)
     raise TypeError(f"expected exact rational, got {type(q).__name__}")
 
@@ -47,13 +43,8 @@ class SymbolicReal:
 
     @staticmethod
     def from_coeffs(mapping: Mapping[str, object]) -> "SymbolicReal":
-        acc: dict[str, Fraction] = {}
-        for sym, q in mapping.items():
-            qq = _as_fraction(q)
-            if qq:
-                acc[sym] = acc.get(sym, Fraction(0)) + qq
-        items = tuple(sorted((s, q) for s, q in acc.items() if q))
-        return SymbolicReal(items)
+        acc = {sym: _as_fraction(q) for sym, q in mapping.items()}
+        return SymbolicReal(tuple(sorted((s, q) for s, q in acc.items() if q)))
 
     @staticmethod
     def rational(q) -> "SymbolicReal":
@@ -195,13 +186,9 @@ class RationalMatrix:
     def from_rows(rows: Sequence[Sequence[object]]) -> "RationalMatrix":
         if not rows:
             raise ValueError("matrix must be nonempty")
-        width = len(rows[0])
-        out = []
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            out.append(tuple(_as_fraction(v) for v in row))
-        return RationalMatrix(tuple(out))
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged rows")
+        return RationalMatrix(tuple(tuple(_as_fraction(v) for v in row) for row in rows))
 
     @property
     def rows(self) -> int:
@@ -223,11 +210,7 @@ def rational_kernel(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     pivot_of_col: dict[int, int] = {}
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
@@ -264,12 +247,9 @@ class IndependenceResult:
 def _normalize_relation(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Clear denominators and divide by the content, fixing the leading sign."""
     from math import gcd, lcm
-    dens = [q.denominator for q in vec]
-    scale = lcm(*dens) if dens else 1
+    scale = lcm(*(q.denominator for q in vec))
     ints = [int(q * scale) for q in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     if g:
         ints = [v // g for v in ints]
     lead = next((v for v in ints if v), 1)
@@ -359,6 +339,11 @@ class RealPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * t + float(c)
         return acc
+
+
+def require_nonconstant(polys: Sequence[RealPolynomial]) -> None:
+    if any(p.is_constant for p in polys):
+        raise ValueError("polynomials must be nonconstant")
 
 
 def polys_r_independent(polys: Sequence[RealPolynomial]) -> IndependenceResult:

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import RealPolynomial, binom_real, polys_r_independent
+from .algebra import (RealPolynomial, binom_real, polys_r_independent,
+                      require_nonconstant)
 from .systems import (HeisenbergElement, SystemHandle, heis_conjugate,
                       heis_multiply, heis_power)
 
@@ -97,6 +98,18 @@ def trig_phase_step(sys: SystemHandle, f: Observable) -> np.ndarray:
     return omega
 
 
+def require_rotation_factor(sys: SystemHandle, fs: Sequence[Observable]) -> None:
+    """trig_phase_step for each observable of a family."""
+    for f in fs:
+        trig_phase_step(sys, f)
+
+
+def require_one_per(per_name: str, items: Sequence, per: Sequence) -> None:
+    if len(items) != len(per):
+        raise ValueError(f"needs one per entry of {per_name} ({len(per)}), "
+                         f"got {len(items)}")
+
+
 # ---------------------------------------------------------------------------
 # time series
 
@@ -151,7 +164,8 @@ def integrate_haar(sys: SystemHandle, f: Observable, n_samples: int = 10 ** 5,
     return IntegralEstimate(complex(np.mean(vals)), stderr, False)
 
 
-def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
+def require_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
+    """The dilations a_1, ..., a_k as floats: distinct and nonzero."""
     out = tuple(float(a) for a in alphas)
     if len(set(out)) != len(out) or any(a == 0 for a in out):
         raise ValueError("alphas must be distinct and nonzero")
@@ -203,7 +217,7 @@ def multi_average_series(sys: SystemHandle, f: Observable,
     Monte-Carlo fallback draws one seeded point set and reuses it for
     every t.  Each value equals the one-point call at that t.
     """
-    alphas = _validate_alphas(alphas)
+    alphas = require_alphas(alphas)
     ts = np.array(t_grid, dtype=float)
     terms = _exact_correlation_terms(sys, f, alphas)
     if terms is not None:
@@ -270,27 +284,32 @@ class UDSupResult:
     table: tuple[tuple[float, float, float], ...]  # (sigma, rho, window average)
 
 
-def window_span(grid: np.ndarray, sigma: float, rho: float) -> slice:
-    """The grid points of the window [sigma, sigma + rho], at least two."""
-    if sigma < grid[0] - 1e-9 or sigma + rho > grid[-1] + 1e-9:
-        raise ValueError(f"window ({sigma}, {rho}) exceeds grid span")
-    lo = int(np.searchsorted(grid, sigma - 1e-12, side="left"))
-    hi = int(np.searchsorted(grid, sigma + rho + 1e-12, side="right"))
-    if hi - lo < 2:
-        raise ValueError("window contains fewer than two grid points")
-    return slice(lo, hi)
+def window_spans(grid: np.ndarray, windows: Sequence[tuple[float, float]]) -> list[slice]:
+    """The grid points of each window [sigma, sigma + rho], at least two."""
+    spans = []
+    for sigma, rho in windows:
+        if sigma < grid[0] - 1e-9 or sigma + rho > grid[-1] + 1e-9:
+            raise ValueError(f"window ({sigma}, {rho}) exceeds grid span")
+        lo = int(np.searchsorted(grid, sigma - 1e-12, side="left"))
+        hi = int(np.searchsorted(grid, sigma + rho + 1e-12, side="right"))
+        if hi - lo < 2:
+            raise ValueError("window contains fewer than two grid points")
+        spans.append(slice(lo, hi))
+    return spans
 
 
 def ud_sup(series: TimeSeries, windows: Sequence[tuple[float, float]]) -> UDSupResult:
     """Max over windows of (1/rho) * integral of |phi| via the trapezoid rule."""
     grid = np.asarray(series.grid, dtype=float)
     absval = np.abs(np.asarray(series.values))
-    rows = []
-    for sigma, rho in windows:
-        span = window_span(grid, sigma, rho)
-        avg = float(np.trapezoid(absval[span], grid[span]) / rho)
-        rows.append((float(sigma), float(rho), avg))
+    rows = [(float(sigma), float(rho), float(np.trapezoid(absval[span], grid[span]) / rho))
+            for (sigma, rho), span in zip(windows, window_spans(grid, windows))]
     return UDSupResult(max(r[2] for r in rows), tuple(rows))
+
+
+def require_rho_within(rho: float, horizon: float) -> None:
+    if rho > horizon:
+        raise ValueError(f"{rho} exceeds the horizon {horizon}")
 
 
 def banach_density(hit_times: Sequence[float], rho: float, step: float,
@@ -300,11 +319,8 @@ def banach_density(hit_times: Sequence[float], rho: float, step: float,
     Hits become intervals of the given half-width; windows of length rho
     slide along [0, horizon] at the given step.
     """
-    if rho > horizon:
-        raise ValueError("empty window range: rho exceeds horizon")
+    require_rho_within(rho, horizon)
     sigmas = np.arange(0.0, horizon - rho + 1e-9, step)
-    if len(sigmas) == 0:
-        raise ValueError("empty window range")
     hits = sorted(hit_times)
     if not hits:
         return (0.0, 0.0)
@@ -316,16 +332,13 @@ def banach_density(hit_times: Sequence[float], rho: float, step: float,
         else:
             merged.append([a, b])
     # breakpoints of the cumulative covered-measure function
-    xs = [0.0]
-    ys = [0.0]
+    xs, ys = [0.0], [0.0]
     for a, b in merged:
         xs.extend([a, b])
         ys.extend([ys[-1], ys[-1] + (b - a)])
     xs.append(horizon)
     ys.append(ys[-1])
-    f_hi = np.interp(sigmas + rho, xs, ys)
-    f_lo = np.interp(sigmas, xs, ys)
-    cov = (f_hi - f_lo) / rho
+    cov = (np.interp(sigmas + rho, xs, ys) - np.interp(sigmas, xs, ys)) / rho
     return (float(cov.min()), float(cov.max()))
 
 
@@ -366,11 +379,10 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
     grid aliases quadratic phases into Gauss-sum resonances), averaged
     over sampled x, minus prod_j int f_j dmu.
     """
-    if len(polys) != len(fs):
-        raise ValueError("one observable per polynomial")
+    require_one_per("polys", fs, polys)
+    require_nonconstant(polys)
     require_independent(polys)
-    for f in fs:
-        trig_phase_step(flow_sys, f)
+    require_rotation_factor(flow_sys, fs)
     if h is None:
         h = min(1e-3 * math.sqrt(R), 0.01)
     n_time = int(math.ceil(R / h))
@@ -423,7 +435,7 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
     evaluation, no frequency algebra) and the residual is float noise.
     Heisenberg pullbacks sample by Monte-Carlo and report stderrs.
     """
-    alphas = _validate_alphas(alphas)
+    alphas = require_alphas(alphas)
     terms = _exact_correlation_terms(sys, f, alphas)
     if terms is None:
         raise ValueError("unsupported observable kind for the exact prediction")
@@ -460,10 +472,9 @@ def jstar_embed(gs: Sequence[HeisenbergElement],
 
     The first argument lives in the full group, the second in the center.
     """
-    alphas = _validate_alphas(alphas)
+    alphas = require_alphas(alphas)
     k = len(gs)
-    if k != len(alphas):
-        raise ValueError("need one alpha per group element")
+    require_one_per("gs", alphas, gs)
     require_jstar_elements(gs)
     out = []
     for a in alphas:
@@ -481,6 +492,11 @@ class MembershipResult:
     residual: float
 
 
+def require_pair(items: Sequence) -> None:
+    if len(items) != 2:
+        raise ValueError(f"needs 2 entries (k = 2), got {len(items)}")
+
+
 def gtilde_star_membership(tuple_hs: Sequence[HeisenbergElement],
                            alphas: Sequence[float],
                            tol: float = 1e-10) -> MembershipResult:
@@ -491,21 +507,16 @@ def gtilde_star_membership(tuple_hs: Sequence[HeisenbergElement],
     central coordinates after removing the power-law cross term.  The
     tuple is a member iff re-embedding the solved preimage reproduces it.
     """
-    alphas = _validate_alphas(alphas)
-    if len(tuple_hs) != 2 or len(alphas) != 2:
-        raise ValueError("membership solve is for k = 2 tuples")
+    alphas = require_alphas(alphas)
+    require_pair(tuple_hs)
+    require_pair(alphas)
     B = np.array([[float(binom_real(a, 1)), float(binom_real(a, 2))]
                   for a in alphas])
     det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
     assert abs(det) > 1e-14, "level system singular despite distinct nonzero alphas"
-    h1, h2 = tuple_hs
-    rhs_x = np.array([h1.x, h2.x])
-    rhs_y = np.array([h1.y, h2.y])
-    ux = np.linalg.solve(B, rhs_x)
-    uy = np.linalg.solve(B, rhs_y)
-    # level two: V2(h_j) = C(a_j,1) z1 + C(a_j,2) (z2 + x1 y1)
-    rhs_z = np.array([h1.z, h2.z])
-    uz = np.linalg.solve(B, rhs_z)
+    # one solve per coordinate; level two is V2(h_j) = C(a_j,1) z1 + C(a_j,2) (z2 + x1 y1)
+    ux, uy, uz = (np.linalg.solve(B, np.array(col))
+                  for col in zip(*(h.coords for h in tuple_hs)))
     g1 = HeisenbergElement(float(ux[0]), float(uy[0]), float(uz[0]))
     g2 = HeisenbergElement(0.0, 0.0, float(uz[1] - ux[0] * uy[0]))
     embedded = jstar_embed((g1, g2), alphas)

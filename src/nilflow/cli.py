@@ -4,8 +4,9 @@ One JSON config gives the basis, the system(s), the operation and
 its parameters; subcommands are thin aliases that inject the operation
 name.  Each operation declares its parameters once, in ``_TABLE``: a
 parser giving the type and the allowed range, and a default unless the
-parameter is required.  A config is parsed once, before anything runs,
-into typed parameters per sweep row.  Reports are deterministic under
+parameter is required; then its cross rules, each a check the library
+itself runs.  A config is parsed once, before anything runs, into typed
+parameters per sweep row.  Reports are deterministic under
 (config, seed): identical inputs produce byte-identical result payloads
 (wall time excluded).
 
@@ -23,24 +24,26 @@ import sys as _sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .algebra import (Basis, RealPolynomial, SymbolicReal,
-                      UnsupportedBasisError)
-from .averages import (Observable, TimeSeries, banach_density,
-                       jstar_embed, gtilde_star_conjugation_check,
-                       gtilde_star_membership, multi_average_I,
-                       multi_average_series, nilfunction_residual,
-                       potts_average, require_increasing, require_independent,
-                       require_jstar_elements, trig_phase_step, ud_sup,
-                       window_span)
+                      UnsupportedBasisError, require_nonconstant)
+from .averages import (Observable, TimeSeries, banach_density, jstar_embed,
+                       gtilde_star_conjugation_check, gtilde_star_membership,
+                       multi_average_I, multi_average_series, nilfunction_residual,
+                       potts_average, require_alphas, require_increasing,
+                       require_independent, require_jstar_elements, require_one_per,
+                       require_pair, require_rho_within, require_rotation_factor,
+                       trig_phase_step, ud_sup, window_spans)
 from .proximality import (EXHAUSTED, CommutationViolation, commuting_rp_transfer,
                           cube_orbit_sample, fiber_coverage, hausdorff_distance,
-                          nd_sample, poly_orbit_density, require_commuting,
-                          return_set, rp_witness_search)
+                          nd_sample, poly_orbit_density, require_arm_alphas,
+                          require_commuting, require_comparable, require_projection,
+                          require_torus, return_set, rp_witness_search)
 from .suspension import integer_part_orbit, susp_rp_transfer_check, suspend
 from .systems import (HeisenbergElement, SystemHandle, exact_freqs,
                       flow_minimal_result, heisenberg_nilflow, time_t_minimal,
@@ -142,10 +145,7 @@ def _floats(v) -> tuple[float, ...]:
 
 
 def _alphas(v) -> list[float]:
-    vals = [float(a) for a in _nonempty(v)]
-    if len(set(vals)) != len(vals) or 0.0 in vals:
-        raise SchemaError("must be distinct and nonzero")
-    return vals
+    return [float(a) for a in _nonempty(v)]
 
 
 def _nonzero_time(v) -> SymbolicReal:
@@ -156,11 +156,8 @@ def _nonzero_time(v) -> SymbolicReal:
 
 
 def _polys(v) -> list[RealPolynomial]:
-    polys = [RealPolynomial.from_coeffs([str(c) for c in p["coeffs"]])
-             for p in _nonempty(v)]
-    if any(p.is_constant for p in polys):
-        raise SchemaError("polynomials must be nonconstant")
-    return polys
+    return [RealPolynomial.from_coeffs([str(c) for c in p["coeffs"]])
+            for p in _nonempty(v)]
 
 
 def _observable(obj) -> Observable:
@@ -329,7 +326,7 @@ def _op_susp_rp(p: dict, base: SystemHandle, ctx: RunContext) -> dict:
 
 
 def _op_average(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
-    if p["t_grid"] is not None:
+    if len(p["t_grid"]):
         grid = p["t_grid"]
         vals = multi_average_series(sysh, p["observable"], p["alphas"], grid,
                                     p["n_samples"], ctx.seed)
@@ -369,7 +366,7 @@ def _op_nilres(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
     ctx.write_artifact("residual", rep.residual.to_csv)
     out = {"exact_sampling": rep.exact_sampling,
            "max_abs_residual": float(np.max(np.abs(rep.residual.values)))}
-    if p["windows"] is not None:
+    if p["windows"]:
         out["ud_sup"] = ud_sup(rep.residual, p["windows"]).sup
     if rep.stderrs is not None:
         out["within_3_stderr"] = rep.residual_within_stderr(3.0)
@@ -393,89 +390,107 @@ def _op_membership(p: dict, sysh: SystemHandle | None, ctx: RunContext) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the parameter table: operation -> (op, {param: parser | (parser, default)});
-# a bare parser marks a required parameter, and null means the default
+# the parameter table: operation -> (op, {param: parser | (parser, default)},
+# cross rules); a bare parser marks a required parameter, and null means the
+# default.  A cross rule (prefix, check, keys) calls a library check on the
+# values of the keys it reads: parameters, or the systems "system" and
+# "system_h".  The error it raises becomes the diagnostic "prefix: error".
+
+def _on(system: str, *keys: str) -> list[tuple]:
+    """Rules: each point parameter has the coordinate count of the system."""
+    where = "" if system == "system" else f" on {system}"
+    return [(f"params.{k}{where}", lambda sys, c: sys.from_coords(c), (system, k))
+            for k in keys]
+
+
+def _t_or_grid(t, t_grid) -> None:
+    if t is None and not len(t_grid):
+        raise SchemaError("missing (average needs t or t_grid)")
+
 
 _SEARCH = {"d": (_count, 1), "delta": _positive, "budget": (_count, 10 ** 5)}
 _CLOUD = {"x": _floats, "d": (_count, 2), "budget": (_count, 10 ** 4)}
 _RP = {**_SEARCH, "x": _floats, "y": _floats, "require_witness": (bool, False)}
+_CLOUD_RULES = [*_on("system", "x"), *_on("system_h", "x"),
+                ("system_h", require_comparable, ("system", "system_h"))]
+_ALPHAS = ("params.alphas", require_alphas, ("alphas",))
+_OBSERVABLE = ("params.observable", trig_phase_step, ("system", "observable"))
 
 _TABLE = {
-    "minimal": (_op_minimal, {}),
-    "exceptional": (_op_exceptional, {"t": _nonzero_time}),
-    "rp-certify": (_op_rp_certify, _RP),
-    "rp-transfer": (_op_rp_transfer, _RP),
-    "cube": (_op_cube, _CLOUD),
-    "nd-compare": (_op_nd_compare, {**_CLOUD, "alphas": (_alphas, None)}),
+    "minimal": (_op_minimal, {}, [("system", partial(exact_freqs, name="minimal"),
+                                   ("system",))]),
+    "exceptional": (_op_exceptional, {"t": _nonzero_time}, [
+        ("system", partial(exact_freqs, name="exceptional"), ("system",))]),
+    "rp-certify": (_op_rp_certify, _RP, _on("system", "x", "y")),
+    "rp-transfer": (_op_rp_transfer, _RP, [*_on("system", "x", "y"), (
+        "system_h: must commute with system", require_commuting,
+        ("system", "system_h", "x", "y"))]),
+    "cube": (_op_cube, _CLOUD, _CLOUD_RULES),
+    "nd-compare": (_op_nd_compare, {**_CLOUD, "alphas": (_alphas, None)}, [
+        *_CLOUD_RULES,
+        ("params.alphas", require_arm_alphas, ("system", "d", "alphas")),
+        ("params.alphas", require_arm_alphas, ("system_h", "d", "alphas"))]),
     "poly-density": (_op_poly_density, {
         "polys": _polys, "x": _floats, "budget": (_count, 10 ** 5),
-        "resolution": (_unit, 0.05), "t_span": (float, 1e4)}),
+        "resolution": (_unit, 0.05), "t_span": (float, 1e4)}, [
+        *_on("system", "x"), ("params.polys", require_nonconstant, ("polys",)),
+        ("system", require_torus, ("system",))]),
     "fiber-coverage": (_op_fiber_coverage, {
         "projection": str, "d": (_count, 1), "alphas": _alphas, "x": _floats,
         "budget": (_count, 10 ** 5), "resolution": (_unit, 0.05),
-        "horizon": (float, 1e4)}),
+        "horizon": (float, 1e4)}, [
+        *_on("system", "x"),
+        ("params.projection", require_projection, ("system", "projection")),
+        ("params.alphas", require_arm_alphas, ("system", "d", "alphas"))]),
     "suspend": (_op_suspend, {"times": _times, "x": _floats,
-                              "resolution": (_unit, 0.05)}),
+                              "resolution": (_unit, 0.05)}, _on("system", "x")),
     "susp-rp": (_op_susp_rp, {**_SEARCH, "x1": _floats, "x2": _floats,
-                              "s1": float, "s2": float}),
+                              "s1": float, "s2": float}, [
+        *_on("system", "x1", "x2"), ("system", suspend, ("system",))]),
     "average": (_op_average, {
         "observable": _observable, "alphas": _alphas, "t": (float, None),
-        "t_grid": (_times, None), "n_samples": (_count, 2 * 10 ** 4)}),
-    "ud": (_op_ud, {"series": _series, "windows": _windows}),
+        "t_grid": (_times, ()), "n_samples": (_count, 2 * 10 ** 4)}, [
+        _OBSERVABLE, _ALPHAS, ("params.t", _t_or_grid, ("t", "t_grid")),
+        ("params.t_grid", require_increasing, ("t_grid",))]),
+    "ud": (_op_ud, {"series": _series, "windows": _windows}, [
+        ("params.windows", lambda series, windows: window_spans(series.grid, windows),
+         ("series", "windows"))]),
     "density": (_op_density, {
         "time_grid": _times, "x": _floats, "center": _floats, "radius": _positive,
         "rho": _positive, "step": _positive, "horizon": (float, None),
-        "half_width": (float, 0.05)}),
+        "half_width": (float, 0.05)}, [
+        *_on("system", "x", "center"),
+        ("params.rho", require_rho_within, ("rho", "horizon"))]),
     "potts": (_op_potts, {
         "polys": _polys, "observables": _observables, "R": _positive,
-        "n_x": (_count, 4), "h": (_positive, None)}),
+        "n_x": (_count, 4), "h": (_positive, None)}, [
+        ("params.polys", require_nonconstant, ("polys",)),
+        ("params.polys", require_independent, ("polys",)),
+        ("params.observables", partial(require_one_per, "polys"), ("observables", "polys")),
+        ("params.observables", require_rotation_factor, ("system", "observables"))]),
     "nilres": (_op_nilres, {
         "observable": _observable, "t_grid": _times, "alphas": _alphas,
-        "n_samples": (_count, 10 ** 5), "windows": (_windows, None)}),
-    "embed": (_op_embed, {"gs": _elements, "alphas": _alphas}),
+        "n_samples": (_count, 10 ** 5), "windows": (_windows, ())}, [
+        _OBSERVABLE, _ALPHAS, ("params.t_grid", require_increasing, ("t_grid",)),
+        ("params.windows", window_spans, ("t_grid", "windows"))]),
+    "embed": (_op_embed, {"gs": _elements, "alphas": _alphas}, [
+        _ALPHAS, ("params.alphas", partial(require_one_per, "gs"), ("alphas", "gs")),
+        ("params.gs", require_jstar_elements, ("gs",))]),
     "membership": (_op_membership, {
         "tuple": _elements, "alphas": _alphas, "tol": (_positive, 1e-10),
-        "conjugate_by": (_element, None)}),
+        "conjugate_by": (_element, None)}, [
+        _ALPHAS, ("params.tuple", require_pair, ("tuple",)),
+        ("params.alphas", require_pair, ("alphas",))]),
 }
 OPERATIONS = (*_TABLE, "validate")
-
-
-def _check(diags: list[str], prefix: str, check, *args) -> None:
-    """Run a library check; the error it raises becomes a diagnostic."""
-    try:
-        check(*args)
-    except (CommutationViolation, *_MALFORMED) as e:
-        diags.append(f"{prefix}: {e}")
-
-
-def _system_rules(op: str, p: dict, sysh: SystemHandle, sys_h: SystemHandle | None,
-                  diags: list[str]) -> None:
-    """The cross rules between an operation and the kind of its systems."""
-    key = "observables" if op == "potts" else "observable"
-    if op in ("average", "nilres", "potts") and key in p:
-        for f in p[key] if op == "potts" else [p[key]]:
-            _check(diags, f"params.{key}", trig_phase_step, sysh, f)
-    if op == "minimal":
-        _check(diags, "system", exact_freqs, sysh, "minimal")
-    if op == "poly-density" and not sysh.is_isometric:
-        diags.append(f"system: poly-density supports torus systems, got {sysh.tag}")
-    if op == "susp-rp":
-        _check(diags, "system", suspend, sysh)
-    if op in ("cube", "nd-compare") and sys_h is not None and sys_h.tag != sysh.tag:
-        diags.append(f"system_h: a {sys_h.tag} cloud cannot be compared with a "
-                     f"{sysh.tag} cloud (clouds live over different system metrics)")
-    if op == "rp-transfer" and sys_h is not None and all(
-            k in p and len(p[k]) == sysh.dim == sys_h.dim for k in ("x", "y")):
-        pts = [sysh.from_coords(p["x"]), sysh.from_coords(p["y"])]
-        _check(diags, "system_h: must commute with system", require_commuting,
-               sysh, sys_h, pts)
 
 
 def _parse_row(op: str, params: dict, handles: dict,
                basis: Basis) -> tuple[list[str], dict]:
     """Diagnostics and typed parameters of one row, defaults filled in and
-    each parameter its parser rejects left out; then the cross rules."""
-    spec = _TABLE[op][1]
+    each parameter its parser rejects left out; then the cross rules, each
+    once every key it reads is there and no earlier rule rejected one."""
+    _, spec, rules = _TABLE[op]
     diags = [f"params.{k}: unknown parameter" for k in params if k not in spec]
     p: dict = {}
     for key, entry in spec.items():
@@ -492,63 +507,26 @@ def _parse_row(op: str, params: dict, handles: dict,
             p[key] = entry[1]
         else:
             diags.append(f"params.{key}: missing")
-    for key in ("x", "y", "center", "x1", "x2"):
-        # cube, nd-compare and rp-transfer evolve x (and y) on both systems
-        both = key in ("x", "y") and op in ("cube", "nd-compare", "rp-transfer")
-        names = handles if both else ("system",)
-        for name in names:
-            h = handles.get(name)
-            if key in p and h is not None and len(p[key]) != h.dim:
-                diags.append(f"params.{key}: needs {h.dim} coordinates on {name}, "
-                             f"got {list(p[key])}")
-    if op in ("fiber-coverage", "nd-compare") and "alphas" in p and "d" in p:
-        # one alpha per arm; nd-compare defaults to (1, ..., d) on maps only
-        if p["alphas"] is None:
-            if any(not h.discrete for h in handles.values()):
-                diags.append("params.alphas: missing (flows need explicit alphas)")
-        elif len(p["alphas"]) != p["d"]:
-            diags.append(f"params.alphas: needs d = {p['d']} values, "
-                         f"got {len(p['alphas'])}")
-    sysh = handles.get("system")
-    if op == "fiber-coverage" and sysh is not None and "projection" in p:
-        table = sysh.spec.projections
-        if p["projection"] not in table:
-            diags.append(f"params.projection: {p['projection']!r} does not apply to "
-                         f"{sysh.tag} of dimension {sysh.dim} (has {sorted(table)})")
-    if op == "average" and p.get("t", 0) is None and p.get("t_grid", 0) is None:
-        diags.append("params.t: missing (average needs t or t_grid)")
-    pair = {"embed": ("alphas", "gs"), "potts": ("observables", "polys")}.get(op, ())
-    if pair and all(k in p for k in pair) and len(p[pair[0]]) != len(p[pair[1]]):
-        diags.append(f"params.{pair[0]}: needs one per entry of {pair[1]} "
-                     f"({len(p[pair[1]])}), got {len(p[pair[0]])}")
-    for key in ("tuple", "alphas") if op == "membership" else ():
-        if key in p and len(p[key]) != 2:
-            diags.append(f"params.{key}: needs 2 entries (k = 2), got {len(p[key])}")
-    if op in ("ud", "nilres") and p.get("windows") and ("series" in p or "t_grid" in p):
-        grid = p["series"].grid if op == "ud" else p["t_grid"]
-        for sigma, rho in p["windows"]:
-            _check(diags, "params.windows", window_span, grid, sigma, rho)
-    if op in ("average", "nilres") and p.get("t_grid") is not None:
-        _check(diags, "params.t_grid", require_increasing, p["t_grid"])
-    if op == "embed" and "gs" in p:
-        _check(diags, "params.gs", require_jstar_elements, p["gs"])
-    if op == "potts" and "polys" in p:
-        _check(diags, "params.polys", require_independent, p["polys"])
-    if op == "density" and {"time_grid", "rho", "horizon"} <= p.keys():
-        if p["horizon"] is None:
-            grid = p["time_grid"]
-            p["horizon"] = float(grid[-1] if len(grid) else 0.0)
-        if p["rho"] > p["horizon"]:
-            diags.append(f"params.rho: {p['rho']} exceeds the horizon {p['horizon']}")
-    if sysh is not None:
-        _system_rules(op, p, sysh, handles.get("system_h"), diags)
-    if op == "exceptional" and sysh is not None and "t" in p:
+    if op == "density" and p.get("horizon", 0) is None:
+        del p["horizon"]  # defaults to the end of the time grid
+        if "time_grid" in p:
+            p["horizon"] = float(p["time_grid"][-1])
+    known, rejected = {**handles, **p}, set()
+    for prefix, check, keys in rules:
+        if any(k not in known or k in rejected for k in keys):
+            continue
         try:
-            p["minimal"] = time_t_minimal(sysh, p["t"], basis)
+            check(*(known[k] for k in keys))
+        except (CommutationViolation, ValueError) as e:  # other errors are bugs
+            diags.append(f"{prefix}: {e}")
+            rejected.update(k for k in keys if k in p)
+    if op == "exceptional" and {"system", "t"} <= known.keys():
+        try:
+            p["minimal"] = time_t_minimal(handles["system"], p["t"], basis)
         except UnsupportedBasisError as e:
             diags.append(f"UNSUPPORTED-BASIS: {e}")
-        except ValueError as e:
-            diags.append(f"params.t: {e}")
+        except ValueError:
+            pass  # a system without exact frequencies: its rule names it
     return diags, p
 
 

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import RealPolynomial
+from .algebra import RealPolynomial, require_nonconstant
+from .averages import require_alphas
 from .systems import SystemHandle
 
 WITNESS = "witness"
@@ -98,8 +99,8 @@ class PointCloud:
     points: np.ndarray  # shape (n, arity, dim)
     system_tag: str
     arity: int
-    meta: dict = field(default_factory=dict)
-    system: SystemHandle | None = None
+    meta: dict
+    system: SystemHandle
 
     def __post_init__(self):
         if self.points.ndim != 3 or self.points.shape[1] != self.arity:
@@ -256,10 +257,16 @@ def check_commutation(sysG: SystemHandle, sysH: SystemHandle, points) -> float:
     return worst
 
 
-def require_commuting(sysG: SystemHandle, sysH: SystemHandle, points) -> None:
-    """CommutationViolation unless the commutator gap at the points is at
-    most COMMUTATION_TOL."""
-    gap = check_commutation(sysG, sysH, points)
+def require_commuting(sysG: SystemHandle, sysH: SystemHandle, *coords) -> None:
+    """CommutationViolation unless both act on one space (spec type, dim and
+    suspension base) with commutator gap at most COMMUTATION_TOL at the
+    points of sysG with these coordinates."""
+    if (type(sysG.spec), sysG.dim, getattr(sysG.spec, "base", None)) != \
+            (type(sysH.spec), sysH.dim, getattr(sysH.spec, "base", None)):
+        raise CommutationViolation(
+            f"a {sysH.tag} of dimension {sysH.dim} acts on a different space "
+            f"than a {sysG.tag} of dimension {sysG.dim}")
+    gap = check_commutation(sysG, sysH, [sysG.from_coords(c) for c in coords])
     if gap > COMMUTATION_TOL:
         raise CommutationViolation(f"sample commutation gap {gap:.3e}")
 
@@ -274,7 +281,7 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
     tracks g_j's action, and ranked tuples are verified against the
     H-action (see _first_witness) until one passes at delta_out.
     """
-    require_commuting(sysG, sysH, [x, y, witnessG.x_prime])
+    require_commuting(sysG, sysH, *(sysG.coords(p) for p in (x, y, witnessG.x_prime)))
     if not rp_witness_verify(sysG, x, y, witnessG, delta_out / 3.0):
         raise ValueError("witnessG does not verify at delta_out/3")
     if sysG == sysH:
@@ -316,8 +323,6 @@ def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int) -> P
     Each sample draws d group elements and emits (g^(eps) x) over all
     eps in {0,1}^d, indexed with eps_1 as the most significant bit.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
     rng = np.random.default_rng(seed)
     draws = _draw_elements(sys, rng, (budget, d))
     draws[0, :] = 0.0  # identity tuple first: the cloud always holds the diagonal
@@ -329,6 +334,17 @@ def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int) -> P
     return PointCloud(pts, sys.tag, len(eps_list), meta, sys)
 
 
+def require_arm_alphas(sys: SystemHandle, d: int,
+                       alphas: Sequence[float] | None) -> tuple[float, ...]:
+    """One distinct nonzero alpha per arm; None means (1, ..., d) on maps."""
+    if alphas is None and not sys.discrete:
+        raise ValueError("missing (flows need explicit alphas)")
+    alphas = require_alphas(range(1, d + 1) if alphas is None else alphas)
+    if len(alphas) != d:
+        raise ValueError(f"needs d = {d} values, got {len(alphas)}")
+    return alphas
+
+
 def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
               alphas: Sequence[float] | None = None) -> PointCloud:
     """Sample tuples (T^{a_1 t} x', ..., T^{a_d t} x') with x' on the orbit of x.
@@ -338,13 +354,7 @@ def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if alphas is None:
-        if not sys.discrete:
-            raise ValueError("flows require explicit alphas")
-        alphas = tuple(range(1, d + 1))
-    alphas = tuple(float(a) for a in alphas)
-    if len(alphas) != d or len(set(alphas)) != d or any(a == 0 for a in alphas):
-        raise ValueError("alphas must be d distinct nonzero numbers")
+    alphas = require_arm_alphas(sys, d, alphas)
     rng = np.random.default_rng(seed)
     ts = _draw_elements(sys, rng, budget)
     ss = _draw_elements(sys, rng, budget)
@@ -358,6 +368,12 @@ def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
 # Hausdorff distance
 
 _BOUND_STRIDE = 64
+
+
+def require_comparable(sysG: SystemHandle, sysH: SystemHandle) -> None:
+    if sysH.tag != sysG.tag:
+        raise ValueError(f"a {sysH.tag} cloud cannot be compared with a {sysG.tag} "
+                         f"cloud (clouds live over different system metrics)")
 
 
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
@@ -384,11 +400,8 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
-    if a.system_tag != b.system_tag:
-        raise ValueError("clouds live over different system metrics")
-    sys = a.system or b.system
-    if sys is None:
-        raise ValueError("clouds need an attached system handle")
+    require_comparable(a.system, b.system)
+    sys = a.system
     if sys.is_isometric:
         from scipy.spatial import cKDTree
         fa, fb = a.flat() % 1.0, b.flat() % 1.0
@@ -422,25 +435,35 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
 # ---------------------------------------------------------------------------
 # density and coverage probes
 
+def cell_coverage(blocks, n: int, resolution: float) -> float:
+    """Fraction of the cells of pitch resolution that n rows hit; each
+    column of each (n, k) block of [0, 1) coordinates is one grid axis."""
+    bins = int(round(1.0 / resolution))
+    idx, axes = np.zeros(n, dtype=np.int64), 0
+    for block in blocks:
+        for col in block.T:
+            idx = idx * bins + np.minimum((col * bins).astype(np.int64), bins - 1)
+        axes += block.shape[1]
+    return len(np.unique(idx)) / float(bins ** axes)
+
+
+def require_torus(sys: SystemHandle) -> None:
+    if not sys.is_isometric:
+        raise ValueError(f"poly-density supports torus systems, got {sys.tag}")
+
+
 def poly_orbit_density(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
                        x, budget: int, resolution: float, seed: int = 0,
                        t_span: float = 1e4) -> float:
     """Fraction of product-space resolution cells hit by (T^{p_j(t)} x)_j."""
     if not polys:
         raise ValueError("polys must be nonempty")
-    if any(p.is_constant for p in polys):
-        raise ValueError("polys must be nonconstant")
-    if not flow_sys.is_isometric:
-        raise ValueError("poly_orbit_density supports torus systems")
+    require_nonconstant(polys)
+    require_torus(flow_sys)
     rng = np.random.default_rng(seed)
     ts = rng.random(budget) * t_span
-    bins = int(round(1.0 / resolution))
-    idx = np.zeros(budget, dtype=np.int64)
-    for p in polys:
-        phases = flow_sys.orbit_coords(x, p.eval_array(ts))
-        for c in range(flow_sys.dim):
-            idx = idx * bins + np.minimum((phases[:, c] * bins).astype(np.int64), bins - 1)
-    return len(np.unique(idx)) / float(bins ** (flow_sys.dim * len(polys)))
+    return cell_coverage((flow_sys.orbit_coords(x, p.eval_array(ts)) for p in polys),
+                         budget, resolution)
 
 
 def return_set(sys: SystemHandle, x, center, radius: float,
@@ -468,6 +491,15 @@ def rp_return_intersection(sys: SystemHandle, x, y, d: int, radius: float,
     return False
 
 
+def require_projection(sys: SystemHandle, name: str) -> tuple[tuple, tuple]:
+    """The (constrained, free) coordinates of the named projection's fibers."""
+    table = sys.spec.projections
+    if name not in table:
+        raise ValueError(f"{name!r} does not apply to {sys.tag} of dimension "
+                         f"{sys.dim} (has {sorted(table)})")
+    return table[name]
+
+
 def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
                    alphas: Sequence[float], x, budget: int, resolution: float,
                    seed: int = 0, horizon: float = 1e4) -> float:
@@ -480,25 +512,17 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
     coordinates at the same pitch.  The identity has no free coordinates,
     so its coverage is 1 or 0.
     """
-    table = sys.spec.projections
-    if factor_projection not in table:
-        raise ValueError(f"projection {factor_projection!r} does not apply to "
-                         f"{sys.tag} of dimension {sys.dim} (has {sorted(table)})")
-    constrained, free = table[factor_projection]
-    alphas = tuple(float(a) for a in alphas)
-    if len(alphas) != d:
-        raise ValueError("need d alphas")
+    constrained, free = require_projection(sys, factor_projection)
+    alphas = require_arm_alphas(sys, d, alphas)
     rng = np.random.default_rng(seed)
     ts = np.concatenate([[0.0], rng.random(budget - 1) * horizon])
-    bins = int(round(1.0 / resolution))
     base = np.array(sys.coords(x))
-    idx = np.zeros(len(ts), dtype=np.int64)
     ok = np.ones(len(ts), dtype=bool)
+    frees = []
     for a in alphas:
         comp = sys.fiber_orbit_coords(x, a * ts)
         for c in constrained:
             gap = np.abs(comp[:, c] - base[c]) % 1.0
             ok &= np.minimum(gap, 1.0 - gap) <= resolution
-        for c in free:
-            idx = idx * bins + np.minimum((comp[:, c] * bins).astype(np.int64), bins - 1)
-    return len(np.unique(idx[ok])) / float(bins ** (len(free) * d))
+        frees.append(comp[:, list(free)])
+    return cell_coverage([f[ok] for f in frees], int(ok.sum()), resolution)

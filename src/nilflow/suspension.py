@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .proximality import rp_witness_search
+from .proximality import cell_coverage, rp_witness_search
 from .systems import SUSPENSION, SystemHandle, circle_dist
 
 INTEGRAL_GAP_TOL = 1e-12
@@ -164,9 +164,5 @@ def susp_rp_transfer_check(base_sys: SystemHandle, x1, x2, s1: float, s2: float,
 def integer_part_orbit(base_sys: SystemHandle, x, times: Sequence[float],
                        resolution: float) -> float:
     """Coverage of the base space by {T^[t] x : t in times} at the given pitch."""
-    bins = int(round(1.0 / resolution))
     phases = base_sys.orbit_coords(x, np.floor(np.asarray(times, dtype=float)))
-    idx = np.zeros(len(phases), dtype=np.int64)
-    for c in range(phases.shape[1]):
-        idx = idx * bins + np.minimum((phases[:, c] * bins).astype(np.int64), bins - 1)
-    return len(np.unique(idx)) / float(bins ** phases.shape[1])
+    return cell_coverage([phases], len(phases), resolution)

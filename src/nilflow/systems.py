@@ -9,7 +9,8 @@ float frequencies of its rotation factor), projections (fiber name ->
 constrained and free coordinates), factor_gaps (gaps on proper isometric
 factors) and float_orbit (a float batch kernel), None where it has none.
 Only the specs tell kinds apart.  From float_freqs the handle derives
-phase_step and rotate, the one code that moves rotation-factor phases.
+phase_step and rotate, the one code that moves rotation-factor phases;
+its from_coords is the one check of a point's coordinate count.
 Also here: the Heisenberg group law, lattice reduction, quotient
 metrics, orbit sampling, and the exact minimality tests by rational
 independence of the frequencies.
@@ -316,6 +317,9 @@ class SystemHandle:
         return self.spec.coords(p)
 
     def from_coords(self, c: Sequence[float]):
+        """The point with coordinates c; ValueError unless there are dim."""
+        if len(c) != self.dim:
+            raise ValueError(f"needs {self.dim} coordinates, got {list(c)}")
         return self.spec.from_coords(c)
 
     def origin(self):

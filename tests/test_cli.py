@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nilflow import cli
 from nilflow.cli import (EXIT_BASIS, EXIT_EXPECT_FAIL, EXIT_OK, EXIT_SCHEMA,
                          main, run, validate_config)
+from nilflow.proximality import CommutationViolation
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -393,6 +394,7 @@ PLANE = {"kind": "torus-flow", "freqs": [{"ONE": "1"}, {"SQRT2": "1"}]}
 SUSP = {"kind": "suspension", "base": ROT}
 HEIS_MAP = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT2": "1"}, "beta": {"SQRT3": "1"}}
 HEIS_MAP_H = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT3": "1"}, "beta": {"SQRT5": "1"}}
+TORUS3_MAP = {"kind": "torus-map", "freqs": [{"ONE": "1"}, {"SQRT2": "1"}, {"SQRT3": "1"}]}
 
 # one valid config per operation; budgets stay small
 VALID = {
@@ -512,6 +514,10 @@ class TestParameterTable:
         (on("rp-transfer", HEIS_MAP, HEIS_MAP_H, x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3],
             delta=0.3, budget=100),
          "system_h: must commute with system: sample commutation gap"),
+        (on("rp-transfer", TORUS3_MAP, HEIS_MAP, x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3]),
+         "system_h: must commute with system: a heisenberg-nilsystem of dimension 3 "
+         "acts on a different space than a torus-map of dimension 3"),
+        (on("exceptional", SUSP), "system: exceptional applies to torus flows"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
             "suspend-no-times", "embed-no-gs", "exceptional-no-t", "swept-zero-budget",
@@ -525,7 +531,8 @@ class TestParameterTable:
             "nilres-empty-grid", "poly-density-on-heisenberg", "minimal-on-torus-map",
             "susp-rp-on-flow",
             "cube-mixed-kinds", "nd-compare-mixed-kinds", "potts-dependent-polys",
-            "rp-transfer-noncommuting"])
+            "rp-transfer-noncommuting", "rp-transfer-across-spaces",
+            "exceptional-on-suspension"])
     def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
         assert any(d.startswith(diag) for d in validate_config(cfg))
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA
@@ -610,3 +617,113 @@ def test_broken_parameter_named_and_exits_schema(tmp_path_factory, case):
     with contextlib.redirect_stderr(err):
         assert main(["run", "--config", str(path)]) == EXIT_SCHEMA
     assert f"params.{key}" in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# parsing and running agree: the cross rules are the library's own checks
+
+ROT3 = {"kind": "torus-map", "freqs": [{"SQRT3": "1"}]}
+# (system, dimension)
+SYSTEMS = [(ROT, 1), (ROT3, 1), (LINE, 1), (PLANE, 2), (HEIS_FLOW, 3), (HEIS_MAP, 3),
+           (SUSP, 2)]
+# (system, system_h, dimension of system): one space or two, commuting or not
+TRANSFER_PAIRS = [(ROT, ROT3, 1), (ROT, LINE, 1), (HEIS_MAP, HEIS_FLOW, 3),
+                  (HEIS_MAP, HEIS_MAP_H, 3), (TORUS3_MAP, HEIS_MAP, 3), (ROT, HEIS_MAP, 1),
+                  (SUSP, SUSP, 2)]
+COS_2D = {"kind": "cos", "freq": [1, 0]}
+POLY_POOL = [{"coeffs": ["0", "1"]}, {"coeffs": ["0", "0", "1"]}, {"coeffs": ["0", "2"]},
+             {"coeffs": ["3"]}]
+ELEMENTS = [[1, 0, 0], [2, 0, 1], [0, 0, 1], [1, 0, 1]]
+
+
+def points(dim):
+    """Coordinates that mostly fit a space of dimension dim, else miss it by one."""
+    return st.sampled_from([dim] * 3 + [max(dim - 1, 1), dim + 1]).flatmap(
+        lambda n: st.lists(st.sampled_from([0.1, 0.25, 0.4]), min_size=n, max_size=n))
+
+
+alpha_lists = st.lists(st.sampled_from([1.0, 2.0, -0.5]), min_size=1, max_size=3)
+
+
+@st.composite
+def cross_rule_configs(draw):
+    """A config whose parameters each parse, drawn around the cross rules:
+    points against the systems' dimensions, d against the alphas, projection
+    names, gs/alphas and polys/observables lengths, rho against the horizon
+    and the system kinds.  Budgets stay small.  exceptional is left out: it
+    is decided while parsing, so its run never meets a bad input."""
+    op = draw(st.sampled_from(sorted(set(VALID) - {"exceptional"})))
+    cfg = valid(op)
+    system, dim = draw(st.sampled_from(SYSTEMS))
+    if "system" in cfg:
+        cfg["system"] = system
+    p = cfg["params"]
+    if op in ("rp-certify", "cube", "nd-compare", "poly-density", "fiber-coverage",
+              "suspend", "density"):
+        p["x"] = draw(points(dim))
+    if op == "rp-certify":
+        p["y"] = draw(points(dim))
+    elif op == "rp-transfer":
+        # x = y: the G-search finds its witness at once, so the transfer,
+        # and with it the commutation check, always runs
+        cfg["system"], cfg["system_h"], dim = draw(st.sampled_from(TRANSFER_PAIRS))
+        p["x"] = p["y"] = draw(points(dim))
+        p.update(delta=0.3, budget=10)
+    elif op in ("cube", "nd-compare"):
+        system_h = draw(st.sampled_from([s for s, _ in SYSTEMS] + [None] * (op == "cube")))
+        cfg.pop("system_h")
+        if system_h is not None:
+            cfg["system_h"] = system_h
+        p.update(d=draw(st.integers(1, 3)), budget=3)
+        if op == "nd-compare":
+            p["alphas"] = draw(st.none() | alpha_lists)
+    elif op == "poly-density":
+        p["polys"] = draw(st.lists(st.sampled_from(POLY_POOL), min_size=1, max_size=2))
+    elif op == "fiber-coverage":
+        p.update(projection=draw(st.sampled_from(
+            ["identity", "torus-coord-0", "heisenberg-base", "no-such"])),
+            d=draw(st.integers(1, 2)), alphas=draw(alpha_lists), budget=5)
+    elif op == "susp-rp":
+        p.update(x1=draw(points(dim)), x2=draw(points(dim)), budget=5)
+    elif op in ("average", "nilres"):
+        p.update(observable=draw(st.sampled_from([COS, COS_2D])), alphas=draw(alpha_lists))
+        if op == "nilres":
+            p["windows"] = draw(st.sampled_from([None, [[0.0, 5.0]], [[0.0, 50.0]]]))
+    elif op == "ud":
+        p["windows"] = draw(st.sampled_from([[[0.0, 1.0]], [[0.0, 5.0]], [[0.5, 0.6]]]))
+    elif op == "density":
+        p.update(center=draw(points(dim)), rho=draw(st.sampled_from([5.0, 25.0])),
+                 horizon=draw(st.sampled_from([None, 10.0, 30.0])))
+    elif op == "potts":
+        p.update(polys=draw(st.lists(st.sampled_from(POLY_POOL), min_size=1, max_size=3)),
+                 observables=draw(st.lists(st.sampled_from([COS, COS_2D]), min_size=1,
+                                           max_size=3)))
+    elif op == "embed":
+        p.update(gs=draw(st.lists(st.sampled_from(ELEMENTS), min_size=1, max_size=3)),
+                 alphas=draw(alpha_lists))
+    elif op == "membership":
+        p.update(tuple=draw(st.lists(st.sampled_from(ELEMENTS), min_size=1, max_size=3)),
+                 alphas=draw(alpha_lists))
+    return cfg
+
+
+def library_error(cfg):
+    """Run each row's operation on the parsed parameters without the
+    schema gate: the library's error, or None when every row runs."""
+    _, handles, rows = cli._parse(cfg)
+    ctx = cli.RunContext(handles.get("system_h"), 0, None)
+    try:
+        for p in rows:
+            cli._TABLE[cfg["operation"]][0](p, handles.get("system"), ctx)
+    except (ValueError, CommutationViolation) as e:
+        return e
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=cross_rule_configs())
+def test_parsing_agrees_with_running(cfg):
+    diags = validate_config(cfg)
+    assert not any(d.endswith(": missing") or "cannot parse" in d for d in diags), diags
+    err = library_error(cfg)
+    assert (diags == []) == (err is None), (diags, err)

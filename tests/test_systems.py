@@ -427,6 +427,17 @@ class TestOrbitCoords:
         assert tmap.evolve(p, n) == flow.evolve(p, n * step)
 
 
+@pytest.mark.parametrize("kind", ("torus-flow", "heisenberg-nilflow", "suspension"))
+def test_from_coords_rejects_wrong_count(basis, sqrt2, sqrt3, kind):
+    # one system per spec: TorusFlowSpec, NilflowSpec, SuspensionSpec
+    sys = system_of_kind(kind, basis, sqrt2, sqrt3, 1.0)
+    unit = (0.1, 0.2, 0.3, 0.4, 0.5)
+    assert len(sys.coords(sys.from_coords(unit[:sys.dim]))) == sys.dim
+    for n in (sys.dim - 1, sys.dim + 1):
+        with pytest.raises(ValueError, match=f"needs {sys.dim} coordinates, got"):
+            sys.from_coords(unit[:n])
+
+
 class TestOrbitSample:
     def test_single_time(self, basis, sqrt2):
         flow = torus_flow((sqrt2,), basis)
