@@ -39,7 +39,6 @@ class Observable:
     kind: str  # "trig" | "callback"
     terms: tuple[tuple[tuple[int, ...], complex], ...] = ()
     func: Callable | None = None
-    sup_bound: float = 1.0
 
     @staticmethod
     def exponential(*freq: int) -> "Observable":
@@ -60,8 +59,8 @@ class Observable:
         return Observable("trig", tuple((tuple(k), complex(c)) for k, c in terms))
 
     @staticmethod
-    def callback(func: Callable, sup_bound: float) -> "Observable":
-        return Observable("callback", (), func, sup_bound)
+    def callback(func: Callable) -> "Observable":
+        return Observable("callback", (), func)
 
     @property
     def dim(self) -> int:
@@ -89,7 +88,7 @@ def trig_phase_step(sys: SystemHandle, f: Observable) -> np.ndarray:
     on: the whole torus, or the base 2-torus that carries every Heisenberg
     pullback.  ValueError when sys has no rotation factor of f's dimension."""
     omega = sys.phase_step
-    if omega is None:
+    if not len(omega):
         raise ValueError(f"a {sys.tag} system has no rotation factor for trig observables")
     if f.dim != len(omega):
         raise ValueError(

@@ -406,6 +406,8 @@ def _on(system: str, *keys: str) -> list[tuple]:
 def _t_or_grid(t, t_grid) -> None:
     if t is None and not len(t_grid):
         raise SchemaError("missing (average needs t or t_grid)")
+    if t is not None and len(t_grid):
+        raise SchemaError("give t or t_grid, not both")
 
 
 _SEARCH = {"d": (_count, 1), "delta": _positive, "budget": (_count, 10 ** 5)}

@@ -421,15 +421,13 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
             del q  # one leaf-ordered copy alive at a time keeps peak memory down
         return float(worst)
 
-    def tuple_dist(u, v):
-        return max(sys.dist(sys.from_coords(u[k]), sys.from_coords(v[k]))
-                   for k in range(a.arity))
+    pa, pb = ([[sys.from_coords(c) for c in row] for row in cloud.points] for cloud in (a, b))
 
-    def directed(pa, pb):
-        return max((min((tuple_dist(u, v) for v in pb), default=math.inf) for u in pa),
-                   default=0.0)
+    def directed(us, vs):
+        return max((min((max(map(sys.dist, u, v)) for v in vs), default=math.inf)
+                    for u in us), default=0.0)
 
-    return max(directed(a.points, b.points), directed(b.points, a.points))
+    return max(directed(pa, pb), directed(pb, pa))
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +509,31 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
     the fiber in the constrained coordinates; cells quantize the free
     coordinates at the same pitch.  The identity has no free coordinates,
     so its coverage is 1 or 0.
+
+    Constrained coordinates on the rotation factor (the leading
+    len(phase_step) ones) are checked on every row through rotate; only
+    the rows that pass are evolved exactly (orbit_coords), for the other
+    constrained coordinates and the free ones.
     """
     constrained, free = require_projection(sys, factor_projection)
     alphas = require_arm_alphas(sys, d, alphas)
     rng = np.random.default_rng(seed)
     ts = np.concatenate([[0.0], rng.random(budget - 1) * horizon])
     base = np.array(sys.coords(x))
+    k = len(sys.phase_step)
+
+    def near(comp, cols):
+        gap = np.abs(comp[:, cols] - base[cols]) % 1.0
+        return (np.minimum(gap, 1.0 - gap) <= resolution).all(axis=1)
+
+    keep = np.ones(len(ts), dtype=bool)
+    for a in alphas:
+        keep &= near(sys.rotate(base[:k], a * ts), [c for c in constrained if c < k])
+    ts = ts[keep]
     ok = np.ones(len(ts), dtype=bool)
     frees = []
     for a in alphas:
-        comp = sys.fiber_orbit_coords(x, a * ts)
-        for c in constrained:
-            gap = np.abs(comp[:, c] - base[c]) % 1.0
-            ok &= np.minimum(gap, 1.0 - gap) <= resolution
+        comp = sys.orbit_coords(x, a * ts)
+        ok &= near(comp, [c for c in constrained if c >= k])
         frees.append(comp[:, list(free)])
     return cell_coverage([f[ok] for f in frees], int(ok.sum()), resolution)

@@ -31,14 +31,14 @@ class SuspensionPoint:
 @dataclass(frozen=True)
 class SuspensionSpec:
     """Spec of the suspension flow over a discrete base (see systems.py);
-    it has no rotation factor, no time-t map kind and no float kernel."""
+    it has no rotation factor and no time-t map kind."""
 
     base: SystemHandle
 
     tags = (SUSPENSION, None)
     isometric = False
     pitch = 1.0
-    freqs = float_freqs = float_orbit = None
+    freqs = float_freqs = None
 
     @property
     def dim(self) -> int:

@@ -6,14 +6,14 @@ the flow's time-step map.  Besides dim, evolve, dist, coords and
 from_coords a spec declares its tags (kind as a flow and as a time-t
 map), isometric, the search grid pitch, freqs and float_freqs (exact and
 float frequencies of its rotation factor), projections (fiber name ->
-constrained and free coordinates), factor_gaps (gaps on proper isometric
-factors) and float_orbit (a float batch kernel), None where it has none.
-Only the specs tell kinds apart.  From float_freqs the handle derives
-phase_step and rotate, the one code that moves rotation-factor phases;
-its from_coords is the one check of a point's coordinate count.
-Also here: the Heisenberg group law, lattice reduction, quotient
-metrics, orbit sampling, and the exact minimality tests by rational
-independence of the frequencies.
+constrained and free coordinates) and factor_gaps (gaps on proper
+isometric factors), None where it has none.  Only the specs tell kinds
+apart.  From float_freqs the handle derives phase_step and rotate, the
+one code that moves rotation-factor phases; its from_coords is the one
+check of a point's coordinate count.
+Also here: the Heisenberg group law and its one evolution, nil_evolve,
+lattice reduction, quotient metrics, orbit sampling, and the exact
+minimality tests by rational independence of the frequencies.
 
 Conventions: torus points live in [0, 1)^n; Heisenberg elements carry
 Malcev coordinates (x, y, z) with group law
@@ -182,7 +182,6 @@ class TorusFlowSpec:
     tags = (TORUS_FLOW, TORUS_MAP)
     isometric = True
     pitch = 0.25
-    float_orbit = None
 
     @property
     def dim(self) -> int:
@@ -253,16 +252,6 @@ class NilflowSpec:
     def factor_gaps(self, p, q) -> tuple:
         return ()  # the base 2-torus is not declared as a factor yet
 
-    def float_orbit(self, p: HeisenbergElement, ts: np.ndarray) -> np.ndarray:
-        """Float batch form of the orbit coordinates, for coverage counts; it
-        drifts from nil_evolve as t grows (6.6e-10 at t ~ 1e3, 5.5e-8 at 1e4)."""
-        a = self.generator
-        gx = ts * a.x
-        rx, ry = gx + p.x, ts * a.y + p.y
-        rz = ts * a.z + 0.5 * ts * (ts - 1.0) * a.x * a.y + p.z + gx * p.y
-        z = rz + rx * -np.floor(ry)
-        return np.stack([rx % 1.0, ry % 1.0, z % 1.0], axis=1)
-
 
 @dataclass(frozen=True)
 class SystemHandle:
@@ -295,11 +284,12 @@ class SystemHandle:
         return self.spec.dim
 
     @property
-    def phase_step(self) -> np.ndarray | None:
-        """Translation of the rotation factor per unit time or step."""
-        if self.spec.float_freqs is None:
-            return None
-        omega = np.array(self.spec.float_freqs)
+    def phase_step(self) -> np.ndarray:
+        """Translation of the rotation factor per unit time or step.  The
+        factor is the leading len(phase_step) coordinates of a point: all of
+        them on a torus, (x, y) on the Heisenberg nilmanifold, none (an
+        empty step) on a suspension."""
+        omega = np.array(self.spec.float_freqs or (), dtype=float)
         return omega if self.step is None else omega * self.step
 
     def rotate(self, phases, s) -> np.ndarray:
@@ -335,12 +325,6 @@ class SystemHandle:
         for i, t in enumerate(ts):
             out[i] = self.coords(self.evolve(x, float(t)))
         return out
-
-    def fiber_orbit_coords(self, x, ts: np.ndarray) -> np.ndarray:
-        """orbit_coords through the spec's float batch kernel where it has one."""
-        if self.spec.float_orbit is None:
-            return self.orbit_coords(x, ts)
-        return self.spec.float_orbit(x, ts if self.step is None else ts * self.step)
 
     def isometric_gaps(self, p, q):
         """Gaps between p and q on isometric factors, computed lazily: the

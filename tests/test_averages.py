@@ -44,7 +44,7 @@ class TestIntegrateHaar:
         assert est.value == 0.0 and est.exact
 
     def test_cos_squared_callback(self, circle_flow):
-        f = Observable.callback(lambda c: math.cos(2 * math.pi * c[0]) ** 2, 1.0)
+        f = Observable.callback(lambda c: math.cos(2 * math.pi * c[0]) ** 2)
         est = integrate_haar(circle_flow, f, n_samples=10 ** 5, seed=0)
         assert abs(est.value - 0.5) <= 3 * est.stderr
 
@@ -61,7 +61,7 @@ class TestIntegrateHaar:
             f = Observable.trig(terms)
             exact = integrate_haar(sys_h, f).value
             g = Observable.callback(
-                lambda c, f=f: complex(f.eval_phases(np.array(c))), 10.0)
+                lambda c, f=f: complex(f.eval_phases(np.array(c))))
             mc = integrate_haar(sys_h, g, n_samples=2 * 10 ** 4, seed=trial)
             assert abs(mc.value - exact) <= 3 * mc.stderr + 1e-12
 
@@ -97,7 +97,7 @@ class TestMultiAverage:
             multi_average_I(circle_flow, Observable.cosine(1), (1.0, 1.0), 0.1)
 
     def test_callback_monte_carlo_path(self, circle_flow):
-        f = Observable.callback(lambda c: math.cos(2 * math.pi * c[0]), 1.0)
+        f = Observable.callback(lambda c: math.cos(2 * math.pi * c[0]))
         t = 0.3
         r = multi_average_I(circle_flow, f, (1.0,), t, n_samples=2 * 10 ** 4,
                             seed=11)
@@ -117,7 +117,7 @@ class TestMultiAverage:
                 [((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]),
                 (0.5, 1.0, 1.5, 2.0, 3.0), 500, 40),
             "callback-sampled": (Observable.callback(
-                lambda c: math.cos(2 * math.pi * c[0]), 1.0), (1.0,), 500, 40),
+                lambda c: math.cos(2 * math.pi * c[0])), (1.0,), 500, 40),
             # the series holds 40 rows of products at once, each t-call one row
             "trig-sampled-complex": (SKEW, EIGHT, 500, 40),
             # 10^6 products per chunk: two t's, then one
@@ -236,7 +236,7 @@ class TestNilfunctionResidual:
         assert rep.residual_within_stderr(3.0)
 
     def test_unsupported_observable(self, nil):
-        f = Observable.callback(lambda c: 1.0, 1.0)
+        f = Observable.callback(lambda c: 1.0)
         with pytest.raises(ValueError):
             nilfunction_residual(nil, f, (1.0,), [0.0, 1.0])
 

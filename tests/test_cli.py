@@ -464,6 +464,7 @@ class TestParameterTable:
         (without("average", "alphas"), "params.alphas: missing"),
         (without("average", "observable"), "params.observable: missing"),
         (without("average", "t"), "params.t: missing"),
+        (valid("average", t_grid=[0.0, 1.0]), "params.t: give t or t_grid, not both"),
         (without("potts", "R"), "params.R: missing"),
         (without("susp-rp", "s1"), "params.s1: missing"),
         (without("density", "radius"), "params.radius: missing"),
@@ -519,6 +520,7 @@ class TestParameterTable:
          "acts on a different space than a torus-map of dimension 3"),
         (on("exceptional", SUSP), "system: exceptional applies to torus flows"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
+            "average-t-and-grid",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
             "suspend-no-times", "embed-no-gs", "exceptional-no-t", "swept-zero-budget",
             "sweep-no-values", "budget-typo", "zero-n-samples", "sweep-not-params",

@@ -15,8 +15,9 @@ from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  poly_orbit_density, return_set,
                                  rp_return_intersection, rp_witness_search,
                                  rp_witness_verify, witness_max_gap)
-from nilflow.systems import (TorusPoint, heisenberg_nilflow,
-                             heisenberg_nilsystem, torus_flow,
+from nilflow.suspension import suspend
+from nilflow.systems import (TorusPoint, circle_dist, heisenberg_nilflow,
+                             heisenberg_nilsystem, torus_flow, torus_map,
                              torus_rotation)
 
 
@@ -535,3 +536,48 @@ class TestFiberCoverage:
         with pytest.raises(ValueError):
             fiber_coverage(rot2, "no-such", 1, (1.0,), TorusPoint((0.0,)),
                            10, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_brute_force(self, data):
+        # every row evolved by sys.evolve, checked by circle_dist and put in
+        # its cell, against the rotation-factor filter and the exact pass
+        sys_h = data.draw(st.sampled_from(FIBER_SYSTEMS))
+        projection = data.draw(st.sampled_from(sorted(sys_h.spec.projections)))
+        d = data.draw(st.integers(1, 2))
+        alphas = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, -1.0]),
+                                    min_size=d, max_size=d, unique=True))
+        x = sys_h.from_coords(tuple(data.draw(st.floats(0.0, 1.0, exclude_max=True))
+                                    for _ in range(sys_h.dim)))
+        budget = data.draw(st.integers(1, 300))
+        resolution = data.draw(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        horizon = data.draw(st.sampled_from([1.0, 1e2, 1e3, 1e4]))
+        expect = fiber_coverage_reference(sys_h, projection, alphas, x, budget,
+                                          resolution, seed, horizon)
+        assert fiber_coverage(sys_h, projection, d, alphas, x, budget, resolution,
+                              seed, horizon) == expect
+
+
+def fiber_coverage_reference(sys_h, projection, alphas, x, budget, resolution,
+                             seed, horizon):
+    """Brute-force fiber coverage: one scalar evolution per row and arm."""
+    constrained, free = sys_h.spec.projections[projection]
+    rng = np.random.default_rng(seed)
+    ts = np.concatenate([[0.0], rng.random(budget - 1) * horizon])
+    base = sys_h.coords(x)
+    bins = int(round(1.0 / resolution))
+    cells = set()
+    for t in ts:
+        comps = [sys_h.coords(sys_h.evolve(x, float(a * t))) for a in alphas]
+        if all(circle_dist(c[i], base[i]) <= resolution for c in comps for i in constrained):
+            cells.add(tuple(min(int(c[i] * bins), bins - 1) for c in comps for i in free))
+    return len(cells) / float(bins ** (len(free) * len(alphas)))
+
+
+_NILFLOW = heisenberg_nilflow(_SYMBOLS[1], _SYMBOLS[2], Basis.default(), z=0.3)
+# the five kinds, with every projection each has
+FIBER_SYSTEMS = [TORI[1], TORI[3], torus_map(TORI[2]),
+                 torus_rotation(_SYMBOLS[1], Basis.default()), _NILFLOW,
+                 heisenberg_nilsystem(_NILFLOW), suspend(torus_map(TORI[2])),
+                 suspend(heisenberg_nilsystem(_NILFLOW))]
