@@ -5,7 +5,8 @@ reserved symbol ``ONE`` is the rational unit).  The basis declares a
 high-precision decimal value per symbol, used only for float rendering,
 and an optional product table so that products of two symbolic values
 stay inside the declared span.  Independence decisions never touch
-floats: they reduce to an exact kernel computation over Fraction.
+floats: one exact solver over Fraction, _dependence, decides them all
+and re-verifies each dependence certificate it returns.
 """
 
 from __future__ import annotations
@@ -176,37 +177,18 @@ class Basis:
         return float(total)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix of exact rationals."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[object]]) -> "RationalMatrix":
-        if not rows:
-            raise ValueError("matrix must be nonempty")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("ragged rows")
-        return RationalMatrix(tuple(tuple(_as_fraction(v) for v in row) for row in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-
-def rational_kernel(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Exact basis of {v : M v = 0}; empty list iff the kernel is trivial.
+def rational_kernel(rows: Sequence[Sequence[object]]) -> list[tuple[Fraction, ...]]:
+    """Exact basis of {v : M v = 0}, M given by its rows; [] iff trivial.
 
     Gauss-Jordan over Fraction; each returned vector has one free column
     set to 1, so the basis is in reduced (column-echelon) form.
     """
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
+    if not rows:
+        raise ValueError("matrix must be nonempty")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged rows")
+    rows = [[_as_fraction(v) for v in row] for row in rows]
+    nrows, ncols = len(rows), len(rows[0])
     pivot_of_col: dict[int, int] = {}
     r = 0
     for c in range(ncols):
@@ -244,6 +226,23 @@ class IndependenceResult:
         return self.independent
 
 
+def _dependence(columns: Sequence[Mapping[object, Fraction]]) -> IndependenceResult:
+    """The one exact dependence solver: column i maps row keys to the exact
+    coefficients of item i.  A dependence certificate is the first kernel
+    vector, made integral and primitive with a positive first nonzero
+    entry, and re-verified against every row; with no row at all every
+    item is zero and the first unit vector is the certificate."""
+    keys = sorted({k for col in columns for k in col})
+    rows = [[col.get(k, 0) for col in columns] for k in keys] or [[0] * len(columns)]
+    kernel = rational_kernel(rows)
+    if not kernel:
+        return IndependenceResult(True, None)
+    cert = _normalize_relation(kernel[0])
+    assert not any(sum(q * v for q, v in zip(cert, row)) for row in rows), \
+        "certificate failed exact re-verification"
+    return IndependenceResult(False, cert)
+
+
 def _normalize_relation(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Clear denominators and divide by the content, fixing the leading sign."""
     from math import gcd, lcm
@@ -259,28 +258,14 @@ def _normalize_relation(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def rationally_independent(vals: Sequence[SymbolicReal]) -> IndependenceResult:
-    """Exact rational-independence decision with a re-verifiable certificate.
+    """Exact rational-independence decision with a re-verified certificate.
 
     Returns INDEPENDENT, or DEPENDENT together with a nonzero rational q
     such that sum(q_i * vals_i) vanishes identically over the shared basis.
     """
     if not vals:
         raise ValueError("vals must be nonempty")
-    symbols = sorted({sym for v in vals for sym, _ in v.coeffs})
-    if not symbols:
-        # all values are zero, any unit vector is a relation
-        cert = tuple(Fraction(1 if i == 0 else 0) for i in range(len(vals)))
-        return IndependenceResult(False, cert)
-    rows = [[v.as_dict().get(sym, Fraction(0)) for v in vals] for sym in symbols]
-    kernel = rational_kernel(RationalMatrix.from_rows(rows))
-    if not kernel:
-        return IndependenceResult(True, None)
-    cert = _normalize_relation(kernel[0])
-    combo = SymbolicReal(())
-    for q, v in zip(cert, vals):
-        combo = combo + v.scale(q)
-    assert combo.is_zero, "certificate failed exact re-verification"
-    return IndependenceResult(False, cert)
+    return _dependence([v.as_dict() for v in vals])
 
 
 def binom_real(a, n: int):
@@ -349,18 +334,9 @@ def require_nonconstant(polys: Sequence[RealPolynomial]) -> None:
 def polys_r_independent(polys: Sequence[RealPolynomial]) -> IndependenceResult:
     """True iff no nontrivial rational combination of the polys is constant.
 
-    Exact: the kernel of the nonconstant-coefficient matrix decides, and a
+    Exact: the nonconstant coefficients decide, and a re-verified
     dependence certificate is returned when one exists.
     """
     if not polys:
         raise ValueError("polys must be nonempty")
-    top = max(p.degree for p in polys)
-    if top < 1:
-        cert = tuple(Fraction(1 if i == 0 else 0) for i in range(len(polys)))
-        return IndependenceResult(False, cert)
-    rows = [[p.coeffs[k] if k <= p.degree else Fraction(0) for p in polys]
-            for k in range(1, top + 1)]
-    kernel = rational_kernel(RationalMatrix.from_rows(rows))
-    if not kernel:
-        return IndependenceResult(True, None)
-    return IndependenceResult(False, _normalize_relation(kernel[0]))
+    return _dependence([dict(enumerate(p.coeffs[1:], 1)) for p in polys])

@@ -460,7 +460,7 @@ _TABLE = {
     "density": (_op_density, {
         "time_grid": _times, "x": _floats, "center": _floats, "radius": _positive,
         "rho": _positive, "step": _positive, "horizon": (float, None),
-        "half_width": (float, 0.05)}, [
+        "half_width": (_positive, 0.05)}, [
         *_on("system", "x", "center"),
         ("params.rho", require_rho_within, ("rho", "horizon"))]),
     "potts": (_op_potts, {
@@ -672,9 +672,11 @@ def run(cfg: dict, seed: int | None = None, out_path: Path | None = None) -> dic
         raise SchemaError("; ".join(diags))
     eff_seed = int(seed if seed is not None else cfg.get("seed", 0))
     start = time.perf_counter()
-    ctx = RunContext(handles.get("system_h"), eff_seed, out_path)
+    sweep = cfg.get("sweep")
+    # a sweep writes and reports no artifacts: each row would overwrite the last one's files
+    ctx = RunContext(handles.get("system_h"), eff_seed, None if sweep else out_path)
     results = [_TABLE[op][0](p, handles.get("system"), ctx) for p in rows]
-    sweep, result = cfg.get("sweep"), results[0]
+    result = results[0]
     if sweep:
         result = {"sweep_param": sweep["param"],
                   "rows": [{"value": v, "result": r} for v, r in zip(sweep["values"], results)]}
@@ -684,7 +686,6 @@ def run(cfg: dict, seed: int | None = None, out_path: Path | None = None) -> dic
         "seed": eff_seed,
         "config": {k: v for k, v in cfg.items() if k != "expect"},
         "result": _render_floats(result),
-        # a sweep reports no artifacts: each row overwrites the last one's files
         "artifacts": {} if sweep else ctx.artifacts,
         "budget_consumed": sum(counts) if counts else None,
         "wall_time_s": time.perf_counter() - start,

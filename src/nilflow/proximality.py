@@ -14,8 +14,8 @@ Search semantics: a verified witness certifies the delta-resolution
 membership condition; EXHAUSTED is informative only.  PROVEN-ABSENT is a
 genuine non-membership certificate for the relation, issued only when
 the pair is at least 2 delta apart on an isometric factor of the system
-(SystemHandle.isometric_gaps), where a positive distance already rules
-the pair out at every scale.
+(the spec's factor_gaps), where a positive distance already rules the
+pair out at every scale.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
         raise ValueError("delta must be positive")
     if d < 1:
         raise ValueError("d must be >= 1")
-    for gap in sys.isometric_gaps(x, y):
+    for gap in sys.spec.factor_gaps(x, y):
         if gap >= 2 * delta:
             return RPSearchResult(PROVEN_ABSENT, checked=0, best_gap=gap)
 
@@ -507,8 +507,7 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
     coordinates a fiber constrains and the free ones.  A sampled tuple
     enters a fiber cell when each component lies within one resolution of
     the fiber in the constrained coordinates; cells quantize the free
-    coordinates at the same pitch.  The identity has no free coordinates,
-    so its coverage is 1 or 0.
+    coordinates at the same pitch.
 
     Constrained coordinates on the rotation factor (the leading
     len(phase_step) ones) are checked on every row through rotate; only

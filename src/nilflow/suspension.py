@@ -31,22 +31,18 @@ class SuspensionPoint:
 @dataclass(frozen=True)
 class SuspensionSpec:
     """Spec of the suspension flow over a discrete base (see systems.py);
-    it has no rotation factor and no time-t map kind."""
+    it has no rotation factor, no fiber projection and no time-t map kind."""
 
     base: SystemHandle
 
     tags = (SUSPENSION, None)
-    isometric = False
     pitch = 1.0
     freqs = float_freqs = None
+    projections = {}
 
     @property
     def dim(self) -> int:
         return self.base.dim + 1
-
-    @property
-    def projections(self) -> dict:
-        return {"identity": (tuple(range(self.dim)), ())}
 
     def evolve(self, p: SuspensionPoint, t: float) -> SuspensionPoint:
         return susp_evolve(self.base, p, t)

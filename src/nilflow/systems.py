@@ -4,13 +4,14 @@ A system is a SystemHandle(spec, step=None): the frozen spec of an R-flow
 (TorusFlowSpec, NilflowSpec, suspension.SuspensionSpec), or with a step
 the flow's time-step map.  Besides dim, evolve, dist, coords and
 from_coords a spec declares its tags (kind as a flow and as a time-t
-map), isometric, the search grid pitch, freqs and float_freqs (exact and
-float frequencies of its rotation factor), projections (fiber name ->
-constrained and free coordinates) and factor_gaps (gaps on proper
-isometric factors), None where it has none.  Only the specs tell kinds
-apart.  From float_freqs the handle derives phase_step and rotate, the
-one code that moves rotation-factor phases; its from_coords is the one
-check of a point's coordinate count.
+map), the search grid pitch, freqs and float_freqs (exact and float
+frequencies of its rotation factor, None where it has none), projections
+(fiber name -> constrained and free coordinates) and factor_gaps (the
+gaps between two points on every isometric factor it has, itself
+included when it is one).  Only the specs tell kinds apart.  From
+float_freqs the handle derives phase_step and rotate, the one code that
+moves rotation-factor phases, and is_isometric; its from_coords is the
+one check of a point's coordinate count.
 Also here: the Heisenberg group law and its one evolution, nil_evolve,
 lattice reduction, quotient metrics, orbit sampling, and the exact
 minimality tests by rational independence of the frequencies.
@@ -180,7 +181,6 @@ class TorusFlowSpec:
     float_freqs: tuple[float, ...]
 
     tags = (TORUS_FLOW, TORUS_MAP)
-    isometric = True
     pitch = 0.25
 
     @property
@@ -189,10 +189,9 @@ class TorusFlowSpec:
 
     @property
     def projections(self) -> dict:
-        out = {"identity": (tuple(range(self.dim)), ())}
-        if self.dim >= 2:
-            out["torus-coord-0"] = ((0,), tuple(range(1, self.dim)))
-        return out
+        if self.dim < 2:
+            return {}
+        return {"torus-coord-0": ((0,), tuple(range(1, self.dim)))}
 
     evolve = torus_evolve
 
@@ -208,8 +207,9 @@ class TorusFlowSpec:
     def from_coords(self, c: Sequence[float]) -> TorusPoint:
         return TorusPoint(tuple(c))
 
-    def factor_gaps(self, p, q) -> tuple:
-        return ()  # its one isometric factor is itself (SystemHandle.isometric_gaps)
+    def factor_gaps(self, p, q):
+        """The torus itself: its translations are isometries."""
+        yield self.dist(p, q)
 
 
 @dataclass(frozen=True)
@@ -222,10 +222,9 @@ class NilflowSpec:
     shadow: tuple[SymbolicReal, SymbolicReal] | None = None
 
     tags = (HEIS_NILFLOW, HEIS_NILSYSTEM)
-    isometric = False
     pitch = 0.25
     dim = 3
-    projections = {"identity": ((0, 1, 2), ()), "heisenberg-base": ((0, 1), (2,))}
+    projections = {"heisenberg-base": ((0, 1), (2,))}
 
     @property
     def freqs(self) -> tuple[SymbolicReal, SymbolicReal]:
@@ -276,8 +275,8 @@ class SystemHandle:
 
     @property
     def is_isometric(self) -> bool:
-        """Does the action preserve the metric (torus flows and rotations)?"""
-        return self.spec.isometric
+        """Is the system its own rotation factor (torus flows and maps)?"""
+        return len(self.phase_step) == self.dim
 
     @property
     def dim(self) -> int:
@@ -325,13 +324,6 @@ class SystemHandle:
         for i, t in enumerate(ts):
             out[i] = self.coords(self.evolve(x, float(t)))
         return out
-
-    def isometric_gaps(self, p, q):
-        """Gaps between p and q on isometric factors, computed lazily: the
-        system itself when it is isometric, then the spec's factors."""
-        if self.is_isometric:
-            yield self.dist(p, q)
-        yield from self.spec.factor_gaps(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,27 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilflow.algebra import (RationalMatrix, RealPolynomial,
-                             SymbolicReal, UnsupportedBasisError, binom_real,
+from nilflow.algebra import (RealPolynomial, SymbolicReal,
+                             UnsupportedBasisError, binom_real,
                              polys_r_independent, rational_kernel,
                              rationally_independent)
 
 
 def mat(rows):
-    return RationalMatrix.from_rows(rows)
+    return [[Fraction(v) for v in row] for row in rows]
 
 
 def matvec(m, vec):
     """The exact product M v."""
-    if len(vec) != m.cols:
+    if any(len(vec) != len(r) for r in m):
         raise ValueError("dimension mismatch")
-    return tuple(sum((r[j] * vec[j] for j in range(m.cols)), Fraction(0))
-                 for r in m.entries)
+    return tuple(sum((a * b for a, b in zip(r, vec)), Fraction(0)) for r in m)
 
 
 class TestRationalKernel:
@@ -48,7 +50,11 @@ class TestRationalKernel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mat([[1, 2], [1]])
+            rational_kernel(mat([[1, 2], [1]]))
+        with pytest.raises(ValueError):
+            rational_kernel([])
+        with pytest.raises(TypeError):
+            rational_kernel([[0.5, 1]])
         with pytest.raises(ValueError):
             matvec(mat([[1, 2]]), (Fraction(1),))
 
@@ -194,3 +200,73 @@ class TestPolynomials:
     def test_constant_family_dependent(self):
         c = RealPolynomial.from_coeffs([5])
         assert not polys_r_independent([c]).independent
+
+
+# ---------------------------------------------------------------------------
+# the one dependence solver against a determinant oracle
+
+SYMBOLS = ("ONE", "SQRT2", "SQRT3", "SQRT5")
+COEFF = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+
+
+def leibniz_det(m):
+    """Determinant of a square Fraction matrix by the Leibniz sum over
+    permutations (no elimination)."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def has_full_minor(rows, n):
+    """Does some n x n minor of the (row keys x items) matrix not vanish?"""
+    return any(leibniz_det([rows[i] for i in pick])
+               for pick in itertools.combinations(range(len(rows)), n))
+
+
+@st.composite
+def coefficient_columns(draw, n_keys):
+    """1-4 items, one column of coefficients p/q per item; half of the
+    families plant a dependence (the last item is a combination of the
+    others, zero when it is alone)."""
+    n = draw(st.integers(1, 4))
+    cols = [[draw(COEFF) for _ in range(n_keys)] for _ in range(n)]
+    if draw(st.booleans()):
+        q = [draw(COEFF) for _ in range(n - 1)]
+        cols[-1] = [sum((qi * c[k] for qi, c in zip(q, cols)), Fraction(0))
+                    for k in range(n_keys)]
+    return cols
+
+
+def check_decision(res, cols):
+    rows = [list(row) for row in zip(*cols)]
+    assert res.independent == has_full_minor(rows, len(cols))
+    cert = res.certificate
+    if res.independent:
+        assert cert is None
+        return
+    assert len(cert) == len(cols)
+    assert all(q.denominator == 1 for q in cert)
+    assert math.gcd(*(int(q) for q in cert)) == 1
+    assert next(q for q in cert if q) > 0
+    assert all(sum((q * v for q, v in zip(cert, row)), Fraction(0)) == 0 for row in rows)
+
+
+class TestDependenceSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(cols=coefficient_columns(len(SYMBOLS)))
+    def test_symbolic_values(self, cols):
+        vals = [SymbolicReal.from_coeffs(dict(zip(SYMBOLS, col))) for col in cols]
+        check_decision(rationally_independent(vals), cols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cols=coefficient_columns(3), constants=st.lists(COEFF, min_size=4, max_size=4))
+    def test_polynomials(self, cols, constants):
+        # rows are the t, t^2 and t^3 coefficients; constant terms never matter
+        polys = [RealPolynomial.from_coeffs([c, *col]) for c, col in zip(constants, cols)]
+        check_decision(polys_r_independent(polys), cols)

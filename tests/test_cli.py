@@ -169,8 +169,8 @@ class TestMainExitCodes:
          "params.resolution"),
         (ROT, "suspend", {"x": [0.0], "times": [1.0], "resolution": 2},
          "params.resolution"),
-        (ROT, "fiber-coverage", {"projection": "identity", "d": 1, "alphas": [1.0],
-                                 "x": [0.0], "resolution": -0.05},
+        (PLANE, "fiber-coverage", {"projection": "torus-coord-0", "d": 1,
+                                   "alphas": [1.0], "x": [0.0, 0.0], "resolution": -0.05},
          "params.resolution"),
         (ROT, "rp-certify", {"x": [0.1, 0.2], "y": [0.1], "d": 1, "delta": 0.05},
          "params.x"),
@@ -251,6 +251,18 @@ class TestMainExitCodes:
         arts = report["payload"]["artifacts"]
         assert (tmp_path / "report.cloud_g.csv").exists()
         assert arts["cloud_g"].endswith("cloud_g.csv")
+        capsys.readouterr()
+
+    def test_sweep_writes_only_the_report(self, tmp_path, capsys):
+        # each row would overwrite the last one's clouds, so a sweep writes none
+        cfg = {"operation": "cube", "system": self.ROT, "params": {"x": [0.1]},
+               "sweep": {"param": "params.budget", "values": [5, 6]}}
+        out = tmp_path / "out" / "r.json"
+        out.parent.mkdir()
+        assert main(["run", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(out.parent.iterdir()) == [out]
+        assert json.loads(out.read_text())["payload"]["artifacts"] == {}
         capsys.readouterr()
 
     def test_csv_format(self, tmp_path, capsys):
@@ -519,6 +531,9 @@ class TestParameterTable:
          "system_h: must commute with system: a heisenberg-nilsystem of dimension 3 "
          "acts on a different space than a torus-map of dimension 3"),
         (on("exceptional", SUSP), "system: exceptional applies to torus flows"),
+        (valid("density", half_width=-0.3), "params.half_width: must be positive"),
+        (on("fiber-coverage", SUSP, projection="identity", x=[0.0, 0.0]),
+         "params.projection: 'identity' does not apply to suspension"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
             "average-t-and-grid",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
@@ -534,7 +549,8 @@ class TestParameterTable:
             "susp-rp-on-flow",
             "cube-mixed-kinds", "nd-compare-mixed-kinds", "potts-dependent-polys",
             "rp-transfer-noncommuting", "rp-transfer-across-spaces",
-            "exceptional-on-suspension"])
+            "exceptional-on-suspension", "density-negative-half-width",
+            "fiber-identity"])
     def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
         assert any(d.startswith(diag) for d in validate_config(cfg))
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA
