@@ -62,15 +62,6 @@ class SymbolicReal:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_rational(self) -> bool:
-        return all(sym == ONE for sym, _ in self.coeffs)
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not a rational value")
-        return self.coeffs[0][1] if self.coeffs else Fraction(0)
-
     def __add__(self, other: "SymbolicReal") -> "SymbolicReal":
         acc = dict(self.coeffs)
         for sym, q in other.coeffs:
@@ -222,9 +213,6 @@ class IndependenceResult:
     independent: bool
     certificate: tuple[Fraction, ...] | None = None
 
-    def __bool__(self) -> bool:
-        return self.independent
-
 
 def _dependence(columns: Sequence[Mapping[object, Fraction]]) -> IndependenceResult:
     """The one exact dependence solver: column i maps row keys to the exact
@@ -271,16 +259,11 @@ def rationally_independent(vals: Sequence[SymbolicReal]) -> IndependenceResult:
 def binom_real(a, n: int):
     """Generalized binomial coefficient a*(a-1)*...*(a-n+1)/n!.
 
-    Exact (Fraction) for int/Fraction/rational SymbolicReal inputs, float
-    otherwise; the n = 0 case is 1 for every a.
+    Exact (Fraction) for int and Fraction inputs, float otherwise; the
+    n = 0 case is 1 for every a.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if isinstance(a, SymbolicReal):
-        if a.is_rational:
-            a = a.rational_value()
-        else:
-            raise ValueError("irrational SymbolicReal: render to float first")
     exact = isinstance(a, (int, Fraction))
     num = Fraction(1) if exact else 1.0
     for k in range(n):

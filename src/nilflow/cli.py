@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys as _sys
 import time
@@ -110,6 +111,13 @@ def build_system(spec: dict, basis: Basis) -> SystemHandle:
 
 _MALFORMED = (ArithmeticError, AttributeError, LookupError, OSError, TypeError,
               ValueError)
+
+
+def _finite(obj) -> bool:
+    """Whether a config value holds no NaN and no infinity (json reads both)."""
+    if isinstance(obj, (dict, list, tuple)):
+        return all(map(_finite, obj.values() if isinstance(obj, dict) else obj))
+    return not isinstance(obj, float) or math.isfinite(obj)
 
 
 def _positive(v) -> float:
@@ -550,14 +558,22 @@ def _parse(cfg: dict, seed: int | None = None) -> tuple[list[str], dict, list[di
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         return ["params: must be an object"], {}, []
+    diags: list[str] = []
+    for key, value in cfg.items():
+        # a parameter or a sweep field is named itself, anything else by its key
+        named = [(f"{key}.{k}", v) for k, v in value.items()] \
+            if key in ("params", "sweep") and isinstance(value, dict) else [(key, value)]
+        diags += [f"{name}: must be finite, got {v!r:.80}"
+                  for name, v in named if not _finite(v)]
+    if diags:
+        return diags, {}, []
     try:
         basis = build_basis(cfg)
-    except (KeyError, TypeError, ValueError) as e:
+    except _MALFORMED as e:
         return [f"basis: {e}"], {}, []
     if op == "validate":
         return [], {}, []
 
-    diags: list[str] = []
     seed = cfg.get("seed", 0) if seed is None else seed
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         diags.append(f"seed: must be an integer >= 0, got {seed!r:.80}")
@@ -575,7 +591,7 @@ def _parse(cfg: dict, seed: int | None = None) -> tuple[list[str], dict, list[di
         if key in cfg:
             try:
                 handles[key] = build_system(cfg[key], basis)
-            except (SchemaError, KeyError, TypeError, ValueError) as e:
+            except _MALFORMED as e:
                 diags.append(f"{key}: {e}")
         elif key == "system":
             diags.append("system: missing")
@@ -643,11 +659,11 @@ def _lookup(result: dict, path: str):
 
 def _check_expectations(result: dict, expects: list[dict]) -> bool:
     for exp in expects:
-        try:
-            got = _lookup(result, exp["path"])
-        except (KeyError, IndexError, TypeError):
-            return False
-        if not _EXPECT_OPS[exp.get("op", "eq")](got, exp.get("value")):
+        try:  # a path the result lacks, or a value it cannot compare with, fails
+            if not _EXPECT_OPS[exp.get("op", "eq")](_lookup(result, exp["path"]),
+                                                    exp.get("value")):
+                return False
+        except _MALFORMED:
             return False
     return True
 
@@ -704,21 +720,6 @@ def report_json(report: dict) -> str:
                       sort_keys=True, indent=2)
 
 
-def _report_csv(report: dict) -> str:
-    result = report["result"]
-    lines = []
-    if "rows" in result:
-        lines.append("value,key,field")
-        for row in result["rows"]:
-            flat = json.dumps(row["result"], sort_keys=True)
-            lines.append(f"{row['value']},result,\"{flat}\"")
-    else:
-        lines.append("key,value")
-        for k, v in sorted(result.items()):
-            lines.append(f"{k},{json.dumps(v, sort_keys=True)}")
-    return "\n".join(lines) + "\n"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="nilflow",
                                      description=__doc__.splitlines()[0])
@@ -728,7 +729,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)
 
     try:
@@ -758,7 +758,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(e).__name__}: {e}", file=_sys.stderr)
         return EXIT_INTERNAL
 
-    rendered = report_json(report) if args.format == "json" else _report_csv(report)
+    rendered = report_json(report)
     if out_path is not None:
         out_path.write_text(rendered)
     else:

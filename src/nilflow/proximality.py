@@ -94,21 +94,24 @@ class RPSearchResult:
 
 @dataclass
 class PointCloud:
-    """Finite sample of a subset of X^m with provenance metadata."""
+    """Finite sample of a subset of X^m with provenance metadata; the
+    arity m is the second axis of ``points``."""
 
     points: np.ndarray  # shape (n, arity, dim)
-    system_tag: str
-    arity: int
     meta: dict
     system: SystemHandle
 
     def __post_init__(self):
-        if self.points.ndim != 3 or self.points.shape[1] != self.arity:
+        if self.points.ndim != 3:
             raise ValueError("points must have shape (n, arity, dim)")
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def arity(self) -> int:
+        return self.points.shape[1]
 
     def flat(self) -> np.ndarray:
         return self.points.reshape(self.n, -1)
@@ -117,7 +120,7 @@ class PointCloud:
         np.savetxt(path, self.flat(), delimiter=",", fmt="%.17g")
 
     def manifest(self) -> dict:
-        return {"system": self.system_tag, "arity": self.arity, "n": self.n,
+        return {"system": self.system.tag, "arity": self.arity, "n": self.n,
                 **self.meta}
 
 
@@ -331,7 +334,7 @@ def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int) -> P
                     for eps in eps_list], axis=1)
     meta = {"generator": "cube_orbit_sample", "budget": budget, "seed": seed,
             "d": d, "base_point": list(sys.coords(x))}
-    return PointCloud(pts, sys.tag, len(eps_list), meta, sys)
+    return PointCloud(pts, meta, sys)
 
 
 def require_arm_alphas(sys: SystemHandle, d: int,
@@ -361,7 +364,7 @@ def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
     pts = np.stack([sys.orbit_coords(x, ss + a * ts) for a in alphas], axis=1)
     meta = {"generator": "nd_sample", "budget": budget, "seed": seed, "d": d,
             "alphas": list(alphas), "base_point": list(sys.coords(x))}
-    return PointCloud(pts, sys.tag, d, meta, sys)
+    return PointCloud(pts, meta, sys)
 
 
 # ---------------------------------------------------------------------------
@@ -470,23 +473,6 @@ def return_set(sys: SystemHandle, x, center, radius: float,
     if radius <= 0:
         raise ValueError("radius must be positive")
     return [t for t in time_grid if sys.dist(sys.evolve(x, t), center) < radius]
-
-
-def rp_return_intersection(sys: SystemHandle, x, y, d: int, radius: float,
-                           nilflow_sys: SystemHandle, y0, radius0: float,
-                           horizon: float, grid_step: float) -> bool:
-    """Probe whether R(x, B(y, r)) meets the nilflow return set R(y0, B(y0, r0)).
-
-    Desk-scale check of the return-set duality: scans the grid
-    {0, step, 2 step, ...} up to horizon and reports nonemptiness.
-    """
-    t = 0.0
-    while t <= horizon:
-        if sys.dist(sys.evolve(x, t), y) < radius and \
-           nilflow_sys.dist(nilflow_sys.evolve(y0, t), y0) < radius0:
-            return True
-        t += grid_step
-    return False
 
 
 def require_projection(sys: SystemHandle, name: str) -> tuple[tuple, tuple]:

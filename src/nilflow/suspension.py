@@ -19,7 +19,6 @@ from .proximality import cell_coverage, rp_witness_search
 from .systems import SUSPENSION, SystemHandle, circle_dist
 
 INTEGRAL_GAP_TOL = 1e-12
-BASE_MATCH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,14 +82,6 @@ def _integral_gap(s: float, t: float) -> int | None:
     """The integer k = s - t, or None when the height gap is not integral."""
     k = round(s - t)
     return k if abs(s - t - k) <= INTEGRAL_GAP_TOL else None
-
-
-def susp_equivalent(base_sys: SystemHandle, p: SuspensionPoint,
-                    q: SuspensionPoint) -> bool:
-    """(x, s) ~ (y, t) iff s - t is an integer and T^{s-t} x = y."""
-    k = _integral_gap(p.s, q.s)
-    return k is not None and \
-        base_sys.dist(base_sys.evolve(p.base, k), q.base) <= BASE_MATCH_TOL
 
 
 def susp_evolve(base_sys: SystemHandle, p: SuspensionPoint, t: float) -> SuspensionPoint:

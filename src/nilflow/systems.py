@@ -13,8 +13,8 @@ float_freqs the handle derives phase_step and rotate, the one code that
 moves rotation-factor phases, and is_isometric; its from_coords is the
 one check of a point's coordinate count.
 Also here: the Heisenberg group law and its one evolution, nil_evolve,
-lattice reduction, quotient metrics, orbit sampling, and the exact
-minimality tests by rational independence of the frequencies.
+lattice reduction, quotient metrics, and the exact minimality tests by
+rational independence of the frequencies.
 
 Conventions: torus points live in [0, 1)^n; Heisenberg elements carry
 Malcev coordinates (x, y, z) with group law
@@ -368,17 +368,13 @@ def exact_freqs(sys: SystemHandle, name: str) -> list[SymbolicReal]:
     return list(freqs)
 
 
-def flow_minimal(sys: SystemHandle) -> bool:
+def flow_minimal_result(sys: SystemHandle) -> IndependenceResult:
     """Kronecker-Weyl minimality of the flow, decided exactly.
 
     Torus flows are minimal iff the frequencies are rationally
     independent; the Heisenberg nilflow reduces to its maximal
     equicontinuous factor, the base 2-torus with frequencies (alpha, beta).
     """
-    return flow_minimal_result(sys).independent
-
-
-def flow_minimal_result(sys: SystemHandle) -> IndependenceResult:
     return rationally_independent(exact_freqs(sys, "flow_minimal"))
 
 
@@ -394,14 +390,3 @@ def time_t_minimal(sys: SystemHandle, t: SymbolicReal, basis: Basis) -> bool:
     vals = [SymbolicReal.rational(1)]
     vals.extend(basis.multiply(f, t) for f in exact_freqs(sys, "time_t_minimal"))
     return rationally_independent(vals).independent
-
-
-# ---------------------------------------------------------------------------
-# orbit sampling
-
-def orbit_sample(sys: SystemHandle, x, times: Sequence[float], seed: int = 0):
-    """Deterministic arity-1 cloud of evolve(x, t) over the given times."""
-    from .proximality import PointCloud
-    meta = {"generator": "orbit_sample", "budget": len(times), "seed": seed,
-            "base_point": list(sys.coords(x))}
-    return PointCloud(sys.orbit_coords(x, times)[:, None, :], sys.tag, 1, meta, sys)

@@ -21,7 +21,7 @@ from nilflow.proximality import (PROVEN_ABSENT, WITNESS, commuting_rp_transfer,
                                  rp_witness_search, rp_witness_verify)
 from nilflow.suspension import integer_part_orbit, susp_rp_transfer_check
 from nilflow.systems import (HeisenbergElement, TorusPoint,
-                             flow_minimal, heis_conjugate_power_identity,
+                             flow_minimal_result, heis_conjugate_power_identity,
                              heis_multiply, heis_power, heisenberg_nilflow,
                              heisenberg_nilsystem, time_t_minimal, torus_flow,
                              torus_rotation)
@@ -54,7 +54,7 @@ def announce(n, name, watch, detail=""):
 def test_criterion_01_kronecker_weyl_decisions():
     watch = Stopwatch(1.0)
     flow = torus_flow((ONE, SQRT2), BASIS)
-    assert flow_minimal(flow) is True
+    assert flow_minimal_result(flow).independent is True
     assert time_t_minimal(flow, ONE, BASIS) is False
     assert time_t_minimal(flow, SQRT2, BASIS) is False
     assert time_t_minimal(flow, SQRT3, BASIS) is True

@@ -135,6 +135,14 @@ class TestMainExitCodes:
         assert main(["minimal", "--config", str(path)]) == EXIT_EXPECT_FAIL
         capsys.readouterr()
 
+    def test_uncomparable_expectation_exit(self, tmp_path, capsys):
+        # a list does not order against a boolean: the expectation fails
+        cfg = {"operation": "minimal", "system": TORUS_1_SQRT2,
+               "expect": [{"path": "minimal", "op": "le", "value": [1]}]}
+        path = write_cfg(tmp_path, cfg)
+        assert main(["minimal", "--config", str(path)]) == EXIT_EXPECT_FAIL
+        capsys.readouterr()
+
     @pytest.mark.parametrize("op, params, named", [
         ("rp-certify", {"x": [0.3], "y": [0.3], "d": 1, "budget": 100},
          "params.delta"),
@@ -264,13 +272,6 @@ class TestMainExitCodes:
         assert sorted(out.parent.iterdir()) == [out]
         assert json.loads(out.read_text())["payload"]["artifacts"] == {}
         capsys.readouterr()
-
-    def test_csv_format(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, {"operation": "minimal",
-                                    "system": TORUS_1_SQRT2})
-        assert main(["minimal", "--config", str(path), "--format", "csv"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.startswith("key,value")
 
     def test_budget_exhaustion_exit(self, tmp_path, capsys):
         # demanding a witness from a hopeless search maps to the budget code
@@ -534,6 +535,28 @@ class TestParameterTable:
         (valid("density", half_width=-0.3), "params.half_width: must be positive"),
         (on("fiber-coverage", SUSP, projection="identity", x=[0.0, 0.0]),
          "params.projection: 'identity' does not apply to suspension"),
+        (on("rp-certify", HEIS_MAP, x=[math.inf, 0, 0], y=[0.1, 0.2, 0.3]),
+         "params.x: must be finite, got [inf, 0, 0]"),
+        (on("cube", HEIS_MAP, HEIS_MAP, x=[math.inf, 0, 0]), "params.x: must be finite"),
+        (valid("susp-rp", s1=math.inf), "params.s1: must be finite, got inf"),
+        (valid("susp-rp", s1=math.nan), "params.s1: must be finite, got nan"),
+        (valid("potts", R=math.inf), "params.R: must be finite"),
+        (on("rp-certify", {**HEIS_MAP, "z": math.inf}, x=[0.1, 0.2, 0.3],
+            y=[0.1, 0.2, 0.3]), "system: must be finite"),
+        (valid("density", horizon=math.nan), "params.horizon: must be finite"),
+        ({**valid("minimal"), "basis": {"symbols": [{"symbol": "PI", "value": math.inf}]}},
+         "basis: must be finite"),
+        (valid("rp-certify", x=[math.nan]), "params.x: must be finite"),
+        (swept("rp-certify", "params.delta", [0.1, math.inf]),
+         "sweep.values: must be finite"),
+        ({**valid("minimal"), "system": "torus"},
+         "system: 'str' object has no attribute 'get'"),
+        ({**valid("cube"), "system_h": "torus"},
+         "system_h: 'str' object has no attribute 'get'"),
+        (on("rp-certify", {"kind": "suspension", "base": "rotation"}, x=[0.1, 0.2],
+            y=[0.1, 0.2]), "system: 'str' object has no attribute 'get'"),
+        ({**valid("minimal"), "basis": "default"},
+         "basis: 'str' object has no attribute 'get'"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
             "average-t-and-grid",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
@@ -550,7 +573,11 @@ class TestParameterTable:
             "cube-mixed-kinds", "nd-compare-mixed-kinds", "potts-dependent-polys",
             "rp-transfer-noncommuting", "rp-transfer-across-spaces",
             "exceptional-on-suspension", "density-negative-half-width",
-            "fiber-identity"])
+            "fiber-identity", "heisenberg-x-infinite-certify", "heisenberg-x-infinite-cube",
+            "susp-rp-s1-infinite", "susp-rp-s1-nan", "potts-R-infinite",
+            "heisenberg-z-infinite", "density-horizon-nan", "basis-value-infinite",
+            "torus-x-nan", "sweep-value-infinite", "system-not-object",
+            "system-h-not-object", "suspension-base-not-object", "basis-not-object"])
     def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
         assert any(d.startswith(diag) for d in validate_config(cfg))
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA
@@ -586,10 +613,11 @@ class TestParameterTable:
 # values each parser must reject; a parser without an entry accepts everything
 BAD = {
     cli._count: [0, -3, True, 2.5, "7", [1]],
-    cli._positive: [0, -1.5, "abc", [0.1]],
-    cli._unit: [0, 1.5, -0.05, "abc"],
-    float: ["abc", [1.0], {"v": 1}],
-    cli._floats: ["abc", 5, {"x": 1}, ["a"]],
+    cli._positive: [0, -1.5, "abc", [0.1], math.nan, math.inf],
+    cli._unit: [0, 1.5, -0.05, "abc", math.nan, math.inf],
+    float: ["abc", [1.0], {"v": 1}, math.nan, math.inf],
+    cli._floats: ["abc", 5, {"x": 1}, ["a"], math.nan, math.inf, [math.nan],
+                  [0.0, math.inf]],
     cli._alphas: [[], [1.0, 1.0], [0.0, 1.0], ["x"], 3],
     cli._nonzero_time: ["0", {"ONE": "0"}, 1.5, "abc", [1]],
     cli._polys: [[], [{"coeffs": [1]}], [{"c": [0, 1]}], "x"],

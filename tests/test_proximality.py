@@ -13,8 +13,8 @@ from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  cube_orbit_sample, face_vectors,
                                  fiber_coverage, hausdorff_distance, nd_sample,
                                  poly_orbit_density, return_set,
-                                 rp_return_intersection, rp_witness_search,
-                                 rp_witness_verify, witness_max_gap)
+                                 rp_witness_search, rp_witness_verify,
+                                 witness_max_gap)
 from nilflow.systems import (TorusPoint, circle_dist, heisenberg_nilflow,
                              heisenberg_nilsystem, torus_flow, torus_map,
                              torus_rotation)
@@ -327,14 +327,13 @@ class TestHausdorff:
 
     def test_singletons(self, rot2):
         def single(u):
-            return PointCloud(np.array([[[u]]]), rot2.tag, 1, {}, rot2)
+            return PointCloud(np.array([[[u]]]), {}, rot2)
         assert hausdorff_distance(single(0.1), single(0.9)) == pytest.approx(0.2)
 
     def test_dense_cloud_vs_grid(self, rot2):
         rng = np.random.default_rng(10)
-        dense = PointCloud(rng.random((2 * 10 ** 4, 1, 1)), rot2.tag, 1, {}, rot2)
-        grid = PointCloud(np.linspace(0, 0.95, 20).reshape(20, 1, 1),
-                          rot2.tag, 1, {}, rot2)
+        dense = PointCloud(rng.random((2 * 10 ** 4, 1, 1)), {}, rot2)
+        grid = PointCloud(np.linspace(0, 0.95, 20).reshape(20, 1, 1), {}, rot2)
         assert hausdorff_distance(dense, grid) <= 2 * 0.05
 
     def test_arity_mismatch(self, rot2):
@@ -399,7 +398,7 @@ def cloud_pairs(draw):
 
 def torus_cloud(points):
     sys_h = TORI[points.shape[2]]
-    return PointCloud(points, sys_h.tag, points.shape[1], {}, sys_h)
+    return PointCloud(points, {}, sys_h)
 
 
 class TestHausdorffExact:
@@ -486,29 +485,6 @@ class TestReturnSet:
         hits = return_set(rot2, x, x, 0.1, list(range(2000)))
         gaps = np.diff(hits)
         assert gaps.max() <= 20  # bounded gaps for a minimal rotation
-
-
-class TestReturnIntersection:
-    def test_same_point_trivial(self, rot2, nilsys):
-        x = TorusPoint((0.3,))
-        y0 = nilsys.from_coords((0.0, 0.0, 0.0))
-        assert rp_return_intersection(rot2, x, x, 1, 0.1, nilsys, y0, 0.5,
-                                      100.0, 1.0)
-
-    def test_minimal_rotation_visits(self, basis, sqrt6, nilsys):
-        # rotation frequency decoupled from the nilflow base frequencies
-        rot6 = torus_rotation(sqrt6, basis)
-        x = TorusPoint((0.0,))
-        y = TorusPoint((0.4,))
-        y0 = nilsys.from_coords((0.5, 0.5, 0.5))
-        assert rp_return_intersection(rot6, x, y, 1, 0.1, nilsys, y0, 0.45,
-                                      4000.0, 1.0)
-
-    def test_heisenberg_fiber_pair(self, nilsys):
-        x, y = fiber_pair(nilsys, (0.0, 0.0, 0.0), 0.4)
-        y0 = nilsys.from_coords((0.5, 0.5, 0.5))
-        assert rp_return_intersection(nilsys, x, y, 1, 0.25, nilsys, y0, 0.35,
-                                      4000.0, 1.0)
 
 
 class TestFiberCoverage:

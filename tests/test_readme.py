@@ -4,6 +4,10 @@ import re
 import tokenize
 from pathlib import Path
 
+import pytest
+
+from nilflow.cli import main
+
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
 
@@ -39,3 +43,13 @@ def test_library_quick_tour_runs_as_written():
         else:
             exec(compile(ast.Module([stmt], []), "README", "exec"), env)
     assert checked >= 5
+
+
+def test_usage_line_lists_the_cli_options(capsys):
+    # an option removed from the CLI must leave the docs too, and a new one enter them
+    section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    usage = re.search(r"```\n(nilflow .*)\n```", section).group(1)
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    assert set(re.findall(r"--[a-z-]+", usage)) == options

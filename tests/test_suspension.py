@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nilflow.suspension import (SuspensionPoint, integer_part_orbit,
-                                susp_canonical, susp_equivalent, susp_evolve,
-                                susp_metric, susp_rp_transfer_check, suspend)
+                                susp_canonical, susp_evolve, susp_metric,
+                                susp_rp_transfer_check, suspend)
 from nilflow.systems import (SymbolicReal, TorusPoint, heisenberg_nilflow,
                              heisenberg_nilsystem, torus_flow, torus_map,
                              torus_rotation)
@@ -38,14 +38,13 @@ class TestCanonical:
         x = TorusPoint((0.2,))
         p = susp_canonical(rot, x, 2.5)
         assert p.s == 0.5
-        assert susp_equivalent(rot, SuspensionPoint(x, 2.5), p)
-        assert susp_equivalent(rot, p, SuspensionPoint(rot.evolve(x, 2), 0.5))
+        assert susp_metric(rot, p, susp_canonical(rot, rot.evolve(x, 2), 0.5)) <= 1e-12
 
     def test_negative_height(self, rot):
         x = TorusPoint((0.2,))
         p = susp_canonical(rot, x, -0.3)
         assert p.s == pytest.approx(0.7)
-        assert susp_equivalent(rot, p, SuspensionPoint(x, -0.3))
+        assert susp_metric(rot, p, susp_canonical(rot, rot.evolve(x, 1), -1.3)) <= 1e-12
 
     def test_retraction(self, rot):
         rng = np.random.default_rng(0)
@@ -59,14 +58,12 @@ class TestCanonical:
 
 
 class TestEquivalence:
-    def test_reflexive(self, rot):
-        p = SuspensionPoint(TorusPoint((0.4,)), 0.5)
-        assert susp_equivalent(rot, p, p)
+    """(x, s) ~ (T^k x, s - k): the gluing, seen through canonical points."""
 
     def test_nonintegral_gap(self, rot):
         x = TorusPoint((0.4,))
-        assert not susp_equivalent(rot, SuspensionPoint(x, 0.5),
-                                   SuspensionPoint(x, 0.6))
+        gap = susp_metric(rot, SuspensionPoint(x, 0.5), SuspensionPoint(x, 0.6))
+        assert gap == pytest.approx(0.1, abs=1e-12)
 
     def test_equivalence_relation_sampled(self, rot):
         rng = np.random.default_rng(1)
@@ -74,12 +71,9 @@ class TestEquivalence:
             x = TorusPoint((rng.random(),))
             s = rng.random()
             p = SuspensionPoint(x, s)
-            q = SuspensionPoint(rot.evolve(x, 3), s - 3.0)
-            r = SuspensionPoint(rot.evolve(x, -2), s + 2.0)
-            assert susp_equivalent(rot, p, q)
-            assert susp_equivalent(rot, q, p)
-            assert susp_equivalent(rot, q, r)
-            assert susp_equivalent(rot, p, r)
+            for k in (3, -2):
+                q = susp_canonical(rot, rot.evolve(x, k), s - k)
+                assert susp_metric(rot, p, q) <= 1e-12
 
 
 class TestEvolve:

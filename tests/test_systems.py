@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from nilflow.algebra import SymbolicReal, UnsupportedBasisError
 from nilflow.suspension import suspend
 from nilflow.systems import (HEIS_IDENTITY, HeisenbergElement, NilflowSpec,
-                             TorusPoint, circle_dist, flow_minimal,
+                             TorusPoint, circle_dist, flow_minimal_result,
                              heis_conjugate_power_identity, heis_multiply,
                              heis_power, heis_reduce, heisenberg_nilflow,
-                             heisenberg_nilsystem, nil_evolve, orbit_sample,
-                             time_t_minimal, torus_evolve, torus_flow,
-                             torus_map, torus_rotation, wrap_unit)
+                             heisenberg_nilsystem, nil_evolve, time_t_minimal,
+                             torus_evolve, torus_flow, torus_map,
+                             torus_rotation, wrap_unit)
 
 
 def coords_gap(a, b):
@@ -335,15 +335,16 @@ class TestKernelsMatchReference:
 
 class TestMinimality:
     def test_kronecker_weyl_flow(self, basis, one, sqrt2):
-        assert flow_minimal(torus_flow((one, sqrt2), basis))
+        assert flow_minimal_result(torus_flow((one, sqrt2), basis)).independent
 
     def test_dependent_frequencies(self, basis, sqrt2):
-        assert not flow_minimal(torus_flow((sqrt2, sqrt2.scale(2)), basis))
+        dep = torus_flow((sqrt2, sqrt2.scale(2)), basis)
+        assert not flow_minimal_result(dep).independent
 
     def test_nilflow_shadow(self, basis, sqrt2, sqrt3):
-        assert flow_minimal(heisenberg_nilflow(sqrt2, sqrt3, basis))
+        assert flow_minimal_result(heisenberg_nilflow(sqrt2, sqrt3, basis)).independent
         dep = heisenberg_nilflow(sqrt2, sqrt2.scale(Fraction(3, 2)), basis)
-        assert not flow_minimal(dep)
+        assert not flow_minimal_result(dep).independent
 
     def test_time_t_examples(self, basis, one, sqrt2, sqrt3):
         flow = torus_flow((one, sqrt2), basis)
@@ -365,13 +366,13 @@ class TestMinimality:
     def test_decision_pure_in_frequency_order(self, basis, one, sqrt2, sqrt3):
         a = torus_flow((one, sqrt2, sqrt3), basis)
         b = torus_flow((sqrt3, one, sqrt2), basis)
-        assert flow_minimal(a) == flow_minimal(b)
+        assert flow_minimal_result(a).independent == flow_minimal_result(b).independent
         assert time_t_minimal(a, sqrt3, basis) == time_t_minimal(b, sqrt3, basis)
 
     def test_map_handles_rejected(self, basis, sqrt2):
         rot = torus_rotation(sqrt2, basis)
         with pytest.raises(ValueError):
-            flow_minimal(rot)
+            flow_minimal_result(rot)
 
 
 KINDS = ("torus-flow", "torus-map", "heisenberg-nilflow", "heisenberg-nilsystem",
@@ -439,26 +440,26 @@ def test_from_coords_rejects_wrong_count(basis, sqrt2, sqrt3, kind):
 
 
 class TestOrbitSample:
+    """SystemHandle.orbit_coords: rows coords(evolve(x, t)) over the times."""
+
     def test_single_time(self, basis, sqrt2):
         flow = torus_flow((sqrt2,), basis)
-        x = TorusPoint((0.25,))
-        cloud = orbit_sample(flow, x, [0.0])
-        assert cloud.n == 1 and cloud.arity == 1
-        assert cloud.points[0, 0, 0] == 0.25
+        rows = flow.orbit_coords(TorusPoint((0.25,)), [0.0])
+        assert rows.shape == (1, 1) and rows[0, 0] == 0.25
 
     def test_minimal_rotation_fills(self, basis, sqrt2):
         flow = torus_flow((sqrt2,), basis)
         rng = np.random.default_rng(12)
         times = rng.random(10 ** 5) * 1e4
-        cloud = orbit_sample(flow, TorusPoint((0.0,)), times)
-        cells = np.unique((cloud.points[:, 0, 0] * 100).astype(int))
+        rows = flow.orbit_coords(TorusPoint((0.0,)), times)
+        cells = np.unique((rows[:, 0] * 100).astype(int))
         assert len(cells) == 100  # every 0.01 interval hit
 
     def test_rational_rotation_period_three(self, basis):
         third = SymbolicReal.rational(Fraction(1, 3))
         rot = torus_map(torus_flow((third,), basis))
-        cloud = orbit_sample(rot, TorusPoint((0.0,)), list(range(30)))
-        pts = np.sort(cloud.points[:, 0, 0])
+        rows = rot.orbit_coords(TorusPoint((0.0,)), list(range(30)))
+        pts = np.sort(rows[:, 0])
         clusters = np.unique(np.round(pts * 1e9).astype(np.int64) // 1)
         distinct = len(np.unique(np.round(pts, 9)))
         assert distinct == 3
