@@ -1,7 +1,7 @@
 """Multiple ergodic averages along flows and their decompositions.
 
 Trigonometric observables live on the rotation factor (trig_phase_step)
-and keep every integral exact by frequency bookkeeping; one chunked loop
+and keep every integral exact by frequency bookkeeping; one block-mapped loop
 samples correlations over rotation-factor points, seeded Monte-Carlo
 with standard errors or an exact mesh; raw callbacks fall back to
 Monte-Carlo along the evolution.  Also houses uniform-density window
@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import (RealPolynomial, binom_real, polys_r_independent,
                       require_nonconstant)
 from .systems import (HeisenbergElement, SystemHandle, heis_conjugate,
-                      heis_multiply, heis_power)
+                      heis_multiply, heis_power, map_blocks)
 
 
 class IndependenceViolation(ValueError):
@@ -258,19 +258,21 @@ def _sample_correlation(sys: SystemHandle, f: Observable, alphas, t_grid,
 def _phase_correlation(sys: SystemHandle, f: Observable, alphas, pts,
                        t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error over the rotation-factor points x of
-    f(x) f(x + a_1 t omega) ... f(x + a_k t omega) at each t, holding at
-    most 10^6 products at once: (values, stderrs) arrays."""
+    f(x) f(x + a_1 t omega) ... f(x + a_k t omega) at each t, one block of
+    t-rows per map_blocks call: (values, stderrs) arrays."""
     base_vals = f.eval_phases(pts)
     values = np.empty(len(t), dtype=complex)
     stderrs = np.empty(len(t))
-    chunk = max(1, 10 ** 6 // len(pts))
-    for start in range(0, len(t), chunk):
-        tc = t[start:start + chunk]
+
+    def fill(rows: slice) -> None:
+        tc = t[rows]
         prod = np.broadcast_to(base_vals, (len(tc), len(pts))).copy()
         for a in alphas:
             prod *= f.eval_phases(sys.rotate(pts, (a * tc)[:, None]))  # prod * g order
-        values[start:start + chunk] = prod.mean(axis=1)
-        stderrs[start:start + chunk] = np.std(prod, axis=1) / math.sqrt(len(pts))
+        values[rows] = prod.mean(axis=1)
+        stderrs[rows] = np.std(prod, axis=1) / math.sqrt(len(pts))
+
+    map_blocks(fill, len(t), per=len(pts))
     return values, stderrs
 
 
@@ -393,11 +395,15 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
         ks = np.arange(start, min(start + chunk, n_time))
         ts = (ks + rng.random(len(ks))) * h
         vals = np.ones((n_x, len(ts)), dtype=complex)
-        for p, f in zip(polys, fs):
-            pt = p.eval_array(ts)
-            for i in range(n_x):
-                vals[i] *= f.eval_phases(flow_sys.rotate(xs[i], pt))
-        total += vals.sum()
+
+        def fill(cols: slice) -> None:
+            for p, f in zip(polys, fs):
+                pt = p.eval_array(ts[cols])
+                for i in range(n_x):
+                    vals[i, cols] *= f.eval_phases(flow_sys.rotate(xs[i], pt))
+
+        map_blocks(fill, len(ts), per=n_x)
+        total += vals.sum()  # one sum per chunk, in the order of one core
     time_avg = total / (n_x * n_time)
     prod = 1.0 + 0j
     for f in fs:

@@ -62,6 +62,10 @@ class SchemaError(ValueError):
     """Config failed schema or semantic validation."""
 
 
+class FieldError(SchemaError):
+    """A SchemaError whose message starts with the field it names."""
+
+
 class BudgetExhaustedFailure(RuntimeError):
     """A search exhausted its budget where the config demanded success."""
 
@@ -88,21 +92,36 @@ def build_basis(cfg: dict) -> Basis:
     return basis
 
 
-def build_system(spec: dict, basis: Basis) -> SystemHandle:
+def _system_float(spec: dict, key: str, default: float, name: str) -> float:
+    """A float field of the system object named name: FieldError name.key."""
+    try:
+        return _float(spec.get(key, default))
+    except _MALFORMED as e:
+        raise FieldError(f"{name}.{key}: {e}") from None
+
+
+def build_system(spec: dict, basis: Basis, name: str = "system") -> SystemHandle:
+    """The system of a config object; name is its key in the config.  A
+    map's step is finite and nonzero; a flow takes real times, no step."""
     kind = spec.get("kind")
     if kind in ("torus-flow", "torus-map"):
         flow = torus_flow(tuple(_parse_symbolic(f) for f in spec["freqs"]), basis)
     elif kind in ("heisenberg-nilflow", "heisenberg-nilsystem"):
         flow = heisenberg_nilflow(_parse_symbolic(spec["alpha"]),
                                   _parse_symbolic(spec["beta"]), basis,
-                                  float(spec.get("z", 0.0)))
+                                  _system_float(spec, "z", 0.0, name))
     elif kind == "suspension":
-        return suspend(build_system(spec["base"], basis))
+        return suspend(build_system(spec["base"], basis, f"{name}.base"))
     else:
         raise SchemaError(f"unknown system kind {kind!r}")
-    if kind in ("torus-map", "heisenberg-nilsystem"):
-        return SystemHandle(flow.spec, float(spec.get("step", 1.0)))
-    return flow
+    if kind in ("torus-flow", "heisenberg-nilflow"):
+        if spec.get("step") is not None:
+            raise FieldError(f"{name}.step: a {kind} takes real times, not a step")
+        return flow
+    step = _system_float(spec, "step", 1.0, name)
+    if step == 0:
+        raise FieldError(f"{name}.step: must be nonzero")
+    return SystemHandle(flow.spec, step)
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +139,27 @@ def _finite(obj) -> bool:
     return not isinstance(obj, float) or math.isfinite(obj)
 
 
+def _float(v) -> float:
+    """The one float parser: float() also reads "inf" and "nan" from
+    strings, so it checks finiteness itself."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise SchemaError(f"must be finite, got {v!r}")
+    return x
+
+
 def _positive(v) -> float:
-    if not float(v) > 0:
+    x = _float(v)
+    if not x > 0:
         raise SchemaError(f"must be positive, got {v!r}")
-    return float(v)
+    return x
 
 
 def _unit(v) -> float:
-    if not 0 < float(v) <= 1:
+    x = _float(v)
+    if not 0 < x <= 1:
         raise SchemaError(f"must lie in (0, 1], got {v!r}")
-    return float(v)
+    return x
 
 
 def _count(v) -> int:
@@ -149,11 +179,11 @@ def _nonempty(v) -> list:
 def _floats(v) -> tuple[float, ...]:
     if not isinstance(v, list):
         raise SchemaError(f"must be a list of numbers, got {v!r}")
-    return tuple(float(c) for c in v)
+    return tuple(_float(c) for c in v)
 
 
 def _alphas(v) -> list[float]:
-    return [float(a) for a in _nonempty(v)]
+    return [_float(a) for a in _nonempty(v)]
 
 
 def _nonzero_time(v) -> SymbolicReal:
@@ -175,11 +205,10 @@ def _observable(obj) -> Observable:
     if kind == "cos":
         return Observable.cosine(*obj["freq"])
     if kind == "const":
-        return Observable.constant(complex(obj.get("value", 1.0)),
-                                   int(obj.get("dim", 1)))
+        return Observable.constant(_float(obj.get("value", 1.0)), int(obj.get("dim", 1)))
     if kind == "trig":
         return Observable.trig([(tuple(t["freq"]),
-                                 complex(t.get("re", 0.0), t.get("im", 0.0)))
+                                 complex(_float(t.get("re", 0.0)), _float(t.get("im", 0.0))))
                                 for t in obj["terms"]])
     raise SchemaError(f"unknown observable kind {kind!r}")
 
@@ -191,34 +220,40 @@ def _observables(v) -> list[Observable]:
 def _times(obj) -> np.ndarray:
     kind = "list" if isinstance(obj, list) else obj.get("kind")
     if kind == "list":
-        ts = np.asarray(obj, dtype=float)
+        ts = np.array([_float(t) for t in obj])
     elif kind == "quadratic":
         n = np.arange(1, int(obj["n_max"]) + 1, dtype=float)
-        ts = float(obj["beta"]) * n * n
+        ts = _float(obj["beta"]) * n * n
     elif kind == "uniform":
         rng = np.random.default_rng(int(obj.get("seed", 0)))
-        ts = rng.random(int(obj["count"])) * float(obj["horizon"])
+        ts = rng.random(int(obj["count"])) * _float(obj["horizon"])
     elif kind == "grid":
-        ts = np.arange(float(obj["start"]), float(obj["stop"]) + 1e-12,
-                       float(obj["step"]))
+        ts = np.arange(_float(obj["start"]), _float(obj["stop"]) + 1e-12,
+                       _float(obj["step"]))
     else:
         raise SchemaError(f"unknown times spec {obj!r}")
     if not len(ts):
         raise SchemaError("must hold at least one time")
+    if not np.isfinite(ts).all():
+        raise SchemaError(f"must be finite, got {obj!r:.80}")
     return ts
 
 
 def _windows(v) -> list[tuple[float, float]]:
-    return [(float(s), float(r)) for s, r in _nonempty(v)]
+    return [(_float(s), _float(r)) for s, r in _nonempty(v)]
 
 
 def _series(obj) -> TimeSeries:
     if "csv" in obj:
         data = np.loadtxt(obj["csv"], delimiter=",", ndmin=2)
+        grid = data[:, 0]
         values = data[:, 1] if data.shape[1] < 3 else data[:, 1] + 1j * data[:, 2]
-        return TimeSeries(data[:, 0], values)
-    return TimeSeries(np.asarray(obj["grid"], dtype=float),
-                      np.asarray(obj["values"], dtype=float))
+    else:
+        grid = np.array([_float(t) for t in obj["grid"]])
+        values = np.array([_float(v) for v in obj["values"]])
+    if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+        raise SchemaError(f"must be finite, got {obj!r:.80}")
+    return TimeSeries(grid, values)
 
 
 def _element(v) -> HeisenbergElement:
@@ -442,23 +477,23 @@ _TABLE = {
         ("params.alphas", require_arm_alphas, ("system_h", "d", "alphas"))]),
     "poly-density": (_op_poly_density, {
         "polys": _polys, "x": _floats, "budget": (_count, 10 ** 5),
-        "resolution": (_unit, 0.05), "t_span": (float, 1e4)}, [
+        "resolution": (_unit, 0.05), "t_span": (_float, 1e4)}, [
         *_on("system", "x"), ("params.polys", require_nonconstant, ("polys",)),
         ("system", require_torus, ("system",))]),
     "fiber-coverage": (_op_fiber_coverage, {
         "projection": str, "d": (_count, 1), "alphas": _alphas, "x": _floats,
         "budget": (_count, 10 ** 5), "resolution": (_unit, 0.05),
-        "horizon": (float, 1e4)}, [
+        "horizon": (_float, 1e4)}, [
         *_on("system", "x"),
         ("params.projection", require_projection, ("system", "projection")),
         ("params.alphas", require_arm_alphas, ("system", "d", "alphas"))]),
     "suspend": (_op_suspend, {"times": _times, "x": _floats,
                               "resolution": (_unit, 0.05)}, _on("system", "x")),
     "susp-rp": (_op_susp_rp, {**_SEARCH, "x1": _floats, "x2": _floats,
-                              "s1": float, "s2": float}, [
+                              "s1": _float, "s2": _float}, [
         *_on("system", "x1", "x2"), ("system", suspend, ("system",))]),
     "average": (_op_average, {
-        "observable": _observable, "alphas": _alphas, "t": (float, None),
+        "observable": _observable, "alphas": _alphas, "t": (_float, None),
         "t_grid": (_times, ()), "n_samples": (_count, 2 * 10 ** 4)}, [
         _OBSERVABLE, _ALPHAS, ("params.t", _t_or_grid, ("t", "t_grid")),
         ("params.t_grid", require_increasing, ("t_grid",))]),
@@ -467,7 +502,7 @@ _TABLE = {
          ("series", "windows"))]),
     "density": (_op_density, {
         "time_grid": _times, "x": _floats, "center": _floats, "radius": _positive,
-        "rho": _positive, "step": _positive, "horizon": (float, None),
+        "rho": _positive, "step": _positive, "horizon": (_float, None),
         "half_width": (_positive, 0.05)}, [
         *_on("system", "x", "center"),
         ("params.rho", require_rho_within, ("rho", "horizon"))]),
@@ -590,7 +625,9 @@ def _parse(cfg: dict, seed: int | None = None) -> tuple[list[str], dict, list[di
     for key in ("system", "system_h") if op not in ("ud", "embed", "membership") else ():
         if key in cfg:
             try:
-                handles[key] = build_system(cfg[key], basis)
+                handles[key] = build_system(cfg[key], basis, key)
+            except FieldError as e:
+                diags.append(str(e))
             except _MALFORMED as e:
                 diags.append(f"{key}: {e}")
         elif key == "system":
@@ -735,6 +772,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=_sys.stderr)
+        return EXIT_SCHEMA
+    if not isinstance(cfg, dict):
+        print(f"config error: must be a JSON object, got {cfg!r:.80}", file=_sys.stderr)
         return EXIT_SCHEMA
     if args.command not in ("run", "validate"):
         cfg["operation"] = args.command

@@ -23,13 +23,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import RealPolynomial, require_nonconstant
 from .averages import require_alphas
-from .systems import SystemHandle
+from .systems import SystemHandle, usable_cpus
 
 WITNESS = "witness"
 EXHAUSTED = "exhausted"
@@ -399,7 +400,9 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     The result is exact, bit for bit: every kept number is an exact
     nearest-neighbour distance (``eps=0``), the query order only
     permutes the rows, and the bound is attained, so the maximum of the
-    bound and the re-queried rows is the maximum over all rows.
+    bound and the re-queried rows is the maximum over all rows.  The
+    queries run on every usable CPU; each row's distance is its own, so
+    the worker count moves no bit.
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
@@ -408,19 +411,20 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     if sys.is_isometric:
         from scipy.spatial import cKDTree
         fa, fb = a.flat() % 1.0, b.flat() % 1.0
+        query = partial(cKDTree.query, p=np.inf, workers=usable_cpus())
         # unbalanced, non-compacted trees build faster and query no slower here
         ta, tb = (cKDTree(f, boxsize=1.0, balanced_tree=False, compact_nodes=False)
                   for f in (fa, fb))
         # (tree queried, query points, their leaf order)
         directions = ((tb, fa, ta.indices), (ta, fb, tb.indices))
-        worst = max(tree.query(f[order[::_BOUND_STRIDE]], p=np.inf)[0].max()
+        worst = max(query(tree, f[order[::_BOUND_STRIDE]])[0].max()
                     for tree, f, order in directions)
         bound = worst
         for tree, f, order in directions:
             q = f[order]
-            beyond = np.isinf(tree.query(q, p=np.inf, distance_upper_bound=bound)[0])
+            beyond = np.isinf(query(tree, q, distance_upper_bound=bound)[0])
             if beyond.any():
-                worst = max(worst, tree.query(q[beyond], p=np.inf)[0].max())
+                worst = max(worst, query(tree, q[beyond])[0].max())
             del q  # one leaf-ordered copy alive at a time keeps peak memory down
         return float(worst)
 

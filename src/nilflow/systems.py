@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +41,46 @@ TORUS_MAP = "torus-map"
 HEIS_NILFLOW = "heisenberg-nilflow"
 HEIS_NILSYSTEM = "heisenberg-nilsystem"
 SUSPENSION = "suspension"
+
+
+# ---------------------------------------------------------------------------
+# block map
+
+_BLOCK = 2 ** 16  # items per block at per=1: 1 MB of complex temporaries
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_blocks(fill, n: int, per: int = 1) -> None:
+    """Call fill(block) for consecutive slices that cover range(n), each of
+    about _BLOCK // per items, on a thread pool of min(blocks, usable_cpus())
+    workers, or inline when that is one.  numpy's ufuncs release the GIL, so
+    the blocks run in parallel; an exception a fill raises reaches the caller.
+
+    The bits must depend neither on the block size nor on the worker count:
+    a fill writes only its own slice, by elementwise or per-row work, and
+    leaves every reduction across items to the caller.  No block holds a
+    single item unless n is 1, because numpy's matmul takes its dot path
+    on one row, with other bits.
+    """
+    size = max(2, _BLOCK // per)
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # the last item joins the block before it
+    blocks = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    workers = min(len(blocks), usable_cpus())
+    if workers <= 1:
+        for block in blocks:
+            fill(block)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(fill, blocks):
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,13 @@ class TestMainExitCodes:
         assert main(["minimal", "--config", str(path)]) == EXIT_EXPECT_FAIL
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["minimal", "run", "validate"])
+    def test_config_not_an_object_exit(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text('["x"]')
+        assert main([command, "--config", str(path)]) == EXIT_SCHEMA
+        assert "config error: must be a JSON object, got ['x']" in capsys.readouterr().err
+
     def test_uncomparable_expectation_exit(self, tmp_path, capsys):
         # a list does not order against a boolean: the expectation fails
         cfg = {"operation": "minimal", "system": TORUS_1_SQRT2,
@@ -557,6 +564,24 @@ class TestParameterTable:
             y=[0.1, 0.2]), "system: 'str' object has no attribute 'get'"),
         ({**valid("minimal"), "basis": "default"},
          "basis: 'str' object has no attribute 'get'"),
+        (valid("potts", R="inf"), "params.R: must be finite, got 'inf'"),
+        (on("rp-certify", HEIS_MAP, x=["-Infinity", 0, 0], y=[0.1, 0.2, 0.3]),
+         "params.x: must be finite, got '-Infinity'"),
+        (on("minimal", {**HEIS_FLOW, "step": 1.5}),
+         "system.step: a heisenberg-nilflow takes real times, not a step"),
+        (on("minimal", {**LINE, "step": 2}),
+         "system.step: a torus-flow takes real times, not a step"),
+        (on("rp-transfer", HEIS_MAP, {**HEIS_FLOW, "step": 1.5}, x=[0.1, 0.2, 0.3],
+            y=[0.1, 0.2, 0.3]), "system_h.step: a heisenberg-nilflow takes real times"),
+        (on("rp-certify", {**HEIS_MAP, "step": "inf"}, x=[0.1, 0.2, 0.3],
+            y=[0.1, 0.2, 0.3]), "system.step: must be finite, got 'inf'"),
+        (on("rp-certify", {**ROT, "step": 0}), "system.step: must be nonzero"),
+        (on("rp-certify", {**ROT, "step": "fast"}),
+         "system.step: could not convert string to float"),
+        (on("rp-certify", {"kind": "suspension", "base": {**ROT, "step": 0.0}},
+            x=[0.1, 0.2], y=[0.1, 0.2]), "system.base.step: must be nonzero"),
+        (on("rp-certify", {**HEIS_MAP, "z": "nan"}, x=[0.1, 0.2, 0.3],
+            y=[0.1, 0.2, 0.3]), "system.z: must be finite, got 'nan'"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
             "average-t-and-grid",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
@@ -577,7 +602,11 @@ class TestParameterTable:
             "susp-rp-s1-infinite", "susp-rp-s1-nan", "potts-R-infinite",
             "heisenberg-z-infinite", "density-horizon-nan", "basis-value-infinite",
             "torus-x-nan", "sweep-value-infinite", "system-not-object",
-            "system-h-not-object", "suspension-base-not-object", "basis-not-object"])
+            "system-h-not-object", "suspension-base-not-object", "basis-not-object",
+            "potts-R-inf-string", "heisenberg-x-minus-infinity-string",
+            "nilflow-with-step", "torus-flow-with-step", "system-h-nilflow-with-step",
+            "nilsystem-step-inf-string", "map-step-zero", "map-step-not-number",
+            "suspension-base-step-zero", "heisenberg-z-nan-string"])
     def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
         assert any(d.startswith(diag) for d in validate_config(cfg))
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA
@@ -613,22 +642,26 @@ class TestParameterTable:
 # values each parser must reject; a parser without an entry accepts everything
 BAD = {
     cli._count: [0, -3, True, 2.5, "7", [1]],
-    cli._positive: [0, -1.5, "abc", [0.1], math.nan, math.inf],
-    cli._unit: [0, 1.5, -0.05, "abc", math.nan, math.inf],
-    float: ["abc", [1.0], {"v": 1}, math.nan, math.inf],
+    cli._positive: [0, -1.5, "abc", [0.1], math.nan, math.inf, "inf", "Infinity"],
+    cli._unit: [0, 1.5, -0.05, "abc", math.nan, math.inf, "nan"],
+    cli._float: ["abc", [1.0], {"v": 1}, math.nan, math.inf, "inf", "-Infinity", "nan"],
     cli._floats: ["abc", 5, {"x": 1}, ["a"], math.nan, math.inf, [math.nan],
-                  [0.0, math.inf]],
-    cli._alphas: [[], [1.0, 1.0], [0.0, 1.0], ["x"], 3],
+                  [0.0, math.inf], ["inf"], [0.0, "NaN"]],
+    cli._alphas: [[], [1.0, 1.0], [0.0, 1.0], ["x"], 3, ["inf"], [1.0, "nan"]],
     cli._nonzero_time: ["0", {"ONE": "0"}, 1.5, "abc", [1]],
     cli._polys: [[], [{"coeffs": [1]}], [{"c": [0, 1]}], "x"],
-    cli._observable: [{"kind": "nope"}, {"kind": "exp"}, 5, "cos"],
+    cli._observable: [{"kind": "nope"}, {"kind": "exp"}, 5, "cos",
+                      {"kind": "const", "value": "inf"},
+                      {"kind": "trig", "terms": [{"freq": [1], "re": "nan"}]}],
     cli._observables: [[], [{"kind": "nope"}], 5],
     cli._times: [{"kind": "nope"}, "x", {"kind": "grid"}, ["a"], [],
-                 {"kind": "grid", "start": 2.0, "stop": 1.0, "step": 0.5}],
-    cli._windows: [[], [[1.0]], "x", [["a", 1.0]]],
+                 {"kind": "grid", "start": 2.0, "stop": 1.0, "step": 0.5}, [0.0, "inf"],
+                 {"kind": "grid", "start": 0.0, "stop": "inf", "step": 1.0},
+                 {"kind": "quadratic", "beta": "nan", "n_max": 3}],
+    cli._windows: [[], [[1.0]], "x", [["a", 1.0]], [["inf", 1.0]]],
     cli._series: [{"grid": [0, 1], "values": [0]}, {"grid": [1, 0], "values": [0, 0]},
-                  5, {"csv": "no-such-series.csv"}],
-    cli._element: [[1, 2], "x", [1, 2, "a"]],
+                  5, {"csv": "no-such-series.csv"}, {"grid": [0, 1], "values": [0, "inf"]}],
+    cli._element: [[1, 2], "x", [1, 2, "a"], [0, 0, "nan"]],
     cli._elements: [[], [[1, 2]], 5],
     str: ["no-such-projection"],
 }

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from nilflow import proximality
 from nilflow.algebra import Basis, RealPolynomial, SymbolicReal
+from nilflow.cli import build_system, run
 from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  CommutationViolation, PointCloud, RPWitness,
                                  check_commutation, commuting_rp_transfer,
                                  cube_orbit_sample, face_vectors,
                                  fiber_coverage, hausdorff_distance, nd_sample,
-                                 poly_orbit_density, return_set,
+                                 poly_orbit_density, require_commuting, return_set,
                                  rp_witness_search, rp_witness_verify,
                                  witness_max_gap)
 from nilflow.systems import (TorusPoint, circle_dist, heisenberg_nilflow,
@@ -243,6 +244,41 @@ class TestCommutingTransfer:
         # oracle: an independent fresh search for the second action succeeds too
         fresh = rp_witness_search(s2, x, y, 1, 0.1, 10 ** 6)
         assert fresh.found
+
+    def test_nilsystem_steps_transfer_central_pairs(self):
+        """The paper's commuting theorem on a non-abelian pair: the time-1 and
+        time-1.5 maps of one Heisenberg nilflow commute, so every RP^[1]
+        witness of the first transfers to the second.  Central pairs lie in
+        RP^[1] of this 2-step nilsystem, so the relation is not trivial."""
+        delta = 0.1
+        nilsystem = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT2": "1"},
+                     "beta": {"SQRT3": "1"}}
+        cfg = {"operation": "rp-transfer", "system": {**nilsystem, "step": 1},
+               "system_h": {**nilsystem, "step": 1.5}}
+        sys_h = build_system(cfg["system_h"], Basis.default())
+        rng = np.random.default_rng(412)
+        for _ in range(20):
+            base = [float(c) for c in rng.random(3)]
+            gap = float(rng.uniform(0.15, 0.55))
+            x, y = base, [base[0], base[1], (base[2] + gap) % 1.0]
+            out = run({**cfg, "params": {"x": x, "y": y, "d": 1, "delta": delta,
+                                         "require_witness": True}})["result"]
+            tr = out["transfer"]
+            # checked 0 would be the shortcut of one system on both sides
+            assert tr["status"] == WITNESS and tr["checked"] >= 1
+            w = tr["witness"]
+            witness = RPWitness(sys_h.from_coords(w["x_prime"]),
+                                sys_h.from_coords(w["y_prime"]), tuple(w["g"]), w["delta"])
+            assert rp_witness_verify(sys_h, sys_h.from_coords(x), sys_h.from_coords(y),
+                                     witness, 3 * delta)
+
+    def test_benchmark_heisenberg_pair_does_not_commute(self, basis, sqrt2, sqrt3):
+        # the cube-heisenberg pair: its commutator is central, z = sqrt10 - 3
+        g = heisenberg_nilsystem(heisenberg_nilflow(sqrt2, sqrt3, basis))
+        h = heisenberg_nilsystem(heisenberg_nilflow(sqrt3, SymbolicReal.symbol("SQRT5"),
+                                                    basis))
+        with pytest.raises(CommutationViolation, match="sample commutation gap"):
+            require_commuting(g, h, (0.1, 0.2, 0.3))
 
     def test_commutation_violation(self, basis, sqrt2, sqrt3):
         # left translations by (sqrt2,0,0) and (0,sqrt3,0) do not commute on X
