@@ -587,6 +587,8 @@ def _parse(cfg: dict, seed: int | None = None) -> tuple[list[str], dict, list[di
     once per sweep row (once when there is no sweep).  A seed given here
     (the --seed flag) is checked in place of the config's.
     """
+    if not isinstance(cfg, dict):
+        return ["config: must be a JSON object"], {}, []
     op = cfg.get("operation")
     if op not in OPERATIONS:
         return [f"operation: unknown or missing ({op!r})"], {}, []
@@ -707,14 +709,16 @@ def _check_expectations(result: dict, expects: list[dict]) -> bool:
 
 def run_validate(cfg: dict, seed: int | None = None) -> dict:
     """The validate operation: diagnostics as data, never an error exit."""
-    return {"operation": "validate", "result": {"diagnostics": validate_config(cfg, seed)},
-            "artifacts": {},
-            "seed": seed if seed is not None else cfg.get("seed", 0)}
+    diags = validate_config(cfg, seed)
+    if seed is None:
+        seed = cfg.get("seed", 0) if isinstance(cfg, dict) else 0
+    return {"operation": "validate", "result": {"diagnostics": diags},
+            "artifacts": {}, "seed": seed}
 
 
 def run(cfg: dict, seed: int | None = None, out_path: Path | None = None) -> dict:
     """Dispatch one operation (or a sweep) and assemble the run report."""
-    op = cfg.get("operation")
+    op = cfg.get("operation") if isinstance(cfg, dict) else None
     if op == "validate":
         return run_validate(cfg, seed)
     diags, handles, rows = _parse(cfg, seed)

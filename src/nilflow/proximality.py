@@ -7,8 +7,8 @@ return-time sets and fiber-coverage (characteristic factor) checks.
 
 Witness search: g-grid x axis offsets, g-grid x joint offsets, then (flows,
 once both are spent) a refinement near the best misses.  One loop,
-_first_witness, charges a unit of budget per verified candidate; the
-commuting transfer shares it.
+_first_witness, charges a unit of budget per verified candidate and
+memoises its scoring; the commuting transfer shares it.
 
 Search semantics: a verified witness certifies the delta-resolution
 membership condition; EXHAUSTED is informative only.  PROVEN-ABSENT is a
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -128,13 +128,21 @@ class PointCloud:
 # ---------------------------------------------------------------------------
 # witness verification
 
-def witness_max_gap(sys: SystemHandle, x, y, witness: RPWitness) -> float:
-    """Max over the 2 base inequalities and the 2^d - 1 face inequalities."""
-    gaps = [sys.dist(x, witness.x_prime), sys.dist(y, witness.y_prime)]
+def witness_max_gap(sys: SystemHandle, x, y, witness: RPWitness,
+                    memo: tuple | None = None) -> float:
+    """Max over the 2 base inequalities and the 2^d - 1 face inequalities.
+
+    memo, passed by _first_witness, is a pair (dist, evolve) of memoised
+    stand-ins for sys.dist on the base pairs (x, x') and (y, y') and for
+    sys.evolve on the face images; each returns what the call it stands
+    for returns, so the gap has the same bits with or without it.  The
+    face distances are always computed: each (x', y') pair is new.
+    """
+    base, image = memo or (sys.dist, sys.evolve)
+    gaps = [base(x, witness.x_prime), base(y, witness.y_prime)]
     for eps in face_vectors(witness.order):
         t = sum(g for g, e in zip(witness.g, eps) if e)
-        gaps.append(sys.dist(sys.evolve(witness.x_prime, t),
-                             sys.evolve(witness.y_prime, t)))
+        gaps.append(sys.dist(image(witness.x_prime, t), image(witness.y_prime, t)))
     return max(gaps)
 
 
@@ -183,6 +191,21 @@ def _perturb(sys: SystemHandle, p, offset: tuple[float, ...]):
     return sys.from_coords(tuple(ci + oi for ci, oi in zip(c, offset)))
 
 
+def _perturber(sys: SystemHandle, p):
+    """offset -> _perturb(sys, p, offset), built once per offset object for
+    the life of one search.  Keyed by identity, not by value: equal
+    offsets can differ in the sign of a zero, which a suspension height
+    of -0.0 keeps in the point a report prints."""
+    built: dict[int, tuple] = {}
+
+    def perturbed(offset):
+        hit = built.get(id(offset))
+        if hit is None:  # the entry holds the offset, so its id is not reused
+            hit = built[id(offset)] = (offset, _perturb(sys, p, offset))
+        return hit[1]
+    return perturbed
+
+
 def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: int,
                    near: list | None = None) -> RPSearchResult:
     """Verify (x', y', g) candidates in order; the first delta-witness wins.
@@ -190,12 +213,25 @@ def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: in
     Each verified candidate costs one unit of budget, and no candidate
     past the budget is drawn.  A miss that improves the best gap is
     appended to near as (gap, g).
+
+    Scoring is memoised (see witness_max_gap): the base distances
+    d(x, x') and d(y, y') do not depend on g and are kept for the whole
+    search; the face images evolve(p, t) are kept while g stays the same
+    and dropped when it changes, so the memo holds at most the distinct
+    perturbed points plus the images of one g, whatever the budget.
+    Both are keyed by point value.  Points equal in value differ at most
+    in the sign of a zero, which no dist or evolve here turns into a
+    different distance, so no gap changes by a bit.
     """
     checked = 0
     best_gap = math.inf
+    base = cache(sys.dist)
+    image = g_now = None
     for xp, yp, g in itertools.islice(candidates, budget):
+        if g != g_now:
+            g_now, image = g, cache(sys.evolve)
         checked += 1
-        gap = witness_max_gap(sys, x, y, RPWitness(xp, yp, g, delta))
+        gap = witness_max_gap(sys, x, y, RPWitness(xp, yp, g, delta), (base, image))
         if gap < delta:
             return RPSearchResult(WITNESS, RPWitness(xp, yp, g, gap), checked, best_gap)
         if gap < best_gap:
@@ -237,7 +273,8 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
                 for j in (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9):
                     yield tuple(gi + sys.spec.pitch * j / 10.0 for gi in g), offsets
 
-    candidates = ((_perturb(sys, x, dx), _perturb(sys, y, dy), g)
+    px, py = _perturber(sys, x), _perturber(sys, y)
+    candidates = ((px(dx), py(dy), g)
                   for g, offset_list in rounds() for dx, dy in offset_list)
     return _first_witness(sys, x, y, candidates, delta, budget, near)
 

@@ -205,11 +205,25 @@ def _heis_window_gap(p: HeisenbergElement, q: HeisenbergElement) -> float:
 
     The squared gap is (dx(m)^2 + dy(n)^2) + dz(n, k)^2; float + and sqrt
     are monotone, so minimising term by term equals the 125-translate
-    minimum bit for bit."""
-    bx = min((p.x - (q.x + m)) ** 2 for m in _WINDOW)
-    return math.sqrt(min((bx + (p.y - (q.y + n)) ** 2)
-                         + min((p.z - ((q.z + k) + q.x * n)) ** 2 for k in _WINDOW)
-                         for n in _WINDOW))
+    minimum bit for bit.  Written straight-line: the coordinates are
+    locals, the five q.z + k and each q.x * n are computed once, and the
+    m and k minima are five-argument min calls.  Every term keeps the
+    operands, their order and the ** 2 of the 125-translate form, so each
+    rounds as it did there (a multiply need not round like libm pow)."""
+    px, py, pz, qx, qy, qz = p.x, p.y, p.z, q.x, q.y, q.z
+    w0, w1, w2, w3, w4 = _WINDOW
+    bx = min((px - (qx + w0)) ** 2, (px - (qx + w1)) ** 2, (px - (qx + w2)) ** 2,
+             (px - (qx + w3)) ** 2, (px - (qx + w4)) ** 2)
+    z0, z1, z2, z3, z4 = qz + w0, qz + w1, qz + w2, qz + w3, qz + w4
+    best = math.inf
+    for n in _WINDOW:
+        s = qx * n
+        gap = (bx + (py - (qy + n)) ** 2) + min(
+            (pz - (z0 + s)) ** 2, (pz - (z1 + s)) ** 2, (pz - (z2 + s)) ** 2,
+            (pz - (z3 + s)) ** 2, (pz - (z4 + s)) ** 2)
+        if gap < best:
+            best = gap
+    return math.sqrt(best)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +332,7 @@ class SystemHandle:
     @property
     def is_isometric(self) -> bool:
         """Is the system its own rotation factor (torus flows and maps)?"""
-        return len(self.phase_step) == self.dim
+        return len(self.spec.float_freqs or ()) == self.dim
 
     @property
     def dim(self) -> int:

@@ -142,6 +142,22 @@ class TestMainExitCodes:
         assert main([command, "--config", str(path)]) == EXIT_SCHEMA
         assert "config error: must be a JSON object, got ['x']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg", [["x"], "minimal", 3, None])
+    def test_config_not_an_object_validate_config(self, cfg):
+        assert validate_config(cfg) == ["config: must be a JSON object"]
+
+    @pytest.mark.parametrize("cfg", [["x"], "minimal", 3, None])
+    def test_config_not_an_object_run(self, cfg):
+        with pytest.raises(cli.SchemaError, match="^config: must be a JSON object$"):
+            run(cfg)
+
+    @pytest.mark.parametrize("cfg", [["x"], "minimal", 3, None])
+    def test_config_not_an_object_run_validate(self, cfg):
+        rep = cli.run_validate(cfg)
+        assert rep["result"]["diagnostics"] == ["config: must be a JSON object"]
+        assert rep["seed"] == 0
+        assert cli.run_validate(cfg, seed=4)["seed"] == 4
+
     def test_uncomparable_expectation_exit(self, tmp_path, capsys):
         # a list does not order against a boolean: the expectation fails
         cfg = {"operation": "minimal", "system": TORUS_1_SQRT2,

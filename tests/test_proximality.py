@@ -1,8 +1,10 @@
+import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilflow import proximality
@@ -16,9 +18,10 @@ from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  poly_orbit_density, require_commuting, return_set,
                                  rp_witness_search, rp_witness_verify,
                                  witness_max_gap)
-from nilflow.systems import (TorusPoint, circle_dist, heisenberg_nilflow,
-                             heisenberg_nilsystem, torus_flow, torus_map,
-                             torus_rotation)
+from nilflow.suspension import suspend
+from nilflow.systems import (SystemHandle, TorusPoint, circle_dist,
+                             heisenberg_nilflow, heisenberg_nilsystem,
+                             torus_flow, torus_map, torus_rotation)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +212,220 @@ class TestSearchRounds:
         # near holds each new best miss, the last one being the best gap
         assert near[0] == (0.5, (0,)) and near[-1][0] == res.best_gap
         assert res.best_gap == pytest.approx(0.5)
+
+
+def reference_first_witness(sys, x, y, candidates, delta, budget, near=None):
+    """The candidate loop without memoised scoring: every candidate's base
+    distances and face images are computed afresh."""
+    checked = 0
+    best_gap = math.inf
+    for xp, yp, g in itertools.islice(candidates, budget):
+        checked += 1
+        gap = witness_max_gap(sys, x, y, RPWitness(xp, yp, g, delta))
+        if gap < delta:
+            return proximality.RPSearchResult(WITNESS, RPWitness(xp, yp, g, gap),
+                                              checked, best_gap)
+        if gap < best_gap:
+            best_gap = gap
+            if near is not None:
+                near.append((gap, g))
+    return proximality.RPSearchResult(EXHAUSTED, None, checked, best_gap)
+
+
+def reference_perturber(sys, p):
+    """offset -> a new perturbed point on every call."""
+    return partial(proximality._perturb, sys, p)
+
+
+def run_loop(call, *, reference, grid_count=None):
+    """call() with the memoised or the reference scoring; returns its result
+    and the near-miss lists the search loop filled.  Hypothesis examples
+    share a test's fixtures, so the patches are scoped here."""
+    loop = reference_first_witness if reference else proximality._first_witness
+    nears = []
+
+    def recording(sys, x, y, candidates, delta, budget, near=None):
+        if near is not None:
+            nears.append(near)
+        return loop(sys, x, y, candidates, delta, budget, near)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proximality, "_first_witness", recording)
+        if reference:
+            mp.setattr(proximality, "_perturber", reference_perturber)
+        if grid_count is not None:
+            mp.setattr(proximality, "_GRID_COUNT", grid_count)
+        return call(), nears
+
+
+def result_bits(sys, res):
+    """Everything an RPSearchResult reports, floats by repr (so -0.0 != 0.0)."""
+    w = res.witness
+    witness = None if w is None else (tuple(map(repr, sys.coords(w.x_prime))),
+                                      tuple(map(repr, sys.coords(w.y_prime))),
+                                      tuple(map(repr, w.g)), repr(w.delta))
+    return res.status, res.checked, repr(res.best_gap), witness
+
+
+def near_bits(nears):
+    return [[(repr(gap), tuple(map(repr, g))) for gap, g in near] for near in nears]
+
+
+_SQRT2, _SQRT3 = SymbolicReal.symbol("SQRT2"), SymbolicReal.symbol("SQRT3")
+_HEIS_FLOW = heisenberg_nilflow(_SQRT2, _SQRT3, Basis.default())
+_HEIS_MAP = heisenberg_nilsystem(_HEIS_FLOW)
+SEARCH_SYSTEMS = {
+    "heisenberg-nilflow": _HEIS_FLOW,
+    "heisenberg-nilsystem": _HEIS_MAP,
+    "torus-map": torus_map(torus_flow((_SQRT2, _SQRT3), Basis.default())),
+    "suspension": suspend(torus_rotation(_SQRT2, Basis.default())),
+    "suspension-heisenberg": suspend(_HEIS_MAP),
+}
+
+
+@st.composite
+def searches(draw):
+    """A system, a seeded pair x, y at most 0.2 apart in each coordinate (in
+    the last one only, half the time: central pairs on the nilmanifold), d,
+    delta and a budget that reaches round three of the Heisenberg flow's
+    search on a three-element grid."""
+    kind = draw(st.sampled_from(sorted(SEARCH_SYSTEMS)))
+    dim = SEARCH_SYSTEMS[kind].dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xc, shift = rng.random(dim), rng.uniform(-0.2, 0.2, dim)
+    if draw(st.booleans()):
+        shift[:-1] = 0.0
+    d = draw(st.integers(1, 2))
+    delta = draw(st.sampled_from([0.01, 0.05, 0.1, 0.2]))
+    return (kind, tuple(xc.tolist()), tuple(((xc + shift) % 1.0).tolist()), d, delta,
+            draw(st.integers(1, 3000)))
+
+
+class TestMemoisedScoring:
+    """The memoised search loop against the reference loop, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(searches())
+    # every round exhausted at d = 1 and d = 2 (12725 and 17855 candidates)
+    @example(("heisenberg-nilflow", (0.1, 0.2, 0.3), (0.6, 0.5, 0.9), 1, 0.1, 10 ** 6))
+    @example(("heisenberg-nilflow", (0.1, 0.2, 0.3), (0.6, 0.5, 0.9), 2, 0.1, 10 ** 6))
+    # a witness in round three (see TestSearchRounds)
+    @example(("heisenberg-nilflow",
+              (0.9837499292732876, 0.002747147602664146, 0.3658435291805171),
+              (0.987839809168345, 0.9895008270237401, 0.0684096355417223), 1, 0.1, 2692))
+    # rounds one and two exhausted on a map
+    @example(("heisenberg-nilsystem", (0.1, 0.2, 0.3), (0.1, 0.2, 0.8), 1, 0.004, 10 ** 6))
+    # y at height -0.0: the witness moves x and y toward each other, and the
+    # offset (-delta/2, -0.0) that moves y keeps the sign in y's height
+    @example(("suspension", (0.3, 0.0), (0.319, -0.0), 1, 0.01, 3000))
+    def test_search_matches_reference(self, case):
+        kind, xc, yc, d, delta, budget = case
+        sys_h = SEARCH_SYSTEMS[kind]
+        x, y = sys_h.from_coords(xc), sys_h.from_coords(yc)
+        call = partial(rp_witness_search, sys_h, x, y, d, delta, budget)
+        got, got_near = run_loop(call, reference=False, grid_count=3)
+        want, want_near = run_loop(call, reference=True, grid_count=3)
+        assert result_bits(sys_h, got) == result_bits(sys_h, want)
+        assert near_bits(got_near) == near_bits(want_near)
+
+    @settings(max_examples=20, deadline=None)
+    @given(heisenberg=st.booleans(), d=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 32 - 1), slack=st.floats(1.0001, 1.5),
+           budget=st.integers(1, 300))
+    def test_transfer_matches_reference(self, heisenberg, d, seed, slack, budget):
+        # time-1 and time-1.5 maps of one nilflow, with a central pair, and
+        # two circle rotations: both pairs commute
+        rng = np.random.default_rng(seed)
+        if heisenberg:
+            sys_g, sys_h = _HEIS_MAP, heisenberg_nilsystem(_HEIS_FLOW, 1.5)
+            delta, xc = 0.1, tuple(rng.random(3).tolist())
+            yc = xc[:2] + ((xc[2] + rng.uniform(-0.5, 0.5)) % 1.0,)
+        else:
+            sys_g = torus_rotation(_SQRT2, Basis.default())
+            sys_h = torus_rotation(_SQRT3, Basis.default())
+            delta, xc = 0.05, (float(rng.random()),)
+            yc = ((xc[0] + rng.uniform(-0.075, 0.075)) % 1.0,)
+        x, y = sys_g.from_coords(xc), sys_g.from_coords(yc)
+        found = rp_witness_search(sys_g, x, y, d, delta, 10 ** 4)
+        assume(found.found)
+        # just above 3 times the witness's gap, which is 0 on the diagonal
+        delta_out = 3.0 * max(found.witness.delta * slack, 1e-3)
+        call = partial(commuting_rp_transfer, sys_g, sys_h, x, y, found.witness,
+                       delta_out, budget)
+        got, _ = run_loop(call, reference=False)
+        want, _ = run_loop(call, reference=True)
+        assert result_bits(sys_h, got) == result_bits(sys_h, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(SEARCH_SYSTEMS)), seed=st.integers(0, 2 ** 32 - 1),
+           gs=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=10, max_size=60),
+           slack=st.floats(0.0, 0.3), budget=st.integers(1, 80))
+    def test_loop_matches_reference(self, kind, seed, gs, slack, budget):
+        # the transfer's shape, fixed x' and y' under many g, and any order of
+        # g-tuples: a g may come back after another, and its images with it;
+        # delta passes the base inequalities, so the faces decide
+        sys_h = SEARCH_SYSTEMS[kind]
+        rng = np.random.default_rng(seed)
+        x, y, xp, yp = (sys_h.from_coords(tuple(c.tolist())) for c in _near_coords(rng, sys_h.dim))
+        delta = max(sys_h.dist(x, xp), sys_h.dist(y, yp)) + slack
+        scale = 1 if sys_h.discrete else 0.25
+        candidates = [(xp, yp, tuple(scale * v for v in g)) for g in gs]
+        results = []
+        for loop in (proximality._first_witness, reference_first_witness):
+            near = []
+            res = loop(sys_h, x, y, iter(candidates), delta, budget, near)
+            results.append((result_bits(sys_h, res), near_bits([near])))
+        assert results[0] == results[1]
+
+
+def _near_coords(rng, dim):
+    """Coordinates of x, y, x' and y': x and y within 0.3 per coordinate,
+    x' and y' within 0.05 of them."""
+    xc = rng.random(dim)
+    yc = (xc + rng.uniform(-0.3, 0.3, dim)) % 1.0
+    return [xc, yc] + [(c + rng.uniform(-0.05, 0.05, dim)) % 1.0 for c in (xc, yc)]
+
+
+class TestScoringMemoBounds:
+    """One exhausted nilsystem search at d = 1: each g-tuple runs 127 offset
+    pairs with 43 distinct x' and 43 distinct y'.  Unmemoised scoring costs
+    3 dist and 2 evolve calls per candidate."""
+
+    @pytest.fixture
+    def pair(self, nilsys):
+        return fiber_pair(nilsys, (0.4, 0.4, 0.1), 0.5)
+
+    def test_dist_and_evolve_calls_within_memo_bound(self, nilsys, pair, monkeypatch):
+        counts = {"dist": 0, "evolve": 0}
+        for name in counts:
+            def counting(self, *args, name=name, fn=getattr(SystemHandle, name)):
+                counts[name] += 1
+                return fn(self, *args)
+            monkeypatch.setattr(SystemHandle, name, counting)
+        res = rp_witness_search(nilsys, *pair, 1, 0.004, 1270)
+        assert res.status == EXHAUSTED and res.checked == 1270
+        # one face distance per candidate plus each base distance once;
+        # the 86 face images once per g-tuple, for ten g-tuples
+        assert counts["dist"] <= 1270 + 2 * 43
+        assert counts["evolve"] <= 10 * 2 * 43
+
+    def test_memo_size_does_not_grow_with_budget(self, nilsys, pair, monkeypatch):
+        real = proximality.witness_max_gap
+        peaks = {}
+        for budget in (200, 2000):
+            sizes = []
+
+            def recording(sys_h, x, y, witness, memo=None):
+                gap = real(sys_h, x, y, witness, memo)
+                sizes.append(tuple(f.cache_info().currsize for f in memo))
+                return gap
+            monkeypatch.setattr(proximality, "witness_max_gap", recording)
+            res = rp_witness_search(nilsys, *pair, 1, 0.004, budget)
+            assert res.status == EXHAUSTED and len(sizes) == budget
+            peaks[budget] = tuple(map(max, zip(*sizes)))
+        # (base distances, face images): every base pair, and one g's images
+        assert peaks[200] == peaks[2000] == (2 * 43, 2 * 43)
 
 
 class TestCommutingTransfer:

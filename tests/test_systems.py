@@ -311,6 +311,18 @@ class TestMetric:
 class TestKernelsMatchReference:
     @settings(max_examples=300, deadline=None)
     @given(any_points, any_points)
+    # the least x, y and z gaps sit on the window edge, m = n = k = 2 ...
+    @example(HeisenbergElement(2.9, 2.95, 2.99), HeisenbergElement(0.05, 0.0, 0.0))
+    # ... and at m = n = k = -2, from raw points near -3
+    @example(HeisenbergElement(-2.9, -2.95, -2.99), HeisenbergElement(0.05, 0.0, 0.0))
+    # q.x * n shifts the z gap: the least one sits at k = -2 one way, at
+    # n = -2 and k = 2 the other
+    @example(HeisenbergElement(0.0, 2.0, -2.0), HeisenbergElement(0.75, 0.0, 0.25))
+    # dyadic gaps of exactly 1/2 in z: the k minimum ties between two translates
+    @example(HeisenbergElement(0.0, 0.0, 0.5), HeisenbergElement(0.0, 0.0, 0.0))
+    @example(HeisenbergElement(0.25, 0.5, 0.875), HeisenbergElement(0.25, 0.5, 0.375))
+    # ties in x, y and z at once, one of them on the edge k = 2
+    @example(HeisenbergElement(0.5, 0.5, 2.5), HeisenbergElement(0.0, 0.0, 0.0))
     def test_window_gap_bits(self, basis, sqrt2, sqrt3, p, q):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
         expected = min(reference_window_gap(p, q), reference_window_gap(q, p))
