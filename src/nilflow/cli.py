@@ -43,8 +43,9 @@ from .averages import (Observable, TimeSeries, banach_density, jstar_embed,
 from .proximality import (EXHAUSTED, CommutationViolation, commuting_rp_transfer,
                           cube_orbit_sample, fiber_coverage, hausdorff_distance,
                           nd_sample, poly_orbit_density, require_arm_alphas,
-                          require_commuting, require_comparable, require_projection,
-                          require_torus, return_set, rp_witness_search)
+                          require_cell_grid, require_commuting, require_comparable,
+                          require_projection, require_torus, return_set,
+                          rp_witness_search)
 from .suspension import integer_part_orbit, susp_rp_transfer_check, suspend
 from .systems import (HeisenbergElement, SystemHandle, exact_freqs,
                       flow_minimal_result, heisenberg_nilflow, time_t_minimal,
@@ -479,16 +480,23 @@ _TABLE = {
         "polys": _polys, "x": _floats, "budget": (_count, 10 ** 5),
         "resolution": (_unit, 0.05), "t_span": (_float, 1e4)}, [
         *_on("system", "x"), ("params.polys", require_nonconstant, ("polys",)),
-        ("system", require_torus, ("system",))]),
+        ("system", require_torus, ("system",)),
+        ("params.resolution", lambda sys, polys, resolution: require_cell_grid(
+            resolution, len(polys) * sys.dim), ("system", "polys", "resolution"))]),
     "fiber-coverage": (_op_fiber_coverage, {
         "projection": str, "d": (_count, 1), "alphas": _alphas, "x": _floats,
         "budget": (_count, 10 ** 5), "resolution": (_unit, 0.05),
         "horizon": (_float, 1e4)}, [
         *_on("system", "x"),
         ("params.projection", require_projection, ("system", "projection")),
-        ("params.alphas", require_arm_alphas, ("system", "d", "alphas"))]),
+        ("params.alphas", require_arm_alphas, ("system", "d", "alphas")),
+        ("params.resolution", lambda sys, projection, d, resolution: require_cell_grid(
+            resolution, d * len(require_projection(sys, projection)[1])),
+         ("system", "projection", "d", "resolution"))]),
     "suspend": (_op_suspend, {"times": _times, "x": _floats,
-                              "resolution": (_unit, 0.05)}, _on("system", "x")),
+                              "resolution": (_unit, 0.05)}, [
+        *_on("system", "x"), ("params.resolution", lambda base, resolution: require_cell_grid(
+            resolution, base.dim), ("system", "resolution"))]),
     "susp-rp": (_op_susp_rp, {**_SEARCH, "x1": _floats, "x2": _floats,
                               "s1": _float, "s2": _float}, [
         *_on("system", "x1", "x2"), ("system", suspend, ("system",))]),

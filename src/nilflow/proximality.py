@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import RealPolynomial, require_nonconstant
 from .averages import require_alphas
-from .systems import SystemHandle, usable_cpus
+from .systems import SystemHandle, unit_mod, usable_cpus
 
 WITNESS = "witness"
 EXHAUSTED = "exhausted"
@@ -323,11 +323,11 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
     H-action (see _first_witness) until one passes at delta_out.
     """
     require_commuting(sysG, sysH, *(sysG.coords(p) for p in (x, y, witnessG.x_prime)))
-    if not rp_witness_verify(sysG, x, y, witnessG, delta_out / 3.0):
+    gap = witness_max_gap(sysG, x, y, witnessG)  # rp_witness_verify, keeping the gap
+    if not gap < delta_out / 3.0:
         raise ValueError("witnessG does not verify at delta_out/3")
     if sysG == sysH:
-        return RPSearchResult(WITNESS, witnessG, 0,
-                              witness_max_gap(sysG, x, y, witnessG))
+        return RPSearchResult(WITNESS, witnessG, 0, gap)
 
     grid = _group_grid(sysH)
     xp, yp = witnessG.x_prime, witnessG.y_prime
@@ -417,6 +417,71 @@ def require_comparable(sysG: SystemHandle, sysH: SystemHandle) -> None:
                          f"cloud (clouds live over different system metrics)")
 
 
+def periodic_linf(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distances of the rows of u to the rows of v, both (n, k) arrays of
+    [0, 1) coordinates, under the periodic max metric, bit for bit as
+    cKDTree.query(p=inf) computes them on a unit box: per axis x = u - v,
+    wrapped by 1 beyond +-0.5, then |x|, then the maximum over the axes.
+    On (-1, 1) the wrap is x - rint(x): rint(x) is +-1 beyond +-0.5 and
+    0 elsewhere (0.5 rounds to the even 0), and x - (-1) rounds as 1 + x."""
+    dist = np.zeros(len(u))
+    for c in range(u.shape[1]):  # column by column: see SystemHandle.rotate
+        x = u[:, c] - v[:, c]
+        x -= np.rint(x)
+        np.maximum(dist, np.abs(x, out=x), out=dist)
+    return dist
+
+
+def _cell_keys(f: np.ndarray, m: int) -> np.ndarray:
+    """The cell of each row of f on the grid of m cells per axis, numbered
+    in int64 (the caller keeps m^k < 2^63)."""
+    key = np.zeros(len(f), dtype=np.int64)
+    for col in f.T:
+        key *= m
+        key += np.minimum((col * m).astype(np.int64), m - 1)
+    return key
+
+
+def _cells_per_axis(bound: float, k: int) -> int:
+    """m = ceil(1 / bound) > 0, capped so that m^k < 2^63 (an int64 numbers
+    the cells) and m <= 2^53 (col * m is exact)."""
+    cap = min(2 ** 53, int(2.0 ** (63 / k)))
+    while cap ** k >= 2 ** 63:
+        cap -= 1
+    inv = 1.0 / bound
+    return cap if inv >= cap else math.ceil(inv)
+
+
+def _uncertified(fa: np.ndarray, fb: np.ndarray, bound: float) -> list[np.ndarray]:
+    """For each cloud, the rows not certified to lie closer than bound to
+    the other cloud.  Both clouds are keyed on a grid of _cells_per_axis
+    cells per axis, about bound wide (wider cells only certify fewer
+    rows), and sorted by key; a row is certified when the row that
+    searchsorted finds in its cell of the other cloud is at periodic_linf
+    distance < bound.  At bound 0 no row is certified."""
+    if not bound > 0:
+        return [np.ones(len(fa), dtype=bool), np.ones(len(fb), dtype=bool)]
+    m = _cells_per_axis(bound, fa.shape[1])
+    clouds = (fa, fb)
+    orders, keys = [], []
+    for f in clouds:
+        key = _cell_keys(f, m)
+        orders.append(np.argsort(key))
+        keys.append(key[orders[-1]])
+    need = []
+    for i, j in ((0, 1), (1, 0)):  # keys[i] is sorted, so searchsorted walks forward
+        pos = np.minimum(np.searchsorted(keys[j], keys[i]), len(keys[j]) - 1)
+        hit = np.flatnonzero(keys[j][pos] == keys[i])
+        rows, partners = orders[i][hit], orders[j][pos[hit]]
+        # np.take gathers rows several times faster than fancy indexing
+        close = periodic_linf(np.take(clouds[i], rows, axis=0),
+                              np.take(clouds[j], partners, axis=0)) < bound
+        todo = np.ones(len(clouds[i]), dtype=bool)
+        todo[rows[close]] = False
+        need.append(todo)
+    return need
+
+
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     """Hausdorff distance between finite clouds under the product max metric.
 
@@ -428,18 +493,26 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
        of its own tree, so consecutive queries reach the same subtrees;
     2. every 64th query row, in both directions, gives a lower bound:
        a nearest-neighbour distance that some point attains;
-    3. all rows are queried with that bound as ``distance_upper_bound``,
-       and only the rows that come back ``inf`` are queried again
-       without it.  scipy's bound is strict (a row at exactly the bound,
-       and every row when the bound is 0, comes back ``inf``), so
-       ``inf`` only ever means "query again", never a distance.
+    3. rows that a same-cell partner certifies (see _uncertified) are
+       dropped: such a row has a point of the other cloud closer than
+       the bound, so its nearest-neighbour distance is below the bound;
+    4. the other rows are queried with the bound as
+       ``distance_upper_bound``, and only the rows that come back ``inf``
+       are queried again without it.  scipy's bound is strict (a row at
+       exactly the bound, and every row when the bound is 0, comes back
+       ``inf``), so ``inf`` only ever means "query again", never a
+       distance.
 
     The result is exact, bit for bit: every kept number is an exact
     nearest-neighbour distance (``eps=0``), the query order only
     permutes the rows, and the bound is attained, so the maximum of the
-    bound and the re-queried rows is the maximum over all rows.  The
-    queries run on every usable CPU; each row's distance is its own, so
-    the worker count moves no bit.
+    bound and the re-queried rows is the maximum over all rows.  A
+    certificate is a distance computed as scipy computes it, so the
+    nearest-neighbour distance of a certified row is at most that
+    distance, below the bound: the rows of steps 3 and 4 that leave out
+    a distance both leave out one below the bound.  The queries run on
+    every usable CPU; each row's distance is its own, so the worker count
+    moves no bit.
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
@@ -447,18 +520,18 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     sys = a.system
     if sys.is_isometric:
         from scipy.spatial import cKDTree
-        fa, fb = a.flat() % 1.0, b.flat() % 1.0
+        fa, fb = unit_mod(a.flat()), unit_mod(b.flat())
         query = partial(cKDTree.query, p=np.inf, workers=usable_cpus())
         # unbalanced, non-compacted trees build faster and query no slower here
         ta, tb = (cKDTree(f, boxsize=1.0, balanced_tree=False, compact_nodes=False)
                   for f in (fa, fb))
         # (tree queried, query points, their leaf order)
         directions = ((tb, fa, ta.indices), (ta, fb, tb.indices))
-        worst = max(query(tree, f[order[::_BOUND_STRIDE]])[0].max()
+        worst = max(query(tree, np.take(f, order[::_BOUND_STRIDE], axis=0))[0].max()
                     for tree, f, order in directions)
         bound = worst
-        for tree, f, order in directions:
-            q = f[order]
+        for (tree, f, order), need in zip(directions, _uncertified(fa, fb, bound)):
+            q = np.take(f, order[need[order]], axis=0)
             beyond = np.isinf(query(tree, q, distance_upper_bound=bound)[0])
             if beyond.any():
                 worst = max(worst, query(tree, q[beyond])[0].max())
@@ -477,15 +550,28 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
 # ---------------------------------------------------------------------------
 # density and coverage probes
 
+def require_cell_grid(resolution: float, axes: int) -> int:
+    """The cells per axis, round(1 / resolution), of a grid over axes axes
+    whose cells an int64 key can number: ValueError when the grid has
+    2^63 cells or more."""
+    inv = 1.0 / resolution
+    bins = round(inv) if inv < 2.0 ** 63 else None
+    if bins is None or bins ** axes >= 2 ** 63:
+        raise ValueError(f"resolution {resolution} gives {inv:.6g}^{axes} cells "
+                         f"({axes} axes), 2^63 or more: too many for an int64 cell key")
+    return bins
+
+
 def cell_coverage(blocks, n: int, resolution: float) -> float:
     """Fraction of the cells of pitch resolution that n rows hit; each
-    column of each (n, k) block of [0, 1) coordinates is one grid axis."""
-    bins = int(round(1.0 / resolution))
-    idx, axes = np.zeros(n, dtype=np.int64), 0
+    column of each (n, k) block of [0, 1) coordinates is one grid axis
+    (see require_cell_grid)."""
+    idx, axes, bins = np.zeros(n, dtype=np.int64), 0, 1
     for block in blocks:
+        axes += block.shape[1]
+        bins = require_cell_grid(resolution, axes)
         for col in block.T:
             idx = idx * bins + np.minimum((col * bins).astype(np.int64), bins - 1)
-        axes += block.shape[1]
     return len(np.unique(idx)) / float(bins ** axes)
 
 
@@ -548,9 +634,13 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
     base = np.array(sys.coords(x))
     k = len(sys.phase_step)
 
-    def near(comp, cols):
-        gap = np.abs(comp[:, cols] - base[cols]) % 1.0
-        return (np.minimum(gap, 1.0 - gap) <= resolution).all(axis=1)
+    def near(comp, cols):  # column by column: see SystemHandle.rotate
+        ok = np.ones(len(comp), dtype=bool)
+        for c in cols:
+            gap = np.abs(comp[:, c] - base[c])
+            unit_mod(gap, out=gap)
+            ok &= np.minimum(gap, 1.0 - gap) <= resolution
+        return ok
 
     keep = np.ones(len(ts), dtype=bool)
     for a in alphas:

@@ -49,6 +49,10 @@ class SuspensionSpec:
     def dist(self, p: SuspensionPoint, q: SuspensionPoint) -> float:
         return susp_metric(self.base, p, q)
 
+    def orbit(self, p: SuspensionPoint, ts) -> list[tuple[float, ...]]:
+        """The scalar loop: coords(evolve(p, t)) for each t of ts."""
+        return [self.coords(self.evolve(p, t)) for t in ts]
+
     def coords(self, p: SuspensionPoint) -> tuple[float, ...]:
         return self.base.coords(p.base) + (p.s,)
 

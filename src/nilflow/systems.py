@@ -11,8 +11,11 @@ gaps between two points on every isometric factor it has, itself
 included when it is one).  Only the specs tell kinds apart.  From
 float_freqs the handle derives phase_step and rotate, the one code that
 moves rotation-factor phases, and is_isometric; its from_coords is the
-one check of a point's coordinate count.
-Also here: the Heisenberg group law and its one evolution, nil_evolve,
+one check of a point's coordinate count.  A spec without a rotation
+factor of full dimension also declares orbit(p, ts), the coordinates of
+evolve(p, t) for each time of a list, behind orbit_coords.
+Also here: unit_mod, the array mod 1; the Heisenberg group law and its
+one evolution loop, nil_orbit (nil_evolve is its one-time case),
 lattice reduction, quotient metrics, and the exact minimality tests by
 rational independence of the frequencies.
 
@@ -85,6 +88,22 @@ def map_blocks(fill, n: int, per: int = 1) -> None:
 
 # ---------------------------------------------------------------------------
 # points
+
+def unit_mod(v, out=None) -> np.ndarray:
+    """v mod 1 elementwise, bit for bit equal to v % 1.0, as v - floor(v):
+    into a new array, or into out (which may be v itself).
+
+    Why the bits match: numpy's remainder takes fmod(v, 1), which is
+    exact, and for a negative nonzero result adds 1, so it rounds the
+    real number v - floor(v) once; the subtraction rounds the same real
+    number once (for v >= 0 it is exact).  Integers and +-0 give +0.0 on
+    both sides, inf and nan give nan, and a tiny negative v such as
+    -1e-20 gives 1.0 on both.  The remainder loop is about ten times
+    slower than floor and subtract.
+    """
+    f = np.floor(v)
+    return np.subtract(v, f, out=f if out is None else out)
+
 
 def wrap_unit(v: float) -> float:
     """Reduce to [0, 1); float % can return exactly 1.0 for tiny negatives."""
@@ -165,28 +184,45 @@ def torus_evolve(spec: TorusFlowSpec, p: TorusPoint, t: float) -> TorusPoint:
     return TorusPoint(tuple((c + w * t) % 1.0 for c, w in zip(p.coords, spec.float_freqs)))
 
 
-def nil_evolve(spec: NilflowSpec, p: HeisenbergElement, t: float) -> HeisenbergElement:
-    """Canonical form of (a^t * p) Gamma, in dyadic integer arithmetic.
+def nil_orbit(spec: NilflowSpec, p: HeisenbergElement, ts) -> list[tuple[float, float, float]]:
+    """Coordinates of the canonical form of (a^t * p) Gamma for each t of ts,
+    in dyadic integer arithmetic; the one Heisenberg evolution.
 
     The raw central coordinate grows like t^2, so float evaluation would
     lose the flow law at |t| ~ 1e3.  Each float input is n / 2^e; scaled
     to one denominator 2^E, x and y become ints over 2^(2E) and z over
     2^(4E+1).  Floors are shifts, and each coordinate is rounded once, by
-    the correctly rounded int / int division.
+    the correctly rounded int / int division.  E is the largest exponent
+    of t, a and p; the terms without t are scaled once per E and kept for
+    the later times with that E.
     """
     a = spec.generator
-    ratios = [v.as_integer_ratio() if isinstance(v, float) else (operator.index(v), 1)
-              for v in (t, a.x, a.y, a.z, p.x, p.y, p.z)]
-    e = max(den for _, den in ratios).bit_length() - 1
-    tt, ax, ay, az, px, py, pz = (num << e - den.bit_length() + 1 for num, den in ratios)
-    rx, ry = tt * ax + (px << e), tt * ay + (py << e)
-    n = -(ry >> 2 * e)
-    rz = (tt * ((az << 2 * e + 1) + (tt - (1 << e)) * ax * ay + (ax * py << e + 1))
-          + (pz << 3 * e + 1) + (rx * n << 2 * e + 1))
-    xy_mask, z_mask = (1 << 2 * e) - 1, (1 << 4 * e + 1) - 1
-    return HeisenbergElement(wrap_unit((rx & xy_mask) / (xy_mask + 1)),
-                             wrap_unit((ry & xy_mask) / (xy_mask + 1)),
-                             wrap_unit((rz & z_mask) / (z_mask + 1)))
+    fixed = [v.as_integer_ratio() if isinstance(v, float) else (operator.index(v), 1)
+             for v in (a.x, a.y, a.z, p.x, p.y, p.z)]
+    e_fixed = max(den for _, den in fixed).bit_length()
+    terms = {}
+    rows = []
+    for t in ts:
+        tt, den = t.as_integer_ratio() if isinstance(t, float) else (operator.index(t), 1)
+        e = max(den.bit_length(), e_fixed) - 1
+        scaled = terms.get(e)
+        if scaled is None:
+            ax, ay, az, px, py, pz = (num << e - d.bit_length() + 1 for num, d in fixed)
+            scaled = terms[e] = (ax, ay, px << e, py << e, (az << 2 * e + 1) + (ax * py << e + 1),
+                                 ax * ay, 1 << e, pz << 3 * e + 1, 1 << 2 * e, 1 << 4 * e + 1)
+        ax, ay, px_e, py_e, z_lin, axy, one, pz_e, xy_den, z_den = scaled
+        tt <<= e - den.bit_length() + 1
+        rx, ry = tt * ax + px_e, tt * ay + py_e
+        rz = tt * (z_lin + (tt - one) * axy) + pz_e - (rx * (ry >> 2 * e) << 2 * e + 1)
+        x, y, z = (rx & xy_den - 1) / xy_den, (ry & xy_den - 1) / xy_den, (rz & z_den - 1) / z_den
+        # each quotient is in [0, 1]; one that rounds up to 1.0 wraps to 0.0
+        rows.append((x if x < 1.0 else 0.0, y if y < 1.0 else 0.0, z if z < 1.0 else 0.0))
+    return rows
+
+
+def nil_evolve(spec: NilflowSpec, p: HeisenbergElement, t: float) -> HeisenbergElement:
+    """Canonical form of (a^t * p) Gamma: nil_orbit at the one time t."""
+    return HeisenbergElement(*nil_orbit(spec, p, (t,))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +329,7 @@ class NilflowSpec:
         return (self.generator.x, self.generator.y)
 
     evolve = nil_evolve
+    orbit = nil_orbit
 
     def dist(self, p: HeisenbergElement, q: HeisenbergElement) -> float:
         """Least Euclidean gap over the 5x5x5 lattice window, both ways."""
@@ -348,9 +385,21 @@ class SystemHandle:
         return omega if self.step is None else omega * self.step
 
     def rotate(self, phases, s) -> np.ndarray:
-        """Phases moved by s * phase_step mod 1; the step is the outer product
-        of shape s.shape + (dim,), broadcast against the phases."""
-        return (phases + np.multiply.outer(s, self.phase_step)) % 1.0
+        """Phases moved by s * phase_step mod 1: the array of shape
+        broadcast(phases.shape, s.shape + (k,)) whose column c is
+        phases[..., c] + s * phase_step[c], reduced by unit_mod.
+
+        It is filled one column at a time: numpy broadcasts slowly over a
+        short trailing axis, and each element gets the same two operations
+        on the same operands as the outer-product form
+        (phases + outer(s, phase_step)) % 1.0, so the bits are the same.
+        """
+        step = self.phase_step
+        phases, s = np.asarray(phases, dtype=float), np.asarray(s)
+        out = np.empty(np.broadcast_shapes(phases.shape, s.shape + step.shape))
+        for c, w in enumerate(step):
+            out[..., c] = phases[..., c] + s * w
+        return unit_mod(out, out=out)
 
     def evolve(self, p, t: float):
         return self.spec.evolve(p, t if self.step is None else t * self.step)
@@ -371,15 +420,19 @@ class SystemHandle:
         return self.from_coords((0.0,) * self.dim)
 
     def orbit_coords(self, x, ts) -> np.ndarray:
-        """Rows coords(evolve(x, t)) over the times ts.  An isometric system
-        is its own rotation factor: closed form by rotate, equal to the
-        scalar path up to rounding.  Others run the exact scalar evolution."""
+        """Rows coords(evolve(x, t)) over the 1-d times ts, shape
+        (len(ts), dim).  An isometric system is its own rotation factor:
+        closed form by rotate, equal to the scalar path up to rounding.
+        Others take the spec's orbit over the times scaled by the step,
+        which gives the bits of evolve at each time: one exact loop on the
+        Heisenberg nilmanifold (nil_orbit), the scalar evolution on a
+        suspension."""
         if self.is_isometric:
             return self.rotate(np.array(self.coords(x)), ts)
-        out = np.empty((len(ts), self.dim))
-        for i, t in enumerate(ts):
-            out[i] = self.coords(self.evolve(x, float(t)))
-        return out
+        ts = np.asarray(ts, dtype=float)
+        if self.step is not None:
+            ts = ts * self.step
+        return np.array(self.spec.orbit(x, ts.tolist()), dtype=float).reshape(len(ts), self.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,14 @@ class TestParameterTable:
             x=[0.1, 0.2], y=[0.1, 0.2]), "system.base.step: must be nonzero"),
         (on("rp-certify", {**HEIS_MAP, "z": "nan"}, x=[0.1, 0.2, 0.3],
             y=[0.1, 0.2, 0.3]), "system.z: must be finite, got 'nan'"),
+        # grids of 2^63 cells or more, which an int64 cell key cannot number
+        (valid("poly-density", resolution=2 ** -10, polys=[{"coeffs": ["0", "1"]}] * 8),
+         "params.resolution: resolution 0.0009765625 gives 1024^8 cells (8 axes)"),
+        (valid("suspend", resolution=1e-19),
+         "params.resolution: resolution 1e-19 gives 1e+19^1 cells (1 axes)"),
+        (on("fiber-coverage", TORUS3_MAP, projection="torus-coord-0", d=3,
+            alphas=[1.0, 2.0, 3.0], x=[0.0, 0.0, 0.0], resolution=2 ** -11),
+         "params.resolution: resolution 0.00048828125 gives 2048^6 cells (6 axes)"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
             "average-t-and-grid",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
@@ -622,7 +630,9 @@ class TestParameterTable:
             "potts-R-inf-string", "heisenberg-x-minus-infinity-string",
             "nilflow-with-step", "torus-flow-with-step", "system-h-nilflow-with-step",
             "nilsystem-step-inf-string", "map-step-zero", "map-step-not-number",
-            "suspension-base-step-zero", "heisenberg-z-nan-string"])
+            "suspension-base-step-zero", "heisenberg-z-nan-string",
+            "poly-density-cell-key-overflow", "suspend-cell-key-overflow",
+            "fiber-coverage-cell-key-overflow"])
     def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
         assert any(d.startswith(diag) for d in validate_config(cfg))
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA

@@ -12,10 +12,11 @@ from nilflow.algebra import Basis, RealPolynomial, SymbolicReal
 from nilflow.cli import build_system, run
 from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  CommutationViolation, PointCloud, RPWitness,
-                                 check_commutation, commuting_rp_transfer,
+                                 cell_coverage, check_commutation, commuting_rp_transfer,
                                  cube_orbit_sample, face_vectors,
                                  fiber_coverage, hausdorff_distance, nd_sample,
-                                 poly_orbit_density, require_commuting, return_set,
+                                 poly_orbit_density, require_cell_grid,
+                                 require_commuting, return_set,
                                  rp_witness_search, rp_witness_verify,
                                  witness_max_gap)
 from nilflow.suspension import suspend
@@ -429,6 +430,27 @@ class TestScoringMemoBounds:
 
 
 class TestCommutingTransfer:
+    def test_precondition_gap_computed_once(self, rot2, rot3, monkeypatch):
+        x, y = TorusPoint((0.2,)), TorusPoint((0.23,))
+        res = rp_witness_search(rot2, x, y, 1, 0.05, 10 ** 4)
+        assert res.found
+        real = proximality.witness_max_gap
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(proximality, "witness_max_gap", counting)
+        same = commuting_rp_transfer(rot2, rot2, x, y, res.witness, 0.15, 10 ** 4)
+        assert len(calls) == 1  # the precondition's gap is the shortcut's gap
+        assert same.best_gap == real(rot2, x, y, res.witness) and same.checked == 0
+        calls.clear()
+        other = commuting_rp_transfer(rot2, rot3, x, y, res.witness, 0.15, 10 ** 4)
+        assert other.found and len(calls) == 1 + other.checked
+        with pytest.raises(ValueError, match="does not verify at delta_out/3"):
+            commuting_rp_transfer(rot2, rot2, x, y, res.witness, 3 * res.witness.delta,
+                                  10 ** 4)
+
     def test_same_system_returns_witness(self, rot2):
         x = TorusPoint((0.2,))
         res = rp_witness_search(rot2, x, x, 1, 0.05, 10 ** 4)
@@ -680,6 +702,116 @@ class TestHausdorffExact:
             expect = periodic_hausdorff_reference(pa, pb)
             assert expect >= 1 / 128
             assert hausdorff_distance(torus_cloud(pa), torus_cloud(pb)) == expect
+
+
+
+def uncertified_hausdorff(pa, pb):
+    """The periodic KD-tree loop of hausdorff_distance without the cell
+    certificates: every row goes to the bounded query and the re-query."""
+    from scipy.spatial import cKDTree
+    fa, fb = (p.reshape(len(p), -1) % 1.0 for p in (pa, pb))
+    query = partial(cKDTree.query, p=np.inf)
+    ta, tb = (cKDTree(f, boxsize=1.0) for f in (fa, fb))
+    directions = ((tb, fa, ta.indices), (ta, fb, tb.indices))
+    worst = max(query(tree, f[order[::proximality._BOUND_STRIDE]])[0].max()
+                for tree, f, order in directions)
+    bound = worst
+    for tree, f, order in directions:
+        q = f[order]
+        beyond = np.isinf(query(tree, q, distance_upper_bound=bound)[0])
+        if beyond.any():
+            worst = max(worst, query(tree, q[beyond])[0].max())
+    return float(worst)
+
+
+_RNG = np.random.default_rng(15)
+_SQUARE = _RNG.random((400, 2, 2))  # k = 4 flat columns
+# a copy moved by at most 1e-13: the bound is tiny, so the cells per axis
+# hit the cap m^4 < 2^63
+CAPPED_PAIR = (_SQUARE, (_SQUARE + _RNG.random(_SQUARE.shape) * 1e-13) % 1.0)
+# the second cloud holds every point of the first on a 1/1024 grid, plus
+# far points: every row of the first cloud has a partner at distance 0
+_GRID = np.floor(_RNG.random((300, 1, 3)) * 1024) / 1024
+CONTAINED_PAIR = (_GRID, np.concatenate([_GRID[::-1], (_GRID[:40] + 0.5) % 1.0]))
+IDENTICAL_PAIR = (_SQUARE, _SQUARE[::-1].copy())  # bound 0: nothing is certified
+EDGE_PAIR = (np.array([[[0.0, math.nextafter(1.0, 0.0)]], [[0.5, 0.25]]]),
+             np.array([[[math.nextafter(1.0, 0.0), 0.0]], [[0.0, 0.75]], [[0.5, 0.5]]]))
+
+# rows whose per-axis differences sit on and next to the +-0.5 wrap
+_WRAP_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.125, math.nextafter(1.0, 0.0),
+                                math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324])
+unit_rows = st.integers(1, 4).flatmap(lambda k: st.tuples(
+    *[st.lists(st.one_of(_WRAP_VALUES, st.floats(0.0, 1.0, exclude_max=True)),
+               min_size=k, max_size=k)] * 2))
+
+
+class TestHausdorffCertificates:
+    @settings(max_examples=200, deadline=None)
+    @given(cloud_pairs())
+    @example(CAPPED_PAIR)
+    @example(CONTAINED_PAIR)
+    @example(IDENTICAL_PAIR)
+    @example(EDGE_PAIR)
+    def test_equals_uncertified_loop(self, pair):
+        pa, pb = pair
+        expect = uncertified_hausdorff(pa, pb)
+        assert expect == periodic_hausdorff_reference(pa, pb)
+        assert hausdorff_distance(torus_cloud(pa), torus_cloud(pb)) == expect
+        assert hausdorff_distance(torus_cloud(pb), torus_cloud(pa)) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_rows)
+    def test_wrap_formula_is_kdtree_distance(self, rows):
+        from scipy.spatial import cKDTree
+        u, v = (np.array([r]) for r in rows)
+        want = cKDTree(v, boxsize=1.0).query(u, p=np.inf)[0]
+        assert proximality.periodic_linf(u, v).view(np.uint64) == \
+            np.asarray(want).view(np.uint64)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 62, 63, 64])
+    def test_cells_per_axis_capped(self, k):
+        assert proximality._cells_per_axis(0.05, k) == min(20, proximality._cells_per_axis(
+            1e-300, k))
+        for tiny in (1e-300, 5e-324):  # 1 / 5e-324 is inf
+            m = proximality._cells_per_axis(tiny, k)
+            assert m ** k < 2 ** 63 and m <= 2 ** 53
+            assert (m + 1) ** k >= 2 ** 63 or m == 2 ** 53
+
+    def test_contained_cloud_is_certified(self):
+        fa, fb = (p.reshape(len(p), -1) for p in CONTAINED_PAIR)
+        need_a, need_b = proximality._uncertified(fa, fb, 1 / 64)
+        assert not need_a.any()  # every row of the first cloud is certified
+        assert need_b[-40:].all()  # the far points are not
+        assert all(need.all() for need in proximality._uncertified(fa, fb, 0.0))
+
+    def test_capped_grid_certifies(self):
+        fa, fb = (p.reshape(len(p), -1) for p in CAPPED_PAIR)
+        bound = uncertified_hausdorff(*CAPPED_PAIR)
+        assert 0 < bound < 1e-12
+        assert proximality._cells_per_axis(bound, 4) < 1 / bound
+        need_a, need_b = proximality._uncertified(fa, fb, bound)
+        assert not need_a.all() and not need_b.all()
+
+
+class TestCellCoverage:
+    def test_grid_beyond_int64_keys_rejected(self):
+        # 1000 rows that differ only in column 0, at resolution 1/1024: eight
+        # columns make 2^80 cells, whose keys would wrap to one int64 cell
+        rows = np.zeros((1000, 8))
+        rows[:, 0] = np.arange(1000) / 1024
+        for blocks in ([rows], [rows[:, :5], rows[:, 5:]], [rows[:, :7]]):
+            with pytest.raises(ValueError, match=r"gives 1024\^\d cells"):
+                cell_coverage(blocks, 1000, 1 / 1024)
+        assert cell_coverage([rows[:, :6]], 1000, 1 / 1024) * 2.0 ** 60 == 1000
+        assert cell_coverage([rows[:, :3], rows[:, 3:6]], 1000, 1 / 1024) * 2.0 ** 60 == 1000
+
+    def test_require_cell_grid(self):
+        assert require_cell_grid(0.05, 14) == 20  # 20^14 < 2^63 <= 20^15
+        with pytest.raises(ValueError, match=r"\(15 axes\)"):
+            require_cell_grid(0.05, 15)
+        for resolution in (1e-19, 5e-324):  # 1 / 5e-324 is inf
+            with pytest.raises(ValueError, match="too many for an int64 cell key"):
+                require_cell_grid(resolution, 1)
 
 
 class TestPolyDensity:

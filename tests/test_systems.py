@@ -13,9 +13,9 @@ from nilflow.systems import (HEIS_IDENTITY, HeisenbergElement, NilflowSpec,
                              TorusPoint, circle_dist, flow_minimal_result,
                              heis_conjugate_power_identity, heis_multiply,
                              heis_power, heis_reduce, heisenberg_nilflow,
-                             heisenberg_nilsystem, nil_evolve, time_t_minimal,
-                             torus_evolve, torus_flow, torus_map,
-                             torus_rotation, wrap_unit)
+                             heisenberg_nilsystem, nil_evolve, nil_orbit,
+                             time_t_minimal, torus_evolve, torus_flow, torus_map,
+                             torus_rotation, unit_mod, wrap_unit)
 
 
 def coords_gap(a, b):
@@ -345,6 +345,7 @@ class TestKernelsMatchReference:
             reference_nil_evolve(nil.spec, p, 54321)
 
 
+
 class TestMinimality:
     def test_kronecker_weyl_flow(self, basis, one, sqrt2):
         assert flow_minimal_result(torus_flow((one, sqrt2), basis)).independent
@@ -475,3 +476,72 @@ class TestOrbitSample:
         clusters = np.unique(np.round(pts * 1e9).astype(np.int64) // 1)
         distinct = len(np.unique(np.round(pts, 9)))
         assert distinct == 3
+
+
+def float_bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# every float64: signed zeros, subnormals, integers past 2^52, tiny
+# negatives, infinities and nans
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, -1e-20, 1e-20, 2.0 ** 52, -(2.0 ** 52) - 1,
+               2.0 ** 53 + 2, -(2.0 ** 60), 1.0, -1.0, math.nextafter(1.0, 0.0),
+               -math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 0.5, -0.5,
+               math.inf, -math.inf, math.nan, -math.nan]
+
+
+def rotate_reference(sys, phases, s):
+    """SystemHandle.rotate as an outer product broadcast against the phases."""
+    return (phases + np.multiply.outer(s, sys.phase_step)) % 1.0
+
+
+class TestArrayKernelBits:
+    """The array kernels against their straightforward forms, compared on
+    the float bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(any_float, max_size=40))
+    @example(EDGE_FLOATS)
+    def test_unit_mod_is_remainder(self, values):
+        v = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):
+            want = v % 1.0
+            assert (float_bits(unit_mod(v)) == float_bits(want)).all()
+            inplace = v.copy()
+            assert unit_mod(inplace, out=inplace) is inplace
+            assert (float_bits(inplace) == float_bits(want)).all()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(step=steps, n=st.integers(0, 50), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1.0, 1e3, 1e6, 1e12]))
+    def test_rotate_is_outer_product(self, basis, sqrt2, sqrt3, kind, step, n, seed, scale):
+        sys = system_of_kind(kind, basis, sqrt2, sqrt3, step)
+        k = len(sys.phase_step)
+        rng = np.random.default_rng(seed)
+        s = (rng.random(n) - 0.5) * scale
+        phases = rng.random(k)
+        cases = [(phases, s),  # orbit_coords, fiber_coverage: (k,) with (n,)
+                 (rng.random((3, k)), s[:, None]),  # _phase_correlation: (M, k), (T, 1)
+                 (phases, np.float64(scale / 3)),  # nilfunction sampling: 0-d
+                 (phases, list(s)), (phases, scale / 7)]
+        for ph, ss in cases:
+            got = sys.rotate(ph, ss)
+            want = rotate_reference(sys, ph, ss)
+            assert got.shape == want.shape
+            assert (float_bits(got) == float_bits(want)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(generators, any_points, st.lists(times, min_size=1, max_size=12))
+    # times with finer dyadic denominators than a and p, both ways round
+    @example(HeisenbergElement(0.5, -1.25, 0.0), HeisenbergElement(0.25, 0.75, 0.5),
+             [3 + 2.0 ** -20, 7, 0.0, -3.5, 2.0 ** -40, -99999.0625, 10 ** 5, 1.5])
+    @example(HeisenbergElement(math.sqrt(2) - 1, math.sqrt(3) - 1, 0.0),
+             HeisenbergElement(0.1, 0.2, 0.3), [0, -0.0, 1, -1, 0.5, 2.0 ** -60, -10 ** 5])
+    def test_nil_orbit_is_evolve_per_time(self, a, p, ts):
+        spec = NilflowSpec(a)
+        rows = nil_orbit(spec, p, ts)
+        assert rows == [nil_evolve(spec, p, t).coords for t in ts]
+        assert rows == [reference_nil_evolve(spec, p, t).coords for t in ts]
+
