@@ -11,11 +11,11 @@ _first_witness, charges a unit of budget per verified candidate and
 memoises its scoring; the commuting transfer shares it.
 
 Search semantics: a verified witness certifies the delta-resolution
-membership condition; EXHAUSTED is informative only.  PROVEN-ABSENT is a
-genuine non-membership certificate for the relation, issued only when
-the pair is at least 2 delta apart on an isometric factor of the system
-(the spec's factor_gaps), where a positive distance already rules the
-pair out at every scale.
+membership condition; EXHAUSTED is informative only.  PROVEN-ABSENT is
+issued only when the pair is at least 2 delta apart on one of the spec's
+factors, on each of which the action is an isometry, so a positive gap
+rules the pair out at every scale; the one rule reads the factors in
+order and prints the first such gap.
 """
 
 from __future__ import annotations
@@ -256,8 +256,9 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
         raise ValueError("delta must be positive")
     if d < 1:
         raise ValueError("d must be >= 1")
-    for gap in sys.spec.factor_gaps(x, y):
-        if gap >= 2 * delta:
+    for factor in sys.spec.factors:
+        gap = factor.gap(sys.spec, x, y)
+        if gap >= 2 * delta and factor.name != "heisenberg-base":  # ROADMAP item 1 drops this skip
             return RPSearchResult(PROVEN_ABSENT, checked=0, best_gap=gap)
 
     offsets = _candidate_offsets(sys.dim, delta)
@@ -602,9 +603,17 @@ def return_set(sys: SystemHandle, x, center, radius: float,
     return [t for t in time_grid if sys.dist(sys.evolve(x, t), center) < radius]
 
 
+def projection_table(sys: SystemHandle) -> dict[str, tuple[tuple, tuple]]:
+    """Fiber name -> (constrained, free) coordinates, for each factor on the
+    rotation factor that leaves some coordinates free (its complement)."""
+    k, dim = len(sys.phase_step), sys.dim
+    return {f.name: (f.columns, tuple(c for c in range(dim) if c not in f.columns))
+            for f in sys.spec.factors if max(f.columns) < k and len(f.columns) < dim}
+
+
 def require_projection(sys: SystemHandle, name: str) -> tuple[tuple, tuple]:
     """The (constrained, free) coordinates of the named projection's fibers."""
-    table = sys.spec.projections
+    table = projection_table(sys)
     if name not in table:
         raise ValueError(f"{name!r} does not apply to {sys.tag} of dimension "
                          f"{sys.dim} (has {sorted(table)})")
@@ -616,40 +625,23 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
                    seed: int = 0, horizon: float = 1e4) -> float:
     """Coverage of the fiber power (pi^-1(pi x))^d by the diagonal orbit cloud.
 
-    The system's projection table names, for each projection pi, the
-    coordinates a fiber constrains and the free ones.  A sampled tuple
-    enters a fiber cell when each component lies within one resolution of
-    the fiber in the constrained coordinates; cells quantize the free
-    coordinates at the same pitch.
-
-    Constrained coordinates on the rotation factor (the leading
-    len(phase_step) ones) are checked on every row through rotate; only
-    the rows that pass are evolved exactly (orbit_coords), for the other
-    constrained coordinates and the free ones.
+    A sampled tuple enters a fiber cell when each component lies within one
+    resolution of the fiber in the coordinates pi constrains (see
+    projection_table); cells quantize the free ones at the same pitch.  Every
+    fiber projection lies on the rotation factor, so rotate checks the
+    constrained coordinates of all rows and the exact pass only evolves rows.
     """
     constrained, free = require_projection(sys, factor_projection)
     alphas = require_arm_alphas(sys, d, alphas)
     rng = np.random.default_rng(seed)
     ts = np.concatenate([[0.0], rng.random(budget - 1) * horizon])
     base = np.array(sys.coords(x))
-    k = len(sys.phase_step)
-
-    def near(comp, cols):  # column by column: see SystemHandle.rotate
-        ok = np.ones(len(comp), dtype=bool)
-        for c in cols:
-            gap = np.abs(comp[:, c] - base[c])
-            unit_mod(gap, out=gap)
-            ok &= np.minimum(gap, 1.0 - gap) <= resolution
-        return ok
-
     keep = np.ones(len(ts), dtype=bool)
     for a in alphas:
-        keep &= near(sys.rotate(base[:k], a * ts), [c for c in constrained if c < k])
+        comp = sys.rotate(base[:len(sys.phase_step)], a * ts)
+        for c in constrained:  # column by column: see SystemHandle.rotate
+            gap = unit_mod(np.abs(comp[:, c] - base[c]))
+            keep &= np.minimum(gap, 1.0 - gap) <= resolution
     ts = ts[keep]
-    ok = np.ones(len(ts), dtype=bool)
-    frees = []
-    for a in alphas:
-        comp = sys.orbit_coords(x, a * ts)
-        ok &= near(comp, [c for c in constrained if c >= k])
-        frees.append(comp[:, list(free)])
-    return cell_coverage([f[ok] for f in frees], int(ok.sum()), resolution)
+    frees = [sys.orbit_coords(x, a * ts)[:, list(free)] for a in alphas]
+    return cell_coverage(frees, len(ts), resolution)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .proximality import cell_coverage, rp_witness_search
-from .systems import SUSPENSION, SystemHandle, circle_dist
+from .systems import SUSPENSION, Factor, SystemHandle
 
 INTEGRAL_GAP_TOL = 1e-12
 
@@ -29,19 +29,25 @@ class SuspensionPoint:
 
 @dataclass(frozen=True)
 class SuspensionSpec:
-    """Spec of the suspension flow over a discrete base (see systems.py);
-    it has no rotation factor, no fiber projection and no time-t map kind."""
+    """Spec of the suspension flow over a discrete base (see systems.py), with
+    no rotation factor or time-t map kind; its factors are the height circle,
+    then itself under dist when the base is isometric (then equicontinuous)."""
 
     base: SystemHandle
 
     tags = (SUSPENSION, None)
     pitch = 1.0
     freqs = float_freqs = None
-    projections = {}
 
     @property
     def dim(self) -> int:
         return self.base.dim + 1
+
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        height = Factor("suspension-height", (self.dim - 1,))
+        whole = Factor("suspension", tuple(range(self.dim)), self.dist)
+        return (height, whole) if self.base.is_isometric else (height,)
 
     def evolve(self, p: SuspensionPoint, t: float) -> SuspensionPoint:
         return susp_evolve(self.base, p, t)
@@ -58,13 +64,6 @@ class SuspensionSpec:
 
     def from_coords(self, c: Sequence[float]) -> SuspensionPoint:
         return susp_canonical(self.base, self.base.from_coords(c[:-1]), c[-1])
-
-    def factor_gaps(self, p: SuspensionPoint, q: SuspensionPoint):
-        """The height circle, an exact isometric circle flow; then the whole
-        suspension when the base is isometric, since it is equicontinuous."""
-        yield circle_dist(p.s, q.s)
-        if self.base.is_isometric:
-            yield self.dist(p, q)
 
 
 def suspend(base: SystemHandle) -> SystemHandle:

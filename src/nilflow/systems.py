@@ -1,23 +1,22 @@
 """Explicit computable dynamical systems.
 
-A system is a SystemHandle(spec, step=None): the frozen spec of an R-flow
-(TorusFlowSpec, NilflowSpec, suspension.SuspensionSpec), or with a step
-the flow's time-step map.  Besides dim, evolve, dist, coords and
+A system is a SystemHandle(spec, step=None): the frozen spec of an
+R-flow (TorusFlowSpec, NilflowSpec, suspension.SuspensionSpec), or with
+a step the flow's time-step map.  Besides dim, evolve, dist, coords and
 from_coords a spec declares its tags (kind as a flow and as a time-t
 map), the search grid pitch, freqs and float_freqs (exact and float
-frequencies of its rotation factor, None where it has none), projections
-(fiber name -> constrained and free coordinates) and factor_gaps (the
-gaps between two points on every isometric factor it has, itself
-included when it is one).  Only the specs tell kinds apart.  From
-float_freqs the handle derives phase_step and rotate, the one code that
-moves rotation-factor phases, and is_isometric; its from_coords is the
-one check of a point's coordinate count.  A spec without a rotation
-factor of full dimension also declares orbit(p, ts), the coordinates of
-evolve(p, t) for each time of a list, behind orbit_coords.
-Also here: unit_mod, the array mod 1; the Heisenberg group law and its
-one evolution loop, nil_orbit (nil_evolve is its one-time case),
-lattice reduction, quotient metrics, and the exact minimality tests by
-rational independence of the frequencies.
+frequencies of its rotation factor, None where it has none) and factors,
+its one tuple of Factors, which the absence rule of the witness search
+and the fiber table of fiber_coverage read.  Only the specs tell kinds
+apart.  From float_freqs the handle derives phase_step and rotate, the
+one code that moves rotation-factor phases, and is_isometric; its
+from_coords is the one check of a point's coordinate count.  A spec
+without a rotation factor of full dimension also declares orbit(p, ts),
+the coordinates of evolve(p, t) for each time of a list, behind
+orbit_coords.  Also here: unit_mod, the array mod 1; the Heisenberg
+group law and its one evolution loop, nil_orbit (nil_evolve is its
+one-time case), lattice reduction, quotient metrics, and the exact
+minimality tests by rational independence of the frequencies.
 
 Conventions: torus points live in [0, 1)^n; Heisenberg elements carry
 Malcev coordinates (x, y, z) with group law
@@ -32,7 +31,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -233,6 +232,24 @@ def circle_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
+def circle_gap(a: Sequence[float], b: Sequence[float], columns) -> float:
+    return max(circle_dist(a[c], b[c]) for c in columns)
+
+
+@dataclass(frozen=True)
+class Factor:
+    """An equivariant projection of a spec onto its coordinate columns, on
+    which the action is an isometry for metric(p, q), by default circle_gap."""
+
+    name: str
+    columns: tuple[int, ...]
+    metric: Callable | None = None
+
+    def gap(self, spec, p, q) -> float:
+        return (self.metric(p, q) if self.metric else
+                circle_gap(spec.coords(p), spec.coords(q), self.columns))
+
+
 _WINDOW = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
@@ -280,28 +297,23 @@ class TorusFlowSpec:
         return len(self.freqs)
 
     @property
-    def projections(self) -> dict:
-        if self.dim < 2:
-            return {}
-        return {"torus-coord-0": ((0,), tuple(range(1, self.dim)))}
+    def factors(self) -> tuple[Factor, ...]:
+        whole = Factor("torus", tuple(range(self.dim)))
+        return (whole,) if self.dim < 2 else (whole, Factor("torus-coord-0", (0,)))
 
     evolve = torus_evolve
 
     def dist(self, p: TorusPoint, q: TorusPoint) -> float:
-        """Max circle distance over the coordinates."""
+        """The default factor metric over all coordinates."""
         if len(p.coords) != len(q.coords):
             raise ValueError("mismatched systems")
-        return max(circle_dist(a, b) for a, b in zip(p.coords, q.coords))
+        return circle_gap(p.coords, q.coords, range(len(p.coords)))
 
     def coords(self, p: TorusPoint) -> tuple[float, ...]:
         return p.coords
 
     def from_coords(self, c: Sequence[float]) -> TorusPoint:
         return TorusPoint(tuple(c))
-
-    def factor_gaps(self, p, q):
-        """The torus itself: its translations are isometries."""
-        yield self.dist(p, q)
 
 
 @dataclass(frozen=True)
@@ -316,7 +328,7 @@ class NilflowSpec:
     tags = (HEIS_NILFLOW, HEIS_NILSYSTEM)
     pitch = 0.25
     dim = 3
-    projections = {"heisenberg-base": ((0, 1), (2,))}
+    factors = (Factor("heisenberg-base", (0, 1)),)
 
     @property
     def freqs(self) -> tuple[SymbolicReal, SymbolicReal]:
@@ -340,9 +352,6 @@ class NilflowSpec:
 
     def from_coords(self, c: Sequence[float]) -> HeisenbergElement:
         return heis_reduce(HeisenbergElement(c[0], c[1], c[2]))[0]
-
-    def factor_gaps(self, p, q) -> tuple:
-        return ()  # the base 2-torus is not declared as a factor yet
 
 
 @dataclass(frozen=True)

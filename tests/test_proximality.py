@@ -15,8 +15,9 @@ from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  cell_coverage, check_commutation, commuting_rp_transfer,
                                  cube_orbit_sample, face_vectors,
                                  fiber_coverage, hausdorff_distance, nd_sample,
-                                 poly_orbit_density, require_cell_grid,
-                                 require_commuting, return_set,
+                                 poly_orbit_density, projection_table,
+                                 require_cell_grid, require_commuting,
+                                 require_projection, return_set,
                                  rp_witness_search, rp_witness_verify,
                                  witness_max_gap)
 from nilflow.suspension import suspend
@@ -892,13 +893,28 @@ class TestFiberCoverage:
             fiber_coverage(rot2, "no-such", 1, (1.0,), TorusPoint((0.0,)),
                            10, 0.1)
 
+    def test_projection_table(self, rot2):
+        # the declared factors on the rotation factor that leave coordinates free
+        torus = {"torus-coord-0": ((0,), (1,))}
+        heis = {"heisenberg-base": ((0, 1), (2,))}
+        cases = [(rot2, {}), (TORI[1], {}), (TORI[2], torus), (torus_map(TORI[2]), torus),
+                 (TORI[3], {"torus-coord-0": ((0,), (1, 2))}),
+                 (TORI[4], {"torus-coord-0": ((0,), (1, 2, 3))}),
+                 (_NILFLOW, heis), (heisenberg_nilsystem(_NILFLOW), heis),
+                 (suspend(rot2), {}), (suspend(heisenberg_nilsystem(_NILFLOW)), {})]
+        for sys_h, table in cases:
+            assert projection_table(sys_h) == table
+        with pytest.raises(ValueError, match=r"'identity' does not apply to suspension "
+                                             r"of dimension 2 \(has \[\]\)"):
+            require_projection(suspend(rot2), "identity")
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_equals_brute_force(self, data):
         # every row evolved by sys.evolve, checked by circle_dist and put in
         # its cell, against the rotation-factor filter and the exact pass
         sys_h = data.draw(st.sampled_from(FIBER_SYSTEMS))
-        projection = data.draw(st.sampled_from(sorted(sys_h.spec.projections)))
+        projection = data.draw(st.sampled_from(sorted(projection_table(sys_h))))
         d = data.draw(st.integers(1, 2))
         alphas = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, -1.0]),
                                     min_size=d, max_size=d, unique=True))
@@ -917,7 +933,7 @@ class TestFiberCoverage:
 def fiber_coverage_reference(sys_h, projection, alphas, x, budget, resolution,
                              seed, horizon):
     """Brute-force fiber coverage: one scalar evolution per row and arm."""
-    constrained, free = sys_h.spec.projections[projection]
+    constrained, free = require_projection(sys_h, projection)
     rng = np.random.default_rng(seed)
     ts = np.concatenate([[0.0], rng.random(budget - 1) * horizon])
     base = sys_h.coords(x)
@@ -931,7 +947,8 @@ def fiber_coverage_reference(sys_h, projection, alphas, x, budget, resolution,
 
 
 _NILFLOW = heisenberg_nilflow(_SYMBOLS[1], _SYMBOLS[2], Basis.default(), z=0.3)
-# the four kinds that have a fiber projection (a circle and a suspension
-# have none), with every projection each has
+# the four kinds whose projection table is not empty (a circle and a
+# suspension have no declared factor on the rotation factor that leaves a
+# coordinate free); the test draws from every entry of each table
 FIBER_SYSTEMS = [TORI[2], TORI[3], torus_map(TORI[2]), _NILFLOW,
                  heisenberg_nilsystem(_NILFLOW)]

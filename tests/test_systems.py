@@ -441,6 +441,62 @@ class TestOrbitCoords:
         assert tmap.evolve(p, n) == flow.evolve(p, n * step)
 
 
+def factor_system(kind, basis, sqrt2, sqrt3):
+    """The systems whose declared factors TestFactors checks."""
+    rot = torus_rotation(sqrt2, basis)
+    nilflow = heisenberg_nilflow(sqrt2, sqrt3, basis, z=0.3)
+    nilsys = heisenberg_nilsystem(nilflow)
+    return {"rotation": rot, "torus-map": torus_map(torus_flow((sqrt2, sqrt3), basis)),
+            "heisenberg-nilflow": nilflow, "heisenberg-nilsystem": nilsys,
+            "suspension-rotation": suspend(rot), "suspension-nilsystem": suspend(nilsys)}[kind]
+
+
+FACTOR_NAMES = {"rotation": ("torus",), "torus-map": ("torus", "torus-coord-0"),
+                "heisenberg-nilflow": ("heisenberg-base",),
+                "heisenberg-nilsystem": ("heisenberg-base",),
+                "suspension-rotation": ("suspension-height", "suspension"),
+                "suspension-nilsystem": ("suspension-height",)}
+
+
+class TestFactors:
+    """Each declared factor is an equivariant projection on which the action
+    is an isometry, so its gap is invariant under evolve, and it is
+    1-Lipschitz for the system's metric.  The Heisenberg base is checked
+    too, although the absence rule skips it."""
+
+    @pytest.mark.parametrize("kind", sorted(FACTOR_NAMES))
+    def test_declared_entries(self, basis, sqrt2, sqrt3, kind):
+        sys = factor_system(kind, basis, sqrt2, sqrt3)
+        assert tuple(f.name for f in sys.spec.factors) == FACTOR_NAMES[kind]
+
+    @pytest.mark.parametrize("kind", sorted(FACTOR_NAMES))
+    @settings(max_examples=100, deadline=None)
+    @given(unit_coords, unit_coords, st.floats(-50.0, 50.0))
+    def test_gap_invariant_and_lipschitz(self, basis, sqrt2, sqrt3, kind, u, v, t):
+        sys = factor_system(kind, basis, sqrt2, sqrt3)
+        p, q = sys.from_coords(u[:sys.dim]), sys.from_coords(v[:sys.dim])
+        t = round(t) if sys.discrete else t
+        pt, qt = sys.evolve(p, t), sys.evolve(q, t)
+        for f in sys.spec.factors:
+            gap = f.gap(sys.spec, p, q)
+            assert abs(f.gap(sys.spec, pt, qt) - gap) <= 1e-12
+            assert gap <= sys.dist(p, q) + 1e-12
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_torus_lists_itself_first(self, basis, sqrt2, sqrt3, dim):
+        # the absence rule prints the first gap, so the torus's own comes first
+        flow = torus_flow((sqrt2, sqrt3, sqrt2 + sqrt3)[:dim], basis)
+        p, q = flow.from_coords((0.1, 0.7, 0.4)[:dim]), flow.from_coords((0.55, 0.2, 0.9)[:dim])
+        whole = flow.spec.factors[0]
+        assert whole.columns == tuple(range(dim))
+        assert whole.gap(flow.spec, p, q) == flow.dist(p, q)
+
+    def test_torus_dist_rejects_mismatched_points(self, basis, sqrt2):
+        flow = torus_flow((sqrt2,), basis)
+        with pytest.raises(ValueError, match="mismatched systems"):
+            flow.dist(TorusPoint((0.1,)), TorusPoint((0.1, 0.2)))
+
+
 @pytest.mark.parametrize("kind", ("torus-flow", "heisenberg-nilflow", "suspension"))
 def test_from_coords_rejects_wrong_count(basis, sqrt2, sqrt3, kind):
     # one system per spec: TorusFlowSpec, NilflowSpec, SuspensionSpec
