@@ -3,8 +3,7 @@
 Trigonometric observables live on the rotation factor (trig_phase_step)
 and keep every integral exact by frequency bookkeeping; one block-mapped loop
 samples correlations over rotation-factor points, seeded Monte-Carlo
-with standard errors or an exact mesh; raw callbacks fall back to
-Monte-Carlo along the evolution.  Also houses uniform-density window
+with standard errors or an exact mesh.  Also houses uniform-density window
 suprema, Banach density estimates, the polynomial product law deviation,
 the closed-form decomposition residual, and the level-by-level embedding
 solve for tuples of Heisenberg elements.
@@ -15,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,40 +31,50 @@ class IndependenceViolation(ValueError):
 # ---------------------------------------------------------------------------
 # observables
 
+def _frequency(v) -> int:
+    """A frequency component: an int, or an integer-valued float; not a bool."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"frequencies must be integers, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class Observable:
-    """Bounded observable: trig polynomial with integer frequencies, or callback."""
+    """A trig polynomial on a rotation factor: the sum of c e(k . x) over
+    its terms (k, c), e(s) = exp(2 pi i s).  The constructor checks that
+    there is a term and that the frequency tuples share one length and
+    hold integers (ValueError otherwise); it stores ints and complexes."""
 
-    kind: str  # "trig" | "callback"
-    terms: tuple[tuple[tuple[int, ...], complex], ...] = ()
-    func: Callable | None = None
+    terms: tuple[tuple[tuple[int, ...], complex], ...]
+
+    def __post_init__(self):
+        terms = tuple((tuple(map(_frequency, k)), complex(c)) for k, c in self.terms)
+        if len({len(k) for k, _ in terms}) != 1:
+            raise ValueError(f"needs one or more terms whose frequency tuples share "
+                             f"one length, got {[k for k, _ in terms]}")
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def exponential(*freq: int) -> "Observable":
-        return Observable("trig", ((tuple(freq), 1.0 + 0j),))
+        return Observable(((freq, 1.0 + 0j),))
 
     @staticmethod
     def cosine(*freq: int) -> "Observable":
-        k = tuple(freq)
-        mk = tuple(-v for v in k)
-        return Observable("trig", ((k, 0.5 + 0j), (mk, 0.5 + 0j)))
+        mk = tuple(-v for v in freq)
+        return Observable(((freq, 0.5 + 0j), (mk, 0.5 + 0j)))
 
     @staticmethod
     def constant(c: complex, dim: int = 1) -> "Observable":
-        return Observable("trig", (((0,) * dim, complex(c)),))
+        return Observable((((0,) * dim, c),))
 
     @staticmethod
     def trig(terms: Sequence[tuple[Sequence[int], complex]]) -> "Observable":
-        return Observable("trig", tuple((tuple(k), complex(c)) for k, c in terms))
-
-    @staticmethod
-    def callback(func: Callable) -> "Observable":
-        return Observable("callback", (), func)
+        return Observable(tuple(terms))
 
     @property
     def dim(self) -> int:
-        if self.kind != "trig" or not self.terms:
-            raise ValueError("dim is defined for nonempty trig observables")
         return len(self.terms[0][0])
 
     def eval_phases(self, phases: np.ndarray) -> np.ndarray:
@@ -77,9 +86,7 @@ class Observable:
         return out
 
     def haar_integral(self) -> complex:
-        """Exact Haar integral of a trig observable: its constant coefficient."""
-        if self.kind != "trig":
-            raise ValueError("exact integral needs a trig observable")
+        """The exact Haar integral: the constant coefficient."""
         return sum((c for k, c in self.terms if not any(k)), 0j)
 
 
@@ -148,21 +155,6 @@ class IntegralEstimate:
     exact: bool
 
 
-def integrate_haar(sys: SystemHandle, f: Observable, n_samples: int = 10 ** 5,
-                   seed: int = 0) -> IntegralEstimate:
-    """Haar integral: exact for trig observables, Monte-Carlo otherwise."""
-    if f.kind == "trig":
-        trig_phase_step(sys, f)
-        return IntegralEstimate(f.haar_integral(), 0.0, True)
-    if f.func is None:
-        raise ValueError("callback observable lacks a function")
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n_samples, sys.dim))
-    vals = np.array([f.func(tuple(row)) for row in pts])
-    stderr = float(np.std(vals) / math.sqrt(n_samples))
-    return IntegralEstimate(complex(np.mean(vals)), stderr, False)
-
-
 def require_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     """The dilations a_1, ..., a_k as floats: distinct and nonzero."""
     out = tuple(float(a) for a in alphas)
@@ -171,18 +163,30 @@ def require_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     return out
 
 
+# the most frequency tuples, len(f.terms)^(k + 1), an exact expansion visits
+EXACT_TUPLE_CAP = 200_000
+
+
+def require_exact_terms(f: Observable, alphas: Sequence) -> None:
+    """ValueError when the exact expansion of I_f(k, t) over the alphas
+    visits more than EXACT_TUPLE_CAP frequency tuples."""
+    n = len(f.terms) ** (len(alphas) + 1)
+    if n > EXACT_TUPLE_CAP:
+        raise ValueError(f"{len(f.terms)} terms and {len(alphas)} alphas expand to {n} "
+                         f"frequency tuples, above the exact expansion's cap of {EXACT_TUPLE_CAP}")
+
+
 def _exact_correlation_terms(sys: SystemHandle, f: Observable,
                              alphas: Sequence[float]):
-    """Frequency bookkeeping for I_f(k, t): list of (rate, coefficient).
+    """Frequency bookkeeping for I_f(k, t): list of (rate, coefficient),
+    or None above EXACT_TUPLE_CAP.
 
     Expands the product f(x) f(T^{a_1 t} x) ... f(T^{a_k t} x); only
     frequency tuples summing to zero survive the Haar integral, each
     contributing coeff-product times exp(2 pi i rate t).
     """
-    if f.kind != "trig":
-        return None
     omega = trig_phase_step(sys, f)
-    if len(f.terms) ** (len(alphas) + 1) > 200_000:
+    if len(f.terms) ** (len(alphas) + 1) > EXACT_TUPLE_CAP:
         return None
     rates: dict[float, complex] = {}
     coeffs_alpha = (0.0,) + tuple(alphas)
@@ -235,24 +239,10 @@ def multi_average_I(sys: SystemHandle, f: Observable, alphas: Sequence[float],
 
 def _sample_correlation(sys: SystemHandle, f: Observable, alphas, t_grid,
                         n_samples: int, seed: int):
-    """Monte-Carlo I_f(k, t) over a t grid: (values, stderrs) arrays."""
+    """Seeded Monte-Carlo I_f(k, t) over a t grid: (values, stderrs) arrays."""
     rng = np.random.default_rng(seed)
-    if f.kind == "trig":
-        pts = rng.random((n_samples, len(trig_phase_step(sys, f))))
-        return _phase_correlation(sys, f, alphas, pts, t_grid)
-    if f.func is None:
-        raise ValueError("correlation sampling needs a trig or callback observable")
-    values = np.empty(len(t_grid), dtype=complex)
-    stderrs = np.empty(len(t_grid))
-    points = [sys.from_coords(tuple(row)) for row in rng.random((n_samples, sys.dim))]
-    for i, t in enumerate(t_grid):
-        prod = np.array([f.func(sys.coords(p)) for p in points], dtype=complex)
-        for a in alphas:
-            prod *= np.array([f.func(sys.coords(sys.evolve(p, a * t)))
-                              for p in points])
-        values[i] = prod.mean()
-        stderrs[i] = float(np.std(prod) / math.sqrt(n_samples))
-    return values, stderrs
+    pts = rng.random((n_samples, len(trig_phase_step(sys, f))))
+    return _phase_correlation(sys, f, alphas, pts, t_grid)
 
 
 def _phase_correlation(sys: SystemHandle, f: Observable, alphas, pts,
@@ -407,7 +397,7 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
     time_avg = total / (n_x * n_time)
     prod = 1.0 + 0j
     for f in fs:
-        prod *= integrate_haar(flow_sys, f).value
+        prod *= f.haar_integral()
     dev = complex(time_avg - prod)
     return ProductLawReport(dev, abs(dev), float(R), float(h), n_time, n_x)
 
@@ -441,9 +431,8 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
     Heisenberg pullbacks sample by Monte-Carlo and report stderrs.
     """
     alphas = require_alphas(alphas)
+    require_exact_terms(f, alphas)
     terms = _exact_correlation_terms(sys, f, alphas)
-    if terms is None:
-        raise ValueError("unsupported observable kind for the exact prediction")
     t = np.asarray(t_grid, dtype=float)
     pred = _sum_terms(terms, t)
     stderrs = None

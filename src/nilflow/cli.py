@@ -38,8 +38,8 @@ from .averages import (Observable, TimeSeries, banach_density, jstar_embed,
                        multi_average_I, multi_average_series, nilfunction_residual,
                        potts_average, require_alphas, require_increasing,
                        require_independent, require_jstar_elements, require_one_per,
-                       require_pair, require_rho_within, require_rotation_factor,
-                       trig_phase_step, ud_sup, window_spans)
+                       require_exact_terms, require_pair, require_rho_within,
+                       require_rotation_factor, trig_phase_step, ud_sup, window_spans)
 from .proximality import (EXHAUSTED, CommutationViolation, commuting_rp_transfer,
                           cube_orbit_sample, fiber_coverage, hausdorff_distance,
                           nd_sample, poly_orbit_density, require_arm_alphas,
@@ -524,7 +524,8 @@ _TABLE = {
     "nilres": (_op_nilres, {
         "observable": _observable, "t_grid": _times, "alphas": _alphas,
         "n_samples": (_count, 10 ** 5), "windows": (_windows, ())}, [
-        _OBSERVABLE, _ALPHAS, ("params.t_grid", require_increasing, ("t_grid",)),
+        _OBSERVABLE, _ALPHAS, ("params.observable", require_exact_terms, ("observable", "alphas")),
+        ("params.t_grid", require_increasing, ("t_grid",)),
         ("params.windows", window_spans, ("t_grid", "windows"))]),
     "embed": (_op_embed, {"gs": _elements, "alphas": _alphas}, [
         _ALPHAS, ("params.alphas", partial(require_one_per, "gs"), ("alphas", "gs")),

@@ -433,10 +433,10 @@ def periodic_linf(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _cell_keys(f: np.ndarray, m: int) -> np.ndarray:
+def _cell_keys(f: np.ndarray, m: int, key: np.ndarray | None = None) -> np.ndarray:
     """The cell of each row of f on the grid of m cells per axis, numbered
-    in int64 (the caller keeps m^k < 2^63)."""
-    key = np.zeros(len(f), dtype=np.int64)
+    in int64 (the caller keeps m^k < 2^63); extends a given key in place."""
+    key = np.zeros(len(f), dtype=np.int64) if key is None else key
     for col in f.T:
         key *= m
         key += np.minimum((col * m).astype(np.int64), m - 1)
@@ -567,13 +567,12 @@ def cell_coverage(blocks, n: int, resolution: float) -> float:
     """Fraction of the cells of pitch resolution that n rows hit; each
     column of each (n, k) block of [0, 1) coordinates is one grid axis
     (see require_cell_grid)."""
-    idx, axes, bins = np.zeros(n, dtype=np.int64), 0, 1
+    key, axes, bins = np.zeros(n, dtype=np.int64), 0, 1
     for block in blocks:
         axes += block.shape[1]
         bins = require_cell_grid(resolution, axes)
-        for col in block.T:
-            idx = idx * bins + np.minimum((col * bins).astype(np.int64), bins - 1)
-    return len(np.unique(idx)) / float(bins ** axes)
+        key = _cell_keys(block, bins, key)
+    return len(np.unique(key)) / float(bins ** axes)
 
 
 def require_torus(sys: SystemHandle) -> None:

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow.algebra import RealPolynomial
 from nilflow.averages import (IndependenceViolation, Observable, TimeSeries,
                               banach_density, gtilde_star_conjugation_check,
-                              gtilde_star_membership, integrate_haar,
-                              jstar_embed, multi_average_I,
-                              multi_average_series, nilfunction_residual,
-                              potts_average, ud_sup)
+                              gtilde_star_membership, jstar_embed,
+                              multi_average_I, multi_average_series,
+                              nilfunction_residual, potts_average, ud_sup)
 from nilflow.systems import (HeisenbergElement, TorusPoint, heis_multiply,
                              heis_power, heisenberg_nilflow, torus_flow)
 
@@ -24,6 +25,13 @@ def nil(basis, sqrt2, sqrt3):
     return heisenberg_nilflow(sqrt2, sqrt3, basis)
 
 
+@pytest.fixture(scope="module")
+def residual_flows(basis, one, sqrt2, sqrt3):
+    """The torus flows whose decomposition residual is sampled on the exact mesh."""
+    return {"sqrt2": torus_flow((sqrt2,), basis), "1-sqrt2": torus_flow((one, sqrt2), basis),
+            "sqrt2-sqrt3": torus_flow((sqrt2, sqrt3), basis)}
+
+
 # four complex coefficients: with eight alphas, 4^9 frequency tuples exceed
 # the exact expansion's limit
 SKEW = Observable.trig([((k,), complex(1.0 / abs(k), 0.3 * k)) for k in (-2, -1, 1, 2)])
@@ -34,40 +42,48 @@ def poly(*coeffs):
     return RealPolynomial.from_coeffs(list(coeffs))
 
 
+class TestObservable:
+    @pytest.mark.parametrize("terms, error", [
+        ([], "needs one or more terms"),
+        ([((1,), 1.0), ((1, 2), 1.0)], "share one length"),
+        ([((0.5,), 1.0)], "frequencies must be integers, got 0.5"),
+        ([((True,), 1.0)], "frequencies must be integers, got True"),
+        ([((np.bool_(True),), 1.0)], "frequencies must be integers"),
+        ([(("1",), 1.0)], "frequencies must be integers, got '1'"),
+    ], ids=["empty", "ragged", "half", "bool", "numpy-bool", "string"])
+    def test_constructor_rejects(self, terms, error):
+        with pytest.raises(ValueError, match=error):
+            Observable.trig(terms)
+
+    def test_integer_valued_frequencies_read_as_ints(self):
+        f = Observable.trig([((1.0, np.int64(-2)), 2)])
+        assert f.terms == (((1, -2), 2 + 0j),)
+        assert all(type(v) is int for v in f.terms[0][0])
+        assert type(f.terms[0][1]) is complex
+        assert f == Observable.trig([((1, -2), 2.0)])
+
+
 class TestIntegrateHaar:
-    def test_constant(self, circle_flow):
-        est = integrate_haar(circle_flow, Observable.constant(1.0))
-        assert est.value == 1.0 and est.exact
+    def test_constant(self):
+        assert Observable.constant(1.0).haar_integral() == 1.0
 
-    def test_exponential_orthogonality(self, circle_flow):
-        est = integrate_haar(circle_flow, Observable.exponential(1))
-        assert est.value == 0.0 and est.exact
+    def test_exponential_orthogonality(self):
+        assert Observable.exponential(1).haar_integral() == 0.0
 
-    def test_cos_squared_callback(self, circle_flow):
-        f = Observable.callback(lambda c: math.cos(2 * math.pi * c[0]) ** 2)
-        est = integrate_haar(circle_flow, f, n_samples=10 ** 5, seed=0)
-        assert abs(est.value - 0.5) <= 3 * est.stderr
-
-    def test_exact_vs_monte_carlo_cross_validation(self, circle_flow, basis, sqrt2, sqrt3):
+    def test_exact_vs_monte_carlo_cross_validation(self):
+        # the constant coefficient against the mean over seeded uniform points
         rng = np.random.default_rng(1)
-        flow2 = torus_flow((sqrt2, sqrt3), basis)
+        n = 2 * 10 ** 4
         for trial in range(20):
             dim = 1 if trial % 2 == 0 else 2
-            sys_h = circle_flow if dim == 1 else flow2
             terms = []
             for _ in range(rng.integers(1, 4)):
                 k = tuple(int(v) for v in rng.integers(-3, 4, size=dim))
                 terms.append((k, complex(rng.normal(), rng.normal())))
             f = Observable.trig(terms)
-            exact = integrate_haar(sys_h, f).value
-            g = Observable.callback(
-                lambda c, f=f: complex(f.eval_phases(np.array(c))))
-            mc = integrate_haar(sys_h, g, n_samples=2 * 10 ** 4, seed=trial)
-            assert abs(mc.value - exact) <= 3 * mc.stderr + 1e-12
-
-    def test_callback_without_function(self, circle_flow):
-        with pytest.raises(ValueError):
-            integrate_haar(circle_flow, Observable("callback", ()))
+            vals = f.eval_phases(np.random.default_rng(trial).random((n, dim)))
+            stderr = np.std(vals) / math.sqrt(n)
+            assert abs(vals.mean() - f.haar_integral()) <= 3 * stderr + 1e-12
 
 
 class TestMultiAverage:
@@ -96,17 +112,8 @@ class TestMultiAverage:
         with pytest.raises(ValueError):
             multi_average_I(circle_flow, Observable.cosine(1), (1.0, 1.0), 0.1)
 
-    def test_callback_monte_carlo_path(self, circle_flow):
-        f = Observable.callback(lambda c: math.cos(2 * math.pi * c[0]))
-        t = 0.3
-        r = multi_average_I(circle_flow, f, (1.0,), t, n_samples=2 * 10 ** 4,
-                            seed=11)
-        assert not r.exact
-        expect = 0.5 * math.cos(2 * math.pi * t)
-        assert abs(r.value - expect) <= 3 * r.stderr + 1e-12
-
-    @pytest.mark.parametrize("path", ["exact", "trig-sampled", "callback-sampled",
-                                      "trig-sampled-complex", "trig-sampled-chunks"])
+    @pytest.mark.parametrize("path", ["exact", "trig-sampled", "trig-sampled-complex",
+                                      "trig-sampled-chunks"])
     def test_series_equals_pointwise(self, circle_flow, path):
         # one build of the terms (or one seeded point set) for the whole
         # grid gives the same bits as one call per t
@@ -116,8 +123,6 @@ class TestMultiAverage:
             "trig-sampled": (Observable.trig(
                 [((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]),
                 (0.5, 1.0, 1.5, 2.0, 3.0), 500, 40),
-            "callback-sampled": (Observable.callback(
-                lambda c: math.cos(2 * math.pi * c[0])), (1.0,), 500, 40),
             # the series holds 40 rows of products at once, each t-call one row
             "trig-sampled-complex": (SKEW, EIGHT, 500, 40),
             # 10^6 products per chunk: two t's, then one
@@ -235,10 +240,34 @@ class TestNilfunctionResidual:
         assert not rep.exact_sampling
         assert rep.residual_within_stderr(3.0)
 
-    def test_unsupported_observable(self, nil):
-        f = Observable.callback(lambda c: 1.0)
-        with pytest.raises(ValueError):
-            nilfunction_residual(nil, f, (1.0,), [0.0, 1.0])
+    def test_unsupported_observable(self, circle_flow):
+        # 8^6 frequency tuples exceed the exact expansion's cap, so there is
+        # no prediction to compare with
+        f = Observable.trig([((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)])
+        with pytest.raises(ValueError, match="262144 frequency tuples, above the exact"):
+            nilfunction_residual(circle_flow, f, (0.5, 1.0, 1.5, 2.0, 3.0), [0.0, 1.0])
+        # average falls back to sampling instead
+        assert not multi_average_I(circle_flow, f, (0.5, 1.0, 1.5, 2.0, 3.0), 1.0,
+                                   n_samples=100).exact
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mesh_path_matches_bookkeeping(self, residual_flows, data):
+        # the exact mesh (pointwise orbit evaluation) against the frequency
+        # bookkeeping, for random integer-frequency trig polynomials
+        name = data.draw(st.sampled_from(sorted(residual_flows)))
+        flow = residual_flows[name]
+        dim = len(flow.phase_step)
+        freqs = st.tuples(*[st.integers(-3, 3)] * dim)
+        coeffs = st.builds(complex, st.integers(-8, 8), st.integers(-8, 8)).map(lambda c: c / 4)
+        terms = data.draw(st.lists(st.tuples(freqs, coeffs), min_size=1, max_size=3))
+        alphas = data.draw(st.lists(st.sampled_from([-1.5, -1.0, 0.5, 1.0, 2.0, 3.0]),
+                                    min_size=1, max_size=2, unique=True))
+        rep = nilfunction_residual(flow, Observable.trig(terms), alphas,
+                                   np.arange(0.0, 25.0, 0.83))
+        assert rep.exact_sampling
+        norm = sum(abs(c) for _, c in terms)
+        assert np.max(np.abs(rep.residual.values)) <= 1e-9 * norm ** (len(alphas) + 1)
 
     def test_mesh_chunks_equal_pointwise(self, basis, one, sqrt2):
         # the 64 x 64 mesh of the 2-torus takes 244 t's per chunk of 10^6

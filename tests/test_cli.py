@@ -431,6 +431,10 @@ SUSP = {"kind": "suspension", "base": ROT}
 HEIS_MAP = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT2": "1"}, "beta": {"SQRT3": "1"}}
 HEIS_MAP_H = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT3": "1"}, "beta": {"SQRT5": "1"}}
 TORUS3_MAP = {"kind": "torus-map", "freqs": [{"ONE": "1"}, {"SQRT2": "1"}, {"SQRT3": "1"}]}
+ROOT2 = {"kind": "torus-flow", "freqs": [{"SQRT2": "1"}]}
+RAGGED = {"kind": "trig", "terms": [{"freq": [1]}, {"freq": [1, 2]}]}
+EIGHT_TERMS = {"kind": "trig", "terms": [{"freq": [k], "re": 1.0}
+                                         for k in (-4, -3, -2, -1, 1, 2, 3, 4)]}
 
 # one valid config per operation; budgets stay small
 VALID = {
@@ -606,6 +610,25 @@ class TestParameterTable:
         (on("fiber-coverage", TORUS3_MAP, projection="torus-coord-0", d=3,
             alphas=[1.0, 2.0, 3.0], x=[0.0, 0.0, 0.0], resolution=2 ** -11),
          "params.resolution: resolution 0.00048828125 gives 2048^6 cells (6 axes)"),
+        # trig observables that are not trig polynomials on one factor, and an
+        # exact expansion past its cap
+        (valid("average", observable=RAGGED),
+         f"params.observable: cannot parse {RAGGED!r} (ValueError: needs one or more "
+         "terms whose frequency tuples share one length, got [(1,), (1, 2)])"),
+        (valid("nilres", observable=RAGGED), f"params.observable: cannot parse {RAGGED!r}"),
+        (valid("potts", observables=[RAGGED, RAGGED]), "params.observables: cannot parse"),
+        (on("average", ROOT2, observable={"kind": "exp", "freq": [0.5]}),
+         "params.observable: cannot parse {'kind': 'exp', 'freq': [0.5]} "
+         "(ValueError: frequencies must be integers, got 0.5)"),
+        (on("nilres", ROOT2, observable={"kind": "exp", "freq": [0.5]}),
+         "params.observable: cannot parse {'kind': 'exp', 'freq': [0.5]} "
+         "(ValueError: frequencies must be integers, got 0.5)"),
+        (valid("average", observable={"kind": "exp", "freq": [True]}),
+         "params.observable: cannot parse {'kind': 'exp', 'freq': [True]} "
+         "(ValueError: frequencies must be integers, got True)"),
+        (on("nilres", ROOT2, observable=EIGHT_TERMS, alphas=[0.5, 1.0, 1.5, 2.0, 3.0]),
+         "params.observable: 8 terms and 5 alphas expand to 262144 frequency tuples, "
+         "above the exact expansion's cap of 200000"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
             "average-t-and-grid",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
@@ -632,7 +655,9 @@ class TestParameterTable:
             "nilsystem-step-inf-string", "map-step-zero", "map-step-not-number",
             "suspension-base-step-zero", "heisenberg-z-nan-string",
             "poly-density-cell-key-overflow", "suspend-cell-key-overflow",
-            "fiber-coverage-cell-key-overflow"])
+            "fiber-coverage-cell-key-overflow", "average-ragged-freqs",
+            "nilres-ragged-freqs", "potts-ragged-freqs", "average-half-freq",
+            "nilres-half-freq", "average-bool-freq", "nilres-over-exact-cap"])
     def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
         assert any(d.startswith(diag) for d in validate_config(cfg))
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA
