@@ -112,10 +112,10 @@ def build_system(spec: dict, basis: Basis, name: str = "system") -> SystemHandle
                                   _parse_symbolic(spec["beta"]), basis,
                                   _system_float(spec, "z", 0.0, name))
     elif kind == "suspension":
-        return suspend(build_system(spec["base"], basis, f"{name}.base"))
+        flow = suspend(build_system(spec["base"], basis, f"{name}.base"))
     else:
         raise SchemaError(f"unknown system kind {kind!r}")
-    if kind in ("torus-flow", "heisenberg-nilflow"):
+    if kind in ("torus-flow", "heisenberg-nilflow", "suspension"):
         if spec.get("step") is not None:
             raise FieldError(f"{name}.step: a {kind} takes real times, not a step")
         return flow
@@ -171,6 +171,12 @@ def _count(v) -> int:
     return v
 
 
+def _seed(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise SchemaError(f"must be an integer >= 0, got {v!r:.80}")
+    return v
+
+
 def _nonempty(v) -> list:
     if not (isinstance(v, list) and v):
         raise SchemaError(f"must be a nonempty list, got {v!r}")
@@ -206,7 +212,7 @@ def _observable(obj) -> Observable:
     if kind == "cos":
         return Observable.cosine(*obj["freq"])
     if kind == "const":
-        return Observable.constant(_float(obj.get("value", 1.0)), int(obj.get("dim", 1)))
+        return Observable.constant(_float(obj.get("value", 1.0)), _count(obj.get("dim", 1)))
     if kind == "trig":
         return Observable.trig([(tuple(t["freq"]),
                                  complex(_float(t.get("re", 0.0)), _float(t.get("im", 0.0))))
@@ -223,11 +229,11 @@ def _times(obj) -> np.ndarray:
     if kind == "list":
         ts = np.array([_float(t) for t in obj])
     elif kind == "quadratic":
-        n = np.arange(1, int(obj["n_max"]) + 1, dtype=float)
+        n = np.arange(1, _count(obj["n_max"]) + 1, dtype=float)
         ts = _float(obj["beta"]) * n * n
     elif kind == "uniform":
-        rng = np.random.default_rng(int(obj.get("seed", 0)))
-        ts = rng.random(int(obj["count"])) * _float(obj["horizon"])
+        rng = np.random.default_rng(_seed(obj.get("seed", 0)))
+        ts = rng.random(_count(obj["count"])) * _float(obj["horizon"])
     elif kind == "grid":
         ts = np.arange(_float(obj["start"]), _float(obj["stop"]) + 1e-12,
                        _float(obj["step"]))
@@ -620,9 +626,10 @@ def _parse(cfg: dict, seed: int | None = None) -> tuple[list[str], dict, list[di
     if op == "validate":
         return [], {}, []
 
-    seed = cfg.get("seed", 0) if seed is None else seed
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        diags.append(f"seed: must be an integer >= 0, got {seed!r:.80}")
+    try:
+        _seed(cfg.get("seed", 0) if seed is None else seed)
+    except SchemaError as e:
+        diags.append(f"seed: {e}")
     expects = cfg.get("expect", [])
     if not isinstance(expects, list):
         diags.append(f"expect: must be a list, got {expects!r:.80}")

@@ -191,21 +191,6 @@ def _perturb(sys: SystemHandle, p, offset: tuple[float, ...]):
     return sys.from_coords(tuple(ci + oi for ci, oi in zip(c, offset)))
 
 
-def _perturber(sys: SystemHandle, p):
-    """offset -> _perturb(sys, p, offset), built once per offset object for
-    the life of one search.  Keyed by identity, not by value: equal
-    offsets can differ in the sign of a zero, which a suspension height
-    of -0.0 keeps in the point a report prints."""
-    built: dict[int, tuple] = {}
-
-    def perturbed(offset):
-        hit = built.get(id(offset))
-        if hit is None:  # the entry holds the offset, so its id is not reused
-            hit = built[id(offset)] = (offset, _perturb(sys, p, offset))
-        return hit[1]
-    return perturbed
-
-
 def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: int,
                    near: list | None = None) -> RPSearchResult:
     """Verify (x', y', g) candidates in order; the first delta-witness wins.
@@ -219,9 +204,7 @@ def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: in
     search; the face images evolve(p, t) are kept while g stays the same
     and dropped when it changes, so the memo holds at most the distinct
     perturbed points plus the images of one g, whatever the budget.
-    Both are keyed by point value.  Points equal in value differ at most
-    in the sign of a zero, which no dist or evolve here turns into a
-    different distance, so no gap changes by a bit.
+    Both are keyed by point value.
     """
     checked = 0
     best_gap = math.inf
@@ -274,7 +257,7 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
                 for j in (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9):
                     yield tuple(gi + sys.spec.pitch * j / 10.0 for gi in g), offsets
 
-    px, py = _perturber(sys, x), _perturber(sys, y)
+    px, py = cache(partial(_perturb, sys, x)), cache(partial(_perturb, sys, y))
     candidates = ((px(dx), py(dy), g)
                   for g, offset_list in rounds() for dx, dy in offset_list)
     return _first_witness(sys, x, y, candidates, delta, budget, near)

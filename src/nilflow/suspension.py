@@ -74,11 +74,14 @@ def suspend(base: SystemHandle) -> SystemHandle:
 
 
 def susp_canonical(base_sys: SystemHandle, x, s: float) -> SuspensionPoint:
-    """Canonical representative [T^floor(s) x, s - floor(s)]."""
+    """Canonical representative [T^n x, s - n], n = floor(s): its height lies
+    in [0, 1) and is +0.0 when zero; a height that rounds up to 1.0 carries
+    into the base, as [T^(n+1) x, 0.0]."""
     n = math.floor(s)
-    if n == 0:
-        return SuspensionPoint(x, s)
-    return SuspensionPoint(base_sys.evolve(x, n), s - n)
+    h = s - n + 0.0  # adding +0.0 turns -0.0 into +0.0 and leaves the rest
+    if h == 1.0:
+        n, h = n + 1, 0.0
+    return SuspensionPoint(base_sys.evolve(x, n) if n else x, h)
 
 
 def _integral_gap(s: float, t: float) -> int | None:

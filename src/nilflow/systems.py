@@ -170,8 +170,11 @@ def heis_reduce(g: HeisenbergElement) -> tuple[HeisenbergElement, HeisenbergElem
     k = -math.floor(z_shifted)
     gamma = HeisenbergElement(float(m), float(n), float(k))
     canonical = heis_multiply(g, gamma)
-    return HeisenbergElement(wrap_unit(canonical.x), wrap_unit(canonical.y),
-                             wrap_unit(canonical.z)), gamma
+    y, z = canonical.y, canonical.z  # y is in [0, 1]
+    if y == 1.0:  # y rounded up: one more (0, -1, 0), which moves z by -x
+        gamma = heis_multiply(gamma, HeisenbergElement(0.0, -1.0, 0.0))
+        y, z = 0.0, z - canonical.x
+    return HeisenbergElement(wrap_unit(canonical.x), y, wrap_unit(z)), gamma
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +216,13 @@ def nil_orbit(spec: NilflowSpec, p: HeisenbergElement, ts) -> list[tuple[float, 
         tt <<= e - den.bit_length() + 1
         rx, ry = tt * ax + px_e, tt * ay + py_e
         rz = tt * (z_lin + (tt - one) * axy) + pz_e - (rx * (ry >> 2 * e) << 2 * e + 1)
-        x, y, z = (rx & xy_den - 1) / xy_den, (ry & xy_den - 1) / xy_den, (rz & z_den - 1) / z_den
-        # each quotient is in [0, 1]; one that rounds up to 1.0 wraps to 0.0
-        rows.append((x if x < 1.0 else 0.0, y if y < 1.0 else 0.0, z if z < 1.0 else 0.0))
+        # each quotient is in [0, 1]; one that rounds up to 1.0 wraps to 0.0,
+        # y by one more lattice step (0, -1, 0), which moves z by -x first
+        x, y = (rx & xy_den - 1) / xy_den, (ry & xy_den - 1) / xy_den
+        if y == 1.0:
+            y, rz = 0.0, rz - (rx << 2 * e + 1)
+        z = (rz & z_den - 1) / z_den
+        rows.append((x if x < 1.0 else 0.0, y, z if z < 1.0 else 0.0))
     return rows
 
 

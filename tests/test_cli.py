@@ -629,6 +629,30 @@ class TestParameterTable:
         (on("nilres", ROOT2, observable=EIGHT_TERMS, alphas=[0.5, 1.0, 1.5, 2.0, 3.0]),
          "params.observable: 8 terms and 5 alphas expand to 262144 frequency tuples, "
          "above the exact expansion's cap of 200000"),
+        # counts inside times and observables, and the times seed, which int()
+        # used to truncate
+        (valid("density", time_grid={"kind": "quadratic", "beta": 1.5, "n_max": 2.7}),
+         "params.time_grid: must be an integer >= 1, got 2.7"),
+        (valid("suspend", times={"kind": "uniform", "count": True, "horizon": 10.0}),
+         "params.times: must be an integer >= 1, got True"),
+        (valid("suspend", times={"kind": "uniform", "count": 3.9, "horizon": 10.0}),
+         "params.times: must be an integer >= 1, got 3.9"),
+        (valid("suspend", times={"kind": "uniform", "count": 3.9, "seed": 2.5,
+                                 "horizon": 10.0}),
+         "params.times: must be an integer >= 0, got 2.5"),
+        (valid("suspend", times={"kind": "uniform", "count": 3, "seed": True,
+                                 "horizon": 10.0}),
+         "params.times: must be an integer >= 0, got True"),
+        (valid("average", observable={"kind": "const", "value": 2.0, "dim": 1.5}),
+         "params.observable: must be an integer >= 1, got 1.5"),
+        (valid("average", observable={"kind": "const", "value": 2.0, "dim": True}),
+         "params.observable: must be an integer >= 1, got True"),
+        (valid("average", observable={"kind": "const", "value": 2.0, "dim": 0}),
+         "params.observable: must be an integer >= 1, got 0"),
+        (on("rp-certify", {**SUSP, "step": 2}, x=[0.1, 0.2], y=[0.1, 0.2]),
+         "system.step: a suspension takes real times, not a step"),
+        (on("rp-transfer", SUSP, {**SUSP, "step": 2}, x=[0.1, 0.2], y=[0.1, 0.2]),
+         "system_h.step: a suspension takes real times, not a step"),
     ], ids=["average-no-alphas", "average-no-observable", "average-no-t",
             "average-t-and-grid",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
@@ -657,7 +681,11 @@ class TestParameterTable:
             "poly-density-cell-key-overflow", "suspend-cell-key-overflow",
             "fiber-coverage-cell-key-overflow", "average-ragged-freqs",
             "nilres-ragged-freqs", "potts-ragged-freqs", "average-half-freq",
-            "nilres-half-freq", "average-bool-freq", "nilres-over-exact-cap"])
+            "nilres-half-freq", "average-bool-freq", "nilres-over-exact-cap",
+            "density-fractional-n-max", "suspend-bool-count", "suspend-fractional-count",
+            "suspend-fractional-seed", "suspend-bool-seed", "average-fractional-dim",
+            "average-bool-dim", "average-zero-dim", "suspension-with-step",
+            "system-h-suspension-with-step"])
     def test_malformed_config_exit_schema(self, tmp_path, capsys, cfg, diag):
         assert any(d.startswith(diag) for d in validate_config(cfg))
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_SCHEMA
@@ -702,13 +730,16 @@ BAD = {
     cli._nonzero_time: ["0", {"ONE": "0"}, 1.5, "abc", [1]],
     cli._polys: [[], [{"coeffs": [1]}], [{"c": [0, 1]}], "x"],
     cli._observable: [{"kind": "nope"}, {"kind": "exp"}, 5, "cos",
-                      {"kind": "const", "value": "inf"},
+                      {"kind": "const", "value": "inf"}, {"kind": "const", "dim": 1.5},
                       {"kind": "trig", "terms": [{"freq": [1], "re": "nan"}]}],
     cli._observables: [[], [{"kind": "nope"}], 5],
     cli._times: [{"kind": "nope"}, "x", {"kind": "grid"}, ["a"], [],
                  {"kind": "grid", "start": 2.0, "stop": 1.0, "step": 0.5}, [0.0, "inf"],
                  {"kind": "grid", "start": 0.0, "stop": "inf", "step": 1.0},
-                 {"kind": "quadratic", "beta": "nan", "n_max": 3}],
+                 {"kind": "quadratic", "beta": "nan", "n_max": 3},
+                 {"kind": "quadratic", "beta": 1.0, "n_max": 2.7},
+                 {"kind": "uniform", "count": True, "horizon": 1.0},
+                 {"kind": "uniform", "count": 3, "seed": 2.5, "horizon": 1.0}],
     cli._windows: [[], [[1.0]], "x", [["a", 1.0]], [["inf", 1.0]]],
     cli._series: [{"grid": [0, 1], "values": [0]}, {"grid": [1, 0], "values": [0, 0]},
                   5, {"csv": "no-such-series.csv"}, {"grid": [0, 1], "values": [0, "inf"]}],

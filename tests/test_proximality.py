@@ -234,15 +234,13 @@ def reference_first_witness(sys, x, y, candidates, delta, budget, near=None):
     return proximality.RPSearchResult(EXHAUSTED, None, checked, best_gap)
 
 
-def reference_perturber(sys, p):
-    """offset -> a new perturbed point on every call."""
-    return partial(proximality._perturb, sys, p)
-
-
 def run_loop(call, *, reference, grid_count=None):
     """call() with the memoised or the reference scoring; returns its result
-    and the near-miss lists the search loop filled.  Hypothesis examples
-    share a test's fixtures, so the patches are scoped here."""
+    and the near-miss lists the search loop filled.  The reference also
+    builds a fresh perturbed point for every candidate: once _first_witness
+    is patched, only the search's perturbation memo reads the module's
+    cache, so it is patched to the identity.  Hypothesis examples share a
+    test's fixtures, so the patches are scoped here."""
     loop = reference_first_witness if reference else proximality._first_witness
     nears = []
 
@@ -254,7 +252,7 @@ def run_loop(call, *, reference, grid_count=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(proximality, "_first_witness", recording)
         if reference:
-            mp.setattr(proximality, "_perturber", reference_perturber)
+            mp.setattr(proximality, "cache", lambda f: f)
         if grid_count is not None:
             mp.setattr(proximality, "_GRID_COUNT", grid_count)
         return call(), nears
@@ -317,8 +315,8 @@ class TestMemoisedScoring:
               (0.987839809168345, 0.9895008270237401, 0.0684096355417223), 1, 0.1, 2692))
     # rounds one and two exhausted on a map
     @example(("heisenberg-nilsystem", (0.1, 0.2, 0.3), (0.1, 0.2, 0.8), 1, 0.004, 10 ** 6))
-    # y at height -0.0: the witness moves x and y toward each other, and the
-    # offset (-delta/2, -0.0) that moves y keeps the sign in y's height
+    # y given at height -0.0: the witness moves x and y toward each other,
+    # by the offset (-delta/2, -0.0), equal in value to (-delta/2, 0.0)
     @example(("suspension", (0.3, 0.0), (0.319, -0.0), 1, 0.01, 3000))
     def test_search_matches_reference(self, case):
         kind, xc, yc, d, delta, budget = case

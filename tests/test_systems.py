@@ -54,9 +54,11 @@ def reference_nil_evolve(spec, p, t):
     ry = gy + py
     rz = gz + pz + gx * py
     n = -math.floor(ry)
+    y = float(ry + n)
+    if y == 1.0:  # y rounds up to 1: one more lattice step (0, -1, 0) shears z
+        y, n = 0.0, n - 1
     z = rz + rx * n
-    return HeisenbergElement(wrap_unit(float(rx - math.floor(rx))),
-                             wrap_unit(float(ry - math.floor(ry))),
+    return HeisenbergElement(wrap_unit(float(rx - math.floor(rx))), y,
                              wrap_unit(float(z - math.floor(z))))
 
 
@@ -442,11 +444,13 @@ class TestOrbitCoords:
 
 
 def factor_system(kind, basis, sqrt2, sqrt3):
-    """The systems whose declared factors TestFactors checks."""
+    """The systems whose declared factors TestFactors checks, and whose
+    points TestCanonicalPoints checks."""
     rot = torus_rotation(sqrt2, basis)
+    plane = torus_flow((sqrt2, sqrt3), basis)
     nilflow = heisenberg_nilflow(sqrt2, sqrt3, basis, z=0.3)
     nilsys = heisenberg_nilsystem(nilflow)
-    return {"rotation": rot, "torus-map": torus_map(torus_flow((sqrt2, sqrt3), basis)),
+    return {"rotation": rot, "torus-flow": plane, "torus-map": torus_map(plane),
             "heisenberg-nilflow": nilflow, "heisenberg-nilsystem": nilsys,
             "suspension-rotation": suspend(rot), "suspension-nilsystem": suspend(nilsys)}[kind]
 
@@ -506,6 +510,58 @@ def test_from_coords_rejects_wrong_count(basis, sqrt2, sqrt3, kind):
     for n in (sys.dim - 1, sys.dim + 1):
         with pytest.raises(ValueError, match=f"needs {sys.dim} coordinates, got"):
             sys.from_coords(unit[:n])
+
+
+CANONICAL_KINDS = ("torus-flow", "torus-map", "heisenberg-nilflow", "heisenberg-nilsystem",
+                   "suspension-rotation", "suspension-nilsystem")
+
+
+# signed zeros, values a rounding away from an integer, integers and the rest
+edge_reals = st.one_of(st.sampled_from([0.0, -0.0, 1e-20, -1e-20]), st.integers(-5, 5),
+                       st.integers(-5, 5).map(float), st.floats(-5.0, 5.0))
+
+
+class TestCanonicalPoints:
+    """A point is canonical where it is made: from_coords and evolve give
+    coordinates in [0, 1), none of them -0.0, whose reprs from_coords gives
+    back; coordinates 1e-15 apart give points, and evolutions, within 1e-12."""
+
+    @staticmethod
+    def check_canonical(sys, p):
+        c = sys.coords(p)
+        assert all(0.0 <= v < 1.0 and math.copysign(1.0, v) == 1.0 for v in c), c
+        assert list(map(repr, sys.coords(sys.from_coords(c)))) == list(map(repr, c))
+
+    @pytest.mark.parametrize("kind", CANONICAL_KINDS)
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(edge_reals, min_size=4, max_size=4),
+           st.lists(st.floats(-1e-15, 1e-15), min_size=4, max_size=4), edge_reals)
+    @example([-0.0] * 4, [0.0] * 4, -0.0)
+    # a y (on the nilmanifold) or a height (on a suspension) of -1e-20 rounds
+    # up to 1.0 in the canonical form, which must carry into z or the base
+    @example([0.3, -1e-20, 0.5, -1e-20], [0.0, 1e-20, 0.0, 1e-20], 0.0)
+    # a height of 0.3 evolved by -0.30000000000000004 rounds up to 1.0
+    @example([0.2, 0.3, 0.3, 0.3], [0.0] * 4, -0.30000000000000004)
+    # a y of 1 - 2^-53 evolved by 2^-54 on the nilflow rounds up to 1.0
+    @example([0.3, 1 - 2.0 ** -53, 0.5, 0.3], [0.0, -(2.0 ** -53), 0.0, 0.0], 2.0 ** -54)
+    def test_canonical_and_continuous(self, basis, sqrt2, sqrt3, kind, coords, nudge, t):
+        sys = factor_system(kind, basis, sqrt2, sqrt3)
+        c = coords[:sys.dim]
+        p = sys.from_coords(c)
+        q = sys.from_coords([ci + di for ci, di in zip(c, nudge)])
+        for point in (p, q, sys.evolve(p, t), sys.evolve(q, t)):
+            self.check_canonical(sys, point)
+        assert sys.dist(p, q) <= 1e-12
+        assert sys.dist(sys.evolve(p, t), sys.evolve(q, t)) <= 1e-12
+
+    def test_y_rounding_up_moves_z(self):
+        # the lattice step (0, -1, 0) that wraps y moves z by -x, and gamma
+        # records it
+        assert heis_reduce(HeisenbergElement(0.3, -1e-20, 0.5)) == \
+            (HeisenbergElement(0.3, 0.0, 0.5), HeisenbergElement(0.0, 0.0, 0.0))
+        spec = NilflowSpec(HeisenbergElement(0.0, 2.0 ** -54 + 2.0 ** -56, 0.0))
+        assert nil_orbit(spec, HeisenbergElement(0.3, 1 - 2.0 ** -53, 0.5), [1]) == \
+            [(0.3, 0.0, 0.2)]
 
 
 class TestOrbitSample:
@@ -595,6 +651,9 @@ class TestArrayKernelBits:
              [3 + 2.0 ** -20, 7, 0.0, -3.5, 2.0 ** -40, -99999.0625, 10 ** 5, 1.5])
     @example(HeisenbergElement(math.sqrt(2) - 1, math.sqrt(3) - 1, 0.0),
              HeisenbergElement(0.1, 0.2, 0.3), [0, -0.0, 1, -1, 0.5, 2.0 ** -60, -10 ** 5])
+    # y rounds up to 1.0 at t = 1, and the wrap moves z by -x
+    @example(HeisenbergElement(0.0, 2.0 ** -54 + 2.0 ** -56, 0.0),
+             HeisenbergElement(0.3, 1 - 2.0 ** -53, 0.5), [1, 0])
     def test_nil_orbit_is_evolve_per_time(self, a, p, ts):
         spec = NilflowSpec(a)
         rows = nil_orbit(spec, p, ts)
