@@ -304,8 +304,9 @@ class RealPolynomial:
     def eval_array(self, t):
         import numpy as np
         acc = np.zeros_like(np.asarray(t, dtype=float))
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
+        for c in reversed(self.coeffs):  # Horner in place: acc * t + c
+            acc *= t
+            acc += float(c)
         return acc
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import RealPolynomial, require_nonconstant
 from .averages import require_alphas
-from .systems import SystemHandle, unit_mod, usable_cpus
+from .systems import SystemHandle, map_pool, unit_mod, usable_cpus
 
 WITNESS = "witness"
 EXHAUSTED = "exhausted"
@@ -420,50 +420,62 @@ def _cell_keys(f: np.ndarray, m: int, key: np.ndarray | None = None) -> np.ndarr
     """The cell of each row of f on the grid of m cells per axis, numbered
     in int64 (the caller keeps m^k < 2^63); extends a given key in place."""
     key = np.zeros(len(f), dtype=np.int64) if key is None else key
+    cell = np.empty(len(f), dtype=np.int64)
     for col in f.T:
+        np.multiply(col, m, out=cell, casting="unsafe")
         key *= m
-        key += np.minimum((col * m).astype(np.int64), m - 1)
+        key += np.minimum(cell, m - 1, out=cell)
     return key
 
 
 def _cells_per_axis(bound: float, k: int) -> int:
     """m = ceil(1 / bound) > 0, capped so that m^k < 2^63 (an int64 numbers
-    the cells) and m <= 2^53 (col * m is exact)."""
+    the cells) and m <= 2^53 (col * m is exact); the cap at bound 0."""
     cap = min(2 ** 53, int(2.0 ** (63 / k)))
     while cap ** k >= 2 ** 63:
         cap -= 1
-    inv = 1.0 / bound
+    inv = 1.0 / bound if bound > 0 else math.inf
     return cap if inv >= cap else math.ceil(inv)
 
 
-def _uncertified(fa: np.ndarray, fb: np.ndarray, bound: float) -> list[np.ndarray]:
-    """For each cloud, the rows not certified to lie closer than bound to
-    the other cloud.  Both clouds are keyed on a grid of _cells_per_axis
-    cells per axis, about bound wide (wider cells only certify fewer
-    rows), and sorted by key; a row is certified when the row that
-    searchsorted finds in its cell of the other cloud is at periodic_linf
-    distance < bound.  At bound 0 no row is certified."""
-    if not bound > 0:
-        return [np.ones(len(fa), dtype=bool), np.ones(len(fb), dtype=bool)]
-    m = _cells_per_axis(bound, fa.shape[1])
-    clouds = (fa, fb)
-    orders, keys = [], []
-    for f in clouds:
-        key = _cell_keys(f, m)
-        orders.append(np.argsort(key))
-        keys.append(key[orders[-1]])
-    need = []
-    for i, j in ((0, 1), (1, 0)):  # keys[i] is sorted, so searchsorted walks forward
-        pos = np.minimum(np.searchsorted(keys[j], keys[i]), len(keys[j]) - 1)
-        hit = np.flatnonzero(keys[j][pos] == keys[i])
-        rows, partners = orders[i][hit], orders[j][pos[hit]]
+def _key_order(f: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of f sorted by _cell_keys, and their keys in that order."""
+    key = _cell_keys(f, m)
+    order = np.argsort(key)
+    return order, key[order]
+
+
+_ROW_BLOCK = 2 ** 14  # rows per block: temporaries that stay in cache and out of malloc arenas
+
+
+def _certified(f: np.ndarray, keyed, g: np.ndarray, g_keyed, bound: float) -> np.ndarray:
+    """Mask of the rows of f certified to lie closer than bound to g, given
+    the _key_order of f and of g on one grid: a row is certified when the
+    row of g that searchsorted finds for its key in g's sorted keys (the
+    last one when none is larger), or else the row just before that one,
+    is at periodic_linf distance < bound.  At bound 0 no row is."""
+    (order, keys), (g_order, g_keys) = keyed, g_keyed
+    close = np.empty(len(f), dtype=bool)
+    for start in range(0, len(f), _ROW_BLOCK):  # small blocks, in key order
+        block = slice(start, start + _ROW_BLOCK)
+        rank = np.minimum(np.searchsorted(g_keys, keys[block]), len(g_keys) - 1)
         # np.take gathers rows several times faster than fancy indexing
-        close = periodic_linf(np.take(clouds[i], rows, axis=0),
-                              np.take(clouds[j], partners, axis=0)) < bound
-        todo = np.ones(len(clouds[i]), dtype=bool)
-        todo[rows[close]] = False
-        need.append(todo)
-    return need
+        u = np.take(f, order[block], axis=0)
+        ok = periodic_linf(u, np.take(g, g_order[rank], axis=0)) < bound
+        left = np.flatnonzero(~ok)
+        ok[left] = periodic_linf(np.take(u, left, axis=0),
+                                 np.take(g, g_order[rank[left] - 1], axis=0)) < bound
+        close[order[block]] = ok
+    return close
+
+
+def _directed(tree, f, leaf_order, keyed, g, g_keyed, bound: float) -> float:
+    """The larger of bound and the distances to g, whose tree is tree, of
+    the rows of f that _certified leaves, queried in leaf_order."""
+    need = ~_certified(f, keyed, g, g_keyed, bound)
+    q = np.take(f, leaf_order[need[leaf_order]], axis=0)
+    beyond = np.isinf(tree.query(q, p=np.inf, distance_upper_bound=bound)[0])
+    return max(bound, tree.query(q[beyond], p=np.inf)[0].max()) if beyond.any() else bound
 
 
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
@@ -477,9 +489,10 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
        of its own tree, so consecutive queries reach the same subtrees;
     2. every 64th query row, in both directions, gives a lower bound:
        a nearest-neighbour distance that some point attains;
-    3. rows that a same-cell partner certifies (see _uncertified) are
-       dropped: such a row has a point of the other cloud closer than
-       the bound, so its nearest-neighbour distance is below the bound;
+    3. rows that one of their two neighbours in cell-key order certifies
+       (see _certified) are dropped: such a row has a point of the other
+       cloud closer than the bound, so its nearest-neighbour distance is
+       below the bound;
     4. the other rows are queried with the bound as
        ``distance_upper_bound``, and only the rows that come back ``inf``
        are queried again without it.  scipy's bound is strict (a row at
@@ -487,16 +500,20 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
        ``inf``), so ``inf`` only ever means "query again", never a
        distance.
 
-    The result is exact, bit for bit: every kept number is an exact
-    nearest-neighbour distance (``eps=0``), the query order only
-    permutes the rows, and the bound is attained, so the maximum of the
-    bound and the re-queried rows is the maximum over all rows.  A
-    certificate is a distance computed as scipy computes it, so the
-    nearest-neighbour distance of a certified row is at most that
-    distance, below the bound: the rows of steps 3 and 4 that leave out
-    a distance both leave out one below the bound.  The queries run on
-    every usable CPU; each row's distance is its own, so the worker count
-    moves no bit.
+    Each direction (_directed) returns the larger of the bound and its
+    re-queried rows, and the result is the larger of the two.  It is
+    exact, bit for bit: every kept number is an exact nearest-neighbour
+    distance (``eps=0``), the query order only permutes the rows, and
+    the bound is attained, so the maximum of the bound and the
+    re-queried rows is the maximum over all rows.  A certificate is a
+    distance computed as scipy computes it, so the nearest-neighbour
+    distance of a certified row is at most that distance, below the
+    bound: the rows of steps 3 and 4 that leave out a distance both
+    leave out one below the bound.  The two trees, the two keyed sorts
+    and the two directions are three pairs of map_pool tasks, and the
+    bound's queries run on every usable CPU; no task reads what its pair
+    writes, each row's distance is its own, and a maximum does not
+    depend on the order of its operands, so the worker count moves no bit.
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
@@ -505,22 +522,17 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     if sys.is_isometric:
         from scipy.spatial import cKDTree
         fa, fb = unit_mod(a.flat()), unit_mod(b.flat())
-        query = partial(cKDTree.query, p=np.inf, workers=usable_cpus())
         # unbalanced, non-compacted trees build faster and query no slower here
-        ta, tb = (cKDTree(f, boxsize=1.0, balanced_tree=False, compact_nodes=False)
-                  for f in (fa, fb))
-        # (tree queried, query points, their leaf order)
-        directions = ((tb, fa, ta.indices), (ta, fb, tb.indices))
-        worst = max(query(tree, np.take(f, order[::_BOUND_STRIDE], axis=0))[0].max()
-                    for tree, f, order in directions)
-        bound = worst
-        for (tree, f, order), need in zip(directions, _uncertified(fa, fb, bound)):
-            q = np.take(f, order[need[order]], axis=0)
-            beyond = np.isinf(query(tree, q, distance_upper_bound=bound)[0])
-            if beyond.any():
-                worst = max(worst, query(tree, q[beyond])[0].max())
-            del q  # one leaf-ordered copy alive at a time keeps peak memory down
-        return float(worst)
+        ta, tb = map_pool(partial(cKDTree, boxsize=1.0, balanced_tree=False,
+                                  compact_nodes=False), (fa, fb))
+        bound = max(tree.query(np.take(f, order[::_BOUND_STRIDE], axis=0), p=np.inf,
+                               workers=usable_cpus())[0].max()
+                    for tree, f, order in ((tb, fa, ta.indices), (ta, fb, tb.indices)))
+        ka, kb = map_pool(partial(_key_order, m=_cells_per_axis(bound, fa.shape[1])),
+                          (fa, fb))
+        return float(max(map_pool(lambda task: _directed(*task, bound),
+                                  ((tb, fa, ta.indices, ka, fb, kb),
+                                   (ta, fb, tb.indices, kb, fa, ka)))))
 
     pa, pb = ([[sys.from_coords(c) for c in row] for row in cloud.points] for cloud in (a, b))
 
@@ -555,7 +567,9 @@ def cell_coverage(blocks, n: int, resolution: float) -> float:
         axes += block.shape[1]
         bins = require_cell_grid(resolution, axes)
         key = _cell_keys(block, bins, key)
-    return len(np.unique(key)) / float(bins ** axes)
+        del block  # before the generator builds the next one
+    key.sort()  # distinct keys: the first, and each unlike the one before it
+    return (np.count_nonzero(key[1:] != key[:-1]) + (n > 0)) / float(bins ** axes)
 
 
 def require_torus(sys: SystemHandle) -> None:
@@ -572,7 +586,8 @@ def poly_orbit_density(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
     require_nonconstant(polys)
     require_torus(flow_sys)
     rng = np.random.default_rng(seed)
-    ts = rng.random(budget) * t_span
+    ts = rng.random(budget)
+    ts *= t_span
     return cell_coverage((flow_sys.orbit_coords(x, p.eval_array(ts)) for p in polys),
                          budget, resolution)
 
@@ -616,14 +631,16 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
     constrained, free = require_projection(sys, factor_projection)
     alphas = require_arm_alphas(sys, d, alphas)
     rng = np.random.default_rng(seed)
-    ts = np.concatenate([[0.0], rng.random(budget - 1) * horizon])
+    ts = np.zeros(budget)
+    np.multiply(rng.random(out=ts[1:]), horizon, out=ts[1:])
     base = np.array(sys.coords(x))
-    keep = np.ones(len(ts), dtype=bool)
-    for a in alphas:
-        comp = sys.rotate(base[:len(sys.phase_step)], a * ts)
+    keep = np.ones(budget, dtype=bool)
+    for a, start in itertools.product(alphas, range(0, budget, _ROW_BLOCK)):
+        rows = slice(start, start + _ROW_BLOCK)  # cache-sized temporaries
+        comp = sys.rotate(base[:len(sys.phase_step)], a * ts[rows])
         for c in constrained:  # column by column: see SystemHandle.rotate
             gap = unit_mod(np.abs(comp[:, c] - base[c]))
-            keep &= np.minimum(gap, 1.0 - gap) <= resolution
+            keep[rows] &= np.minimum(gap, 1.0 - gap) <= resolution
     ts = ts[keep]
     frees = [sys.orbit_coords(x, a * ts)[:, list(free)] for a in alphas]
     return cell_coverage(frees, len(ts), resolution)

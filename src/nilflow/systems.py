@@ -46,7 +46,7 @@ SUSPENSION = "suspension"
 
 
 # ---------------------------------------------------------------------------
-# block map
+# thread pool and block map
 
 _BLOCK = 2 ** 16  # items per block at per=1: 1 MB of complex temporaries
 
@@ -58,11 +58,20 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def map_pool(fn, items) -> list:
+    """[fn(item) for item in items] on min(len(items), usable_cpus()) threads,
+    or inline when that is one.  numpy's ufuncs and sorts and scipy's
+    KD-tree release the GIL; an exception fn raises reaches the caller."""
+    workers = min(len(items), usable_cpus())
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def map_blocks(fill, n: int, per: int = 1) -> None:
-    """Call fill(block) for consecutive slices that cover range(n), each of
-    about _BLOCK // per items, on a thread pool of min(blocks, usable_cpus())
-    workers, or inline when that is one.  numpy's ufuncs release the GIL, so
-    the blocks run in parallel; an exception a fill raises reaches the caller.
+    """Call fill(block) through map_pool for consecutive slices that cover
+    range(n), each of about _BLOCK // per items.
 
     The bits must depend neither on the block size nor on the worker count:
     a fill writes only its own slice, by elementwise or per-row work, and
@@ -74,15 +83,7 @@ def map_blocks(fill, n: int, per: int = 1) -> None:
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()  # the last item joins the block before it
-    blocks = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-    workers = min(len(blocks), usable_cpus())
-    if workers <= 1:
-        for block in blocks:
-            fill(block)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(fill, blocks):
-            pass
+    map_pool(fill, [slice(a, b) for a, b in zip(starts, starts[1:] + [n])])
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +406,17 @@ class SystemHandle:
         broadcast(phases.shape, s.shape + (k,)) whose column c is
         phases[..., c] + s * phase_step[c], reduced by unit_mod.
 
-        It is filled one column at a time: numpy broadcasts slowly over a
-        short trailing axis, and each element gets the same two operations
-        on the same operands as the outer-product form
-        (phases + outer(s, phase_step)) % 1.0, so the bits are the same.
+        It is filled one column at a time, the product into the column and
+        then the phase added: numpy broadcasts slowly over a short trailing
+        axis, and each element gets the same two operations on the same
+        operands as (phases + outer(s, phase_step)) % 1.0, so the same bits.
         """
         step = self.phase_step
         phases, s = np.asarray(phases, dtype=float), np.asarray(s)
         out = np.empty(np.broadcast_shapes(phases.shape, s.shape + step.shape))
         for c, w in enumerate(step):
-            out[..., c] = phases[..., c] + s * w
+            col = np.multiply(s, w, out=out[..., c])
+            col += phases[..., c]
         return unit_mod(out, out=out)
 
     def evolve(self, p, t: float):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,24 @@ class TestPolynomials:
     def test_constant_family_dependent(self):
         c = RealPolynomial.from_coeffs([5])
         assert not polys_r_independent([c]).independent
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)),
+                    min_size=1, max_size=5),
+           st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                                               math.inf, -math.inf, math.nan]),
+                              st.floats(allow_nan=True, allow_infinity=True)),
+                    min_size=1, max_size=40))
+    def test_eval_array_in_place_is_horner(self, coeffs, ts):
+        """eval_array's in-place Horner step has the bits of acc * t + c."""
+        p = RealPolynomial.from_coeffs(coeffs)
+        t = np.array(ts)
+        want = np.zeros_like(t)
+        with np.errstate(all="ignore"):  # inf * 0 and overflow are part of the draw
+            for c in reversed(p.coeffs):
+                want = want * t + float(c)
+            got = p.eval_array(t)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ machine, so under `taskset -c 0` it runs the inline path.
 
 import contextlib
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from nilflow import proximality, systems
 from nilflow.algebra import Basis, RealPolynomial, SymbolicReal
 from nilflow.averages import Observable, nilfunction_residual, potts_average
 from nilflow.proximality import PointCloud, hausdorff_distance
-from nilflow.systems import heisenberg_nilflow, map_blocks, torus_flow
+from nilflow.systems import heisenberg_nilflow, map_blocks, map_pool, torus_flow
 
 BASIS = Basis.default()
 LINE = torus_flow((SymbolicReal.rational(1),), BASIS)
@@ -42,7 +44,8 @@ def observables(dim):
 @contextlib.contextmanager
 def split(block, cpus, *, cpus_too=True):
     """Set the block size and, unless cpus_too is False, the worker count of
-    map_blocks and of the Hausdorff queries."""
+    map_pool (behind map_blocks and the Hausdorff pairs) and of the
+    Hausdorff queries."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(systems, "_BLOCK", block)
         if cpus_too:
@@ -155,6 +158,25 @@ def test_blocks_cover_range_without_lone_items(n, per, block):
         map_blocks(seen.append, n, per)
     assert [i for b in seen for i in range(n)[b]] == list(range(n))
     assert all(b.stop - b.start > 1 for b in seen) or n == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_map_pool_reads_patched_cpus(cpus):
+    """map_pool, behind map_blocks and the Hausdorff pairs, reads the
+    usable_cpus that split patches: inline on the caller's thread at one,
+    on pool threads otherwise, with the results in item order."""
+    def where(i):
+        time.sleep(0.01)  # so that more than one worker takes an item
+        return i, threading.get_ident()
+
+    with split(ONE_BLOCK, cpus):
+        got = map_pool(where, range(6))
+    assert [i for i, _ in got] == list(range(6))
+    threads = {ident for _, ident in got}
+    if cpus == 1:
+        assert threads == {threading.get_ident()}
+    else:
+        assert 1 <= len(threads) <= cpus and threading.get_ident() not in threads
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

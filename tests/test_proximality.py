@@ -778,18 +778,42 @@ class TestHausdorffCertificates:
 
     def test_contained_cloud_is_certified(self):
         fa, fb = (p.reshape(len(p), -1) for p in CONTAINED_PAIR)
-        need_a, need_b = proximality._uncertified(fa, fb, 1 / 64)
-        assert not need_a.any()  # every row of the first cloud is certified
-        assert need_b[-40:].all()  # the far points are not
-        assert all(need.all() for need in proximality._uncertified(fa, fb, 0.0))
+        cert_a, cert_b = certified(fa, fb, 1 / 64)
+        assert cert_a.all()  # every row of the first cloud is certified
+        assert not cert_b[-40:].any()  # the far points are not
+        assert not any(cert.any() for cert in certified(fa, fb, 0.0))
 
     def test_capped_grid_certifies(self):
         fa, fb = (p.reshape(len(p), -1) for p in CAPPED_PAIR)
         bound = uncertified_hausdorff(*CAPPED_PAIR)
         assert 0 < bound < 1e-12
         assert proximality._cells_per_axis(bound, 4) < 1 / bound
-        need_a, need_b = proximality._uncertified(fa, fb, bound)
-        assert not need_a.all() and not need_b.all()
+        cert_a, cert_b = certified(fa, fb, bound)
+        assert cert_a.any() and cert_b.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud_pairs(), st.one_of(st.sampled_from([0.0, 1 / 64, 0.25, 0.5, 5e-324]),
+                                    st.floats(0.0, 0.75)))
+    @example(CONTAINED_PAIR, 1 / 64)
+    @example(CAPPED_PAIR, 1e-13)
+    @example(EDGE_PAIR, 0.25)
+    def test_certified_rows_have_a_closer_point(self, pair, bound):
+        """Every certified row has a point of the other cloud closer than
+        the bound, by brute force over all pairs."""
+        fa, fb = (p.reshape(len(p), -1) for p in pair)
+        for (f, g), cert in zip(((fa, fb), (fb, fa)), certified(fa, fb, bound)):
+            diff = np.abs(f[:, None, :] - g[None, :, :])
+            nearest = np.minimum(diff, 1.0 - diff).max(axis=2).min(axis=1)
+            assert (nearest[cert] < bound).all()
+
+
+def certified(fa, fb, bound):
+    """proximality._certified for the rows of each cloud against the other,
+    keyed on the grid hausdorff_distance takes for the bound."""
+    m = proximality._cells_per_axis(bound, fa.shape[1])
+    ka, kb = (proximality._key_order(f, m) for f in (fa, fb))
+    return (proximality._certified(fa, ka, fb, kb, bound),
+            proximality._certified(fb, kb, fa, ka, bound))
 
 
 class TestCellCoverage:
