@@ -514,6 +514,10 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     bound's queries run on every usable CPU; no task reads what its pair
     writes, each row's distance is its own, and a maximum does not
     depend on the order of its operands, so the worker count moves no bit.
+
+    Other systems (Heisenberg, suspensions) take the scalar max-min-max
+    over sys.dist (_scalar_directed), which skips the pairs and rows that
+    cannot change it, by the early-exit argument of the systems module.
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
@@ -535,12 +539,33 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
                                    (ta, fb, tb.indices, kb, fa, ka)))))
 
     pa, pb = ([[sys.from_coords(c) for c in row] for row in cloud.points] for cloud in (a, b))
+    return max(_scalar_directed(sys.dist, pa, pb), _scalar_directed(sys.dist, pb, pa))
 
-    def directed(us, vs):
-        return max((min((max(map(sys.dist, u, v)) for v in vs), default=math.inf)
-                    for u in us), default=0.0)
 
-    return max(directed(pa, pb), directed(pb, pa))
+def _scalar_directed(dist, us, vs) -> float:
+    """max over the tuples u of us of min over the tuples v of vs of max
+    over components of dist(u_i, v_i); 0.0 when us is empty, inf when only
+    vs is.  A pair stops once its running maximum reaches u's running
+    nearest gap, and u stops once that gap is at or below the maximum found
+    so far, since u can then no longer raise it."""
+    worst = 0.0
+    for u in us:
+        near = math.inf
+        for v in vs:
+            gap = 0.0
+            for ui, vi in zip(u, v):
+                d = dist(ui, vi)
+                if d > gap:
+                    gap = d
+                    if gap >= near:
+                        break
+            else:
+                near = gap
+                if near <= worst:
+                    break
+        if near > worst:
+            worst = near
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -94,15 +94,26 @@ def susp_evolve(base_sys: SystemHandle, p: SuspensionPoint, t: float) -> Suspens
     return susp_canonical(base_sys, p.base, p.s + t)
 
 
-def _chart_gap(base_sys: SystemHandle, p: SuspensionPoint, q: SuspensionPoint) -> float:
-    return min(max(base_sys.dist(base_sys.evolve(p.base, k), q.base), abs(p.s - k - q.s))
-               for k in (-1, 0, 1))
+def _chart_gap(base_sys: SystemHandle, p: SuspensionPoint, q: SuspensionPoint,
+               best: float) -> float:
+    """min(best, max(base gap, height gap) over the charts k in {-1, 0, 1}
+    from p to q).  A chart whose height gap is already >= best is skipped
+    with its base evolve and dist (the early exits of nilflow.systems)."""
+    for k in (-1, 0, 1):
+        height = abs(p.s - k - q.s)
+        if height < best:
+            gap = max(base_sys.dist(base_sys.evolve(p.base, k), q.base), height)
+            if gap < best:
+                best = gap
+    return best
 
 
 def susp_metric(base_sys: SystemHandle, p: SuspensionPoint,
                 q: SuspensionPoint) -> float:
-    """Glued-chart metric; the k in {-1, 0, 1} window covers canonical heights."""
-    return min(_chart_gap(base_sys, p, q), _chart_gap(base_sys, q, p))
+    """Glued-chart metric; the k in {-1, 0, 1} window covers canonical
+    heights.  The least chart gap both ways, the reverse charts starting
+    from the forward result."""
+    return _chart_gap(base_sys, q, p, _chart_gap(base_sys, p, q, math.inf))
 
 
 @dataclass(frozen=True)

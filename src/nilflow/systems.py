@@ -18,6 +18,17 @@ group law and its one evolution loop, nil_orbit (nil_evolve is its
 one-time case), lattice reduction, quotient metrics, and the exact
 minimality tests by rational independence of the frequencies.
 
+Early exits, bit for bit.  The scalar metrics (_heis_sq_gap behind
+NilflowSpec.dist, suspension._chart_gap behind susp_metric, and the
+fallback proximality._scalar_directed of hausdorff_distance) skip terms
+that cannot change their running minimum.  Float + of non-negative
+numbers and max are monotone and never below an operand, so a partial
+sum or maximum that has reached the running minimum bounds its whole term
+from below; a minimum or maximum does not depend on the order of its
+operands; and sqrt is correctly rounded and monotone, so
+sqrt(min(a, b)) == min(sqrt(a), sqrt(b)).  So every skipped term would
+have left the result's bits as they are.
+
 Conventions: torus points live in [0, 1)^n; Heisenberg elements carry
 Malcev coordinates (x, y, z) with group law
 (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + x * y'),
@@ -258,33 +269,37 @@ class Factor:
                 circle_gap(spec.coords(p), spec.coords(q), self.columns))
 
 
-_WINDOW = (-2.0, -1.0, 0.0, 1.0, 2.0)
+_WINDOW = (0.0, -1.0, 1.0, -2.0, 2.0)  # the lattice steps, nearest first
 
 
-def _heis_window_gap(p: HeisenbergElement, q: HeisenbergElement) -> float:
-    """Least Euclidean gap from p to q * (m, n, k) over m, n, k in _WINDOW.
+def _heis_sq_gap(p: HeisenbergElement, q: HeisenbergElement, best: float) -> float:
+    """min(best, least squared Euclidean gap from p to q * (m, n, k) over
+    m, n, k in _WINDOW).
 
-    The squared gap is (dx(m)^2 + dy(n)^2) + dz(n, k)^2; float + and sqrt
-    are monotone, so minimising term by term equals the 125-translate
-    minimum bit for bit.  Written straight-line: the coordinates are
-    locals, the five q.z + k and each q.x * n are computed once, and the
-    m and k minima are five-argument min calls.  Every term keeps the
-    operands, their order and the ** 2 of the 125-translate form, so each
-    rounds as it did there (a multiply need not round like libm pow)."""
+    The squared gap is (dx(m)^2 + dy(n)^2) + dz(n, k)^2, minimised term by
+    term: one minimum bx over m, then per row n a minimum over k.  It
+    returns at once when bx >= best and skips a row n when
+    bx + dy(n)^2 >= best (the module's early exits), visiting the rows
+    nearest first.  Every term keeps the operands, their order and the
+    ** 2 of the 125-translate form, so each rounds as it did there (a
+    multiply need not round like libm pow)."""
     px, py, pz, qx, qy, qz = p.x, p.y, p.z, q.x, q.y, q.z
     w0, w1, w2, w3, w4 = _WINDOW
     bx = min((px - (qx + w0)) ** 2, (px - (qx + w1)) ** 2, (px - (qx + w2)) ** 2,
              (px - (qx + w3)) ** 2, (px - (qx + w4)) ** 2)
+    if bx >= best:
+        return best
     z0, z1, z2, z3, z4 = qz + w0, qz + w1, qz + w2, qz + w3, qz + w4
-    best = math.inf
     for n in _WINDOW:
+        by = bx + (py - (qy + n)) ** 2
+        if by >= best:
+            continue
         s = qx * n
-        gap = (bx + (py - (qy + n)) ** 2) + min(
-            (pz - (z0 + s)) ** 2, (pz - (z1 + s)) ** 2, (pz - (z2 + s)) ** 2,
-            (pz - (z3 + s)) ** 2, (pz - (z4 + s)) ** 2)
+        gap = by + min((pz - (z0 + s)) ** 2, (pz - (z1 + s)) ** 2, (pz - (z2 + s)) ** 2,
+                       (pz - (z3 + s)) ** 2, (pz - (z4 + s)) ** 2)
         if gap < best:
             best = gap
-    return math.sqrt(best)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +367,10 @@ class NilflowSpec:
     orbit = nil_orbit
 
     def dist(self, p: HeisenbergElement, q: HeisenbergElement) -> float:
-        """Least Euclidean gap over the 5x5x5 lattice window, both ways."""
-        return min(_heis_window_gap(p, q), _heis_window_gap(q, p))
+        """Least Euclidean gap over the 5x5x5 lattice window, both ways: one
+        sqrt of the least squared gap, the reverse direction starting from
+        the forward one (the module's early exits)."""
+        return math.sqrt(_heis_sq_gap(q, p, _heis_sq_gap(p, q, math.inf)))
 
     def coords(self, p: HeisenbergElement) -> tuple[float, float, float]:
         return p.coords

@@ -816,6 +816,72 @@ def certified(fa, fb, bound):
             proximality._certified(fb, kb, fa, ka, bound))
 
 
+def scalar_hausdorff_reference(sys_h, pa, pb):
+    """max over each cloud's tuples of the min over the other's of the max
+    over components of sys_h.dist, every pair and component compared."""
+    ua, ub = ([[sys_h.from_coords(c) for c in row] for row in p] for p in (pa, pb))
+
+    def directed(us, vs):
+        return max((min((max(sys_h.dist(x, y) for x, y in zip(u, v)) for v in vs),
+                        default=math.inf) for u in us), default=0.0)
+
+    return directed(ua, ub), directed(ub, ua)
+
+
+_NIL = heisenberg_nilsystem(heisenberg_nilflow(_SYMBOLS[1], _SYMBOLS[2], Basis.default()))
+SCALAR_SYSTEMS = {"heisenberg": _NIL,
+                  "suspended-rotation": suspend(torus_rotation(_SYMBOLS[1], Basis.default())),
+                  "suspended-heisenberg": suspend(_NIL)}
+
+
+@st.composite
+def scalar_cloud_pairs(draw):
+    """Two small clouds on a non-isometric system, independent, identical,
+    permuted or holding duplicate rows, optionally on a coarse grid (exact
+    distance ties)."""
+    sys_h = SCALAR_SYSTEMS[draw(st.sampled_from(sorted(SCALAR_SYSTEMS)))]
+    arity = draw(st.integers(1, 4))
+    n_a, n_b = draw(st.integers(1, 15)), draw(st.integers(1, 15))
+    levels = draw(st.sampled_from([0, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def cloud(n):
+        u = rng.random((n, arity, sys_h.dim))
+        return np.floor(u * levels) / levels if levels else u
+
+    pa, pb = cloud(n_a), cloud(n_b)
+    relation = draw(st.sampled_from(["independent", "identical", "permuted", "duplicates"]))
+    if relation == "identical":
+        pb = pa.copy()
+    elif relation == "permuted":
+        pb = pa[rng.permutation(n_a)]
+    elif relation == "duplicates":
+        pa = pa[rng.integers(0, n_a, n_a)]
+        pb = np.concatenate([pb, pa[rng.integers(0, n_a, n_b)]])
+    return sys_h, pa, pb
+
+
+class TestScalarFallback:
+    @settings(max_examples=200, deadline=None)
+    @given(scalar_cloud_pairs())
+    def test_equals_brute_force(self, case):
+        sys_h, pa, pb = case
+        forward, backward = scalar_hausdorff_reference(sys_h, pa, pb)
+        ua, ub = ([[sys_h.from_coords(c) for c in row] for row in p] for p in (pa, pb))
+        assert proximality._scalar_directed(sys_h.dist, ua, ub) == forward
+        assert proximality._scalar_directed(sys_h.dist, ub, ua) == backward
+        a, b = PointCloud(pa, {}, sys_h), PointCloud(pb, {}, sys_h)
+        assert hausdorff_distance(a, b) == hausdorff_distance(b, a) == max(forward, backward)
+
+    @pytest.mark.parametrize("kind", sorted(SCALAR_SYSTEMS))
+    def test_empty_clouds(self, kind):
+        sys_h = SCALAR_SYSTEMS[kind]
+        empty = PointCloud(np.empty((0, 2, sys_h.dim)), {}, sys_h)
+        full = PointCloud(np.full((3, 2, sys_h.dim), 0.25), {}, sys_h)
+        assert hausdorff_distance(empty, empty) == 0.0
+        assert hausdorff_distance(empty, full) == hausdorff_distance(full, empty) == math.inf
+
+
 class TestCellCoverage:
     def test_grid_beyond_int64_keys_rejected(self):
         # 1000 rows that differ only in column 0, at resolution 1/1024: eight

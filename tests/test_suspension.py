@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilflow.suspension import (SuspensionPoint, integer_part_orbit,
                                 susp_canonical, susp_evolve, susp_metric,
@@ -132,6 +134,37 @@ class TestMetric:
             p = SuspensionPoint(TorusPoint((rng.random(),)), rng.random())
             q = SuspensionPoint(TorusPoint((rng.random(),)), rng.random())
             assert susp_metric(rot, p, q) == susp_metric(rot, q, p)
+
+
+def reference_susp_metric(base, p, q):
+    """The least of the three charts' max(base gap, height gap), both ways,
+    every chart computed."""
+    def chart_gap(p, q):
+        return min(max(base.dist(base.evolve(p.base, k), q.base), abs(p.s - k - q.s))
+                   for k in (-1, 0, 1))
+    return min(chart_gap(p, q), chart_gap(q, p))
+
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+suspension_coords = st.lists(unit, min_size=4, max_size=4)  # base first, height last
+ULP_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+class TestMetricBits:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["rot", "nilsys"]), suspension_coords, suspension_coords)
+    @example("rot", [0.3, 0, 0, 0.0], [0.7, 0, 0, 0.4])  # height 0.0
+    @example("nilsys", [0.1, 0.2, 0.3, 0.0], [0.1, 0.2, 0.8, 0.0])
+    @example("rot", [0.3, 0, 0, ULP_BELOW_ONE], [0.3, 0, 0, 0.0])  # one ulp below 1.0
+    @example("nilsys", [0.9, 0.5, 0.1, ULP_BELOW_ONE], [0.2, 0.4, 0.6, 0.5])
+    @example("rot", [0.25, 0, 0, 0.6], [0.75, 0, 0, 0.6])  # integral height gap
+    @example("nilsys", [0.3, 0.1, 0.2, 0.4], [0.3, 0.1, 0.7, 0.4])
+    def test_equals_plain_charts(self, rot, nilsys, base, u, v):
+        base_sys = {"rot": rot, "nilsys": nilsys}[base]
+        susp = suspend(base_sys)
+        p, q = (susp.from_coords(c[:base_sys.dim] + c[-1:]) for c in (u, v))
+        assert susp_metric(base_sys, p, q) == reference_susp_metric(base_sys, p, q)
+        assert susp_metric(base_sys, q, p) == reference_susp_metric(base_sys, q, p)
 
 
 class TestTransferCheck:

@@ -325,6 +325,11 @@ class TestKernelsMatchReference:
     @example(HeisenbergElement(0.25, 0.5, 0.875), HeisenbergElement(0.25, 0.5, 0.375))
     # ties in x, y and z at once, one of them on the edge k = 2
     @example(HeisenbergElement(0.5, 0.5, 2.5), HeisenbergElement(0.0, 0.0, 0.0))
+    # the forward squared gap is the x gap alone (0.25), so the reverse
+    # direction returns at its bx check
+    @example(HeisenbergElement(0.5, 0.0, 0.0), HeisenbergElement(0.0, 0.0, 0.0))
+    # only row n = 0 survives the bx + dy(n)^2 check, both ways
+    @example(HeisenbergElement(0.0, 0.3, 0.2), HeisenbergElement(0.0, 0.0, 0.0))
     def test_window_gap_bits(self, basis, sqrt2, sqrt3, p, q):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
         expected = min(reference_window_gap(p, q), reference_window_gap(q, p))
