@@ -518,10 +518,14 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     Other systems (Heisenberg, suspensions) take the scalar max-min-max
     over sys.dist (_scalar_directed), which skips the pairs and rows that
     cannot change it, by the early-exit argument of the systems module.
+    On every system an empty cloud is at inf from a nonempty one and at
+    0.0 from an empty one, as _scalar_directed gives.
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
     require_comparable(a.system, b.system)
+    if not (a.n and b.n):
+        return 0.0 if a.n == b.n else math.inf
     sys = a.system
     if sys.is_isometric:
         from scipy.spatial import cKDTree

@@ -19,13 +19,12 @@ one-time case), lattice reduction, quotient metrics, and the exact
 minimality tests by rational independence of the frequencies.
 
 Early exits, bit for bit.  The scalar metrics (_heis_sq_gap behind
-NilflowSpec.dist, suspension._chart_gap behind susp_metric, and the
-fallback proximality._scalar_directed of hausdorff_distance) skip terms
-that cannot change their running minimum.  Float + of non-negative
-numbers and max are monotone and never below an operand, so a partial
-sum or maximum that has reached the running minimum bounds its whole term
-from below; a minimum or maximum does not depend on the order of its
-operands; and sqrt is correctly rounded and monotone, so
+NilflowSpec.dist and the fallback proximality._scalar_directed of
+hausdorff_distance) skip terms that cannot change their running minimum.
+Float + of non-negative numbers and max are monotone and never below an
+operand, so a partial sum or maximum that has reached the running minimum
+bounds its whole term from below; a minimum or maximum does not depend on
+the order of its operands; and sqrt is correctly rounded and monotone, so
 sqrt(min(a, b)) == min(sqrt(a), sqrt(b)).  So every skipped term would
 have left the result's bits as they are.
 
@@ -42,7 +41,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,14 +161,6 @@ def heis_conjugate(h: HeisenbergElement, a: HeisenbergElement) -> HeisenbergElem
     return HeisenbergElement(a.x, a.y, a.z + h.x * a.y - h.y * a.x)
 
 
-def heis_conjugate_power_identity(a: HeisenbergElement, h: HeisenbergElement,
-                                  t: float) -> float:
-    """Max coordinate gap between h a^t h^-1 and (h a h^-1)^t (should be ~0)."""
-    lhs = heis_conjugate(h, heis_power(a, t))
-    rhs = heis_power(heis_conjugate(h, a), t)
-    return max(abs(u - v) for u, v in zip(lhs.coords, rhs.coords))
-
-
 def heis_reduce(g: HeisenbergElement) -> tuple[HeisenbergElement, HeisenbergElement]:
     """Canonical coset representative in [0,1)^3 and the lattice element used.
 
@@ -258,15 +249,13 @@ def circle_gap(a: Sequence[float], b: Sequence[float], columns) -> float:
 @dataclass(frozen=True)
 class Factor:
     """An equivariant projection of a spec onto its coordinate columns, on
-    which the action is an isometry for metric(p, q), by default circle_gap."""
+    which the action is an isometry for circle_gap over those columns."""
 
     name: str
     columns: tuple[int, ...]
-    metric: Callable | None = None
 
     def gap(self, spec, p, q) -> float:
-        return (self.metric(p, q) if self.metric else
-                circle_gap(spec.coords(p), spec.coords(q), self.columns))
+        return circle_gap(spec.coords(p), spec.coords(q), self.columns)
 
 
 _WINDOW = (0.0, -1.0, 1.0, -2.0, 2.0)  # the lattice steps, nearest first
@@ -458,10 +447,10 @@ class SystemHandle:
         """Rows coords(evolve(x, t)) over the 1-d times ts, shape
         (len(ts), dim).  An isometric system is its own rotation factor:
         closed form by rotate, equal to the scalar path up to rounding.
-        Others take the spec's orbit over the times scaled by the step,
-        which gives the bits of evolve at each time: one exact loop on the
-        Heisenberg nilmanifold (nil_orbit), the scalar evolution on a
-        suspension."""
+        Others take the spec's orbit over the times scaled by the step: on
+        the Heisenberg nilmanifold the one exact loop nil_orbit, with the
+        bits of evolve at each time; on a suspension the base's orbit_coords
+        beside the height column."""
         if self.is_isometric:
             return self.rotate(np.array(self.coords(x)), ts)
         ts = np.asarray(ts, dtype=float)

@@ -616,6 +616,15 @@ class TestHausdorff:
         with pytest.raises(ValueError):
             hausdorff_distance(a, b)
 
+    @pytest.mark.parametrize("system", ("rot2", "nilsys"))
+    def test_empty_clouds(self, request, system):
+        # the KD-tree branch (the rotation) and the scalar one (Heisenberg)
+        sys_h = request.getfixturevalue(system)
+        empty = PointCloud(np.empty((0, 1, sys_h.dim)), {}, sys_h)
+        full = PointCloud(np.full((3, 1, sys_h.dim), 0.25), {}, sys_h)
+        assert hausdorff_distance(empty, empty) == 0.0
+        assert hausdorff_distance(empty, full) == hausdorff_distance(full, empty) == math.inf
+
     def test_pseudometric_on_heisenberg_clouds(self, nilsys):
         x = nilsys.from_coords((0.1, 0.5, 0.9))
         clouds = [nd_sample(nilsys, x, 1, 12, seed=s, alphas=(1,)) for s in range(3)]
