@@ -307,20 +307,20 @@ def _op_rp_certify(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
                             p["d"], p["delta"], p["budget"])
     if p["require_witness"] and res.status == EXHAUSTED:
         raise BudgetExhaustedFailure(f"search exhausted after {res.checked} candidates")
-    return res.to_jsonable(sysh)
+    return res.to_jsonable()
 
 
 def _op_rp_transfer(p: dict, sysG: SystemHandle, ctx: RunContext) -> dict:
     x = sysG.from_coords(p["x"])
     y = sysG.from_coords(p["y"])
     found = rp_witness_search(sysG, x, y, p["d"], p["delta"], p["budget"])
-    out = {"witness_g": found.to_jsonable(sysG)}
+    out = {"witness_g": found.to_jsonable()}
     if found.found:
         tr = commuting_rp_transfer(sysG, ctx.sys_h, x, y, found.witness,
                                    3.0 * p["delta"], p["budget"])
         if p["require_witness"] and tr.status == EXHAUSTED:
             raise BudgetExhaustedFailure("transfer exhausted")
-        out["transfer"] = tr.to_jsonable(ctx.sys_h)
+        out["transfer"] = tr.to_jsonable()
     elif p["require_witness"]:
         raise BudgetExhaustedFailure("no witness to transfer")
     return out

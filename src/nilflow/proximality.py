@@ -67,9 +67,8 @@ class RPWitness:
     def order(self) -> int:
         return len(self.g)
 
-    def to_jsonable(self, sys: SystemHandle | None = None) -> dict:
-        coords = (lambda p: list(sys.coords(p))) if sys else (lambda p: p)
-        return {"x_prime": coords(self.x_prime), "y_prime": coords(self.y_prime),
+    def to_jsonable(self) -> dict:
+        return {"x_prime": list(self.x_prime), "y_prime": list(self.y_prime),
                 "g": list(self.g), "delta": self.delta}
 
 
@@ -84,11 +83,11 @@ class RPSearchResult:
     def found(self) -> bool:
         return self.status == WITNESS
 
-    def to_jsonable(self, sys: SystemHandle | None = None) -> dict:
+    def to_jsonable(self) -> dict:
         out = {"status": self.status, "checked": self.checked,
                "best_gap": self.best_gap, "verified": self.found}
         if self.witness is not None:
-            out["witness"] = {**self.witness.to_jsonable(sys),
+            out["witness"] = {**self.witness.to_jsonable(),
                               "verified": self.found}
         return out
 
@@ -134,9 +133,10 @@ def witness_max_gap(sys: SystemHandle, x, y, witness: RPWitness,
 
     memo, passed by _first_witness, is a pair (dist, evolve) of memoised
     stand-ins for sys.dist on the base pairs (x, x') and (y, y') and for
-    sys.evolve on the face images; each returns what the call it stands
-    for returns, so the gap has the same bits with or without it.  The
-    face distances are always computed: each (x', y') pair is new.
+    sys.evolve on the face images, keyed by the points, which are
+    coordinate tuples; each returns what the call it stands for returns,
+    so the gap has the same bits with or without it.  The face distances
+    are always computed: each (x', y') pair is new.
     """
     base, image = memo or (sys.dist, sys.evolve)
     gaps = [base(x, witness.x_prime), base(y, witness.y_prime)]
@@ -187,8 +187,7 @@ def _joint_offsets(dim: int, delta: float) -> list[tuple[tuple[float, ...], tupl
 def _perturb(sys: SystemHandle, p, offset: tuple[float, ...]):
     if not any(offset):
         return p
-    c = sys.coords(p)
-    return sys.from_coords(tuple(ci + oi for ci, oi in zip(c, offset)))
+    return sys.from_coords(tuple(ci + oi for ci, oi in zip(p, offset)))
 
 
 def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: int,
@@ -240,7 +239,7 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
     if d < 1:
         raise ValueError("d must be >= 1")
     for factor in sys.spec.factors:
-        gap = factor.gap(sys.spec, x, y)
+        gap = factor.gap(x, y)
         if gap >= 2 * delta and factor.name != "heisenberg-base":  # ROADMAP item 1 drops this skip
             return RPSearchResult(PROVEN_ABSENT, checked=0, best_gap=gap)
 
@@ -306,7 +305,7 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
     tracks g_j's action, and ranked tuples are verified against the
     H-action (see _first_witness) until one passes at delta_out.
     """
-    require_commuting(sysG, sysH, *(sysG.coords(p) for p in (x, y, witnessG.x_prime)))
+    require_commuting(sysG, sysH, x, y, witnessG.x_prime)
     gap = witness_max_gap(sysG, x, y, witnessG)  # rp_witness_verify, keeping the gap
     if not gap < delta_out / 3.0:
         raise ValueError("witnessG does not verify at delta_out/3")
@@ -355,7 +354,7 @@ def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int) -> P
     pts = np.stack([sys.orbit_coords(x, draws @ np.array(eps, dtype=float))
                     for eps in eps_list], axis=1)
     meta = {"generator": "cube_orbit_sample", "budget": budget, "seed": seed,
-            "d": d, "base_point": list(sys.coords(x))}
+            "d": d, "base_point": list(x)}
     return PointCloud(pts, meta, sys)
 
 
@@ -385,7 +384,7 @@ def nd_sample(sys: SystemHandle, x, d: int, budget: int, seed: int,
     ss = _draw_elements(sys, rng, budget)
     pts = np.stack([sys.orbit_coords(x, ss + a * ts) for a in alphas], axis=1)
     meta = {"generator": "nd_sample", "budget": budget, "seed": seed, "d": d,
-            "alphas": list(alphas), "base_point": list(sys.coords(x))}
+            "alphas": list(alphas), "base_point": list(x)}
     return PointCloud(pts, meta, sys)
 
 
@@ -662,14 +661,12 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
     rng = np.random.default_rng(seed)
     ts = np.zeros(budget)
     np.multiply(rng.random(out=ts[1:]), horizon, out=ts[1:])
-    base = np.array(sys.coords(x))
+    base = np.array(x)
     keep = np.ones(budget, dtype=bool)
     for a, start in itertools.product(alphas, range(0, budget, _ROW_BLOCK)):
         rows = slice(start, start + _ROW_BLOCK)  # cache-sized temporaries
         comp = sys.rotate(base[:len(sys.phase_step)], a * ts[rows])
-        for c in constrained:  # column by column: see SystemHandle.rotate
-            gap = unit_mod(np.abs(comp[:, c] - base[c]))
-            keep[rows] &= np.minimum(gap, 1.0 - gap) <= resolution
+        keep[rows] &= periodic_linf(comp[:, constrained], base[None, constrained]) <= resolution
     ts = ts[keep]
     frees = [sys.orbit_coords(x, a * ts)[:, list(free)] for a in alphas]
     return cell_coverage(frees, len(ts), resolution)

@@ -5,11 +5,12 @@ Every base is the time-step map T = phi_step of a flow (a SystemHandle
 with a step), so psi([x, s]) = (phi_{step*s} x, s mod 1) conjugates the
 glued suspension, whose classes [x, s] identify [x, s + 1] with [Tx, s],
 to the product flow (u, s) -> (phi_{step*t} u, s + t) on X x T: both
-sides of the gluing map to (phi_{step*(s+1)} x, s).  A point is the pair
-(u, s) of a base point and a height in [0, 1), and the metric is the
-larger of the base gap and the height circle gap.  Includes the
-finite-resolution check of the witness-transfer statement between a
-suspension pair and its base pair, and the integer-part orbit projection.
+sides of the gluing map to (phi_{step*(s+1)} x, s).  A point is the tuple
+(*u, s) of a base point's coordinates followed by a height in [0, 1), and
+the metric is the larger of the base gap and the height circle gap.
+Includes the finite-resolution check of the witness-transfer statement
+between a suspension pair and its base pair, and the integer-part orbit
+projection.
 """
 
 from __future__ import annotations
@@ -56,14 +57,11 @@ class SuspensionSpec:
 
     def orbit(self, p: tuple, ts) -> np.ndarray:
         """The base's orbit_coords beside the heights of susp_evolve."""
-        u, s = p
-        return np.column_stack((self.base.orbit_coords(u, ts), [wrap_unit(s + t) for t in ts]))
-
-    def coords(self, p: tuple) -> tuple[float, ...]:
-        return self.base.coords(p[0]) + (p[1],)
+        return np.column_stack((self.base.orbit_coords(p[:-1], ts),
+                                [wrap_unit(p[-1] + t) for t in ts]))
 
     def from_coords(self, c: Sequence[float]) -> tuple:
-        return (self.base.from_coords(c[:-1]), wrap_unit(c[-1]))
+        return (*self.base.from_coords(c[:-1]), wrap_unit(c[-1]))
 
 
 def suspend(base: SystemHandle) -> SystemHandle:
@@ -80,12 +78,11 @@ def _integral_gap(s: float, t: float) -> int | None:
 
 
 def susp_evolve(base_sys: SystemHandle, p: tuple, t: float) -> tuple:
-    u, s = p
-    return (base_sys.evolve(u, t), wrap_unit(s + t))
+    return (*base_sys.evolve(p[:-1], t), wrap_unit(p[-1] + t))
 
 
 def susp_metric(base_sys: SystemHandle, p: tuple, q: tuple) -> float:
-    return max(base_sys.dist(p[0], q[0]), circle_dist(p[1], q[1]))
+    return max(base_sys.dist(p[:-1], q[:-1]), circle_dist(p[-1], q[-1]))
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,7 @@ def susp_rp_transfer_check(base_sys: SystemHandle, x1, x2, s1: float, s2: float,
     membership).
     """
     susp_sys = suspend(base_sys)
-    p1, p2 = susp_sys.evolve((x1, 0.0), s1), susp_sys.evolve((x2, 0.0), s2)
+    p1, p2 = susp_sys.evolve((*x1, 0.0), s1), susp_sys.evolve((*x2, 0.0), s2)
     fwd = rp_witness_search(susp_sys, p1, p2, d, delta, budget)
     k = _integral_gap(s1, s2)
     bwd = None

@@ -2,21 +2,23 @@
 
 A system is a SystemHandle(spec, step=None): the frozen spec of an
 R-flow (TorusFlowSpec, NilflowSpec, suspension.SuspensionSpec), or with
-a step the flow's time-step map.  Besides dim, evolve, dist, coords and
-from_coords a spec declares its tags (kind as a flow and as a time-t
-map), the search grid pitch, freqs and float_freqs (exact and float
-frequencies of its rotation factor, None where it has none) and factors,
-its one tuple of Factors, which the absence rule of the witness search
-and the fiber table of fiber_coverage read.  Only the specs tell kinds
-apart.  From float_freqs the handle derives phase_step and rotate, the
-one code that moves rotation-factor phases, and is_isometric; its
-from_coords is the one check of a point's coordinate count.  A spec
-without a rotation factor of full dimension also declares orbit(p, ts),
-the coordinates of evolve(p, t) for each time of a list, behind
-orbit_coords.  Also here: unit_mod, the array mod 1; the Heisenberg
-group law and its one evolution loop, nil_orbit (nil_evolve is its
-one-time case), lattice reduction, quotient metrics, and the exact
-minimality tests by rational independence of the frequencies.
+a step the flow's time-step map.  A point of every system is the plain
+tuple of its canonical coordinates, which the spec's from_coords and
+evolve return.  Besides dim, evolve, dist and from_coords a spec
+declares its tags (kind as a flow and as a time-t map), the search grid
+pitch, freqs and float_freqs (exact and float frequencies of its
+rotation factor, None where it has none) and factors, its one tuple of
+Factors, which the absence rule of the witness search and the fiber
+table of fiber_coverage read.  Only the specs tell kinds apart.  From
+float_freqs the handle derives phase_step and rotate, the one code that
+moves rotation-factor phases, and is_isometric; its from_coords is the
+one check of a point's coordinate count.  A spec without a rotation
+factor of full dimension also declares orbit(p, ts), the coordinates of
+evolve(p, t) for each time of a list, behind orbit_coords.  Also here:
+unit_mod, the array mod 1; the Heisenberg group law and its one
+evolution loop, nil_orbit (nil_evolve is its one-time case), lattice
+reduction, quotient metrics, and the exact minimality tests by rational
+independence of the frequencies.
 
 Early exits, bit for bit.  The scalar metrics (_heis_sq_gap behind
 NilflowSpec.dist and the fallback proximality._scalar_directed of
@@ -28,10 +30,12 @@ the order of its operands; and sqrt is correctly rounded and monotone, so
 sqrt(min(a, b)) == min(sqrt(a), sqrt(b)).  So every skipped term would
 have left the result's bits as they are.
 
-Conventions: torus points live in [0, 1)^n; Heisenberg elements carry
-Malcev coordinates (x, y, z) with group law
+Conventions: torus points live in [0, 1)^n; Heisenberg group elements
+(HeisenbergElement) carry Malcev coordinates (x, y, z) with group law
 (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + x * y'),
-and the lattice is the subgroup of integer triples.
+the lattice is the subgroup of integer triples, and a point of the
+nilmanifold is the (x, y, z) in [0, 1)^3 of its canonical coset
+representative (heis_reduce).
 """
 
 from __future__ import annotations
@@ -122,14 +126,6 @@ def wrap_unit(v: float) -> float:
 
 
 @dataclass(frozen=True)
-class TorusPoint:
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(wrap_unit(c) for c in self.coords))
-
-
-@dataclass(frozen=True)
 class HeisenbergElement:
     x: float
     y: float
@@ -183,13 +179,13 @@ def heis_reduce(g: HeisenbergElement) -> tuple[HeisenbergElement, HeisenbergElem
 # ---------------------------------------------------------------------------
 # evolution
 
-def torus_evolve(spec: TorusFlowSpec, p: TorusPoint, t: float) -> TorusPoint:
-    if len(p.coords) != spec.dim:
+def torus_evolve(spec: TorusFlowSpec, p: tuple, t: float) -> tuple:
+    if len(p) != spec.dim:
         raise ValueError("dimension mismatch")
-    return TorusPoint(tuple((c + w * t) % 1.0 for c, w in zip(p.coords, spec.float_freqs)))
+    return tuple(wrap_unit(c + w * t) for c, w in zip(p, spec.float_freqs))
 
 
-def nil_orbit(spec: NilflowSpec, p: HeisenbergElement, ts) -> list[tuple[float, float, float]]:
+def nil_orbit(spec: NilflowSpec, p: tuple, ts) -> list[tuple[float, float, float]]:
     """Coordinates of the canonical form of (a^t * p) Gamma for each t of ts,
     in dyadic integer arithmetic; the one Heisenberg evolution.
 
@@ -203,7 +199,7 @@ def nil_orbit(spec: NilflowSpec, p: HeisenbergElement, ts) -> list[tuple[float, 
     """
     a = spec.generator
     fixed = [v.as_integer_ratio() if isinstance(v, float) else (operator.index(v), 1)
-             for v in (a.x, a.y, a.z, p.x, p.y, p.z)]
+             for v in (a.x, a.y, a.z, *p)]
     e_fixed = max(den for _, den in fixed).bit_length()
     terms = {}
     rows = []
@@ -229,9 +225,9 @@ def nil_orbit(spec: NilflowSpec, p: HeisenbergElement, ts) -> list[tuple[float, 
     return rows
 
 
-def nil_evolve(spec: NilflowSpec, p: HeisenbergElement, t: float) -> HeisenbergElement:
+def nil_evolve(spec: NilflowSpec, p: tuple, t: float) -> tuple[float, float, float]:
     """Canonical form of (a^t * p) Gamma: nil_orbit at the one time t."""
-    return HeisenbergElement(*nil_orbit(spec, p, (t,))[0])
+    return nil_orbit(spec, p, (t,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +250,14 @@ class Factor:
     name: str
     columns: tuple[int, ...]
 
-    def gap(self, spec, p, q) -> float:
-        return circle_gap(spec.coords(p), spec.coords(q), self.columns)
+    def gap(self, p, q) -> float:
+        return circle_gap(p, q, self.columns)
 
 
 _WINDOW = (0.0, -1.0, 1.0, -2.0, 2.0)  # the lattice steps, nearest first
 
 
-def _heis_sq_gap(p: HeisenbergElement, q: HeisenbergElement, best: float) -> float:
+def _heis_sq_gap(p: tuple, q: tuple, best: float) -> float:
     """min(best, least squared Euclidean gap from p to q * (m, n, k) over
     m, n, k in _WINDOW).
 
@@ -272,7 +268,7 @@ def _heis_sq_gap(p: HeisenbergElement, q: HeisenbergElement, best: float) -> flo
     nearest first.  Every term keeps the operands, their order and the
     ** 2 of the 125-translate form, so each rounds as it did there (a
     multiply need not round like libm pow)."""
-    px, py, pz, qx, qy, qz = p.x, p.y, p.z, q.x, q.y, q.z
+    (px, py, pz), (qx, qy, qz) = p, q
     w0, w1, w2, w3, w4 = _WINDOW
     bx = min((px - (qx + w0)) ** 2, (px - (qx + w1)) ** 2, (px - (qx + w2)) ** 2,
              (px - (qx + w3)) ** 2, (px - (qx + w4)) ** 2)
@@ -315,17 +311,14 @@ class TorusFlowSpec:
 
     evolve = torus_evolve
 
-    def dist(self, p: TorusPoint, q: TorusPoint) -> float:
+    def dist(self, p: tuple, q: tuple) -> float:
         """The default factor metric over all coordinates."""
-        if len(p.coords) != len(q.coords):
+        if len(p) != len(q):
             raise ValueError("mismatched systems")
-        return circle_gap(p.coords, q.coords, range(len(p.coords)))
+        return circle_gap(p, q, range(len(p)))
 
-    def coords(self, p: TorusPoint) -> tuple[float, ...]:
-        return p.coords
-
-    def from_coords(self, c: Sequence[float]) -> TorusPoint:
-        return TorusPoint(tuple(c))
+    def from_coords(self, c: Sequence[float]) -> tuple:
+        return tuple(wrap_unit(v) for v in c)
 
 
 @dataclass(frozen=True)
@@ -355,17 +348,14 @@ class NilflowSpec:
     evolve = nil_evolve
     orbit = nil_orbit
 
-    def dist(self, p: HeisenbergElement, q: HeisenbergElement) -> float:
+    def dist(self, p: tuple, q: tuple) -> float:
         """Least Euclidean gap over the 5x5x5 lattice window, both ways: one
         sqrt of the least squared gap, the reverse direction starting from
         the forward one (the module's early exits)."""
         return math.sqrt(_heis_sq_gap(q, p, _heis_sq_gap(p, q, math.inf)))
 
-    def coords(self, p: HeisenbergElement) -> tuple[float, float, float]:
-        return p.coords
-
-    def from_coords(self, c: Sequence[float]) -> HeisenbergElement:
-        return heis_reduce(HeisenbergElement(c[0], c[1], c[2]))[0]
+    def from_coords(self, c: Sequence[float]) -> tuple[float, float, float]:
+        return heis_reduce(HeisenbergElement(c[0], c[1], c[2]))[0].coords
 
 
 @dataclass(frozen=True)
@@ -432,7 +422,9 @@ class SystemHandle:
         return self.spec.dist(p, q)
 
     def coords(self, p) -> tuple[float, ...]:
-        return self.spec.coords(p)
+        """The identity, since a point is the tuple of its coordinates; kept
+        because perfbench/oracles.py and perfbench/selftest.py call it."""
+        return p
 
     def from_coords(self, c: Sequence[float]):
         """The point with coordinates c; ValueError unless there are dim."""
@@ -444,7 +436,7 @@ class SystemHandle:
         return self.from_coords((0.0,) * self.dim)
 
     def orbit_coords(self, x, ts) -> np.ndarray:
-        """Rows coords(evolve(x, t)) over the 1-d times ts, shape
+        """Rows evolve(x, t) over the 1-d times ts, shape
         (len(ts), dim).  An isometric system is its own rotation factor:
         closed form by rotate, equal to the scalar path up to rounding.
         Others take the spec's orbit over the times scaled by the step: on
@@ -452,7 +444,7 @@ class SystemHandle:
         bits of evolve at each time; on a suspension the base's orbit_coords
         beside the height column."""
         if self.is_isometric:
-            return self.rotate(np.array(self.coords(x)), ts)
+            return self.rotate(x, ts)
         ts = np.asarray(ts, dtype=float)
         if self.step is not None:
             ts = ts * self.step

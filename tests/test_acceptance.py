@@ -20,7 +20,7 @@ from nilflow.proximality import (PROVEN_ABSENT, WITNESS, commuting_rp_transfer,
                                  nd_sample, poly_orbit_density,
                                  rp_witness_search, rp_witness_verify)
 from nilflow.suspension import integer_part_orbit, susp_rp_transfer_check
-from nilflow.systems import (HeisenbergElement, TorusPoint, flow_minimal_result,
+from nilflow.systems import (HeisenbergElement, flow_minimal_result,
                              heis_multiply, heis_power, heisenberg_nilflow,
                              heisenberg_nilsystem, time_t_minimal, torus_flow,
                              torus_rotation)
@@ -158,7 +158,7 @@ def test_criterion_04_rp1_dichotomy():
     trials = 0
     while absent < 100:
         u, v = rng.random(2)
-        x, y = TorusPoint((u,)), TorusPoint((v,))
+        x, y = (u,), (v,)
         if rot.dist(x, y) < 2 * delta:
             continue
         res = rp_witness_search(rot, x, y, 1, delta, 10 ** 6)
@@ -194,7 +194,7 @@ def test_criterion_05_commuting_action_equality():
     for _ in range(20):
         u = rng.random()
         v = (u + (rng.random() - 0.5) * 0.17) % 1.0
-        x, y = TorusPoint((u,)), TorusPoint((v,))
+        x, y = (u,), (v,)
         res = rp_witness_search(rot_g, x, y, 1, delta, 10 ** 5)
         assert res.found
         tr = commuting_rp_transfer(rot_g, rot_h, x, y, res.witness,
@@ -203,7 +203,7 @@ def test_criterion_05_commuting_action_equality():
         assert rp_witness_verify(rot_h, x, y, tr.witness, 3 * delta)
         transfers += 1
 
-    x0 = TorusPoint((0.1,))
+    x0 = (0.1,)
     budget = 10 ** 5
     q_g = cube_orbit_sample(rot_g, x0, 2, budget, seed=51)
     q_h = cube_orbit_sample(rot_h, x0, 2, budget, seed=52)
@@ -230,24 +230,24 @@ def test_criterion_06_suspension_transfer():
     # rotation base: diagonal, near, distal, and non-integral-height pairs
     for _ in range(3):
         u, s = rng.random(2)
-        x = TorusPoint((u,))
+        x = (u,)
         reports.append(susp_rp_transfer_check(rot, x, x, s, s, 1, delta, 10 ** 5))
     for _ in range(2):
         u, s = rng.random(2)
         gap = (rng.random() - 0.5) * 0.3
         reports.append(susp_rp_transfer_check(
-            rot, TorusPoint((u,)), TorusPoint(((u + gap) % 1.0,)),
+            rot, (u,), rot.from_coords((u + gap,)),
             s, s, 1, delta, 10 ** 5))
     for _ in range(3):
         u, s1 = rng.random(2)
         s2 = (s1 + 0.25 + rng.random() * 0.5) % 1.0
-        x = TorusPoint((u,))
+        x = (u,)
         reports.append(susp_rp_transfer_check(rot, x, x, s1, s2, 1, delta, 10 ** 5))
     for _ in range(2):
         u, s = rng.random(2)
         v = (u + 0.25 + rng.random() * 0.5) % 1.0
         reports.append(susp_rp_transfer_check(
-            rot, TorusPoint((u,)), TorusPoint((v,)), s, s, 1, delta, 10 ** 5))
+            rot, (u,), (v,), s, s, 1, delta, 10 ** 5))
 
     # Heisenberg base: central-fiber pairs at integral and non-integral heights
     for i in range(10):
@@ -273,14 +273,14 @@ def test_criterion_07_polynomial_density():
     flow = torus_flow((ONE,), BASIS)
     polys = [RealPolynomial.from_coeffs([0, 1]),
              RealPolynomial.from_coeffs([0, 0, 1])]
-    cov = poly_orbit_density(flow, polys, TorusPoint((0.0,)), 10 ** 6, 0.05,
+    cov = poly_orbit_density(flow, polys, (0.0,), 10 ** 6, 0.05,
                              seed=70)
     assert cov >= 0.95, f"Weyl curve coverage {cov:.3f}"
 
     rot = torus_rotation(SQRT2, BASIS)
     n = np.arange(1, 10 ** 4 + 1, dtype=float)
     times = math.sqrt(3) * n * n
-    cov2 = integer_part_orbit(rot, TorusPoint((0.0,)), times, 0.05)
+    cov2 = integer_part_orbit(rot, (0.0,), times, 0.05)
     assert cov2 >= 0.95, f"integer-part orbit coverage {cov2:.3f}"
     watch.check()
     announce(7, "polynomial density", watch,

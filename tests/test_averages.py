@@ -11,7 +11,7 @@ from nilflow.averages import (IndependenceViolation, Observable, TimeSeries,
                               gtilde_star_membership, jstar_embed,
                               multi_average_I, multi_average_series,
                               nilfunction_residual, potts_average, ud_sup)
-from nilflow.systems import (HeisenbergElement, TorusPoint, heis_multiply,
+from nilflow.systems import (HeisenbergElement, heis_multiply,
                              heis_power, heisenberg_nilflow, torus_flow)
 
 
@@ -182,7 +182,7 @@ class TestBanachDensity:
     def test_rotation_return_times(self, basis, sqrt2):
         from nilflow.proximality import return_set
         flow = torus_flow((sqrt2,), basis)
-        x = TorusPoint((0.0,))
+        x = (0.0,)
         grid = np.arange(0.0, 10 ** 4, 0.1)
         hits = return_set(flow, x, x, 0.1, grid)
         lo, hi = banach_density(hits, 100.0, 50.0, 10 ** 4)

@@ -21,7 +21,7 @@ from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  rp_witness_search, rp_witness_verify,
                                  witness_max_gap)
 from nilflow.suspension import suspend
-from nilflow.systems import (SystemHandle, TorusPoint, circle_dist,
+from nilflow.systems import (SystemHandle, circle_dist,
                              heisenberg_nilflow, heisenberg_nilsystem,
                              torus_flow, torus_map, torus_rotation)
 
@@ -74,28 +74,28 @@ class TestFaceVectors:
 
 class TestVerify:
     def test_diagonal_witness(self, rot2):
-        x = TorusPoint((0.4,))
+        x = (0.4,)
         w = RPWitness(x, x, (5,), 0.1)
         assert rp_witness_verify(rot2, x, x, w, 0.1)
 
     def test_boundary_is_strict(self, rot2):
-        x = TorusPoint((0.0,))
-        y = TorusPoint((0.25,))
+        x = (0.0,)
+        y = (0.25,)
         # face distance exactly delta: must fail the strict inequality
         w = RPWitness(x, y, (0,), 0.25)
         assert not rp_witness_verify(rot2, x, y, w, 0.25)
         assert rp_witness_verify(rot2, x, y, w, 0.2500001)
 
     def test_search_roundtrip(self, rot2):
-        x = TorusPoint((0.31,))
-        y = TorusPoint((0.33,))
+        x = (0.31,)
+        y = (0.33,)
         res = rp_witness_search(rot2, x, y, 2, 0.05, 10 ** 5)
         assert res.status == WITNESS
         assert rp_witness_verify(rot2, x, y, res.witness, 0.05)
 
     def test_monotone_in_delta(self, rot2):
-        x = TorusPoint((0.31,))
-        y = TorusPoint((0.33,))
+        x = (0.31,)
+        y = (0.33,)
         res = rp_witness_search(rot2, x, y, 1, 0.05, 10 ** 5)
         assert rp_witness_verify(rot2, x, y, res.witness, 0.07)
         assert rp_witness_verify(rot2, x, y, res.witness, 0.5)
@@ -123,13 +123,13 @@ class TestVerify:
 
 class TestSearch:
     def test_diagonal_pair(self, rot2):
-        x = TorusPoint((0.8,))
+        x = (0.8,)
         res = rp_witness_search(rot2, x, x, 3, 0.02, 10 ** 4)
         assert res.found
         assert witness_max_gap(rot2, x, x, res.witness) < 0.02
 
     def test_isometry_proven_absent(self, rot2):
-        res = rp_witness_search(rot2, TorusPoint((0.0,)), TorusPoint((0.3,)),
+        res = rp_witness_search(rot2, (0.0,), (0.3,),
                                 1, 0.05, 10 ** 4)
         assert res.status == PROVEN_ABSENT
         assert res.checked == 0
@@ -158,7 +158,7 @@ class TestSearch:
         assert res.best_gap is not None
 
     def test_invalid_arguments(self, rot2):
-        x = TorusPoint((0.1,))
+        x = (0.1,)
         with pytest.raises(ValueError):
             rp_witness_search(rot2, x, x, 1, -0.1, 10)
         with pytest.raises(ValueError):
@@ -201,7 +201,7 @@ class TestSearchRounds:
         assert res.best_gap == 0.44769289941670337
 
     def test_never_draws_past_budget(self, rot2):
-        x, y = TorusPoint((0.1,)), TorusPoint((0.6,))
+        x, y = (0.1,), (0.6,)
 
         def candidates(budget):
             for i in range(budget):
@@ -261,8 +261,8 @@ def run_loop(call, *, reference, grid_count=None):
 def result_bits(sys, res):
     """Everything an RPSearchResult reports, floats by repr (so -0.0 != 0.0)."""
     w = res.witness
-    witness = None if w is None else (tuple(map(repr, sys.coords(w.x_prime))),
-                                      tuple(map(repr, sys.coords(w.y_prime))),
+    witness = None if w is None else (tuple(map(repr, w.x_prime)),
+                                      tuple(map(repr, w.y_prime)),
                                       tuple(map(repr, w.g)), repr(w.delta))
     return res.status, res.checked, repr(res.best_gap), witness
 
@@ -430,7 +430,7 @@ class TestScoringMemoBounds:
 
 class TestCommutingTransfer:
     def test_precondition_gap_computed_once(self, rot2, rot3, monkeypatch):
-        x, y = TorusPoint((0.2,)), TorusPoint((0.23,))
+        x, y = (0.2,), (0.23,)
         res = rp_witness_search(rot2, x, y, 1, 0.05, 10 ** 4)
         assert res.found
         real = proximality.witness_max_gap
@@ -451,7 +451,7 @@ class TestCommutingTransfer:
                                   10 ** 4)
 
     def test_same_system_returns_witness(self, rot2):
-        x = TorusPoint((0.2,))
+        x = (0.2,)
         res = rp_witness_search(rot2, x, x, 1, 0.05, 10 ** 4)
         tr = commuting_rp_transfer(rot2, rot2, x, x, res.witness, 0.15, 10 ** 4)
         assert tr.found
@@ -462,7 +462,7 @@ class TestCommutingTransfer:
         for _ in range(10):
             u = rng.random()
             v = (u + (rng.random() - 0.5) * 0.18) % 1.0
-            x, y = TorusPoint((u,)), TorusPoint((v,))
+            x, y = (u,), (v,)
             res = rp_witness_search(rot2, x, y, 1, 0.05, 10 ** 5)
             assert res.found
             tr = commuting_rp_transfer(rot2, rot3, x, y, res.witness, 0.15, 10 ** 5)
@@ -530,8 +530,8 @@ class TestCommutingTransfer:
             commuting_rp_transfer(a, b, x, x, w, 0.3, 100)
 
     def test_weak_witness_rejected(self, rot2, rot3):
-        x = TorusPoint((0.0,))
-        y = TorusPoint((0.08,))
+        x = (0.0,)
+        y = (0.08,)
         res = rp_witness_search(rot2, x, y, 1, 0.05, 10 ** 5)
         assert res.found
         # delta_out/3 below the witness scale: precondition violated
@@ -541,14 +541,14 @@ class TestCommutingTransfer:
 
 class TestCubeSample:
     def test_budget_one_is_diagonal(self, rot2):
-        x = TorusPoint((0.3,))
+        x = (0.3,)
         cloud = cube_orbit_sample(rot2, x, 2, 1, seed=0)
         assert cloud.n == 1 and cloud.arity == 4
         assert np.allclose(cloud.points[0], 0.3)
 
     def test_rotation_parametric_structure(self, rot2):
         # components of a rotation cube satisfy c11 - c01 = c10 - c00 (mod 1)
-        cloud = cube_orbit_sample(rot2, TorusPoint((0.1,)), 2, 500, seed=1)
+        cloud = cube_orbit_sample(rot2, (0.1,), 2, 500, seed=1)
         a = cloud.points[:, 0, 0]
         b = cloud.points[:, 1, 0]
         c = cloud.points[:, 2, 0]
@@ -558,8 +558,8 @@ class TestCubeSample:
         assert gap.max() <= 1e-9
 
     def test_commuting_rotations_same_cube(self, rot2, rot3):
-        a = cube_orbit_sample(rot2, TorusPoint((0.1,)), 2, 3 * 10 ** 4, seed=2)
-        b = cube_orbit_sample(rot3, TorusPoint((0.1,)), 2, 3 * 10 ** 4, seed=3)
+        a = cube_orbit_sample(rot2, (0.1,), 2, 3 * 10 ** 4, seed=2)
+        b = cube_orbit_sample(rot3, (0.1,), 2, 3 * 10 ** 4, seed=3)
         assert hausdorff_distance(a, b) <= 0.03
 
     def test_heisenberg_generic_path(self, nilsys):
@@ -572,31 +572,31 @@ class TestCubeSample:
 
 class TestNdSample:
     def test_d1_is_orbit(self, rot2):
-        cloud = nd_sample(rot2, TorusPoint((0.0,)), 1, 100, seed=5)
+        cloud = nd_sample(rot2, (0.0,), 1, 100, seed=5)
         assert cloud.arity == 1
 
     def test_irrational_rotation_fills_plane(self, rot2):
-        cloud = nd_sample(rot2, TorusPoint((0.0,)), 2, 3 * 10 ** 4, seed=6)
+        cloud = nd_sample(rot2, (0.0,), 2, 3 * 10 ** 4, seed=6)
         cells = np.unique((cloud.points[:, 0, 0] * 20).astype(int) * 20 +
                           (cloud.points[:, 1, 0] * 20).astype(int))
         assert len(cells) == 400
 
     def test_commuting_rotations_same_nd(self, rot2, rot3):
-        a = nd_sample(rot2, TorusPoint((0.2,)), 2, 3 * 10 ** 4, seed=7)
-        b = nd_sample(rot3, TorusPoint((0.2,)), 2, 3 * 10 ** 4, seed=8)
+        a = nd_sample(rot2, (0.2,), 2, 3 * 10 ** 4, seed=7)
+        b = nd_sample(rot3, (0.2,), 2, 3 * 10 ** 4, seed=8)
         assert hausdorff_distance(a, b) <= 0.02
 
     def test_alphas_must_be_distinct(self, basis, sqrt2):
         flow = torus_flow((sqrt2,), basis)
         with pytest.raises(ValueError):
-            nd_sample(flow, TorusPoint((0.0,)), 2, 10, seed=0, alphas=(1.0, 1.0))
+            nd_sample(flow, (0.0,), 2, 10, seed=0, alphas=(1.0, 1.0))
         with pytest.raises(ValueError):
-            nd_sample(flow, TorusPoint((0.0,)), 2, 10, seed=0)
+            nd_sample(flow, (0.0,), 2, 10, seed=0)
 
 
 class TestHausdorff:
     def test_identical_clouds(self, rot2):
-        a = nd_sample(rot2, TorusPoint((0.0,)), 2, 500, seed=9)
+        a = nd_sample(rot2, (0.0,), 2, 500, seed=9)
         assert hausdorff_distance(a, a) == 0.0
 
     def test_singletons(self, rot2):
@@ -611,8 +611,8 @@ class TestHausdorff:
         assert hausdorff_distance(dense, grid) <= 2 * 0.05
 
     def test_arity_mismatch(self, rot2):
-        a = nd_sample(rot2, TorusPoint((0.0,)), 1, 10, seed=11)
-        b = nd_sample(rot2, TorusPoint((0.0,)), 2, 10, seed=12)
+        a = nd_sample(rot2, (0.0,), 1, 10, seed=11)
+        b = nd_sample(rot2, (0.0,), 2, 10, seed=12)
         with pytest.raises(ValueError):
             hausdorff_distance(a, b)
 
@@ -916,14 +916,14 @@ class TestPolyDensity:
     def test_linear_orbit_covers_circle(self, basis, one):
         flow = torus_flow((one,), basis)
         cov = poly_orbit_density(flow, [RealPolynomial.from_coeffs([0, 1])],
-                                 TorusPoint((0.0,)), 10 ** 5, 0.01, seed=0)
+                                 (0.0,), 10 ** 5, 0.01, seed=0)
         assert cov >= 0.99
 
     def test_weyl_curve_fills_square(self, basis, one):
         flow = torus_flow((one,), basis)
         polys = [RealPolynomial.from_coeffs([0, 1]),
                  RealPolynomial.from_coeffs([0, 0, 1])]
-        cov = poly_orbit_density(flow, polys, TorusPoint((0.0,)), 2 * 10 ** 5,
+        cov = poly_orbit_density(flow, polys, (0.0,), 2 * 10 ** 5,
                                  0.05, seed=1)
         assert cov >= 0.95
 
@@ -931,7 +931,7 @@ class TestPolyDensity:
         flow = torus_flow((one,), basis)
         polys = [RealPolynomial.from_coeffs([0, 1]),
                  RealPolynomial.from_coeffs([0, 2])]
-        cov = poly_orbit_density(flow, polys, TorusPoint((0.0,)), 10 ** 5,
+        cov = poly_orbit_density(flow, polys, (0.0,), 10 ** 5,
                                  0.05, seed=2)
         assert cov < 0.5
 
@@ -939,32 +939,32 @@ class TestPolyDensity:
         flow = torus_flow((one,), basis)
         with pytest.raises(ValueError):
             poly_orbit_density(flow, [RealPolynomial.from_coeffs([3])],
-                               TorusPoint((0.0,)), 10, 0.1)
+                               (0.0,), 10, 0.1)
 
 
 class TestReturnSet:
     def test_contains_zero(self, rot2):
-        x = TorusPoint((0.6,))
+        x = (0.6,)
         hits = return_set(rot2, x, x, 0.05, [0, 1, 2, 3])
         assert 0 in hits
 
     def test_unit_frequency_phase(self, basis, one):
         flow = torus_flow((one,), basis)
-        x = TorusPoint((0.0,))
+        x = (0.0,)
         grid = np.arange(0.0, 10.0, 0.01)
         hits = return_set(flow, x, x, 0.1, grid)
         for t in hits:
             assert min(t % 1.0, 1.0 - t % 1.0) < 0.1 + 1e-9
 
     def test_monotone_in_radius(self, rot2):
-        x = TorusPoint((0.0,))
+        x = (0.0,)
         grid = list(range(200))
         small = set(return_set(rot2, x, x, 0.05, grid))
         large = set(return_set(rot2, x, x, 0.1, grid))
         assert small <= large
 
     def test_syndeticity_probe(self, rot2):
-        x = TorusPoint((0.0,))
+        x = (0.0,)
         hits = return_set(rot2, x, x, 0.1, list(range(2000)))
         gaps = np.diff(hits)
         assert gaps.max() <= 20  # bounded gaps for a minimal rotation
@@ -980,14 +980,14 @@ class TestFiberCoverage:
 
     def test_product_torus_fiber(self, basis, sqrt2, sqrt3):
         flow = torus_flow((sqrt2, sqrt3), basis)
-        x = TorusPoint((0.3, 0.9))
+        x = (0.3, 0.9)
         cov = fiber_coverage(flow, "torus-coord-0", 1, (1.0,), x,
                              2 * 10 ** 5, 0.05, seed=2)
         assert cov >= 0.95
 
     def test_unsupported_projection(self, rot2):
         with pytest.raises(ValueError):
-            fiber_coverage(rot2, "no-such", 1, (1.0,), TorusPoint((0.0,)),
+            fiber_coverage(rot2, "no-such", 1, (1.0,), (0.0,),
                            10, 0.1)
 
     def test_projection_table(self, rot2):
@@ -1033,11 +1033,11 @@ def fiber_coverage_reference(sys_h, projection, alphas, x, budget, resolution,
     constrained, free = require_projection(sys_h, projection)
     rng = np.random.default_rng(seed)
     ts = np.concatenate([[0.0], rng.random(budget - 1) * horizon])
-    base = sys_h.coords(x)
+    base = x
     bins = int(round(1.0 / resolution))
     cells = set()
     for t in ts:
-        comps = [sys_h.coords(sys_h.evolve(x, float(a * t))) for a in alphas]
+        comps = [sys_h.evolve(x, float(a * t)) for a in alphas]
         if all(circle_dist(c[i], base[i]) <= resolution for c in comps for i in constrained):
             cells.add(tuple(min(int(c[i] * bins), bins - 1) for c in comps for i in free))
     return len(cells) / float(bins ** (len(free) * len(alphas)))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nilflow.suspension import (integer_part_orbit, susp_evolve, susp_metric,
                                 susp_rp_transfer_check, suspend)
-from nilflow.systems import (SymbolicReal, TorusPoint, heisenberg_nilflow,
+from nilflow.systems import (SymbolicReal, heisenberg_nilflow,
                              heisenberg_nilsystem, torus_flow, torus_map,
                              torus_rotation)
 from fractions import Fraction
@@ -25,7 +25,7 @@ def nilsys(basis, sqrt2, sqrt3):
 
 def psi(base, x, s):
     """The product point of the glued class [x, s]: (phi_{step*s} x, s mod 1)."""
-    return suspend(base).evolve((x, 0.0), s)
+    return suspend(base).evolve((*x, 0.0), s)
 
 
 def glued_evolve(base, x, s, t):
@@ -35,50 +35,50 @@ def glued_evolve(base, x, s, t):
 
 
 class TestCanonical:
-    """Points are (base point, height), the height in [0, 1) and +0.0 when
-    zero; the glued class [x, s] is the point psi(x, s)."""
+    """Points are a base point's coordinates followed by the height, in
+    [0, 1) and +0.0 when zero; the glued class [x, s] is the point psi(x, s)."""
 
     def test_height_one_wraps(self, rot):
-        x = TorusPoint((0.2,))
-        assert suspend(rot).from_coords((0.2, 1.0)) == (x, 0.0)
+        x = (0.2,)
+        assert suspend(rot).from_coords((0.2, 1.0)) == (*x, 0.0)
 
     def test_already_canonical(self, rot):
-        x = TorusPoint((0.2,))
-        assert suspend(rot).from_coords((0.2, 0.7)) == (x, 0.7)
+        x = (0.2,)
+        assert suspend(rot).from_coords((0.2, 0.7)) == (*x, 0.7)
 
     def test_multiwrap_and_equivalence(self, rot):
-        x = TorusPoint((0.2,))
+        x = (0.2,)
         p = psi(rot, x, 2.5)
-        assert p[1] == 0.5
+        assert p[-1] == 0.5
         assert susp_metric(rot, p, psi(rot, rot.evolve(x, 2), 0.5)) <= 1e-12
 
     def test_negative_height(self, rot):
-        x = TorusPoint((0.2,))
+        x = (0.2,)
         p = psi(rot, x, -0.3)
-        assert p[1] == pytest.approx(0.7)
+        assert p[-1] == pytest.approx(0.7)
         assert susp_metric(rot, p, psi(rot, rot.evolve(x, 1), -1.3)) <= 1e-12
 
     def test_retraction(self, rot):
         susp = suspend(rot)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            p = psi(rot, TorusPoint((rng.random(),)), rng.random() * 10 - 5)
-            assert susp.from_coords(susp.coords(p)) == p
-            assert 0.0 <= p[1] < 1.0
+            p = psi(rot, (rng.random(),), rng.random() * 10 - 5)
+            assert susp.from_coords(p) == p
+            assert 0.0 <= p[-1] < 1.0
 
 
 class TestEquivalence:
     """[x, s] ~ [T^k x, s - k]: the gluing holds in product coordinates."""
 
     def test_nonintegral_gap(self, rot):
-        x = TorusPoint((0.4,))
-        gap = susp_metric(rot, (x, 0.5), (x, 0.6))
+        x = (0.4,)
+        gap = susp_metric(rot, (*x, 0.5), (*x, 0.6))
         assert gap == pytest.approx(0.1, abs=1e-12)
 
     def test_equivalence_relation_sampled(self, rot):
         rng = np.random.default_rng(1)
         for _ in range(300):
-            x = TorusPoint((rng.random(),))
+            x = (rng.random(),)
             s = rng.random()
             for k in (3, -2):
                 assert susp_metric(rot, psi(rot, x, s), psi(rot, rot.evolve(x, k), s - k)) <= 1e-12
@@ -104,20 +104,20 @@ class TestConjugacy:
 
 class TestEvolve:
     def test_time_zero(self, rot):
-        p = (TorusPoint((0.1,)), 0.3)
+        p = (0.1, 0.3)
         assert susp_evolve(rot, p, 0.0) == p
 
     def test_single_wrap(self, rot):
-        x = TorusPoint((0.1,))
+        x = (0.1,)
         q = susp_evolve(rot, psi(rot, x, 0.7), 0.5)
-        assert q[1] == pytest.approx(0.2, abs=1e-12)
-        assert rot.dist(q[0], psi(rot, rot.evolve(x, 1), 0.2)[0]) <= 1e-12
+        assert q[-1] == pytest.approx(0.2, abs=1e-12)
+        assert rot.dist(q[:-1], psi(rot, rot.evolve(x, 1), 0.2)[:-1]) <= 1e-12
 
     def test_integer_times_recover_base(self, rot):
         # the gluing is automatic: the flow at an integer time n is T^n at height 0
-        x = TorusPoint((0.37,))
+        x = (0.37,)
         for n in (-1000, -37, -1, 0, 1, 5, 1000):
-            assert susp_evolve(rot, (x, 0.0), float(n)) == (rot.evolve(x, n), 0.0)
+            assert susp_evolve(rot, (*x, 0.0), float(n)) == (*rot.evolve(x, n), 0.0)
 
     def test_flow_law(self, rot):
         susp = suspend(rot)
@@ -132,29 +132,29 @@ class TestEvolve:
     def test_height_factor_equivariant(self, rot):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            p = (TorusPoint((rng.random(),)), rng.random())
+            p = (rng.random(), rng.random())
             t = rng.random() * 20 - 10
             q = susp_evolve(rot, p, t)
-            assert q[1] == (p[1] + t) % 1.0
+            assert q[-1] == (p[-1] + t) % 1.0
 
 
 class TestMetric:
     def test_zero_iff_same(self, rot):
-        p = (TorusPoint((0.3,)), 0.4)
+        p = (0.3, 0.4)
         assert susp_metric(rot, p, p) == 0.0
 
     def test_chart_gluing(self, rot):
         # [x, 0.99] and [Tx, 0.01] are flow time 0.02 apart across the gluing:
         # 0.02 on the height, 0.02 * sqrt(2) on the base
-        x = TorusPoint((0.6,))
+        x = (0.6,)
         gap = susp_metric(rot, psi(rot, x, 0.99), psi(rot, rot.evolve(x, 1), 0.01))
         assert gap == pytest.approx(0.02 * math.sqrt(2), abs=1e-12)
 
     def test_symmetry(self, rot):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            p = (TorusPoint((rng.random(),)), rng.random())
-            q = (TorusPoint((rng.random(),)), rng.random())
+            p = (rng.random(), rng.random())
+            q = (rng.random(), rng.random())
             assert susp_metric(rot, p, q) == susp_metric(rot, q, p)
 
     @settings(max_examples=300, deadline=None)
@@ -169,13 +169,13 @@ class TestMetric:
 
 class TestTransferCheck:
     def test_diagonal_all_true(self, rot):
-        x = TorusPoint((0.25,))
+        x = (0.25,)
         rep = susp_rp_transfer_check(rot, x, x, 0.3, 0.3, 1, 0.1, 10 ** 4)
         assert rep.forward and rep.backward and rep.height_gap_integral
         assert rep.agreement
 
     def test_nonintegral_gap_obstruction(self, rot):
-        x = TorusPoint((0.25,))
+        x = (0.25,)
         rep = susp_rp_transfer_check(rot, x, x, 0.8, 0.3, 1, 0.1, 10 ** 4)
         assert not rep.height_gap_integral
         assert not rep.forward
@@ -199,7 +199,7 @@ class TestTransferCheck:
         assert rep.agreement
 
     def test_distal_rotation_pair(self, rot):
-        rep = susp_rp_transfer_check(rot, TorusPoint((0.1,)), TorusPoint((0.6,)),
+        rep = susp_rp_transfer_check(rot, (0.1,), (0.6,),
                                      0.2, 0.2, 1, 0.1, 10 ** 4)
         assert rep.height_gap_integral
         assert not rep.forward and not rep.backward
@@ -208,21 +208,21 @@ class TestTransferCheck:
 
 class TestIntegerPartOrbit:
     def test_single_time(self, rot):
-        cov = integer_part_orbit(rot, TorusPoint((0.0,)), [0.0], 0.05)
+        cov = integer_part_orbit(rot, (0.0,), [0.0], 0.05)
         assert cov == pytest.approx(1.0 / 20)
 
     def test_rational_rotation_finite_orbit(self, basis):
         quarter = SymbolicReal.rational(Fraction(1, 4))
         rot4 = torus_map(torus_flow((quarter,), basis))
         times = [float(4 * k) for k in range(50)]  # multiples of the period
-        cov = integer_part_orbit(rot4, TorusPoint((0.0,)), times, 0.05)
+        cov = integer_part_orbit(rot4, (0.0,), times, 0.05)
         assert cov == pytest.approx(1.0 / 20)
         times_all = [float(k) for k in range(50)]
-        cov_all = integer_part_orbit(rot4, TorusPoint((0.0,)), times_all, 0.05)
+        cov_all = integer_part_orbit(rot4, (0.0,), times_all, 0.05)
         assert cov_all == pytest.approx(4.0 / 20)
 
     def test_quadratic_sequence_fills(self, rot):
         n = np.arange(1, 4001, dtype=float)
         times = math.sqrt(3) * n * n
-        cov = integer_part_orbit(rot, TorusPoint((0.0,)), times, 0.05)
+        cov = integer_part_orbit(rot, (0.0,), times, 0.05)
         assert cov >= 0.95
