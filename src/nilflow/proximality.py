@@ -196,7 +196,8 @@ def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: in
 
     Each verified candidate costs one unit of budget, and no candidate
     past the budget is drawn.  A miss that improves the best gap is
-    appended to near as (gap, g).
+    appended to near as (gap, g); the best gap is None until the first
+    miss, since reports are JSON, which has no infinity.
 
     Scoring is memoised (see witness_max_gap): the base distances
     d(x, x') and d(y, y') do not depend on g and are kept for the whole
@@ -206,7 +207,7 @@ def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: in
     Both are keyed by point value.
     """
     checked = 0
-    best_gap = math.inf
+    best_gap = None
     base = cache(sys.dist)
     image = g_now = None
     for xp, yp, g in itertools.islice(candidates, budget):
@@ -216,7 +217,7 @@ def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: in
         gap = witness_max_gap(sys, x, y, RPWitness(xp, yp, g, delta), (base, image))
         if gap < delta:
             return RPSearchResult(WITNESS, RPWitness(xp, yp, g, gap), checked, best_gap)
-        if gap < best_gap:
+        if best_gap is None or gap < best_gap:
             best_gap = gap
             if near is not None:
                 near.append((gap, g))

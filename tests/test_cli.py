@@ -888,3 +888,24 @@ def test_parsing_agrees_with_running(cfg):
     assert not any(d.endswith(": missing") or "cannot parse" in d for d in diags), diags
     err = library_error(cfg)
     assert (diags == []) == (err is None), (diags, err)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+@pytest.mark.parametrize("cfg", [
+    {"operation": "rp-certify", "system": ROT,
+     "params": {"x": [0.2], "y": [0.2], "d": 1, "delta": 0.05, "budget": 1000}},
+    {"operation": "rp-transfer", "system": ROT,
+     "system_h": {"kind": "torus-map", "freqs": [{"SQRT3": "1"}]},
+     "params": {"x": [0.2], "y": [0.2], "d": 1, "delta": 0.05, "budget": 1000}},
+], ids=["rp-certify", "rp-transfer"])
+def test_first_candidate_witness_prints_strict_json(tmp_path, capsys, cfg):
+    # no miss comes before a first-candidate witness, so no best gap exists
+    assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    result = out["payload"]["result"]
+    searches = [result] if "status" in result else [result["witness_g"], result["transfer"]]
+    for res in searches:
+        assert (res["status"], res["checked"], res["best_gap"]) == ("witness", 1, None)

@@ -220,14 +220,14 @@ def reference_first_witness(sys, x, y, candidates, delta, budget, near=None):
     """The candidate loop without memoised scoring: every candidate's base
     distances and face images are computed afresh."""
     checked = 0
-    best_gap = math.inf
+    best_gap = None
     for xp, yp, g in itertools.islice(candidates, budget):
         checked += 1
         gap = witness_max_gap(sys, x, y, RPWitness(xp, yp, g, delta))
         if gap < delta:
             return proximality.RPSearchResult(WITNESS, RPWitness(xp, yp, g, gap),
                                               checked, best_gap)
-        if gap < best_gap:
+        if best_gap is None or gap < best_gap:
             best_gap = gap
             if near is not None:
                 near.append((gap, g))
