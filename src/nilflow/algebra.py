@@ -102,36 +102,22 @@ class Basis:
     depends on the coefficient arithmetic.
     """
 
-    def __init__(self, values: Mapping[str, object] | None = None,
-                 products: Mapping[tuple[str, str], Mapping[str, object]] | None = None):
+    def __init__(self):
+        """The basis {ONE}; declare adds symbols, declare_product products."""
         self.values: dict[str, Fraction] = {ONE: Fraction(1)}
-        for sym, v in (values or {}).items():
-            self.values[sym] = _as_fraction(v) if not isinstance(v, float) \
-                else Fraction(decimal.Decimal(repr(v)))
         self.products: dict[tuple[str, str], dict[str, Fraction]] = {}
-        for (a, b), expansion in (products or {}).items():
-            key = tuple(sorted((a, b)))
-            self.products[key] = {s: _as_fraction(q) for s, q in expansion.items()}
 
     @staticmethod
     def default() -> "Basis":
         """Basis {ONE, SQRT2, SQRT3, SQRT5, SQRT6} with its internal products."""
-        values = {
-            "SQRT2": _dec_sqrt(2),
-            "SQRT3": _dec_sqrt(3),
-            "SQRT5": _dec_sqrt(5),
-            "SQRT6": _dec_sqrt(6),
-        }
-        products = {
-            ("SQRT2", "SQRT2"): {ONE: 2},
-            ("SQRT3", "SQRT3"): {ONE: 3},
-            ("SQRT5", "SQRT5"): {ONE: 5},
-            ("SQRT6", "SQRT6"): {ONE: 6},
-            ("SQRT2", "SQRT3"): {"SQRT6": 1},
-            ("SQRT2", "SQRT6"): {"SQRT3": 2},
-            ("SQRT3", "SQRT6"): {"SQRT2": 3},
-        }
-        return Basis(values, products)
+        basis = Basis()
+        for n in (2, 3, 5, 6):
+            basis.declare(f"SQRT{n}", _dec_sqrt(n))
+            basis.declare_product(f"SQRT{n}", f"SQRT{n}", {ONE: n})
+        basis.declare_product("SQRT2", "SQRT3", {"SQRT6": 1})
+        basis.declare_product("SQRT2", "SQRT6", {"SQRT3": 2})
+        basis.declare_product("SQRT3", "SQRT6", {"SQRT2": 3})
+        return basis
 
     def declare(self, sym: str, value) -> None:
         self.values[sym] = _as_fraction(value)

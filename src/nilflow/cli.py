@@ -115,7 +115,7 @@ def build_system(spec: dict, basis: Basis, name: str = "system") -> SystemHandle
         flow = suspend(build_system(spec["base"], basis, f"{name}.base"))
     else:
         raise SchemaError(f"unknown system kind {kind!r}")
-    if kind in ("torus-flow", "heisenberg-nilflow", "suspension"):
+    if kind == flow.tag:
         if spec.get("step") is not None:
             raise FieldError(f"{name}.step: a {kind} takes real times, not a step")
         return flow
@@ -679,19 +679,6 @@ def validate_config(cfg: dict, seed: int | None = None) -> list[str]:
 # ---------------------------------------------------------------------------
 # run orchestration
 
-def _render_floats(obj):
-    """Pass floats through 17-significant-digit formatting (round-trip safe)."""
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, dict):
-        return {k: _render_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_render_floats(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _checked_counts(obj):
     """The candidate count of every search in a nested result payload."""
     if isinstance(obj, dict):
@@ -758,7 +745,7 @@ def run(cfg: dict, seed: int | None = None, out_path: Path | None = None) -> dic
         "operation": op,
         "seed": eff_seed,
         "config": {k: v for k, v in cfg.items() if k != "expect"},
-        "result": _render_floats(result),
+        "result": result,
         "artifacts": {} if sweep else ctx.artifacts,
         "budget_consumed": sum(counts) if counts else None,
         "wall_time_s": time.perf_counter() - start,
@@ -769,12 +756,21 @@ def run(cfg: dict, seed: int | None = None, out_path: Path | None = None) -> dic
     return report
 
 
+def _numpy_scalar(obj):
+    """json's default hook: a numpy scalar (a config may hold np.int64
+    coordinates) as its Python value; any other type stays an error."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def report_json(report: dict) -> str:
+    """The report as strict JSON: floats in Python's shortest round-trip
+    form, and a NaN or an infinity raises ValueError."""
     # wall time sits outside the deterministic payload
     body = {k: v for k, v in report.items() if k != "wall_time_s"}
-    return json.dumps({"payload": _render_floats(body),
-                       "wall_time_s": report.get("wall_time_s")},
-                      sort_keys=True, indent=2)
+    return json.dumps({"payload": body, "wall_time_s": report.get("wall_time_s")},
+                      sort_keys=True, indent=2, allow_nan=False, default=_numpy_scalar)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -805,6 +801,7 @@ def main(argv: list[str] | None = None) -> int:
             report = run_validate(cfg, args.seed)
         else:
             report = run(cfg, args.seed, out_path)
+        rendered = report_json(report)
     except SchemaError as e:
         print(f"schema error: {e}", file=_sys.stderr)
         return EXIT_SCHEMA
@@ -818,7 +815,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(e).__name__}: {e}", file=_sys.stderr)
         return EXIT_INTERNAL
 
-    rendered = report_json(report)
     if out_path is not None:
         out_path.write_text(rendered)
     else:

@@ -2,17 +2,23 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilflow import cli
-from nilflow.cli import (EXIT_BASIS, EXIT_EXPECT_FAIL, EXIT_OK, EXIT_SCHEMA,
-                         main, run, validate_config)
+from nilflow.cli import (EXIT_BASIS, EXIT_EXPECT_FAIL, EXIT_INTERNAL, EXIT_OK,
+                         EXIT_SCHEMA, main, report_json, run, validate_config)
 from nilflow.proximality import CommutationViolation
+
+ROOT = Path(__file__).parents[1]
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -320,9 +326,21 @@ class TestMainExitCodes:
                "params": {"x": [0.1], "y": [0.2], "d": 1,
                           "delta": 0.05, "budget": 10}}
         path = write_cfg(tmp_path, cfg)
-        from nilflow.cli import EXIT_INTERNAL
         assert main(["rp-certify", "--config", str(path)]) == EXIT_INTERNAL
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_result_exits_internal(self, tmp_path, capsys, monkeypatch, value):
+        # a report is strict JSON: a NaN or an infinity in it is a breach,
+        # not an Infinity token on stdout
+        _, spec, rules = cli._TABLE["minimal"]
+        monkeypatch.setitem(cli._TABLE, "minimal",
+                            (lambda p, sysh, ctx: {"gap": value}, spec, rules))
+        path = write_cfg(tmp_path, {"operation": "minimal", "system": TORUS_1_SQRT2})
+        assert main(["run", "--config", str(path)]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: ValueError")
 
     def test_budget_consumed_reported(self):
         cfg = {"operation": "rp-certify",
@@ -709,13 +727,26 @@ class TestParameterTable:
         diags = validate_config(valid("cube", x=[0.1], alphas=[1.0, 2.0]))
         assert diags == ["params.alphas: unknown parameter"]
 
-    def test_readme_examples_validate(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
+    def test_readme_examples_validate(self, tmp_path, capsys):
+        # each example validates and runs, so its expect checks hold
+        readme = (ROOT / "README.md").read_text()
         section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
         blocks = re.findall(r"```json\n(.*?)```", section, re.S)
         assert blocks
-        for block in blocks:
+        paths = [tmp_path / f"example-{i}.json" for i in range(len(blocks))]
+        for block, path in zip(blocks, paths):
             assert validate_config(json.loads(block)) == []
+            path.write_text(block)
+            assert main(["run", "--config", str(path)]) == EXIT_OK, block
+            capsys.readouterr()
+        # and the first one as the documented command, in its own process
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "nilflow.cli", "run", "--config",
+                               str(paths[0])], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["pass"] is True
 
 
 # values each parser must reject; a parser without an entry accepts everything
@@ -909,3 +940,22 @@ def test_first_candidate_witness_prints_strict_json(tmp_path, capsys, cfg):
     searches = [result] if "status" in result else [result["witness_g"], result["transfer"]]
     for res in searches:
         assert (res["status"], res["checked"], res["best_gap"]) == ("witness", 1, None)
+
+
+@pytest.mark.parametrize("op", sorted(cli._TABLE))
+def test_report_json_round_trips_the_report(op):
+    # the report is encoded as it stands: no pass converts or rounds a value
+    rep = run(valid(op))
+    payload = json.loads(report_json(rep), parse_constant=reject_constant)["payload"]
+    assert payload == {k: v for k, v in rep.items() if k != "wall_time_s"}
+
+
+def test_numpy_numbers_in_a_config_print_as_python_numbers():
+    def report_text(x, y):
+        rep = run(valid("rp-certify", x=[x], y=[y]))
+        del rep["wall_time_s"]
+        return report_json(rep)
+
+    assert report_text(np.int64(0), np.float32(0.25)) == report_text(0, 0.25)
+    with pytest.raises(TypeError):
+        report_json({"result": np.zeros(1)})  # only scalars convert
