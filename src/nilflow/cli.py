@@ -166,15 +166,15 @@ def _unit(v) -> float:
 def _count(v) -> int:
     if isinstance(v, float) and v.is_integer():
         v = int(v)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
         raise SchemaError(f"must be an integer >= 1, got {v!r}")
-    return v
+    return int(v)
 
 
 def _seed(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
         raise SchemaError(f"must be an integer >= 0, got {v!r:.80}")
-    return v
+    return int(v)
 
 
 def _nonempty(v) -> list:

@@ -416,10 +416,10 @@ def periodic_linf(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _cell_keys(f: np.ndarray, m: int, key: np.ndarray | None = None) -> np.ndarray:
+def _cell_keys(f: np.ndarray, m: int) -> np.ndarray:
     """The cell of each row of f on the grid of m cells per axis, numbered
-    in int64 (the caller keeps m^k < 2^63); extends a given key in place."""
-    key = np.zeros(len(f), dtype=np.int64) if key is None else key
+    in int64 (the caller keeps m^k < 2^63)."""
+    key = np.zeros(len(f), dtype=np.int64)
     cell = np.empty(len(f), dtype=np.int64)
     for col in f.T:
         np.multiply(col, m, out=cell, casting="unsafe")
@@ -588,17 +588,46 @@ def require_cell_grid(resolution: float, axes: int) -> int:
 
 
 def cell_coverage(blocks, n: int, resolution: float) -> float:
-    """Fraction of the cells of pitch resolution that n rows hit; each
-    column of each (n, k) block of [0, 1) coordinates is one grid axis
-    (see require_cell_grid)."""
-    key, axes, bins = np.zeros(n, dtype=np.int64), 0, 1
+    """Fraction of the cells of pitch resolution that the rows of blocks
+    hit: an iterable of (r, k) row blocks of [0, 1) coordinates, n rows in
+    all at most, whose k columns are the grid axes.  require_cell_grid runs
+    once, on the first block's k; a block of another width is a ValueError.
+
+    A grid of at most n cells marks its hits in a bool array and pulls no
+    block once every cell is hit, since a count of hit cells that has
+    reached the number of cells is final.  A larger grid cannot fill: its
+    keys are sorted and counted once every block is read."""
+    k = None
     for block in blocks:
-        axes += block.shape[1]
-        bins = require_cell_grid(resolution, axes)
-        key = _cell_keys(block, bins, key)
+        if k is None:
+            k = block.shape[1]
+            bins = require_cell_grid(resolution, k)
+            cells = bins ** k
+            hit, keys = np.zeros(cells, dtype=bool) if cells <= n else None, []
+        elif block.shape[1] != k:
+            raise ValueError(f"a row block of {block.shape[1]} columns after "
+                             f"blocks of {k}")
+        key = _cell_keys(block, bins)
         del block  # before the generator builds the next one
+        if hit is None:
+            keys.append(key)
+        else:
+            hit[key] = True
+            if np.count_nonzero(hit) == cells:
+                break
+    if k is None:
+        raise ValueError("cell_coverage needs one or more row blocks")
+    if hit is not None:
+        return np.count_nonzero(hit) / float(cells)
+    key = np.concatenate(keys)
     key.sort()  # distinct keys: the first, and each unlike the one before it
-    return (np.count_nonzero(key[1:] != key[:-1]) + (n > 0)) / float(bins ** axes)
+    return (np.count_nonzero(key[1:] != key[:-1]) + (len(key) > 0)) / float(cells)
+
+
+def _row_starts(n: int) -> range:
+    """The first row of each block of _ROW_BLOCK rows that covers range(n);
+    one empty block when n is 0, so that a probe always yields a block."""
+    return range(0, max(n, 1), _ROW_BLOCK)
 
 
 def require_torus(sys: SystemHandle) -> None:
@@ -609,16 +638,25 @@ def require_torus(sys: SystemHandle) -> None:
 def poly_orbit_density(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
                        x, budget: int, resolution: float, seed: int = 0,
                        t_span: float = 1e4) -> float:
-    """Fraction of product-space resolution cells hit by (T^{p_j(t)} x)_j."""
+    """Fraction of product-space resolution cells hit by (T^{p_j(t)} x)_j
+    over budget seeded times in [0, t_span).  The times are drawn one block
+    of _ROW_BLOCK rows at a time, and cell_coverage stops pulling blocks
+    once every cell is hit: Generator.random gives the same doubles in
+    chunks as in one call, so the value is that of all the rows.
+    """
     if not polys:
         raise ValueError("polys must be nonempty")
     require_nonconstant(polys)
     require_torus(flow_sys)
     rng = np.random.default_rng(seed)
-    ts = rng.random(budget)
-    ts *= t_span
-    return cell_coverage((flow_sys.orbit_coords(x, p.eval_array(ts)) for p in polys),
-                         budget, resolution)
+
+    def blocks():
+        for start in _row_starts(budget):
+            ts = rng.random(min(_ROW_BLOCK, budget - start))
+            ts *= t_span
+            yield np.hstack([flow_sys.orbit_coords(x, p.eval_array(ts)) for p in polys])
+
+    return cell_coverage(blocks(), budget, resolution)
 
 
 def return_set(sys: SystemHandle, x, center, radius: float,
@@ -653,21 +691,28 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
 
     A sampled tuple enters a fiber cell when each component lies within one
     resolution of the fiber in the coordinates pi constrains (see
-    projection_table); cells quantize the free ones at the same pitch.  Every
-    fiber projection lies on the rotation factor, so rotate checks the
-    constrained coordinates of all rows and the exact pass only evolves rows.
+    projection_table); cells quantize the free ones at the same pitch.  The
+    budget times (the first is 0) are drawn one block of _ROW_BLOCK rows at
+    a time.  Every fiber projection lies on the rotation factor, so rotate
+    checks a block's constrained coordinates and the exact pass evolves
+    only its kept rows; cell_coverage stops pulling blocks once every cell
+    is hit, and the value is that of all the rows (see poly_orbit_density).
     """
     constrained, free = require_projection(sys, factor_projection)
     alphas = require_arm_alphas(sys, d, alphas)
     rng = np.random.default_rng(seed)
-    ts = np.zeros(budget)
-    np.multiply(rng.random(out=ts[1:]), horizon, out=ts[1:])
-    base = np.array(x)
-    keep = np.ones(budget, dtype=bool)
-    for a, start in itertools.product(alphas, range(0, budget, _ROW_BLOCK)):
-        rows = slice(start, start + _ROW_BLOCK)  # cache-sized temporaries
-        comp = sys.rotate(base[:len(sys.phase_step)], a * ts[rows])
-        keep[rows] &= periodic_linf(comp[:, constrained], base[None, constrained]) <= resolution
-    ts = ts[keep]
-    frees = [sys.orbit_coords(x, a * ts)[:, list(free)] for a in alphas]
-    return cell_coverage(frees, len(ts), resolution)
+    base, free = np.array(x), list(free)
+
+    def blocks():
+        for start in _row_starts(budget):
+            ts = np.zeros(min(_ROW_BLOCK, budget - start))
+            drawn = ts[1:] if start == 0 else ts  # row 0 is the time 0
+            np.multiply(rng.random(out=drawn), horizon, out=drawn)
+            keep = np.ones(len(ts), dtype=bool)
+            for a in alphas:
+                comp = sys.rotate(base[:len(sys.phase_step)], a * ts)
+                keep &= periodic_linf(comp[:, constrained], base[None, constrained]) <= resolution
+            ts = ts[keep]
+            yield np.hstack([sys.orbit_coords(x, a * ts)[:, free] for a in alphas])
+
+    return cell_coverage(blocks(), budget, resolution)

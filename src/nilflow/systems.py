@@ -28,7 +28,9 @@ operand, so a partial sum or maximum that has reached the running minimum
 bounds its whole term from below; a minimum or maximum does not depend on
 the order of its operands; and sqrt is correctly rounded and monotone, so
 sqrt(min(a, b)) == min(sqrt(a), sqrt(b)).  So every skipped term would
-have left the result's bits as they are.
+have left the result's bits as they are.  Likewise a count of hit cells
+that has reached the number of cells is final, so
+proximality.cell_coverage reads no row block after that.
 
 Conventions: torus points live in [0, 1)^n; Heisenberg group elements
 (HeisenbergElement) carry Malcev coordinates (x, y, z) with group law

@@ -957,5 +957,16 @@ def test_numpy_numbers_in_a_config_print_as_python_numbers():
         return report_json(rep)
 
     assert report_text(np.int64(0), np.float32(0.25)) == report_text(0, 0.25)
+    # numpy integers as counts and seeds: valid, and the plain twin's bytes
+    numpy_cfg = {**valid("rp-certify", budget=np.int64(10)), "seed": np.int64(3)}
+    plain_cfg = {**valid("rp-certify", budget=10), "seed": 3}
+    assert validate_config(numpy_cfg) == []
+    texts = []
+    for cfg in (numpy_cfg, plain_cfg):
+        rep = run(cfg)
+        del rep["wall_time_s"]
+        texts.append(report_json(rep))
+    assert texts[0] == texts[1]
+    assert validate_config({**plain_cfg, "seed": np.bool_(True)}) != []
     with pytest.raises(TypeError):
         report_json({"result": np.zeros(1)})  # only scalars convert

@@ -891,17 +891,71 @@ class TestScalarFallback:
         assert hausdorff_distance(empty, full) == hausdorff_distance(full, empty) == math.inf
 
 
+_ROW_BLOCK = proximality._ROW_BLOCK
+
+
+def distinct_cells(rows, bins):
+    """The cells hit by rows, counted as a set of Python tuples."""
+    return len({tuple(min(int(c * bins), bins - 1) for c in row) for row in rows.tolist()})
+
+
+def counting_blocks(blocks, pulled):
+    """blocks, appending each block to pulled as it is pulled."""
+    for block in blocks:
+        pulled.append(block.copy())
+        yield block
+
+
 class TestCellCoverage:
     def test_grid_beyond_int64_keys_rejected(self):
         # 1000 rows that differ only in column 0, at resolution 1/1024: eight
         # columns make 2^80 cells, whose keys would wrap to one int64 cell
         rows = np.zeros((1000, 8))
         rows[:, 0] = np.arange(1000) / 1024
-        for blocks in ([rows], [rows[:, :5], rows[:, 5:]], [rows[:, :7]]):
+        for blocks in ([rows], [rows[:400], rows[400:]], [rows[:, :7]]):
             with pytest.raises(ValueError, match=r"gives 1024\^\d cells"):
                 cell_coverage(blocks, 1000, 1 / 1024)
         assert cell_coverage([rows[:, :6]], 1000, 1 / 1024) * 2.0 ** 60 == 1000
-        assert cell_coverage([rows[:, :3], rows[:, 3:6]], 1000, 1 / 1024) * 2.0 ** 60 == 1000
+        assert cell_coverage([rows[:400, :6], rows[400:, :6]], 1000, 1 / 1024) * 2.0 ** 60 == 1000
+
+    def test_block_widths_must_match(self):
+        rows = np.zeros((1000, 8))
+        for blocks in ([rows[:, :5], rows[:, 5:]], [rows[:500, :3], rows[500:, :6]]):
+            with pytest.raises(ValueError, match=r"a row block of [36] columns "
+                                                 r"after blocks of [53]"):
+                cell_coverage(blocks, 1000, 1 / 1024)
+        with pytest.raises(ValueError, match="one or more row blocks"):
+            cell_coverage([], 0, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_distinct_tuple_count(self, data):
+        # grids with fewer cells than rows (filled or not) and with more;
+        # blocks of _ROW_BLOCK rows or of any size, the last one partial
+        k = data.draw(st.integers(1, 3))
+        bins = data.draw(st.sampled_from([1, 2, 3, 5, 20]))
+        n = data.draw(st.one_of(st.integers(0, 300),
+                                st.integers(_ROW_BLOCK - 2, 2 * _ROW_BLOCK + 2)))
+        size = data.draw(st.sampled_from([_ROW_BLOCK, 1, 7, 1000]))
+        spread = data.draw(st.sampled_from([1.0, 0.5, 1e-3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        rows = rng.random((n, k)) * spread
+        if data.draw(st.booleans()) and n > size:
+            # the top cell of axis 0 is first hit in the last, partial block
+            rows[:, 0] *= (bins - 1) / bins
+            rows[data.draw(st.integers((n - 1) // size * size, n - 1)), 0] = 1 - 1e-9
+        blocks = [rows[a:a + size] for a in range(0, max(n, 1), size)]
+        assert cell_coverage(blocks, n, 1 / bins) == distinct_cells(rows, bins) / bins ** k
+
+    def test_filled_grid_pulls_no_more_blocks(self):
+        quarters = (np.arange(4)[:, None] + 0.5) / 4  # one row in each cell
+
+        def blocks():
+            yield quarters[:1]
+            yield quarters[1:]
+            raise AssertionError("a block was pulled after every cell was hit")
+
+        assert cell_coverage(blocks(), 4, 0.25) == 1.0
 
     def test_require_cell_grid(self):
         assert require_cell_grid(0.05, 14) == 20  # 20^14 < 2^63 <= 20^15
@@ -934,6 +988,35 @@ class TestPolyDensity:
         cov = poly_orbit_density(flow, polys, (0.0,), 10 ** 5,
                                  0.05, seed=2)
         assert cov < 0.5
+
+    @pytest.mark.parametrize("resolution", [0.05, 0.01])
+    def test_stops_once_every_cell_is_hit(self, basis, one, monkeypatch, resolution):
+        # 10^6 rows on 20^2 or 100^2 cells: the last block pulled holds the
+        # first hit of the last cell, and no later block is drawn
+        flow = torus_flow((one,), basis)
+        polys = [RealPolynomial.from_coeffs([0, 1]),
+                 RealPolynomial.from_coeffs([0, 0, 1])]
+        pulled, real = [], proximality.cell_coverage
+        monkeypatch.setattr(proximality, "cell_coverage", lambda blocks, n, resolution:
+                            real(counting_blocks(blocks, pulled), n, resolution))
+        assert poly_orbit_density(flow, polys, (0.0,), 10 ** 6, resolution, seed=1) == 1.0
+        assert 1 <= len(pulled) < 10 ** 6 // _ROW_BLOCK
+        assert all(len(b) == _ROW_BLOCK for b in pulled)
+        bins = round(1 / resolution)
+        assert distinct_cells(np.concatenate(pulled), bins) == bins ** 2
+        assert distinct_cells(np.concatenate([np.empty((0, 2))] + pulled[:-1]), bins) < bins ** 2
+
+    def test_unfilled_grid_reads_every_row(self, basis, one, monkeypatch):
+        flow = torus_flow((one,), basis)
+        polys = [RealPolynomial.from_coeffs([0, 1]),
+                 RealPolynomial.from_coeffs([0, 2])]
+        pulled, real = [], proximality.cell_coverage
+        monkeypatch.setattr(proximality, "cell_coverage", lambda blocks, n, resolution:
+                            real(counting_blocks(blocks, pulled), n, resolution))
+        budget = 2 * _ROW_BLOCK + 5
+        cov = poly_orbit_density(flow, polys, (0.0,), budget, 0.05, seed=2)
+        assert sum(map(len, pulled)) == budget
+        assert cov == distinct_cells(np.concatenate(pulled), 20) / 400 < 0.5
 
     def test_constant_poly_rejected(self, basis, one):
         flow = torus_flow((one,), basis)
@@ -1025,6 +1108,35 @@ class TestFiberCoverage:
                                           resolution, seed, horizon)
         assert fiber_coverage(sys_h, projection, d, alphas, x, budget, resolution,
                               seed, horizon) == expect
+
+    @pytest.mark.parametrize("kind, projection, alphas, budget", [
+        ("torus", "torus-coord-0", (1.0, -1.0), 2 * _ROW_BLOCK + 3),
+        ("nilflow", "heisenberg-base", (1.0, -1.0), _ROW_BLOCK + 1)])
+    def test_blocks_equal_brute_force(self, kind, projection, alphas, budget):
+        # more rows than one block, on grids the kept rows do not fill
+        sys_h = {"torus": TORI[2], "nilflow": _NILFLOW}[kind]
+        x = sys_h.from_coords((0.3, 0.9, 0.6)[:sys_h.dim])
+        expect = fiber_coverage_reference(sys_h, projection, alphas, x, budget, 0.05, 4, 1e4)
+        assert 0 < expect < 1
+        assert fiber_coverage(sys_h, projection, len(alphas), alphas, x, budget, 0.05,
+                              4) == expect
+
+
+def test_chunked_draws_equal_one_draw():
+    # the probes draw their times one block at a time; fiber_coverage's
+    # first block leaves row 0 at the time 0 and draws the rest into it
+    for n in (1, 2, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK - 1, 10 ** 6 + 3):
+        whole = np.random.default_rng(n).random(n)
+        rng = np.random.default_rng(n)
+        chunks = [rng.random(min(_ROW_BLOCK, n - a)) for a in range(0, n, _ROW_BLOCK)]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+        whole = np.zeros(n)
+        np.random.default_rng(n).random(out=whole[1:])
+        rng, chunks = np.random.default_rng(n), []
+        for a in range(0, n, _ROW_BLOCK):
+            chunks.append(np.zeros(min(_ROW_BLOCK, n - a)))
+            rng.random(out=chunks[-1][1:] if a == 0 else chunks[-1])
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
 
 def fiber_coverage_reference(sys_h, projection, alphas, x, budget, resolution,
