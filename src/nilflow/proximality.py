@@ -12,10 +12,13 @@ memoises its scoring; the commuting transfer shares it.
 
 Search semantics: a verified witness certifies the delta-resolution
 membership condition; EXHAUSTED is informative only.  PROVEN-ABSENT is
-issued only when the pair is at least 2 delta apart on one of the spec's
-factors, on each of which the action is an isometry, so a positive gap
-rules the pair out at every scale; the one rule reads the factors in
-order and prints the first such gap.
+issued when the pair is at least 2 delta apart on one of the spec's
+declared factors other than heisenberg-base, on each of which the action
+is an isometry; the one rule reads the factors in order and prints the
+first such gap.  The 2 delta threshold is not sound: a witness only
+forces every factor gap below 3 delta, and the sqrt2 rotation pair
+(0.10, 0.35) at delta 0.1 has a witness though its gap is 0.25 (ROADMAP
+item 1).
 """
 
 from __future__ import annotations
@@ -448,34 +451,32 @@ def _key_order(f: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 _ROW_BLOCK = 2 ** 14  # rows per block: temporaries that stay in cache and out of malloc arenas
 
 
-def _certified(f: np.ndarray, keyed, g: np.ndarray, g_keyed, bound: float) -> np.ndarray:
-    """Mask of the rows of f certified to lie closer than bound to g, given
-    the _key_order of f and of g on one grid: a row is certified when the
-    row of g that searchsorted finds for its key in g's sorted keys (the
-    last one when none is larger), or else the row just before that one,
-    is at periodic_linf distance < bound.  At bound 0 no row is."""
+def _uncertified(f: np.ndarray, keyed, g: np.ndarray, g_keyed, bound: float) -> np.ndarray:
+    """The rows of f not certified to lie closer than bound to g, as indices
+    in the key order of f, given the _key_order of f and of g on one grid:
+    a row is certified when the row of g that searchsorted finds for its key
+    in g's sorted keys (the last one when none is larger), or else the row
+    just before that one, is at periodic_linf distance < bound.  At bound 0
+    no row is."""
     (order, keys), (g_order, g_keys) = keyed, g_keyed
-    close = np.empty(len(f), dtype=bool)
+    need = []
     for start in range(0, len(f), _ROW_BLOCK):  # small blocks, in key order
         block = slice(start, start + _ROW_BLOCK)
         rank = np.minimum(np.searchsorted(g_keys, keys[block]), len(g_keys) - 1)
         # np.take gathers rows several times faster than fancy indexing
         u = np.take(f, order[block], axis=0)
-        ok = periodic_linf(u, np.take(g, g_order[rank], axis=0)) < bound
-        left = np.flatnonzero(~ok)
-        ok[left] = periodic_linf(np.take(u, left, axis=0),
-                                 np.take(g, g_order[rank[left] - 1], axis=0)) < bound
-        close[order[block]] = ok
-    return close
+        left = np.flatnonzero(~(periodic_linf(u, np.take(g, g_order[rank], axis=0)) < bound))
+        far = ~(periodic_linf(np.take(u, left, axis=0),
+                              np.take(g, g_order[rank[left] - 1], axis=0)) < bound)
+        need.append(order[block][left[far]])
+    return np.concatenate(need)
 
 
-def _directed(tree, f, leaf_order, keyed, g, g_keyed, bound: float) -> float:
+def _directed(tree, f, keyed, g, g_keyed, bound: float) -> float:
     """The larger of bound and the distances to g, whose tree is tree, of
-    the rows of f that _certified leaves, queried in leaf_order."""
-    need = ~_certified(f, keyed, g, g_keyed, bound)
-    q = np.take(f, leaf_order[need[leaf_order]], axis=0)
-    beyond = np.isinf(tree.query(q, p=np.inf, distance_upper_bound=bound)[0])
-    return max(bound, tree.query(q[beyond], p=np.inf)[0].max()) if beyond.any() else bound
+    the rows of f that _uncertified leaves, each queried once."""
+    q = np.take(f, _uncertified(f, keyed, g, g_keyed, bound), axis=0)
+    return tree.query(q, p=np.inf)[0].max(initial=bound)
 
 
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
@@ -485,35 +486,28 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     unit box and the distance comes from periodic KD-trees, in the
     early-break manner of Taha & Hanbury (TPAMI 2015):
 
-    1. each cloud is queried against the other's tree in the leaf order
-       of its own tree, so consecutive queries reach the same subtrees;
-    2. every 64th query row, in both directions, gives a lower bound:
-       a nearest-neighbour distance that some point attains;
-    3. rows that one of their two neighbours in cell-key order certifies
-       (see _certified) are dropped: such a row has a point of the other
-       cloud closer than the bound, so its nearest-neighbour distance is
-       below the bound;
-    4. the other rows are queried with the bound as
-       ``distance_upper_bound``, and only the rows that come back ``inf``
-       are queried again without it.  scipy's bound is strict (a row at
-       exactly the bound, and every row when the bound is 0, comes back
-       ``inf``), so ``inf`` only ever means "query again", never a
-       distance.
+    1. every 64th row of each cloud, queried against the other's tree,
+       gives a lower bound: a nearest-neighbour distance that some row
+       attains;
+    2. rows that one of their two neighbours in the other cloud's
+       cell-key order certifies (see _uncertified) are dropped: such a row
+       has a point of the other cloud closer than the bound, so its
+       nearest-neighbour distance is below the bound;
+    3. the other rows are queried once each, in cell-key order, against
+       the other cloud's tree.
 
     Each direction (_directed) returns the larger of the bound and its
-    re-queried rows, and the result is the larger of the two.  It is
-    exact, bit for bit: every kept number is an exact nearest-neighbour
-    distance (``eps=0``), the query order only permutes the rows, and
-    the bound is attained, so the maximum of the bound and the
-    re-queried rows is the maximum over all rows.  A certificate is a
-    distance computed as scipy computes it, so the nearest-neighbour
-    distance of a certified row is at most that distance, below the
-    bound: the rows of steps 3 and 4 that leave out a distance both
-    leave out one below the bound.  The two trees, the two keyed sorts
-    and the two directions are three pairs of map_pool tasks, and the
-    bound's queries run on every usable CPU; no task reads what its pair
-    writes, each row's distance is its own, and a maximum does not
-    depend on the order of its operands, so the worker count moves no bit.
+    queried rows, and the result is the larger of the two.  It is exact,
+    bit for bit: every kept number is an exact nearest-neighbour distance
+    (``eps=0``), the bound is attained, and a certificate is a distance
+    computed as scipy computes it, so the nearest-neighbour distance of a
+    certified row is at most that distance, below the bound; the maximum
+    of the bound and the queried rows is therefore the maximum over all
+    rows.  The two trees, the two keyed sorts and the two directions are
+    three pairs of map_pool tasks, and the bound's queries run on every
+    usable CPU; no task reads what its pair writes, each row's distance is
+    its own, and a maximum does not depend on the order of its operands,
+    so neither the row order nor the worker count moves a bit.
 
     Other systems (Heisenberg, suspensions) take the scalar max-min-max
     over sys.dist (_scalar_directed), which skips the pairs and rows that
@@ -533,14 +527,12 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
         # unbalanced, non-compacted trees build faster and query no slower here
         ta, tb = map_pool(partial(cKDTree, boxsize=1.0, balanced_tree=False,
                                   compact_nodes=False), (fa, fb))
-        bound = max(tree.query(np.take(f, order[::_BOUND_STRIDE], axis=0), p=np.inf,
-                               workers=usable_cpus())[0].max()
-                    for tree, f, order in ((tb, fa, ta.indices), (ta, fb, tb.indices)))
+        bound = max(tree.query(f[::_BOUND_STRIDE], p=np.inf, workers=usable_cpus())[0].max()
+                    for tree, f in ((tb, fa), (ta, fb)))
         ka, kb = map_pool(partial(_key_order, m=_cells_per_axis(bound, fa.shape[1])),
                           (fa, fb))
         return float(max(map_pool(lambda task: _directed(*task, bound),
-                                  ((tb, fa, ta.indices, ka, fb, kb),
-                                   (ta, fb, tb.indices, kb, fa, ka)))))
+                                  ((tb, fa, ka, fb, kb), (ta, fb, kb, fa, ka)))))
 
     pa, pb = ([[sys.from_coords(c) for c in row] for row in cloud.points] for cloud in (a, b))
     return max(_scalar_directed(sys.dist, pa, pb), _scalar_directed(sys.dist, pb, pa))

@@ -698,7 +698,8 @@ class TestHausdorffExact:
         # a 32x32 grid against a jittered copy of itself; one point of one
         # cloud moves to a cell centre, so only the rows at and next to it
         # are far from the other cloud: a bound taken from every 64th row
-        # misses them for most placements and the re-query has to find them
+        # misses them for most placements and the one exact query of the
+        # rows left uncertified has to find them
         rng = np.random.default_rng(5)
         grid = np.stack(np.meshgrid(np.arange(32) / 32, np.arange(32) / 32),
                         axis=-1).reshape(-1, 1, 2)
@@ -800,6 +801,23 @@ class TestHausdorffCertificates:
         cert_a, cert_b = certified(fa, fb, bound)
         assert cert_a.any() and cert_b.any()
 
+    def test_uncertified_rows_are_queried_once(self, monkeypatch):
+        # at bound 0 nothing is certified: past the bound's sample, each row
+        # of both clouds goes to one query, never to a second one
+        import scipy.spatial
+        queried = []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        pa, pb = IDENTICAL_PAIR
+        assert hausdorff_distance(torus_cloud(pa), torus_cloud(pb)) == 0.0
+        sample = sum(len(range(0, len(p), proximality._BOUND_STRIDE)) for p in (pa, pb))
+        assert sum(queried) == sample + len(pa) + len(pb)
+
     @settings(max_examples=200, deadline=None)
     @given(cloud_pairs(), st.one_of(st.sampled_from([0.0, 1 / 64, 0.25, 0.5, 5e-324]),
                                     st.floats(0.0, 0.75)))
@@ -817,12 +835,20 @@ class TestHausdorffCertificates:
 
 
 def certified(fa, fb, bound):
-    """proximality._certified for the rows of each cloud against the other,
-    keyed on the grid hausdorff_distance takes for the bound."""
+    """Masks of the rows of each cloud that proximality._uncertified does
+    not list against the other, keyed on the grid hausdorff_distance takes
+    for the bound; each list must hold distinct rows in key order."""
     m = proximality._cells_per_axis(bound, fa.shape[1])
     ka, kb = (proximality._key_order(f, m) for f in (fa, fb))
-    return (proximality._certified(fa, ka, fb, kb, bound),
-            proximality._certified(fb, kb, fa, ka, bound))
+    masks = []
+    for f, keyed, g, g_keyed in ((fa, ka, fb, kb), (fb, kb, fa, ka)):
+        need = proximality._uncertified(f, keyed, g, g_keyed, bound)
+        order = keyed[0]
+        assert np.array_equal(need, order[np.isin(order, need)])
+        cert = np.ones(len(f), dtype=bool)
+        cert[need] = False
+        masks.append(cert)
+    return tuple(masks)
 
 
 def scalar_hausdorff_reference(sys_h, pa, pb):
