@@ -14,6 +14,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 ONE = "ONE"
@@ -87,8 +88,11 @@ class SymbolicReal:
         return "SymbolicReal<" + " + ".join(parts) + ">"
 
 
+@cache
 def _dec_sqrt(n: int) -> Fraction:
-    """Rational approximation of sqrt(n) to RENDER_DIGITS significant digits."""
+    """Rational approximation of sqrt(n) to RENDER_DIGITS significant digits;
+    kept per n, since Basis.default, which every config builds, asks for
+    the same four."""
     with decimal.localcontext() as ctx:
         ctx.prec = RENDER_DIGITS + 5
         return Fraction(decimal.Decimal(n).sqrt())

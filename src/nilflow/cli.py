@@ -765,12 +765,14 @@ def _numpy_scalar(obj):
 
 
 def report_json(report: dict) -> str:
-    """The report as strict JSON: floats in Python's shortest round-trip
-    form, and a NaN or an infinity raises ValueError."""
+    """The report as strict JSON on one line, with no spaces: floats in
+    Python's shortest round-trip form, and a NaN or an infinity raises
+    ValueError.  Without indent, json.dumps runs its C encoder."""
     # wall time sits outside the deterministic payload
     body = {k: v for k, v in report.items() if k != "wall_time_s"}
     return json.dumps({"payload": body, "wall_time_s": report.get("wall_time_s")},
-                      sort_keys=True, indent=2, allow_nan=False, default=_numpy_scalar)
+                      sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      default=_numpy_scalar)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,20 +5,30 @@ the commuting-action witness transfer, dynamical-cube and N_d cloud
 samplers, Hausdorff comparison of clouds, polynomial orbit density,
 return-time sets and fiber-coverage (characteristic factor) checks.
 
-Witness search: g-grid x axis offsets, g-grid x joint offsets, then (flows,
-once both are spent) a refinement near the best misses.  One loop,
-_first_witness, charges a unit of budget per verified candidate and
-memoises its scoring; the commuting transfer shares it.
+Witness search: on isometric systems first the one-third construction,
+then g-grid x axis offsets, g-grid x joint offsets, then (flows, once both
+are spent) a refinement near the best misses.  One loop, _first_witness,
+charges a unit of budget per candidate and memoises its scoring; the
+commuting transfer shares it.
 
 Search semantics: a verified witness certifies the delta-resolution
-membership condition; EXHAUSTED is informative only.  PROVEN-ABSENT is
-issued when the pair is at least 2 delta apart on one of the spec's
-declared factors other than heisenberg-base, on each of which the action
-is an isometry; the one rule reads the factors in order and prints the
-first such gap.  The 2 delta threshold is not sound: a witness only
-forces every factor gap below 3 delta, and the sqrt2 rotation pair
-(0.10, 0.35) at delta 0.1 has a witness though its gap is 0.25 (ROADMAP
-item 1).
+membership condition; EXHAUSTED is informative only.  PROVEN-ABSENT
+rests on the spec's declared factors, each an equivariant projection pi
+onto coordinate columns on which the action is an isometry for the
+circle gap rho, and 1-Lipschitz for the system's metric.  A
+delta-witness (x', y', g) gives rho(pi x, pi x') <= d(x, x') < delta,
+the same for y, and on any face rho(pi x', pi y') = rho(pi g x', pi g y')
+<= d(g x', g y') < delta, so rho(pi x, pi y) < 3 delta: a factor gap of
+at least 3 delta proves absence at every d (the isometric-factor bound
+of Host, Kra and Maass, Adv. Math. 224 (2010), and Shao and Ye,
+Adv. Math. 231 (2012)).  The rule reads the factors in order, compares
+each gap with 3 delta exactly, and names the first one that decides.
+The bound is sharp: on a rotation, x and y moved toward each other by a
+third of their displacement v give a witness whenever |v| < 3 delta,
+and the search tries that candidate first on isometric systems.  The
+middle inequality also prunes: a perturbation pair whose factor gap is
+at least delta cannot verify under any g, so on other systems such
+pairs are counted without being scored.
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from fractions import Fraction
+from functools import cache, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -77,18 +88,26 @@ class RPWitness:
 
 @dataclass(frozen=True)
 class RPSearchResult:
+    """A search's outcome.  checked counts the candidates drawn, pruned
+    those of them never scored; best_gap is the best scored miss; reason
+    names the factor, and its gap, that proves a PROVEN_ABSENT."""
+
     status: str
     witness: RPWitness | None = None
     checked: int = 0
     best_gap: float | None = None
+    pruned: int = 0
+    reason: dict | None = None
 
     @property
     def found(self) -> bool:
         return self.status == WITNESS
 
     def to_jsonable(self) -> dict:
-        out = {"status": self.status, "checked": self.checked,
+        out = {"status": self.status, "checked": self.checked, "pruned": self.pruned,
                "best_gap": self.best_gap, "verified": self.found}
+        if self.reason is not None:
+            out["reason"] = self.reason
         if self.witness is not None:
             out["witness"] = {**self.witness.to_jsonable(),
                               "verified": self.found}
@@ -159,32 +178,64 @@ def rp_witness_verify(sys: SystemHandle, x, y, witness: RPWitness,
 # witness search
 
 _GRID_COUNT = 257  # group elements on each search grid
+_PRUNE_SLACK = 1e-9  # far above any rounding of a scored distance (see _factor_mask)
 
 
-def _group_grid(sys: SystemHandle) -> list[float]:
+def _group_grid(sys: SystemHandle) -> tuple:
     """Deterministic grid 0, +dt, -dt, +2dt, ...: integers for maps, the
     spec's pitch for flows."""
-    dt = 1.0 if sys.discrete else sys.spec.pitch
-    n = _GRID_COUNT
+    return _grid(sys.discrete, 1.0 if sys.discrete else sys.spec.pitch, _GRID_COUNT)
+
+
+@lru_cache(maxsize=None)
+def _grid(discrete: bool, dt: float, n: int) -> tuple:
     out = [0.0] + [s * k * dt for k in range(1, n) for s in (1, -1)][:n - 1]
-    return [int(v) for v in out] if sys.discrete else out
+    return tuple(int(v) for v in out) if discrete else tuple(out)
 
 
-def _candidate_offsets(dim: int, delta: float) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+def _offset_table(pairs: list) -> tuple:
+    """(pairs, dx, dy): the (x offset, y offset) pairs as a tuple, and the
+    read-only (len(pairs), dim) arrays of their x and of their y offsets."""
+    dx, dy = (np.array(side, dtype=float) for side in zip(*pairs))
+    dx.flags.writeable = dy.flags.writeable = False
+    return tuple(pairs), dx, dy
+
+
+@lru_cache(maxsize=32)
+def _candidate_offsets(dim: int, delta: float) -> tuple:
     """Perturbation lattice inside the delta-balls, cheap candidates first:
-    none, then axis sweeps of x', of y', and of both in opposite directions."""
+    none, then axis sweeps of x', of y', and of both in opposite directions;
+    an _offset_table."""
     zero = (0.0,) * dim
     axis = [tuple(sign * j * delta / 8.0 if i == a else 0.0 for i in range(dim))
             for a in range(dim) for j in range(1, 8) for sign in (1.0, -1.0)]
-    return [(zero, zero), *((o, zero) for o in axis), *((zero, o) for o in axis),
-            *((o, tuple(-v for v in o)) for o in axis)]
+    return _offset_table([(zero, zero), *((o, zero) for o in axis), *((zero, o) for o in axis),
+                          *((o, tuple(-v for v in o)) for o in axis)])
 
 
-def _joint_offsets(dim: int, delta: float) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Coarse joint lattice {0, +-delta/2}^dim on both sides (second round)."""
+@lru_cache(maxsize=32)
+def _joint_offsets(dim: int, delta: float) -> tuple:
+    """Coarse joint lattice {0, +-delta/2}^dim on both sides (second round);
+    an _offset_table."""
     vals = (0.0, delta / 2.0, -delta / 2.0)
     singles = list(itertools.product(vals, repeat=dim))
-    return [(a, b) for a in singles for b in singles if a != (0.0,) * dim or b != (0.0,) * dim]
+    return _offset_table([(a, b) for a in singles for b in singles
+                          if a != (0.0,) * dim or b != (0.0,) * dim])
+
+
+def _factor_mask(sys: SystemHandle, x, y, dx: np.ndarray, dy: np.ndarray,
+                 delta: float) -> np.ndarray:
+    """Which offset pairs (rows of dx and dy) leave x' = x + dx and
+    y' = y + dy closer than delta on every declared factor.  The action is
+    an isometry of each factor and a metric is at least its factor gaps, so
+    every face image pair of x' and y' is at least their factor gap apart:
+    a pair that fails here fails the face inequalities whatever g is.  The
+    gaps here are those of the coordinates before from_coords wraps them,
+    which differ from the scored distances by rounding, orders of magnitude
+    below _PRUNE_SLACK; a pair within the slack is kept."""
+    cols = sorted({c for f in sys.spec.factors for c in f.columns})
+    gap = np.abs(np.add(x, dx)[:, cols] - np.add(y, dy)[:, cols]) % 1.0
+    return (np.minimum(gap, 1.0 - gap) < delta + _PRUNE_SLACK).all(axis=1)
 
 
 def _perturb(sys: SystemHandle, p, offset: tuple[float, ...]):
@@ -193,14 +244,27 @@ def _perturb(sys: SystemHandle, p, offset: tuple[float, ...]):
     return sys.from_coords(tuple(ci + oi for ci, oi in zip(p, offset)))
 
 
+def _one_third(sys: SystemHandle, x, y, g, d: int) -> tuple:
+    """The constructed candidate on an isometric system: x and y moved
+    toward each other by a third of their shortest displacement v, with
+    every face element g.  Its base distances and, the action being an
+    isometry, its face distances are all |v| / 3, so it verifies when the
+    gap |v| is below 3 delta, up to rounding at the edge."""
+    v = [(b - a + 0.5) % 1.0 - 0.5 for a, b in zip(x, y)]
+    return (sys.from_coords(tuple(a + w / 3.0 for a, w in zip(x, v))),
+            sys.from_coords(tuple(b - w / 3.0 for b, w in zip(y, v))), (g,) * d)
+
+
 def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: int,
                    near: list | None = None) -> RPSearchResult:
     """Verify (x', y', g) candidates in order; the first delta-witness wins.
 
-    Each verified candidate costs one unit of budget, and no candidate
-    past the budget is drawn.  A miss that improves the best gap is
-    appended to near as (gap, g); the best gap is None until the first
-    miss, since reports are JSON, which has no infinity.
+    Each candidate costs one unit of budget, and no candidate past the
+    budget is drawn.  A candidate given as None was pruned before scoring
+    (see _factor_mask): it costs its unit and counts in pruned, and it is
+    never scored.  A scored miss that improves the best gap is appended to
+    near as (gap, g); the best gap is None until the first scored miss,
+    since reports are JSON, which has no infinity.
 
     Scoring is memoised (see witness_max_gap): the base distances
     d(x, x') and d(y, y') do not depend on g and are kept for the whole
@@ -209,61 +273,86 @@ def _first_witness(sys: SystemHandle, x, y, candidates, delta: float, budget: in
     perturbed points plus the images of one g, whatever the budget.
     Both are keyed by point value.
     """
-    checked = 0
+    checked = pruned = 0
     best_gap = None
     base = cache(sys.dist)
     image = g_now = None
-    for xp, yp, g in itertools.islice(candidates, budget):
+    for candidate in itertools.islice(candidates, budget):
+        checked += 1
+        if candidate is None:
+            pruned += 1
+            continue
+        xp, yp, g = candidate
         if g != g_now:
             g_now, image = g, cache(sys.evolve)
-        checked += 1
         gap = witness_max_gap(sys, x, y, RPWitness(xp, yp, g, delta), (base, image))
         if gap < delta:
-            return RPSearchResult(WITNESS, RPWitness(xp, yp, g, gap), checked, best_gap)
+            return RPSearchResult(WITNESS, RPWitness(xp, yp, g, gap), checked, best_gap, pruned)
         if best_gap is None or gap < best_gap:
             best_gap = gap
             if near is not None:
                 near.append((gap, g))
-    return RPSearchResult(EXHAUSTED, None, checked, best_gap)
+    return RPSearchResult(EXHAUSTED, None, checked, best_gap, pruned)
 
 
 def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
                       budget: int) -> RPSearchResult:
-    """Budget-bounded deterministic grid search for an RP^[d] witness.
+    """Budget-bounded deterministic search for an RP^[d] witness.
 
-    Candidate order: round one walks the group-element grid with axis
-    perturbation sweeps, round two adds a coarse joint perturbation
-    lattice, round three (flows) refines the grid tenfold around the
-    last eight best near misses.  Within each round the order is
-    lexicographic over (g-tuple index, x'-offset index, y'-offset index);
-    the first verified witness wins (see _first_witness).
+    First the absence rule: the first declared factor on which x and y
+    are at least 3 delta apart, decided exactly (Factor.exact_gap), proves
+    absence at every d (see the module docstring).  Then candidates: on an
+    isometric system the one-third construction (_one_third, g the grid's
+    first nonzero element) comes first.  Round one walks the group-element
+    grid with axis perturbation sweeps, round two adds a coarse joint
+    perturbation lattice, round three (flows) refines the grid tenfold
+    around the last eight best near misses.  Within each round the order
+    is lexicographic over (g-tuple index, x'-offset index, y'-offset
+    index); the first verified witness wins (see _first_witness).  On a
+    system that is not isometric, each offset list is masked once per
+    search by _factor_mask, and a masked pair is passed as a pruned
+    candidate.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if d < 1:
         raise ValueError("d must be >= 1")
+    edge = 3 * Fraction(delta)
     for factor in sys.spec.factors:
-        gap = factor.gap(x, y)
-        if gap >= 2 * delta and factor.name != "heisenberg-base":  # ROADMAP item 1 drops this skip
-            return RPSearchResult(PROVEN_ABSENT, checked=0, best_gap=gap)
+        gap = factor.exact_gap(x, y)
+        if gap >= edge:
+            return RPSearchResult(PROVEN_ABSENT, reason={"factor": factor.name,
+                                                         "gap": float(gap)})
 
-    offsets = _candidate_offsets(sys.dim, delta)
     grid = _group_grid(sys)
     near: list[tuple[float, tuple]] = []
 
+    def entries(table):
+        """The offset pairs of a table, None for each one _factor_mask prunes."""
+        pairs, dx, dy = table
+        if sys.is_isometric:
+            return pairs
+        keep = _factor_mask(sys, x, y, dx, dy, delta).tolist()
+        return [pair if k else None for pair, k in zip(pairs, keep)]
+
     def rounds():
+        offsets = entries(_candidate_offsets(sys.dim, delta))
         yield from ((g, offsets) for g in itertools.product(grid, repeat=d))
-        joint = _joint_offsets(sys.dim, delta)
+        joint = entries(_joint_offsets(sys.dim, delta))
         yield from ((g, joint) for g in itertools.product(grid, repeat=d))
         if not sys.discrete:
             for _, g in sorted(near[-8:]):
                 for j in (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9):
                     yield tuple(gi + sys.spec.pitch * j / 10.0 for gi in g), offsets
 
-    px, py = cache(partial(_perturb, sys, x)), cache(partial(_perturb, sys, y))
-    candidates = ((px(dx), py(dy), g)
-                  for g, offset_list in rounds() for dx, dy in offset_list)
-    return _first_witness(sys, x, y, candidates, delta, budget, near)
+    def searched():
+        px, py = cache(partial(_perturb, sys, x)), cache(partial(_perturb, sys, y))
+        for g, pairs in rounds():
+            for pair in pairs:
+                yield None if pair is None else (px(pair[0]), py(pair[1]), g)
+
+    first = [_one_third(sys, x, y, grid[1], d)] if sys.is_isometric else []
+    return _first_witness(sys, x, y, itertools.chain(first, searched()), delta, budget, near)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -254,6 +255,18 @@ class Factor:
 
     def gap(self, p, q) -> float:
         return circle_gap(p, q, self.columns)
+
+    def exact_gap(self, p, q) -> Fraction:
+        """gap on the exact values of the coordinates, with no rounding: a
+        float gap can round across a threshold such as 3 delta, this cannot.
+        Every float is n / 2^k, so each coordinate is scaled to the largest
+        denominator 2^K among them and the circle distances are taken in
+        ints: |a - b| mod 2^K, then the nearer way round, then the largest."""
+        ratios = [v.as_integer_ratio() for c in self.columns for v in (p[c], q[c])]
+        one = max(den for _, den in ratios)
+        nums = [n * (one // den) for n, den in ratios]
+        gaps = (abs(a - b) % one for a, b in zip(nums[::2], nums[1::2]))
+        return Fraction(max(min(g, one - g) for g in gaps), one)
 
 
 _WINDOW = (0.0, -1.0, 1.0, -2.0, 2.0)  # the lattice steps, nearest first

@@ -155,16 +155,23 @@ def test_criterion_04_rp1_dichotomy():
     rot = torus_rotation(SQRT2, BASIS)
     rng = np.random.default_rng(40)
     absent = 0
-    trials = 0
+    near = 0
     while absent < 100:
         u, v = rng.random(2)
         x, y = (u,), (v,)
-        if rot.dist(x, y) < 2 * delta:
+        gap = rot.dist(x, y)
+        if gap < 2 * delta:
             continue
         res = rp_witness_search(rot, x, y, 1, delta, 10 ** 6)
-        assert res.status == PROVEN_ABSENT
-        absent += 1
-        trials += 1
+        if gap >= 3 * delta:
+            assert res.status == PROVEN_ABSENT
+            absent += 1
+        else:
+            # below 3 delta the one-third construction is a witness
+            assert res.status == WITNESS, f"no witness at gap {gap:.4f}"
+            assert rp_witness_verify(rot, x, y, res.witness, delta)
+            near += 1
+    assert near > 0
 
     nil = heisenberg_nilsystem(heisenberg_nilflow(SQRT2, SQRT3, BASIS))
     found = 0
@@ -180,7 +187,8 @@ def test_criterion_04_rp1_dichotomy():
     assert found == 20
     watch.check()
     announce(4, "RP^[1] dichotomy", watch,
-             f"{absent}/100 proven-absent on the rotation, "
+             f"{absent}/100 proven-absent at >= 3 delta and {near}/{near} "
+             f"verified witnesses in [2, 3) delta on the rotation, "
              f"{found}/20 verified witnesses on the nilsystem")
 
 

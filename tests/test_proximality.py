@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -193,12 +194,23 @@ class TestSearchRounds:
         assert short.status == EXHAUSTED and short.checked == 2691
         assert short.best_gap == 0.10244292080230784
 
-    def test_all_rounds_exhausted(self, nilflow):
+    def test_base_gap_decides_first(self, nilflow):
+        # a base gap of 0.5 >= 3 delta: absent, before any candidate
         x = nilflow.from_coords((0.1, 0.2, 0.3))
         y = nilflow.from_coords((0.6, 0.5, 0.9))
         res = rp_witness_search(nilflow, x, y, 1, 0.1, 10 ** 6)
+        assert res.status == PROVEN_ABSENT and res.checked == 0
+        assert res.reason == {"factor": "heisenberg-base", "gap": 0.5}
+
+    def test_all_rounds_exhausted(self, nilflow):
+        # a base gap of 0.2 < 3 delta: 3 * 127 + 3 * 728 grid candidates and
+        # 8 * 10 * 127 in round three, most of them pruned by the base factor
+        x = nilflow.from_coords((0.1, 0.2, 0.3))
+        y = nilflow.from_coords((0.3, 0.2, 0.8))
+        res = rp_witness_search(nilflow, x, y, 1, 0.1, 10 ** 6)
         assert res.status == EXHAUSTED and res.checked == 12725
-        assert res.best_gap == 0.44769289941670337
+        assert res.pruned == 12150
+        assert res.best_gap == 0.30006132134016134
 
     def test_never_draws_past_budget(self, rot2):
         x, y = (0.1,), (0.6,)
@@ -218,20 +230,25 @@ class TestSearchRounds:
 
 def reference_first_witness(sys, x, y, candidates, delta, budget, near=None):
     """The candidate loop without memoised scoring: every candidate's base
-    distances and face images are computed afresh."""
-    checked = 0
+    distances and face images are computed afresh.  A pruned candidate
+    (None) is counted and not scored, as the search's mask asks."""
+    checked = pruned = 0
     best_gap = None
-    for xp, yp, g in itertools.islice(candidates, budget):
+    for candidate in itertools.islice(candidates, budget):
         checked += 1
+        if candidate is None:
+            pruned += 1
+            continue
+        xp, yp, g = candidate
         gap = witness_max_gap(sys, x, y, RPWitness(xp, yp, g, delta))
         if gap < delta:
             return proximality.RPSearchResult(WITNESS, RPWitness(xp, yp, g, gap),
-                                              checked, best_gap)
+                                              checked, best_gap, pruned)
         if best_gap is None or gap < best_gap:
             best_gap = gap
             if near is not None:
                 near.append((gap, g))
-    return proximality.RPSearchResult(EXHAUSTED, None, checked, best_gap)
+    return proximality.RPSearchResult(EXHAUSTED, None, checked, best_gap, pruned)
 
 
 def run_loop(call, *, reference, grid_count=None):
@@ -264,7 +281,7 @@ def result_bits(sys, res):
     witness = None if w is None else (tuple(map(repr, w.x_prime)),
                                       tuple(map(repr, w.y_prime)),
                                       tuple(map(repr, w.g)), repr(w.delta))
-    return res.status, res.checked, repr(res.best_gap), witness
+    return res.status, res.checked, res.pruned, repr(res.best_gap), res.reason, witness
 
 
 def near_bits(nears):
@@ -307,8 +324,8 @@ class TestMemoisedScoring:
     @settings(max_examples=30, deadline=None)
     @given(searches())
     # every round exhausted at d = 1 and d = 2 (12725 and 17855 candidates)
-    @example(("heisenberg-nilflow", (0.1, 0.2, 0.3), (0.6, 0.5, 0.9), 1, 0.1, 10 ** 6))
-    @example(("heisenberg-nilflow", (0.1, 0.2, 0.3), (0.6, 0.5, 0.9), 2, 0.1, 10 ** 6))
+    @example(("heisenberg-nilflow", (0.1, 0.2, 0.3), (0.3, 0.2, 0.8), 1, 0.1, 10 ** 6))
+    @example(("heisenberg-nilflow", (0.1, 0.2, 0.3), (0.3, 0.2, 0.8), 2, 0.1, 10 ** 6))
     # a witness in round three (see TestSearchRounds)
     @example(("heisenberg-nilflow",
               (0.9837499292732876, 0.002747147602664146, 0.3658435291805171),
@@ -422,10 +439,128 @@ class TestScoringMemoBounds:
                 return gap
             monkeypatch.setattr(proximality, "witness_max_gap", recording)
             res = rp_witness_search(nilsys, *pair, 1, 0.004, budget)
-            assert res.status == EXHAUSTED and len(sizes) == budget
+            # every candidate the factor mask keeps is scored
+            assert res.status == EXHAUSTED and len(sizes) == budget - res.pruned > 0
             peaks[budget] = tuple(map(max, zip(*sizes)))
         # (base distances, face images): every base pair, and one g's images
         assert peaks[200] == peaks[2000] == (2 * 43, 2 * 43)
+
+
+def exact_factor_gap(columns, p, q) -> Fraction:
+    """The circle gap over the columns on the exact values of the
+    coordinates, in Fractions: a reference for Factor.exact_gap."""
+    def one(a, b):
+        gap = abs(Fraction(a) - Fraction(b)) % 1
+        return min(gap, 1 - gap)
+    return max(one(p[c], q[c]) for c in columns)
+
+
+TORUS_SYSTEMS = {
+    "rotation": torus_rotation(_SQRT2, Basis.default()),
+    "torus-map": SEARCH_SYSTEMS["torus-map"],
+    "torus-flow": torus_flow((_SQRT2, _SQRT3), Basis.default()),
+}
+
+
+class TestAbsenceRule:
+    """proven-absent exactly when a declared factor gap is at least 3 delta,
+    and the one-third witness below that on the torus."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(SEARCH_SYSTEMS)), seed=st.integers(0, 2 ** 32 - 1),
+           d=st.integers(1, 2), delta=st.sampled_from([0.01, 0.05, 0.1, 0.12, 0.2]))
+    def test_proven_absent_names_a_factor_at_3_delta(self, kind, seed, d, delta):
+        sys_h = SEARCH_SYSTEMS[kind]
+        x, y = (sys_h.from_coords(tuple(c.tolist()))
+                for c in np.random.default_rng(seed).random((2, sys_h.dim)))
+        res = rp_witness_search(sys_h, x, y, d, delta, 1)
+        edge = 3 * Fraction(delta)
+        deciding = [(f.name, exact_factor_gap(f.columns, x, y)) for f in sys_h.spec.factors
+                    if exact_factor_gap(f.columns, x, y) >= edge]
+        if res.status == PROVEN_ABSENT:
+            name, gap = deciding[0]  # the first deciding factor, in declared order
+            assert res.reason == {"factor": name, "gap": float(gap)} and res.checked == 0
+        else:
+            assert not deciding and res.reason is None and res.checked == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.floats(0.0, 1.0, exclude_max=True), sign=st.sampled_from([1.0, -1.0]),
+           delta=st.sampled_from([0.01, 0.05, 0.1, 0.15]), ulps=st.integers(-4, 4))
+    # the float gap reaches 3 delta here, the exact gap does not
+    @example(u=0.8164373705606909, sign=1.0, delta=0.1, ulps=0)
+    def test_edge_decided_exactly(self, rot2, u, sign, delta, ulps):
+        v = (u + sign * 3 * delta) % 1.0
+        for _ in range(abs(ulps)):
+            v = math.nextafter(v, math.copysign(math.inf, ulps))
+        x, y = rot2.from_coords((u,)), rot2.from_coords((v,))
+        res = rp_witness_search(rot2, x, y, 1, delta, 1)
+        assert (res.status == PROVEN_ABSENT) == (exact_factor_gap((0,), x, y) >= 3 * Fraction(delta))
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(TORUS_SYSTEMS)), seed=st.integers(0, 2 ** 32 - 1),
+           d=st.integers(1, 3), delta=st.sampled_from([0.001, 0.01, 0.05, 0.1]),
+           share=st.floats(0.0, 0.999))
+    def test_torus_pairs_below_3_delta_get_the_constructed_witness(self, kind, seed, d,
+                                                                  delta, share):
+        # a gap of at most 0.999 * 3 delta: away from the edge, where the
+        # rounding of v / 3 decides and the grid search takes over
+        sys_h = TORUS_SYSTEMS[kind]
+        rng = np.random.default_rng(seed)
+        xc = rng.random(sys_h.dim)
+        x = sys_h.from_coords(tuple(xc.tolist()))
+        y = sys_h.from_coords(tuple((xc + rng.uniform(-1, 1, sys_h.dim) * 3 * delta * share).tolist()))
+        res = rp_witness_search(sys_h, x, y, d, delta, 10 ** 6)
+        assert res.status == WITNESS and res.checked == 1
+        assert res.witness.g == (proximality._group_grid(sys_h)[1],) * d
+        assert rp_witness_verify(sys_h, x, y, res.witness, delta)
+
+
+class TestFactorMask:
+    """The factor mask drops only candidates that cannot verify."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["heisenberg-nilflow", "heisenberg-nilsystem",
+                                 "suspension", "suspension-heisenberg"]),
+           seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 2),
+           delta=st.sampled_from([0.01, 0.05, 0.1, 0.2]), share=st.floats(0.0, 1.0),
+           last_only=st.booleans())
+    def test_masked_search_matches_unmasked(self, kind, seed, d, delta, share, last_only):
+        # pairs within 3 delta per coordinate, so that the absence rule does
+        # not decide them all (in the last coordinate only, half the time);
+        # on a three-element grid; a flow's budget stops before round three,
+        # which starts from the best scored misses, and the mask scores
+        # fewer on purpose
+        sys_h = SEARCH_SYSTEMS[kind]
+        rng = np.random.default_rng(seed)
+        xc = rng.random(sys_h.dim)
+        shift = rng.uniform(-3 * delta, 3 * delta, sys_h.dim)
+        if last_only:
+            shift[:-1] = 0.0
+        yc = (xc + shift) % 1.0
+        x, y = sys_h.from_coords(tuple(xc.tolist())), sys_h.from_coords(tuple(yc.tolist()))
+        rounds = 3 ** d * sum(len(table(sys_h.dim, delta)[0]) for table in
+                              (proximality._candidate_offsets, proximality._joint_offsets))
+        budget = max(1, round(share * rounds)) if not sys_h.discrete else 10 ** 6
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(proximality, "_GRID_COUNT", 3)
+            results.append(rp_witness_search(sys_h, x, y, d, delta, budget))
+            mp.setattr(proximality, "_factor_mask",
+                       lambda sys_h, x, y, dx, dy, delta: np.ones(len(dx), dtype=bool))
+            results.append(rp_witness_search(sys_h, x, y, d, delta, budget))
+        masked, plain = results
+        assert plain.pruned == 0
+        assert (masked.status, masked.witness, masked.checked) == \
+            (plain.status, plain.witness, plain.checked)
+
+    def test_pruned_candidates_are_counted_not_scored(self, nilsys):
+        # a central pair: the opposite-direction sweeps of x and y along the
+        # base axes by 2 j delta / 8 > delta (j >= 5) are pruned, 12 of the
+        # 127 round-one pairs per g; at j = 4, exactly delta, the slack keeps them
+        x, y = fiber_pair(nilsys, (0.4, 0.4, 0.1), 0.5)
+        res = rp_witness_search(nilsys, x, y, 1, 0.004, 1270)
+        assert res.status == EXHAUSTED and res.checked == 1270 and res.pruned == 120
+        assert res.to_jsonable()["pruned"] == 120
 
 
 class TestCommutingTransfer:
