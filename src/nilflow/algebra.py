@@ -81,11 +81,8 @@ class SymbolicReal:
             return SymbolicReal(())
         return SymbolicReal(tuple((s, c * qq) for s, c in self.coeffs))
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "SymbolicReal<0>"
-        parts = [f"{q}*{s}" if s != ONE else f"{q}" for s, q in self.coeffs]
-        return "SymbolicReal<" + " + ".join(parts) + ">"
+    def __str__(self) -> str:
+        return " + ".join(f"{q}*{s}" if s != ONE else f"{q}" for s, q in self.coeffs) or "0"
 
 
 @cache

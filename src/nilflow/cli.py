@@ -40,12 +40,11 @@ from .averages import (Observable, TimeSeries, banach_density, jstar_embed,
                        require_independent, require_jstar_elements, require_one_per,
                        require_exact_terms, require_pair, require_rho_within,
                        require_rotation_factor, trig_phase_step, ud_sup, window_spans)
-from .proximality import (EXHAUSTED, CommutationViolation, commuting_rp_transfer,
-                          cube_orbit_sample, fiber_coverage, hausdorff_distance,
-                          nd_sample, poly_orbit_density, require_arm_alphas,
-                          require_cell_grid, require_commuting, require_comparable,
-                          require_projection, require_torus, return_set,
-                          rp_witness_search)
+from .proximality import (EXHAUSTED, commuting_rp_transfer, cube_orbit_sample,
+                          fiber_coverage, hausdorff_distance, nd_sample,
+                          poly_orbit_density, require_arm_alphas, require_cell_grid,
+                          require_commuting, require_comparable, require_projection,
+                          require_torus, return_set, rp_witness_search)
 from .suspension import integer_part_orbit, susp_rp_transfer_check, suspend
 from .systems import (HeisenbergElement, SystemHandle, exact_freqs,
                       flow_minimal_result, heisenberg_nilflow, time_t_minimal,
@@ -475,8 +474,7 @@ _TABLE = {
         ("system", partial(exact_freqs, name="exceptional"), ("system",))]),
     "rp-certify": (_op_rp_certify, _RP, _on("system", "x", "y")),
     "rp-transfer": (_op_rp_transfer, _RP, [*_on("system", "x", "y"), (
-        "system_h: must commute with system", require_commuting,
-        ("system", "system_h", "x", "y"))]),
+        "system_h: must commute with system", require_commuting, ("system", "system_h"))]),
     "cube": (_op_cube, _CLOUD, _CLOUD_RULES),
     "nd-compare": (_op_nd_compare, {**_CLOUD, "alphas": (_alphas, None)}, [
         *_CLOUD_RULES,
@@ -577,8 +575,9 @@ def _parse_row(op: str, params: dict, handles: dict,
             continue
         try:
             check(*(known[k] for k in keys))
-        except (CommutationViolation, ValueError) as e:  # other errors are bugs
-            diags.append(f"{prefix}: {e}")
+        except ValueError as e:  # other errors are bugs; a basis error exits 3
+            basis_error = isinstance(e, UnsupportedBasisError)
+            diags.append(f"{'UNSUPPORTED-BASIS' if basis_error else prefix}: {e}")
             rejected.update(k for k in keys if k in p)
     if op == "exceptional" and {"system", "t"} <= known.keys():
         try:

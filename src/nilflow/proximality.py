@@ -42,19 +42,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import RealPolynomial, require_nonconstant
+from .algebra import ONE, RealPolynomial, require_nonconstant
 from .averages import require_alphas
-from .systems import SystemHandle, map_pool, unit_mod, usable_cpus
+from .systems import NilflowSpec, SystemHandle, map_pool, unit_mod, usable_cpus
 
 WITNESS = "witness"
 EXHAUSTED = "exhausted"
 PROVEN_ABSENT = "proven-absent"
 
-COMMUTATION_TOL = 1e-10
 
-
-class CommutationViolation(RuntimeError):
-    """The two actions failed the sample commutation check."""
+class CommutationViolation(ValueError):
+    """The two actions do not commute."""
 
 
 # ---------------------------------------------------------------------------
@@ -358,34 +356,36 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
 # ---------------------------------------------------------------------------
 # commuting transfer
 
-def _sample_elements(sys: SystemHandle) -> list[float]:
-    return [1, 2, 5] if sys.discrete else [0.7, 1.3, 2.9]
+def require_commuting(sysG: SystemHandle, sysH: SystemHandle) -> None:
+    """CommutationViolation unless the two actions commute, decided exactly.
 
-
-def check_commutation(sysG: SystemHandle, sysH: SystemHandle, points) -> float:
-    """Max commutator gap of the two actions over sample points/elements."""
-    worst = 0.0
-    for p in points:
-        for g in _sample_elements(sysG):
-            for h in _sample_elements(sysH):
-                a = sysG.evolve(sysH.evolve(p, h), g)
-                b = sysH.evolve(sysG.evolve(p, g), h)
-                worst = max(worst, sysG.dist(a, b))
-    return worst
-
-
-def require_commuting(sysG: SystemHandle, sysH: SystemHandle, *coords) -> None:
-    """CommutationViolation unless both act on one space (spec type, dim and
-    suspension base) with commutator gap at most COMMUTATION_TOL at the
-    points of sysG with these coordinates."""
-    if (type(sysG.spec), sysG.dim, getattr(sysG.spec, "base", None)) != \
-            (type(sysH.spec), sysH.dim, getattr(sysH.spec, "base", None)):
-        raise CommutationViolation(
-            f"a {sysH.tag} of dimension {sysH.dim} acts on a different space "
-            f"than a {sysG.tag} of dimension {sysG.dim}")
-    gap = check_commutation(sysG, sysH, [sysG.from_coords(c) for c in coords])
-    if gap > COMMUTATION_TOL:
-        raise CommutationViolation(f"sample commutation gap {gap:.3e}")
+    Both act on one space (spec type, dim and suspension base).  Torus
+    actions on one torus commute, and suspensions of one spec are one flow.
+    On the Heisenberg nilmanifold a^s and b^t (s, t a map's step, any real
+    time of a flow) have the commutator (0, 0, s*t*c), c = a_x*b_y - a_y*b_x,
+    trivial iff s*t*c is an integer.  c is exact, from the shadows by the
+    spec's basis (equal shadows need no product; z never enters).  With
+    c != 0 a flow commutes with nothing, and if c is irrational no two maps do.
+    """
+    spec, other = sysG.spec, sysH.spec
+    if (type(spec), sysG.dim, getattr(spec, "base", None)) != \
+            (type(other), sysH.dim, getattr(other, "base", None)):
+        raise CommutationViolation(f"a {sysH.tag} of dimension {sysH.dim} acts on a different "
+                                   f"space than a {sysG.tag} of dimension {sysG.dim}")
+    if not isinstance(spec, NilflowSpec) or spec.freqs == other.freqs:
+        return
+    (ax, ay), (bx, by) = spec.freqs, other.freqs
+    c = spec.basis.multiply(ax, by) - spec.basis.multiply(ay, bx)
+    if c.is_zero:
+        return
+    named = f"the commutator of the generators is central with c = {c}"
+    if not (sysG.discrete and sysH.discrete):
+        raise CommutationViolation(f"{named}, so a flow commutes with no other action")
+    turns = c.scale(Fraction(sysG.step) * Fraction(sysH.step)).as_dict()  # float steps are exact
+    if turns.keys() - {ONE} or turns.get(ONE, 0).denominator != 1:
+        raise CommutationViolation(f"{named}, " + (
+            "which has an irrational part, so no pair of steps makes the maps commute"
+            if turns.keys() - {ONE} else f"and s*t*c = {turns[ONE]} is not an integer"))
 
 
 def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
@@ -398,7 +398,7 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
     tracks g_j's action, and ranked tuples are verified against the
     H-action (see _first_witness) until one passes at delta_out.
     """
-    require_commuting(sysG, sysH, x, y, witnessG.x_prime)
+    require_commuting(sysG, sysH)
     gap = witness_max_gap(sysG, x, y, witnessG)  # rp_witness_verify, keeping the gap
     if not gap < delta_out / 3.0:
         raise ValueError("witnessG does not verify at delta_out/3")

@@ -46,7 +46,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -340,10 +340,11 @@ class TorusFlowSpec:
 class NilflowSpec:
     """The nilflow x Gamma -> a^t x Gamma on the Heisenberg nilmanifold.  Its
     rotation factor is the base 2-torus, rotated by (a.x, a.y); shadow holds
-    the exact values of those two frequencies."""
+    those two frequencies exactly, in the symbols of basis."""
 
     generator: HeisenbergElement
     shadow: tuple[SymbolicReal, SymbolicReal] | None = None
+    basis: Basis | None = field(default=None, compare=False, repr=False)
 
     tags = (HEIS_NILFLOW, HEIS_NILSYSTEM)
     pitch = 0.25
@@ -489,7 +490,7 @@ def torus_rotation(alpha: SymbolicReal, basis: Basis) -> SystemHandle:
 def heisenberg_nilflow(alpha: SymbolicReal, beta: SymbolicReal, basis: Basis,
                        z: float = 0.0) -> SystemHandle:
     gen = HeisenbergElement(basis.to_float(alpha), basis.to_float(beta), z)
-    return SystemHandle(NilflowSpec(gen, (alpha, beta)))
+    return SystemHandle(NilflowSpec(gen, (alpha, beta), basis))
 
 
 def heisenberg_nilsystem(nilflow: SystemHandle, step: float = 1.0) -> SystemHandle:

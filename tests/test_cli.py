@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from nilflow import cli
 from nilflow.cli import (EXIT_BASIS, EXIT_EXPECT_FAIL, EXIT_INTERNAL, EXIT_OK,
                          EXIT_SCHEMA, main, report_json, run, validate_config)
-from nilflow.proximality import CommutationViolation
 
 ROOT = Path(__file__).parents[1]
 
@@ -126,6 +125,25 @@ class TestMainExitCodes:
         path = write_cfg(tmp_path, {"operation": "minimal"})
         assert main(["minimal", "--config", str(path)]) == EXIT_SCHEMA
         capsys.readouterr()
+
+    def test_undeclared_commutator_product_exits_basis(self, tmp_path, capsys):
+        # c = SQRT2*SQRT5 - SQRT3*SQRT3 needs a product the default basis lacks
+        cfg = on("rp-transfer", HEIS_MAP, HEIS_MAP_H, x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3],
+                 delta=0.3, budget=100)
+        assert validate_config(cfg) == [
+            "UNSUPPORTED-BASIS: product SQRT2*SQRT5 is not expressible in the declared basis"]
+        assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_BASIS
+        assert "SQRT2*SQRT5" in capsys.readouterr().err
+
+    def test_commuting_heisenberg_pairs_run(self):
+        # c = 1 at steps whose product is an integer, and c = 0 from equal shadows
+        for system, system_h in (({**HALF_MAP, "step": 1}, {**HALF_MAP_H, "step": 1}),
+                                 ({**HALF_MAP, "step": 2}, {**HALF_MAP_H, "step": 0.5}),
+                                 (HEIS_MAP, {**HEIS_MAP, "z": 0.37})):
+            cfg = on("rp-transfer", system, system_h, x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3],
+                     delta=0.3, budget=100)
+            assert validate_config(cfg) == []
+            assert run(cfg)["result"]["transfer"]["status"] == "witness"
 
     def test_unsupported_basis_exit(self, tmp_path, capsys):
         cfg = {"operation": "exceptional", "system": TORUS_1_SQRT2,
@@ -449,6 +467,16 @@ SUSP = {"kind": "suspension", "base": ROT}
 HEIS_MAP = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT2": "1"}, "beta": {"SQRT3": "1"}}
 HEIS_MAP_H = {"kind": "heisenberg-nilsystem", "alpha": {"SQRT3": "1"}, "beta": {"SQRT5": "1"}}
 TORUS3_MAP = {"kind": "torus-map", "freqs": [{"ONE": "1"}, {"SQRT2": "1"}, {"SQRT3": "1"}]}
+# the commutator of HEIS_MAP and HEIS_MAP_H has c = SQRT2*SQRT5 - 3, which this
+# basis declares; HEIS_MAP_NEAR is HEIS_MAP with beta moved by 10^-12, so c = 10^-12 SQRT2
+SQRT10_BASIS = {"symbols": [{"symbol": "SQRT10",
+                             "value": "3.16227766016837933199889354443271853372"}],
+                "products": [{"left": "SQRT2", "right": "SQRT5",
+                              "expansion": {"SQRT10": 1}}]}
+HEIS_MAP_NEAR = {**HEIS_MAP, "beta": {"SQRT3": "1", "ONE": "1/1000000000000"}}
+# c = 1/2 (sqrt2 + 2) - sqrt2 / 2 = 1: the time-s and time-t maps commute iff s t is an integer
+HALF_MAP = {"kind": "heisenberg-nilsystem", "alpha": {"ONE": "1/2"}, "beta": {"SQRT2": "1"}}
+HALF_MAP_H = {**HALF_MAP, "beta": {"SQRT2": "1", "ONE": "2"}}
 ROOT2 = {"kind": "torus-flow", "freqs": [{"SQRT2": "1"}]}
 RAGGED = {"kind": "trig", "terms": [{"freq": [1]}, {"freq": [1, 2]}]}
 EIGHT_TERMS = {"kind": "trig", "terms": [{"freq": [k], "re": 1.0}
@@ -570,9 +598,17 @@ class TestParameterTable:
         (on("nd-compare", system_h=ROT), "system_h: a torus-map cloud cannot be compared"),
         (valid("potts", polys=[{"coeffs": ["0", "1"]}, {"coeffs": ["0", "2"]}]),
          "params.polys: polynomials admit the rational dependence"),
-        (on("rp-transfer", HEIS_MAP, HEIS_MAP_H, x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3],
-            delta=0.3, budget=100),
-         "system_h: must commute with system: sample commutation gap"),
+        ({**on("rp-transfer", HEIS_MAP, HEIS_MAP_H, x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3],
+               delta=0.3, budget=100), "basis": SQRT10_BASIS},
+         "system_h: must commute with system: the commutator of the generators is "
+         "central with c = -3 + 1*SQRT10, which has an irrational part"),
+        (on("rp-transfer", HEIS_MAP, HEIS_MAP_NEAR, x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3]),
+         "system_h: must commute with system: the commutator of the generators is "
+         "central with c = 1/1000000000000*SQRT2, which has an irrational part"),
+        (on("rp-transfer", {**HALF_MAP, "step": 1}, {**HALF_MAP_H, "step": 0.5},
+            x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3]),
+         "system_h: must commute with system: the commutator of the generators is "
+         "central with c = 1, and s*t*c = 1/2 is not an integer"),
         (on("rp-transfer", TORUS3_MAP, HEIS_MAP, x=[0.1, 0.2, 0.3], y=[0.1, 0.2, 0.3]),
          "system_h: must commute with system: a heisenberg-nilsystem of dimension 3 "
          "acts on a different space than a torus-map of dimension 3"),
@@ -685,7 +721,8 @@ class TestParameterTable:
             "nilres-empty-grid", "poly-density-on-heisenberg", "minimal-on-torus-map",
             "susp-rp-on-flow",
             "cube-mixed-kinds", "nd-compare-mixed-kinds", "potts-dependent-polys",
-            "rp-transfer-noncommuting", "rp-transfer-across-spaces",
+            "rp-transfer-noncommuting", "rp-transfer-near-commuting",
+            "rp-transfer-c-one-half-step", "rp-transfer-across-spaces",
             "exceptional-on-suspension", "density-negative-half-width",
             "fiber-identity", "heisenberg-x-infinite-certify", "heisenberg-x-infinite-cube",
             "susp-rp-s1-infinite", "susp-rp-s1-nan", "potts-R-infinite",
@@ -821,7 +858,8 @@ SYSTEMS = [(ROT, 1), (ROT3, 1), (LINE, 1), (PLANE, 2), (HEIS_FLOW, 3), (HEIS_MAP
 # (system, system_h, dimension of system): one space or two, commuting or not
 TRANSFER_PAIRS = [(ROT, ROT3, 1), (ROT, LINE, 1), (HEIS_MAP, HEIS_FLOW, 3),
                   (HEIS_MAP, HEIS_MAP_H, 3), (TORUS3_MAP, HEIS_MAP, 3), (ROT, HEIS_MAP, 1),
-                  (SUSP, SUSP, 2)]
+                  (SUSP, SUSP, 2), (HEIS_MAP, HEIS_MAP_NEAR, 3), (HALF_MAP, HALF_MAP_H, 3),
+                  (HALF_MAP, {**HALF_MAP_H, "step": 0.5}, 3)]
 COS_2D = {"kind": "cos", "freq": [1, 0]}
 POLY_POOL = [{"coeffs": ["0", "1"]}, {"coeffs": ["0", "0", "1"]}, {"coeffs": ["0", "2"]},
              {"coeffs": ["3"]}]
@@ -907,7 +945,7 @@ def library_error(cfg):
     try:
         for p in rows:
             cli._TABLE[cfg["operation"]][0](p, handles.get("system"), ctx)
-    except (ValueError, CommutationViolation) as e:
+    except ValueError as e:
         return e
     return None
 

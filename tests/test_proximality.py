@@ -9,11 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilflow import proximality
-from nilflow.algebra import Basis, RealPolynomial, SymbolicReal
+from nilflow.algebra import Basis, RealPolynomial, SymbolicReal, UnsupportedBasisError
 from nilflow.cli import build_system, run
 from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  CommutationViolation, PointCloud, RPWitness,
-                                 cell_coverage, check_commutation, commuting_rp_transfer,
+                                 cell_coverage, commuting_rp_transfer,
                                  cube_orbit_sample, face_vectors,
                                  fiber_coverage, hausdorff_distance, nd_sample,
                                  poly_orbit_density, projection_table,
@@ -563,6 +563,27 @@ class TestFactorMask:
         assert res.to_jsonable()["pruned"] == 120
 
 
+def check_commutation(sysG, sysH, coords) -> float:
+    """The sampled reference of the commuting rule: the largest gap between
+    g h p and h g p over the points with these coordinates and the group
+    elements 1, 2, 5 of a map (0.7, 1.3, 2.9 of a flow)."""
+    elements = [[1, 2, 5] if s.discrete else [0.7, 1.3, 2.9] for s in (sysG, sysH)]
+    worst = 0.0
+    for p in (sysG.from_coords(c) for c in coords):
+        for g in elements[0]:
+            for h in elements[1]:
+                a = sysG.evolve(sysH.evolve(p, h), g)
+                b = sysH.evolve(sysG.evolve(p, g), h)
+                worst = max(worst, sysG.dist(a, b))
+    return worst
+
+
+# Heisenberg generator coordinates {0, 1/2, 1, sqrt2, sqrt3, sqrt6, sqrt2 + 2},
+# whose products the default basis declares
+GENERATOR_VALUES = [{}, {"ONE": "1/2"}, {"ONE": "1"}, {"SQRT2": "1"}, {"SQRT3": "1"},
+                    {"SQRT6": "1"}, {"SQRT2": "1", "ONE": "2"}]
+
+
 class TestCommutingTransfer:
     def test_precondition_gap_computed_once(self, rot2, rot3, monkeypatch):
         x, y = (0.2,), (0.23,)
@@ -646,12 +667,22 @@ class TestCommutingTransfer:
                                      witness, 3 * delta)
 
     def test_benchmark_heisenberg_pair_does_not_commute(self, basis, sqrt2, sqrt3):
-        # the cube-heisenberg pair: its commutator is central, z = sqrt10 - 3
+        # the cube-heisenberg pair: its commutator is central, c = sqrt10 - 3
+        sqrt5 = SymbolicReal.symbol("SQRT5")
         g = heisenberg_nilsystem(heisenberg_nilflow(sqrt2, sqrt3, basis))
-        h = heisenberg_nilsystem(heisenberg_nilflow(sqrt3, SymbolicReal.symbol("SQRT5"),
-                                                    basis))
-        with pytest.raises(CommutationViolation, match="sample commutation gap"):
-            require_commuting(g, h, (0.1, 0.2, 0.3))
+        h = heisenberg_nilsystem(heisenberg_nilflow(sqrt3, sqrt5, basis))
+        with pytest.raises(UnsupportedBasisError, match="SQRT2\\*SQRT5"):
+            require_commuting(g, h)
+        # with SQRT10 = SQRT2 * SQRT5 declared, c is decided and named
+        basis10 = Basis.default()
+        basis10.declare("SQRT10", "3.16227766016837933199889354443271853372")
+        basis10.declare_product("SQRT2", "SQRT5", {"SQRT10": 1})
+        g, h = (heisenberg_nilsystem(heisenberg_nilflow(a, b, basis10))
+                for a, b in ((sqrt2, sqrt3), (sqrt3, sqrt5)))
+        assert check_commutation(g, h, [(0.1, 0.2, 0.3)]) > 1e-3
+        with pytest.raises(CommutationViolation, match=r"c = -3 \+ 1\*SQRT10, which has an "
+                           "irrational part, so no pair of steps makes the maps commute"):
+            require_commuting(g, h)
 
     def test_commutation_violation(self, basis, sqrt2, sqrt3):
         # left translations by (sqrt2,0,0) and (0,sqrt3,0) do not commute on X
@@ -661,8 +692,81 @@ class TestCommutingTransfer:
         gap = check_commutation(a, b, [x])
         assert gap > 1e-6
         w = RPWitness(x, x, (1,), 0.1)
-        with pytest.raises(CommutationViolation):
+        with pytest.raises(CommutationViolation, match="c = 1\\*SQRT6"):
             commuting_rp_transfer(a, b, x, x, w, 0.3, 100)
+
+    def test_near_commuting_pair_rejected(self, basis, sqrt2, sqrt3):
+        # c = sqrt2 * 10^-12: the sampled gap, 3.5e-11, is below any
+        # rounding-sized tolerance, yet the commutator does not act trivially
+        g = heisenberg_nilsystem(heisenberg_nilflow(sqrt2, sqrt3, basis))
+        near = sqrt3 + SymbolicReal.rational(Fraction(1, 10 ** 12))
+        h = heisenberg_nilsystem(heisenberg_nilflow(sqrt2, near, basis))
+        assert check_commutation(g, h, [(0.1, 0.2, 0.3)]) < 1e-10
+        with pytest.raises(CommutationViolation, match="1/1000000000000\\*SQRT2, which has "
+                           "an irrational part"):
+            require_commuting(g, h)
+
+    def test_rational_commutator_decides_by_steps(self, basis, sqrt2):
+        # (1/2, sqrt2) and (1/2, sqrt2 + 2): c = 1/2 (sqrt2 + 2) - sqrt2 / 2 = 1
+        half = SymbolicReal.rational(Fraction(1, 2))
+        g = heisenberg_nilflow(half, sqrt2, basis)
+        h = heisenberg_nilflow(half, sqrt2 + SymbolicReal.rational(2), basis)
+        for s, t in ((1, 1), (2, 0.5)):
+            require_commuting(heisenberg_nilsystem(g, s), heisenberg_nilsystem(h, t))
+        with pytest.raises(CommutationViolation, match="c = 1, and s\\*t\\*c = 1/2 is not"):
+            require_commuting(heisenberg_nilsystem(g, 1), heisenberg_nilsystem(h, 0.5))
+        # a flow meets every time, so with c != 0 it commutes with nothing
+        for a, b in ((g, heisenberg_nilsystem(h, 1)), (heisenberg_nilsystem(g, 2), h), (g, h)):
+            with pytest.raises(CommutationViolation, match="a flow commutes with no other"):
+                require_commuting(a, b)
+        # c = 0: a flow and any map of it commute
+        require_commuting(g, heisenberg_nilsystem(g, math.sqrt(2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.sampled_from(GENERATOR_VALUES)] * 4),
+           st.tuples(*[st.sampled_from([None, 1.0, 2.0, 0.5, 1.5, -1.0])] * 2))
+    def test_rule_agrees_with_sampled_reference(self, basis, gens, steps):
+        """Every pair the exact rule accepts has a sampled commutator gap at
+        rounding level, and every pair it rejects a gap far above it."""
+        g, h = (heisenberg_nilflow(SymbolicReal.from_coeffs(a), SymbolicReal.from_coeffs(b),
+                                   basis) for a, b in (gens[:2], gens[2:]))
+        g, h = (f if s is None else heisenberg_nilsystem(f, s) for f, s in zip((g, h), steps))
+        gap = check_commutation(g, h, [(0.1, 0.2, 0.3), (0.65, 0.85, 0.4)])
+        try:
+            require_commuting(g, h)
+        except CommutationViolation:
+            assert gap >= 1e-3
+        else:
+            assert gap <= 1e-9
+
+    def test_central_translates_commute_without_a_product(self):
+        """A commuting pair that is not two times of one flow: the time-1 maps
+        of the nilflows with generators (sqrt2, sqrt3, 0) and (sqrt2, sqrt3,
+        0.37) commute, because the generators differ by a central element.
+        The rule accepts them from their equal shadows, in a basis that
+        declares no product at all.  A central translation is an isometry of
+        the lattice-window gap, so this checks the code path of the transfer
+        only, not a new case of the theorem's content."""
+        bare = Basis()
+        for n in (2, 3):
+            bare.declare(f"SQRT{n}", Basis.default().values[f"SQRT{n}"])
+        a, b = SymbolicReal.symbol("SQRT2"), SymbolicReal.symbol("SQRT3")
+        s1 = heisenberg_nilsystem(heisenberg_nilflow(a, b, bare))
+        s2 = heisenberg_nilsystem(heisenberg_nilflow(a, b, bare, z=0.37))
+        assert s1 != s2
+        require_commuting(s1, s2)
+        delta = 0.1
+        rng = np.random.default_rng(437)
+        for _ in range(20):
+            base = [float(c) for c in rng.random(3)]
+            gap = float(rng.uniform(0.15, 0.55))
+            x = s1.from_coords(base)
+            y = s1.from_coords((base[0], base[1], (base[2] + gap) % 1.0))
+            res = rp_witness_search(s1, x, y, 1, delta, 10 ** 5)
+            assert res.found
+            tr = commuting_rp_transfer(s1, s2, x, y, res.witness, 3 * delta, 10 ** 5)
+            assert tr.found and tr.checked >= 1
+            assert rp_witness_verify(s2, x, y, tr.witness, 3 * delta)
 
     def test_weak_witness_rejected(self, rot2, rot3):
         x = (0.0,)
