@@ -78,11 +78,16 @@ class Observable:
         return len(self.terms[0][0])
 
     def eval_phases(self, phases: np.ndarray) -> np.ndarray:
-        """Evaluate at phase rows; phases has shape (..., dim).  Terms are
-        exp * c: numpy swaps c * tmp on large arrays, changing the bits."""
+        """Evaluate at phase rows; phases has shape (..., dim).  Each term's
+        k . x is the sum of k_c * phases[..., c] over the nonzero k_c, in
+        column order, elementwise, so a row's bits do not depend on how
+        many rows come with it (a matmul takes a dot path on one row).
+        Terms are exp * c: numpy swaps c * tmp on large arrays, changing
+        the bits."""
         out = np.zeros(phases.shape[:-1], dtype=complex)
         for k, c in self.terms:
-            out += np.exp(2j * np.pi * (phases @ np.array(k, dtype=float))) * c
+            kx = [kc * phases[..., col] for col, kc in enumerate(k) if kc] or [np.zeros(out.shape)]
+            out += np.exp(2j * np.pi * sum(kx[1:], kx[0])) * c
         return out
 
     def haar_integral(self) -> complex:
@@ -258,7 +263,8 @@ def _phase_correlation(sys: SystemHandle, f: Observable, alphas, pts,
         tc = t[rows]
         prod = np.broadcast_to(base_vals, (len(tc), len(pts))).copy()
         for a in alphas:
-            prod *= f.eval_phases(sys.rotate(pts, (a * tc)[:, None]))  # prod * g order
+            g = f.eval_phases(sys.rotate(pts, (a * tc)[:, None]))
+            prod = np.multiply(prod, g)  # prod * g into a new array: see map_blocks
         values[rows] = prod.mean(axis=1)
         stderrs[rows] = np.std(prod, axis=1) / math.sqrt(len(pts))
 
@@ -390,7 +396,8 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
             for p, f in zip(polys, fs):
                 pt = p.eval_array(ts[cols])
                 for i in range(n_x):
-                    vals[i, cols] *= f.eval_phases(flow_sys.rotate(xs[i], pt))
+                    g = f.eval_phases(flow_sys.rotate(xs[i], pt))
+                    vals[i, cols] = np.multiply(vals[i, cols], g)  # see map_blocks
 
         map_blocks(fill, len(ts), per=n_x)
         total += vals.sum()  # one sum per chunk, in the order of one core

@@ -27,7 +27,7 @@ The bound is sharp: on a rotation, x and y moved toward each other by a
 third of their displacement v give a witness whenever |v| < 3 delta,
 and the search tries that candidate first on isometric systems.  The
 middle inequality also prunes: a perturbation pair whose factor gap is
-at least delta cannot verify under any g, so on other systems such
+at least delta cannot verify under any g, so on every system such
 pairs are counted without being scored.
 """
 
@@ -228,12 +228,12 @@ def _factor_mask(sys: SystemHandle, x, y, dx: np.ndarray, dy: np.ndarray,
     an isometry of each factor and a metric is at least its factor gaps, so
     every face image pair of x' and y' is at least their factor gap apart:
     a pair that fails here fails the face inequalities whatever g is.  The
-    gaps here are those of the coordinates before from_coords wraps them,
-    which differ from the scored distances by rounding, orders of magnitude
-    below _PRUNE_SLACK; a pair within the slack is kept."""
+    gaps are periodic_linf's, since x - rint(x) is the signed circle gap of
+    any difference, on the coordinates before from_coords wraps them; they
+    differ from the scored distances by rounding, orders of magnitude
+    below _PRUNE_SLACK, and a pair within the slack is kept."""
     cols = sorted({c for f in sys.spec.factors for c in f.columns})
-    gap = np.abs(np.add(x, dx)[:, cols] - np.add(y, dy)[:, cols]) % 1.0
-    return (np.minimum(gap, 1.0 - gap) < delta + _PRUNE_SLACK).all(axis=1)
+    return periodic_linf(np.add(x, dx)[:, cols], np.add(y, dy)[:, cols]) < delta + _PRUNE_SLACK
 
 
 def _perturb(sys: SystemHandle, p, offset: tuple[float, ...]):
@@ -306,10 +306,9 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
     perturbation lattice, round three (flows) refines the grid tenfold
     around the last eight best near misses.  Within each round the order
     is lexicographic over (g-tuple index, x'-offset index, y'-offset
-    index); the first verified witness wins (see _first_witness).  On a
-    system that is not isometric, each offset list is masked once per
-    search by _factor_mask, and a masked pair is passed as a pruned
-    candidate.
+    index); the first verified witness wins (see _first_witness).  Each
+    offset list is masked once per search by _factor_mask, and a masked
+    pair is passed as a pruned candidate.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -328,8 +327,6 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
     def entries(table):
         """The offset pairs of a table, None for each one _factor_mask prunes."""
         pairs, dx, dy = table
-        if sys.is_isometric:
-            return pairs
         keep = _factor_mask(sys, x, y, dx, dy, delta).tolist()
         return [pair if k else None for pair, k in zip(pairs, keep)]
 
@@ -363,9 +360,10 @@ def require_commuting(sysG: SystemHandle, sysH: SystemHandle) -> None:
     actions on one torus commute, and suspensions of one spec are one flow.
     On the Heisenberg nilmanifold a^s and b^t (s, t a map's step, any real
     time of a flow) have the commutator (0, 0, s*t*c), c = a_x*b_y - a_y*b_x,
-    trivial iff s*t*c is an integer.  c is exact, from the shadows by the
-    spec's basis (equal shadows need no product; z never enters).  With
-    c != 0 a flow commutes with nothing, and if c is irrational no two maps do.
+    trivial iff s*t*c is an integer.  c is exact, from the specs' exact
+    freqs by the product table of their basis, which every NilflowSpec
+    holds (equal freqs need no product; z never enters).  With c != 0 a
+    flow commutes with nothing, and if c is irrational no two maps do.
     """
     spec, other = sysG.spec, sysH.spec
     if (type(spec), sysG.dim, getattr(spec, "base", None)) != \

@@ -29,12 +29,11 @@ INTEGRAL_GAP_TOL = 1e-12
 @dataclass(frozen=True)
 class SuspensionSpec:
     """Spec of the suspension flow over a discrete base (see systems.py), with
-    no rotation factor or time-t map kind; its factors are the height circle,
-    then, when the base is isometric (a torus), the whole suspension, whose
-    metric is then the circle gap over all columns, and otherwise the
-    suspension's rotation: the base's rotation-factor columns with the
-    height, on which the product flow is the rotation by
-    (base phase_step, 1) per unit time."""
+    no rotation factor or time-t map kind; its factors are the height circle
+    and the suspension's rotation: the base's rotation-factor columns with
+    the height, on which the product flow is the rotation by
+    (base phase_step, 1) per unit time.  Over a torus these are all the
+    columns, and the factor gap is the suspension's metric."""
 
     base: SystemHandle
 
@@ -48,11 +47,9 @@ class SuspensionSpec:
 
     @property
     def factors(self) -> tuple[Factor, ...]:
-        height = Factor("suspension-height", (self.dim - 1,))
-        if self.base.is_isometric:
-            return height, Factor("suspension", tuple(range(self.dim)))
         rotation = (*range(len(self.base.phase_step)), self.dim - 1)
-        return height, Factor("suspension-rotation", rotation)
+        return (Factor("suspension-height", (self.dim - 1,)),
+                Factor("suspension-rotation", rotation))
 
     def evolve(self, p: tuple, t: float) -> tuple:
         return susp_evolve(self.base, p, t)

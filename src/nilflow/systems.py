@@ -92,15 +92,14 @@ def map_blocks(fill, n: int, per: int = 1) -> None:
 
     The bits must depend neither on the block size nor on the worker count:
     a fill writes only its own slice, by elementwise or per-row work, and
-    leaves every reduction across items to the caller.  No block holds a
-    single item unless n is 1, because numpy's matmul takes its dot path
-    on one row, with other bits.
+    leaves every reduction across items to the caller.  A block may hold
+    one item, so a fill multiplies complex arrays by np.multiply into a new
+    array: numpy's in-place complex multiply takes another path on a
+    one-element array, and the * operator may write into a large temporary
+    right operand, computing g * prod; either gives other bits.
     """
-    size = max(2, _BLOCK // per)
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()  # the last item joins the block before it
-    map_pool(fill, [slice(a, b) for a, b in zip(starts, starts[1:] + [n])])
+    size = max(1, _BLOCK // per)
+    map_pool(fill, [slice(a, min(a + size, n)) for a in range(0, n, size)])
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +338,18 @@ class TorusFlowSpec:
 @dataclass(frozen=True)
 class NilflowSpec:
     """The nilflow x Gamma -> a^t x Gamma on the Heisenberg nilmanifold.  Its
-    rotation factor is the base 2-torus, rotated by (a.x, a.y); shadow holds
-    those two frequencies exactly, in the symbols of basis."""
+    rotation factor is the base 2-torus, rotated by (a.x, a.y); freqs holds
+    those two frequencies exactly, in the symbols of basis, which every
+    exact decision on the spec reads (minimality, the commuting rule)."""
 
     generator: HeisenbergElement
-    shadow: tuple[SymbolicReal, SymbolicReal] | None = None
-    basis: Basis | None = field(default=None, compare=False, repr=False)
+    freqs: tuple[SymbolicReal, SymbolicReal]
+    basis: Basis = field(compare=False, repr=False)
 
     tags = (HEIS_NILFLOW, HEIS_NILSYSTEM)
     pitch = 0.25
     dim = 3
     factors = (Factor("heisenberg-base", (0, 1)),)
-
-    @property
-    def freqs(self) -> tuple[SymbolicReal, SymbolicReal]:
-        if self.shadow is None:
-            raise ValueError("nilflow lacks an exact frequency shadow")
-        return self.shadow
 
     @property
     def float_freqs(self) -> tuple[float, float]:
@@ -476,27 +470,10 @@ def torus_flow(freqs: Sequence[SymbolicReal], basis: Basis) -> SystemHandle:
     return SystemHandle(TorusFlowSpec(tuple(freqs), tuple(basis.to_float(f) for f in freqs)))
 
 
-def torus_map(flow: SystemHandle, step: float = 1.0) -> SystemHandle:
-    if flow.tag != TORUS_FLOW:
-        raise ValueError("torus_map wraps a torus flow")
-    return SystemHandle(flow.spec, step)
-
-
-def torus_rotation(alpha: SymbolicReal, basis: Basis) -> SystemHandle:
-    """The rotation x -> x + alpha on T^1 as the time-1 map of its flow."""
-    return torus_map(torus_flow((alpha,), basis), 1.0)
-
-
 def heisenberg_nilflow(alpha: SymbolicReal, beta: SymbolicReal, basis: Basis,
                        z: float = 0.0) -> SystemHandle:
     gen = HeisenbergElement(basis.to_float(alpha), basis.to_float(beta), z)
     return SystemHandle(NilflowSpec(gen, (alpha, beta), basis))
-
-
-def heisenberg_nilsystem(nilflow: SystemHandle, step: float = 1.0) -> SystemHandle:
-    if nilflow.tag != HEIS_NILFLOW:
-        raise ValueError("heisenberg_nilsystem wraps a heisenberg nilflow")
-    return SystemHandle(nilflow.spec, step)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ from nilflow.proximality import (PROVEN_ABSENT, WITNESS, commuting_rp_transfer,
                                  nd_sample, poly_orbit_density,
                                  rp_witness_search, rp_witness_verify)
 from nilflow.suspension import integer_part_orbit, susp_rp_transfer_check
-from nilflow.systems import (HeisenbergElement, flow_minimal_result,
+from nilflow.systems import (HeisenbergElement, SystemHandle, flow_minimal_result,
                              heis_multiply, heis_power, heisenberg_nilflow,
-                             heisenberg_nilsystem, time_t_minimal, torus_flow,
-                             torus_rotation)
+                             time_t_minimal, torus_flow)
 
 BASIS = Basis.default()
 ONE = SymbolicReal.rational(1)
@@ -152,7 +151,7 @@ def test_criterion_03_heisenberg_algebra(conjugate_power_gap):
 def test_criterion_04_rp1_dichotomy():
     watch = Stopwatch(180.0)
     delta = 0.05
-    rot = torus_rotation(SQRT2, BASIS)
+    rot = SystemHandle(torus_flow((SQRT2,), BASIS).spec, 1.0)
     rng = np.random.default_rng(40)
     absent = 0
     near = 0
@@ -173,7 +172,7 @@ def test_criterion_04_rp1_dichotomy():
             near += 1
     assert near > 0
 
-    nil = heisenberg_nilsystem(heisenberg_nilflow(SQRT2, SQRT3, BASIS))
+    nil = SystemHandle(heisenberg_nilflow(SQRT2, SQRT3, BASIS).spec, 1.0)
     found = 0
     for _ in range(20):
         xc = rng.random(3)
@@ -195,8 +194,8 @@ def test_criterion_04_rp1_dichotomy():
 def test_criterion_05_commuting_action_equality():
     watch = Stopwatch(120.0)
     delta = 0.05
-    rot_g = torus_rotation(SQRT2, BASIS)
-    rot_h = torus_rotation(SQRT3, BASIS)
+    rot_g = SystemHandle(torus_flow((SQRT2,), BASIS).spec, 1.0)
+    rot_h = SystemHandle(torus_flow((SQRT3,), BASIS).spec, 1.0)
     rng = np.random.default_rng(50)
     transfers = 0
     for _ in range(20):
@@ -231,8 +230,8 @@ def test_criterion_06_suspension_transfer():
     watch = Stopwatch(120.0)
     delta = 0.1
     rng = np.random.default_rng(60)
-    rot = torus_rotation(SQRT2, BASIS)
-    nil = heisenberg_nilsystem(heisenberg_nilflow(SQRT2, SQRT3, BASIS))
+    rot = SystemHandle(torus_flow((SQRT2,), BASIS).spec, 1.0)
+    nil = SystemHandle(heisenberg_nilflow(SQRT2, SQRT3, BASIS).spec, 1.0)
     reports = []
 
     # rotation base: diagonal, near, distal, and non-integral-height pairs
@@ -285,7 +284,7 @@ def test_criterion_07_polynomial_density():
                              seed=70)
     assert cov >= 0.95, f"Weyl curve coverage {cov:.3f}"
 
-    rot = torus_rotation(SQRT2, BASIS)
+    rot = SystemHandle(torus_flow((SQRT2,), BASIS).spec, 1.0)
     n = np.arange(1, 10 ** 4 + 1, dtype=float)
     times = math.sqrt(3) * n * n
     cov2 = integer_part_orbit(rot, (0.0,), times, 0.05)

@@ -136,7 +136,7 @@ class TestMainExitCodes:
         assert "SQRT2*SQRT5" in capsys.readouterr().err
 
     def test_commuting_heisenberg_pairs_run(self):
-        # c = 1 at steps whose product is an integer, and c = 0 from equal shadows
+        # c = 1 at steps whose product is an integer, and c = 0 from equal freqs
         for system, system_h in (({**HALF_MAP, "step": 1}, {**HALF_MAP_H, "step": 1}),
                                  ({**HALF_MAP, "step": 2}, {**HALF_MAP_H, "step": 0.5}),
                                  (HEIS_MAP, {**HEIS_MAP, "z": 0.37})):

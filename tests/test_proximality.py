@@ -22,24 +22,23 @@ from nilflow.proximality import (EXHAUSTED, PROVEN_ABSENT, WITNESS,
                                  rp_witness_search, rp_witness_verify,
                                  witness_max_gap)
 from nilflow.suspension import suspend
-from nilflow.systems import (SystemHandle, circle_dist,
-                             heisenberg_nilflow, heisenberg_nilsystem,
-                             torus_flow, torus_map, torus_rotation)
+from nilflow.systems import (HeisenbergElement, NilflowSpec, SystemHandle, circle_dist,
+                             heisenberg_nilflow, torus_flow)
 
 
 @pytest.fixture(scope="module")
 def rot2(basis, sqrt2):
-    return torus_rotation(sqrt2, basis)
+    return SystemHandle(torus_flow((sqrt2,), basis).spec, 1.0)
 
 
 @pytest.fixture(scope="module")
 def rot3(basis, sqrt3):
-    return torus_rotation(sqrt3, basis)
+    return SystemHandle(torus_flow((sqrt3,), basis).spec, 1.0)
 
 
 @pytest.fixture(scope="module")
 def nilsys(basis, sqrt2, sqrt3):
-    return heisenberg_nilsystem(heisenberg_nilflow(sqrt2, sqrt3, basis))
+    return SystemHandle(heisenberg_nilflow(sqrt2, sqrt3, basis).spec, 1.0)
 
 
 def verify_reference(sys, x, y, w, delta):
@@ -290,12 +289,12 @@ def near_bits(nears):
 
 _SQRT2, _SQRT3 = SymbolicReal.symbol("SQRT2"), SymbolicReal.symbol("SQRT3")
 _HEIS_FLOW = heisenberg_nilflow(_SQRT2, _SQRT3, Basis.default())
-_HEIS_MAP = heisenberg_nilsystem(_HEIS_FLOW)
+_HEIS_MAP = SystemHandle(_HEIS_FLOW.spec, 1.0)
 SEARCH_SYSTEMS = {
     "heisenberg-nilflow": _HEIS_FLOW,
     "heisenberg-nilsystem": _HEIS_MAP,
-    "torus-map": torus_map(torus_flow((_SQRT2, _SQRT3), Basis.default())),
-    "suspension": suspend(torus_rotation(_SQRT2, Basis.default())),
+    "torus-map": SystemHandle(torus_flow((_SQRT2, _SQRT3), Basis.default()).spec, 1.0),
+    "suspension": suspend(SystemHandle(torus_flow((_SQRT2,), Basis.default()).spec, 1.0)),
     "suspension-heisenberg": suspend(_HEIS_MAP),
 }
 
@@ -354,12 +353,12 @@ class TestMemoisedScoring:
         # two circle rotations: both pairs commute
         rng = np.random.default_rng(seed)
         if heisenberg:
-            sys_g, sys_h = _HEIS_MAP, heisenberg_nilsystem(_HEIS_FLOW, 1.5)
+            sys_g, sys_h = _HEIS_MAP, SystemHandle(_HEIS_FLOW.spec, 1.5)
             delta, xc = 0.1, tuple(rng.random(3).tolist())
             yc = xc[:2] + ((xc[2] + rng.uniform(-0.5, 0.5)) % 1.0,)
         else:
-            sys_g = torus_rotation(_SQRT2, Basis.default())
-            sys_h = torus_rotation(_SQRT3, Basis.default())
+            sys_g = SystemHandle(torus_flow((_SQRT2,), Basis.default()).spec, 1.0)
+            sys_h = SystemHandle(torus_flow((_SQRT3,), Basis.default()).spec, 1.0)
             delta, xc = 0.05, (float(rng.random()),)
             yc = ((xc[0] + rng.uniform(-0.075, 0.075)) % 1.0,)
         x, y = sys_g.from_coords(xc), sys_g.from_coords(yc)
@@ -456,7 +455,7 @@ def exact_factor_gap(columns, p, q) -> Fraction:
 
 
 TORUS_SYSTEMS = {
-    "rotation": torus_rotation(_SQRT2, Basis.default()),
+    "rotation": SystemHandle(torus_flow((_SQRT2,), Basis.default()).spec, 1.0),
     "torus-map": SEARCH_SYSTEMS["torus-map"],
     "torus-flow": torus_flow((_SQRT2, _SQRT3), Basis.default()),
 }
@@ -627,8 +626,8 @@ class TestCommutingTransfer:
 
     def test_heisenberg_commuting_times(self, basis, sqrt2, sqrt3):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
-        s1 = heisenberg_nilsystem(nil, 1.0)
-        s2 = heisenberg_nilsystem(nil, math.sqrt(2))
+        s1 = SystemHandle(nil.spec, 1.0)
+        s2 = SystemHandle(nil.spec, math.sqrt(2))
         x = s1.from_coords((0.2, 0.6, 0.15))
         y = s1.from_coords((0.2, 0.6, 0.65))
         res = rp_witness_search(s1, x, y, 1, 0.1, 10 ** 6)
@@ -669,15 +668,15 @@ class TestCommutingTransfer:
     def test_benchmark_heisenberg_pair_does_not_commute(self, basis, sqrt2, sqrt3):
         # the cube-heisenberg pair: its commutator is central, c = sqrt10 - 3
         sqrt5 = SymbolicReal.symbol("SQRT5")
-        g = heisenberg_nilsystem(heisenberg_nilflow(sqrt2, sqrt3, basis))
-        h = heisenberg_nilsystem(heisenberg_nilflow(sqrt3, sqrt5, basis))
+        g = SystemHandle(heisenberg_nilflow(sqrt2, sqrt3, basis).spec, 1.0)
+        h = SystemHandle(heisenberg_nilflow(sqrt3, sqrt5, basis).spec, 1.0)
         with pytest.raises(UnsupportedBasisError, match="SQRT2\\*SQRT5"):
             require_commuting(g, h)
         # with SQRT10 = SQRT2 * SQRT5 declared, c is decided and named
         basis10 = Basis.default()
         basis10.declare("SQRT10", "3.16227766016837933199889354443271853372")
         basis10.declare_product("SQRT2", "SQRT5", {"SQRT10": 1})
-        g, h = (heisenberg_nilsystem(heisenberg_nilflow(a, b, basis10))
+        g, h = (SystemHandle(heisenberg_nilflow(a, b, basis10).spec, 1.0)
                 for a, b in ((sqrt2, sqrt3), (sqrt3, sqrt5)))
         assert check_commutation(g, h, [(0.1, 0.2, 0.3)]) > 1e-3
         with pytest.raises(CommutationViolation, match=r"c = -3 \+ 1\*SQRT10, which has an "
@@ -686,8 +685,8 @@ class TestCommutingTransfer:
 
     def test_commutation_violation(self, basis, sqrt2, sqrt3):
         # left translations by (sqrt2,0,0) and (0,sqrt3,0) do not commute on X
-        a = heisenberg_nilsystem(heisenberg_nilflow(sqrt2, SymbolicReal.rational(0), basis))
-        b = heisenberg_nilsystem(heisenberg_nilflow(SymbolicReal.rational(0), sqrt3, basis))
+        a = SystemHandle(heisenberg_nilflow(sqrt2, SymbolicReal.rational(0), basis).spec, 1.0)
+        b = SystemHandle(heisenberg_nilflow(SymbolicReal.rational(0), sqrt3, basis).spec, 1.0)
         x = a.from_coords((0.0, 0.0, 0.0))
         gap = check_commutation(a, b, [x])
         assert gap > 1e-6
@@ -698,9 +697,9 @@ class TestCommutingTransfer:
     def test_near_commuting_pair_rejected(self, basis, sqrt2, sqrt3):
         # c = sqrt2 * 10^-12: the sampled gap, 3.5e-11, is below any
         # rounding-sized tolerance, yet the commutator does not act trivially
-        g = heisenberg_nilsystem(heisenberg_nilflow(sqrt2, sqrt3, basis))
+        g = SystemHandle(heisenberg_nilflow(sqrt2, sqrt3, basis).spec, 1.0)
         near = sqrt3 + SymbolicReal.rational(Fraction(1, 10 ** 12))
-        h = heisenberg_nilsystem(heisenberg_nilflow(sqrt2, near, basis))
+        h = SystemHandle(heisenberg_nilflow(sqrt2, near, basis).spec, 1.0)
         assert check_commutation(g, h, [(0.1, 0.2, 0.3)]) < 1e-10
         with pytest.raises(CommutationViolation, match="1/1000000000000\\*SQRT2, which has "
                            "an irrational part"):
@@ -712,15 +711,32 @@ class TestCommutingTransfer:
         g = heisenberg_nilflow(half, sqrt2, basis)
         h = heisenberg_nilflow(half, sqrt2 + SymbolicReal.rational(2), basis)
         for s, t in ((1, 1), (2, 0.5)):
-            require_commuting(heisenberg_nilsystem(g, s), heisenberg_nilsystem(h, t))
+            require_commuting(SystemHandle(g.spec, s), SystemHandle(h.spec, t))
         with pytest.raises(CommutationViolation, match="c = 1, and s\\*t\\*c = 1/2 is not"):
-            require_commuting(heisenberg_nilsystem(g, 1), heisenberg_nilsystem(h, 0.5))
+            require_commuting(SystemHandle(g.spec, 1), SystemHandle(h.spec, 0.5))
         # a flow meets every time, so with c != 0 it commutes with nothing
-        for a, b in ((g, heisenberg_nilsystem(h, 1)), (heisenberg_nilsystem(g, 2), h), (g, h)):
+        for a, b in ((g, SystemHandle(h.spec, 1)), (SystemHandle(g.spec, 2), h), (g, h)):
             with pytest.raises(CommutationViolation, match="a flow commutes with no other"):
                 require_commuting(a, b)
         # c = 0: a flow and any map of it commute
-        require_commuting(g, heisenberg_nilsystem(g, math.sqrt(2)))
+        require_commuting(g, SystemHandle(g.spec, math.sqrt(2)))
+
+    def test_specs_built_directly(self, basis, sqrt2, sqrt3):
+        # (sqrt2, sqrt3) against (sqrt3, sqrt2): c = sqrt2*sqrt2 - sqrt3*sqrt3
+        # = -1, a rational c from irrational products, on specs built
+        # without heisenberg_nilflow; each spec holds the basis c needs
+        def flow(a, b):
+            gen = HeisenbergElement(basis.to_float(a), basis.to_float(b), 0.0)
+            return SystemHandle(NilflowSpec(gen, (a, b), basis))
+
+        g, h = flow(sqrt2, sqrt3), flow(sqrt3, sqrt2)
+        require_commuting(SystemHandle(g.spec, 1.0), SystemHandle(h.spec, 1.0))
+        with pytest.raises(CommutationViolation, match="c = -1, and s\\*t\\*c = -1/2 is not "
+                           "an integer"):
+            require_commuting(SystemHandle(g.spec, 1.0), SystemHandle(h.spec, 0.5))
+        for a, b in ((g, SystemHandle(h.spec, 1.0)), (SystemHandle(g.spec, 1.0), h), (g, h)):
+            with pytest.raises(CommutationViolation, match="c = -1, so a flow commutes with no"):
+                require_commuting(a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[st.sampled_from(GENERATOR_VALUES)] * 4),
@@ -730,7 +746,7 @@ class TestCommutingTransfer:
         rounding level, and every pair it rejects a gap far above it."""
         g, h = (heisenberg_nilflow(SymbolicReal.from_coeffs(a), SymbolicReal.from_coeffs(b),
                                    basis) for a, b in (gens[:2], gens[2:]))
-        g, h = (f if s is None else heisenberg_nilsystem(f, s) for f, s in zip((g, h), steps))
+        g, h = (f if s is None else SystemHandle(f.spec, s) for f, s in zip((g, h), steps))
         gap = check_commutation(g, h, [(0.1, 0.2, 0.3), (0.65, 0.85, 0.4)])
         try:
             require_commuting(g, h)
@@ -743,7 +759,7 @@ class TestCommutingTransfer:
         """A commuting pair that is not two times of one flow: the time-1 maps
         of the nilflows with generators (sqrt2, sqrt3, 0) and (sqrt2, sqrt3,
         0.37) commute, because the generators differ by a central element.
-        The rule accepts them from their equal shadows, in a basis that
+        The rule accepts them from their equal freqs, in a basis that
         declares no product at all.  A central translation is an isometry of
         the lattice-window gap, so this checks the code path of the transfer
         only, not a new case of the theorem's content."""
@@ -751,8 +767,8 @@ class TestCommutingTransfer:
         for n in (2, 3):
             bare.declare(f"SQRT{n}", Basis.default().values[f"SQRT{n}"])
         a, b = SymbolicReal.symbol("SQRT2"), SymbolicReal.symbol("SQRT3")
-        s1 = heisenberg_nilsystem(heisenberg_nilflow(a, b, bare))
-        s2 = heisenberg_nilsystem(heisenberg_nilflow(a, b, bare, z=0.37))
+        s1 = SystemHandle(heisenberg_nilflow(a, b, bare).spec, 1.0)
+        s2 = SystemHandle(heisenberg_nilflow(a, b, bare, z=0.37).spec, 1.0)
         assert s1 != s2
         require_commuting(s1, s2)
         delta = 0.1
@@ -1102,9 +1118,10 @@ def scalar_hausdorff_reference(sys_h, pa, pb):
     return directed(ua, ub), directed(ub, ua)
 
 
-_NIL = heisenberg_nilsystem(heisenberg_nilflow(_SYMBOLS[1], _SYMBOLS[2], Basis.default()))
+_NIL = SystemHandle(heisenberg_nilflow(_SYMBOLS[1], _SYMBOLS[2], Basis.default()).spec, 1.0)
+_ROT = SystemHandle(torus_flow((_SYMBOLS[1],), Basis.default()).spec, 1.0)
 SCALAR_SYSTEMS = {"heisenberg": _NIL,
-                  "suspended-rotation": suspend(torus_rotation(_SYMBOLS[1], Basis.default())),
+                  "suspended-rotation": suspend(_ROT),
                   "suspended-heisenberg": suspend(_NIL)}
 
 
@@ -1342,11 +1359,12 @@ class TestFiberCoverage:
         # the declared factors on the rotation factor that leave coordinates free
         torus = {"torus-coord-0": ((0,), (1,))}
         heis = {"heisenberg-base": ((0, 1), (2,))}
-        cases = [(rot2, {}), (TORI[1], {}), (TORI[2], torus), (torus_map(TORI[2]), torus),
+        cases = [(rot2, {}), (TORI[1], {}), (TORI[2], torus),
+                 (SystemHandle(TORI[2].spec, 1.0), torus),
                  (TORI[3], {"torus-coord-0": ((0,), (1, 2))}),
                  (TORI[4], {"torus-coord-0": ((0,), (1, 2, 3))}),
-                 (_NILFLOW, heis), (heisenberg_nilsystem(_NILFLOW), heis),
-                 (suspend(rot2), {}), (suspend(heisenberg_nilsystem(_NILFLOW)), {})]
+                 (_NILFLOW, heis), (SystemHandle(_NILFLOW.spec, 1.0), heis),
+                 (suspend(rot2), {}), (suspend(SystemHandle(_NILFLOW.spec, 1.0)), {})]
         for sys_h, table in cases:
             assert projection_table(sys_h) == table
         with pytest.raises(ValueError, match=r"'identity' does not apply to suspension "
@@ -1424,5 +1442,5 @@ _NILFLOW = heisenberg_nilflow(_SYMBOLS[1], _SYMBOLS[2], Basis.default(), z=0.3)
 # the four kinds whose projection table is not empty (a circle and a
 # suspension have no declared factor on the rotation factor that leaves a
 # coordinate free); the test draws from every entry of each table
-FIBER_SYSTEMS = [TORI[2], TORI[3], torus_map(TORI[2]), _NILFLOW,
-                 heisenberg_nilsystem(_NILFLOW)]
+FIBER_SYSTEMS = [TORI[2], TORI[3], SystemHandle(TORI[2].spec, 1.0), _NILFLOW,
+                 SystemHandle(_NILFLOW.spec, 1.0)]

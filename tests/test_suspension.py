@@ -8,20 +8,19 @@ from hypothesis import strategies as st
 from nilflow.proximality import RPWitness, _one_third, rp_witness_verify, witness_max_gap
 from nilflow.suspension import (integer_part_orbit, susp_evolve, susp_metric,
                                 susp_rp_transfer_check, suspend)
-from nilflow.systems import (SymbolicReal, heisenberg_nilflow,
-                             heisenberg_nilsystem, torus_flow, torus_map,
-                             torus_rotation)
+from nilflow.systems import (SymbolicReal, SystemHandle, heisenberg_nilflow,
+                             torus_flow)
 from fractions import Fraction
 
 
 @pytest.fixture(scope="module")
 def rot(basis, sqrt2):
-    return torus_rotation(sqrt2, basis)
+    return SystemHandle(torus_flow((sqrt2,), basis).spec, 1.0)
 
 
 @pytest.fixture(scope="module")
 def nilsys(basis, sqrt2, sqrt3):
-    return heisenberg_nilsystem(heisenberg_nilflow(sqrt2, sqrt3, basis))
+    return SystemHandle(heisenberg_nilflow(sqrt2, sqrt3, basis).spec, 1.0)
 
 
 def psi(base, x, s):
@@ -96,8 +95,8 @@ class TestConjugacy:
     @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4),
            st.floats(-20.0, 20.0))
     def test_glued_flow_through_psi(self, basis, sqrt2, sqrt3, kind, step, unit, t):
-        base = (torus_map(torus_flow((sqrt2,), basis), step) if kind == "rotation" else
-                heisenberg_nilsystem(heisenberg_nilflow(sqrt2, sqrt3, basis), step))
+        base = (SystemHandle(torus_flow((sqrt2,), basis).spec, step) if kind == "rotation" else
+                SystemHandle(heisenberg_nilflow(sqrt2, sqrt3, basis).spec, step))
         x, s = base.from_coords(unit[:base.dim]), unit[-1]
         glued = psi(base, *glued_evolve(base, x, s, t))
         assert susp_metric(base, glued, susp_evolve(base, psi(base, x, s), t)) <= 1e-12
@@ -231,7 +230,7 @@ class TestIntegerPartOrbit:
 
     def test_rational_rotation_finite_orbit(self, basis):
         quarter = SymbolicReal.rational(Fraction(1, 4))
-        rot4 = torus_map(torus_flow((quarter,), basis))
+        rot4 = SystemHandle(torus_flow((quarter,), basis).spec, 1.0)
         times = [float(4 * k) for k in range(50)]  # multiples of the period
         cov = integer_part_orbit(rot4, (0.0,), times, 0.05)
         assert cov == pytest.approx(1.0 / 20)

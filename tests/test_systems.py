@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from nilflow.algebra import SymbolicReal, UnsupportedBasisError
 from nilflow.suspension import suspend
 from nilflow.systems import (HEIS_IDENTITY, HeisenbergElement, NilflowSpec,
-                             circle_dist, flow_minimal_result,
+                             SystemHandle, circle_dist, flow_minimal_result,
                              heis_multiply, heis_power, heis_reduce,
-                             heisenberg_nilflow, heisenberg_nilsystem, nil_evolve,
-                             nil_orbit, time_t_minimal, torus_evolve, torus_flow,
-                             torus_map, torus_rotation, unit_mod, wrap_unit)
+                             heisenberg_nilflow, nil_evolve, nil_orbit,
+                             time_t_minimal, torus_evolve, torus_flow, unit_mod,
+                             wrap_unit)
 
 
 def coords_gap(a, b):
@@ -40,6 +40,11 @@ def reference_window_gap(p, q):
         if d < best:
             best = d
     return best
+
+
+def exact_spec(a, basis):
+    """The nilflow spec of generator a, its float frequencies as exact rationals."""
+    return NilflowSpec(a, tuple(SymbolicReal.rational(Fraction(v)) for v in (a.x, a.y)), basis)
 
 
 def reference_nil_evolve(spec, p, t):
@@ -338,8 +343,8 @@ class TestKernelsMatchReference:
     @given(generators, any_points, times)
     @example(HeisenbergElement(math.sqrt(2) - 1, math.sqrt(3) - 1, 0.0), (0.1, 0.2, 0.3), 10 ** 5)
     @example(HeisenbergElement(-1.5, 2.25, 0.75), (-2.5, 2.999, -0.125), -99999.5)
-    def test_nil_evolve_bits(self, a, p, t):
-        spec = NilflowSpec(a)
+    def test_nil_evolve_bits(self, basis, a, p, t):
+        spec = exact_spec(a, basis)
         assert nil_evolve(spec, p, t) == reference_nil_evolve(spec, p, t)
 
     def test_nil_evolve_numpy_integer_time(self, basis, sqrt2, sqrt3):
@@ -387,7 +392,7 @@ class TestMinimality:
         assert time_t_minimal(a, sqrt3, basis) == time_t_minimal(b, sqrt3, basis)
 
     def test_map_handles_rejected(self, basis, sqrt2):
-        rot = torus_rotation(sqrt2, basis)
+        rot = SystemHandle(torus_flow((sqrt2,), basis).spec, 1.0)
         with pytest.raises(ValueError):
             flow_minimal_result(rot)
 
@@ -401,10 +406,10 @@ def system_of_kind(kind, basis, sqrt2, sqrt3, step):
     torus = torus_flow((sqrt2, sqrt3), basis)
     nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
     return {"torus-flow": lambda: torus,
-            "torus-map": lambda: torus_map(torus, step),
+            "torus-map": lambda: SystemHandle(torus.spec, step),
             "heisenberg-nilflow": lambda: nil,
-            "heisenberg-nilsystem": lambda: heisenberg_nilsystem(nil, step),
-            "suspension": lambda: suspend(heisenberg_nilsystem(nil, step))}[kind]()
+            "heisenberg-nilsystem": lambda: SystemHandle(nil.spec, step),
+            "suspension": lambda: suspend(SystemHandle(nil.spec, step))}[kind]()
 
 
 unit_coords = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4)
@@ -448,11 +453,11 @@ class TestOrbitCoords:
 def factor_system(kind, basis, sqrt2, sqrt3):
     """The systems whose declared factors TestFactors checks, and whose
     points TestCanonicalPoints checks."""
-    rot = torus_rotation(sqrt2, basis)
+    rot = SystemHandle(torus_flow((sqrt2,), basis).spec, 1.0)
     plane = torus_flow((sqrt2, sqrt3), basis)
     nilflow = heisenberg_nilflow(sqrt2, sqrt3, basis, z=0.3)
-    nilsys = heisenberg_nilsystem(nilflow)
-    return {"rotation": rot, "torus-flow": plane, "torus-map": torus_map(plane),
+    nilsys = SystemHandle(nilflow.spec, 1.0)
+    return {"rotation": rot, "torus-flow": plane, "torus-map": SystemHandle(plane.spec, 1.0),
             "heisenberg-nilflow": nilflow, "heisenberg-nilsystem": nilsys,
             "suspension-rotation": suspend(rot), "suspension-nilsystem": suspend(nilsys)}[kind]
 
@@ -460,7 +465,7 @@ def factor_system(kind, basis, sqrt2, sqrt3):
 FACTOR_NAMES = {"rotation": ("torus",), "torus-map": ("torus", "torus-coord-0"),
                 "heisenberg-nilflow": ("heisenberg-base",),
                 "heisenberg-nilsystem": ("heisenberg-base",),
-                "suspension-rotation": ("suspension-height", "suspension"),
+                "suspension-rotation": ("suspension-height", "suspension-rotation"),
                 "suspension-nilsystem": ("suspension-height", "suspension-rotation")}
 
 
@@ -558,12 +563,12 @@ class TestCanonicalPoints:
         assert sys.dist(p, q) <= 1e-12
         assert sys.dist(sys.evolve(p, t), sys.evolve(q, t)) <= 1e-12
 
-    def test_y_rounding_up_moves_z(self):
+    def test_y_rounding_up_moves_z(self, basis):
         # the lattice step (0, -1, 0) that wraps y moves z by -x, and gamma
         # records it
         assert heis_reduce(HeisenbergElement(0.3, -1e-20, 0.5)) == \
             (HeisenbergElement(0.3, 0.0, 0.5), HeisenbergElement(0.0, 0.0, 0.0))
-        spec = NilflowSpec(HeisenbergElement(0.0, 2.0 ** -54 + 2.0 ** -56, 0.0))
+        spec = exact_spec(HeisenbergElement(0.0, 2.0 ** -54 + 2.0 ** -56, 0.0), basis)
         assert nil_orbit(spec, (0.3, 1 - 2.0 ** -53, 0.5), [1]) == \
             [(0.3, 0.0, 0.2)]
 
@@ -586,7 +591,7 @@ class TestOrbitSample:
 
     def test_rational_rotation_period_three(self, basis):
         third = SymbolicReal.rational(Fraction(1, 3))
-        rot = torus_map(torus_flow((third,), basis))
+        rot = SystemHandle(torus_flow((third,), basis).spec, 1.0)
         rows = rot.orbit_coords((0.0,), list(range(30)))
         pts = np.sort(rows[:, 0])
         clusters = np.unique(np.round(pts * 1e9).astype(np.int64) // 1)
@@ -658,8 +663,8 @@ class TestArrayKernelBits:
     # y rounds up to 1.0 at t = 1, and the wrap moves z by -x
     @example(HeisenbergElement(0.0, 2.0 ** -54 + 2.0 ** -56, 0.0),
              (0.3, 1 - 2.0 ** -53, 0.5), [1, 0])
-    def test_nil_orbit_is_evolve_per_time(self, a, p, ts):
-        spec = NilflowSpec(a)
+    def test_nil_orbit_is_evolve_per_time(self, basis, a, p, ts):
+        spec = exact_spec(a, basis)
         rows = nil_orbit(spec, p, ts)
         assert rows == [nil_evolve(spec, p, t) for t in ts]
         assert rows == [reference_nil_evolve(spec, p, t) for t in ts]
