@@ -229,9 +229,10 @@ def _factor_mask(sys: SystemHandle, x, y, dx: np.ndarray, dy: np.ndarray,
     every face image pair of x' and y' is at least their factor gap apart:
     a pair that fails here fails the face inequalities whatever g is.  The
     gaps are periodic_linf's, since x - rint(x) is the signed circle gap of
-    any difference, on the coordinates before from_coords wraps them; they
-    differ from the scored distances by rounding, orders of magnitude
-    below _PRUNE_SLACK, and a pair within the slack is kept."""
+    any difference, on the coordinates before from_coords (evolve at time
+    0) reduces them; they differ from the scored distances by rounding,
+    orders of magnitude below _PRUNE_SLACK, and a pair within the slack is
+    kept."""
     cols = sorted({c for f in sys.spec.factors for c in f.columns})
     return periodic_linf(np.add(x, dx)[:, cols], np.add(y, dy)[:, cols]) < delta + _PRUNE_SLACK
 
@@ -621,7 +622,7 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
         return float(max(map_pool(lambda task: _directed(*task, bound),
                                   ((tb, fa, ka, fb, kb), (ta, fb, kb, fa, ka)))))
 
-    pa, pb = ([[sys.from_coords(c) for c in row] for row in cloud.points] for cloud in (a, b))
+    pa, pb = a.points.tolist(), b.points.tolist()
     return max(_scalar_directed(sys.dist, pa, pb), _scalar_directed(sys.dist, pb, pa))
 
 

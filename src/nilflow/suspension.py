@@ -62,9 +62,6 @@ class SuspensionSpec:
         return np.column_stack((self.base.orbit_coords(p[:-1], ts),
                                 [wrap_unit(p[-1] + t) for t in ts]))
 
-    def from_coords(self, c: Sequence[float]) -> tuple:
-        return (*self.base.from_coords(c[:-1]), wrap_unit(c[-1]))
-
 
 def suspend(base: SystemHandle) -> SystemHandle:
     """Suspension flow handle over a discrete base system."""

@@ -3,22 +3,24 @@
 A system is a SystemHandle(spec, step=None): the frozen spec of an
 R-flow (TorusFlowSpec, NilflowSpec, suspension.SuspensionSpec), or with
 a step the flow's time-step map.  A point of every system is the plain
-tuple of its canonical coordinates, which the spec's from_coords and
-evolve return.  Besides dim, evolve, dist and from_coords a spec
-declares its tags (kind as a flow and as a time-t map), the search grid
-pitch, freqs and float_freqs (exact and float frequencies of its
-rotation factor, None where it has none) and factors, its one tuple of
-Factors, which the absence rule of the witness search and the fiber
-table of fiber_coverage read.  Only the specs tell kinds apart.  From
-float_freqs the handle derives phase_step and rotate, the one code that
-moves rotation-factor phases, and is_isometric; its from_coords is the
-one check of a point's coordinate count.  A spec without a rotation
-factor of full dimension also declares orbit(p, ts), the coordinates of
-evolve(p, t) for each time of a list, behind orbit_coords.  Also here:
-unit_mod, the array mod 1; the Heisenberg group law and its one
-evolution loop, nil_orbit (nil_evolve is its one-time case), lattice
-reduction, quotient metrics, and the exact minimality tests by rational
-independence of the frequencies.
+tuple of its canonical coordinates, which the spec's evolve returns.
+Besides dim, evolve and dist a spec declares its tags (kind as a flow
+and as a time-t map), the search grid pitch, freqs and float_freqs
+(exact and float frequencies of its rotation factor, None where it has
+none) and factors, its one tuple of Factors, which the absence rule of
+the witness search and the fiber table of fiber_coverage read.  Only the
+specs tell kinds apart.  One kernel per kind moves a point, and it makes
+every point too: the handle's from_coords checks the coordinate count
+and returns evolve at time 0.  From float_freqs the handle derives
+phase_step, is_isometric and rotate, the one code that moves
+rotation-factor phases; rotate scales the times by a map's step before
+the frequencies, as evolve does, so a map's rows are its flow's at the
+times n * step.  A spec without a rotation factor of full dimension also
+declares orbit(p, ts), the coordinates of evolve(p, t) for each time of
+a list, behind orbit_coords.  Also here: unit_mod, the array mod 1; the
+Heisenberg group law and its one evolution loop, nil_orbit (nil_evolve
+is its one-time case), quotient metrics, and the exact minimality tests
+by rational independence of the frequencies.
 
 Early exits, bit for bit.  The scalar metrics (_heis_sq_gap behind
 NilflowSpec.dist and the fallback proximality._scalar_directed of
@@ -37,7 +39,7 @@ Conventions: torus points live in [0, 1)^n; Heisenberg group elements
 (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + x * y'),
 the lattice is the subgroup of integer triples, and a point of the
 nilmanifold is the (x, y, z) in [0, 1)^3 of its canonical coset
-representative (heis_reduce).
+representative (nil_orbit at time 0, each coordinate rounded once).
 """
 
 from __future__ import annotations
@@ -157,25 +159,6 @@ def heis_power(a: HeisenbergElement, t: float) -> HeisenbergElement:
 def heis_conjugate(h: HeisenbergElement, a: HeisenbergElement) -> HeisenbergElement:
     """h * a * h^-1; shifts the center by the commutator term."""
     return HeisenbergElement(a.x, a.y, a.z + h.x * a.y - h.y * a.x)
-
-
-def heis_reduce(g: HeisenbergElement) -> tuple[HeisenbergElement, HeisenbergElement]:
-    """Canonical coset representative in [0,1)^3 and the lattice element used.
-
-    Deterministic order: x first, then y, then the forced central integer.
-    Returns (canonical, gamma) with canonical = g * gamma and gamma integral.
-    """
-    m = -math.floor(g.x)
-    n = -math.floor(g.y)
-    z_shifted = g.z + g.x * n
-    k = -math.floor(z_shifted)
-    gamma = HeisenbergElement(float(m), float(n), float(k))
-    canonical = heis_multiply(g, gamma)
-    y, z = canonical.y, canonical.z  # y is in [0, 1]
-    if y == 1.0:  # y rounded up: one more (0, -1, 0), which moves z by -x
-        gamma = heis_multiply(gamma, HeisenbergElement(0.0, -1.0, 0.0))
-        y, z = 0.0, z - canonical.x
-    return HeisenbergElement(wrap_unit(canonical.x), y, wrap_unit(z)), gamma
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +314,6 @@ class TorusFlowSpec:
             raise ValueError("mismatched systems")
         return circle_gap(p, q, range(len(p)))
 
-    def from_coords(self, c: Sequence[float]) -> tuple:
-        return tuple(wrap_unit(v) for v in c)
-
 
 @dataclass(frozen=True)
 class NilflowSpec:
@@ -363,9 +343,6 @@ class NilflowSpec:
         sqrt of the least squared gap, the reverse direction starting from
         the forward one (the module's early exits)."""
         return math.sqrt(_heis_sq_gap(q, p, _heis_sq_gap(p, q, math.inf)))
-
-    def from_coords(self, c: Sequence[float]) -> tuple[float, float, float]:
-        return heis_reduce(HeisenbergElement(c[0], c[1], c[2]))[0].coords
 
 
 @dataclass(frozen=True)
@@ -408,19 +385,25 @@ class SystemHandle:
         return omega if self.step is None else omega * self.step
 
     def rotate(self, phases, s) -> np.ndarray:
-        """Phases moved by s * phase_step mod 1: the array of shape
+        """Phases moved by the times s mod 1: the array of shape
         broadcast(phases.shape, s.shape + (k,)) whose column c is
-        phases[..., c] + s * phase_step[c], reduced by unit_mod.
+        phases[..., c] + (s * step) * float_freqs[c], with plain s on a
+        flow, reduced by unit_mod.  The times are scaled before the
+        frequencies, as evolve scales them, so a map's phases are its
+        flow's at the times s * step.
 
         It is filled one column at a time, the product into the column and
         then the phase added: numpy broadcasts slowly over a short trailing
         axis, and each element gets the same two operations on the same
-        operands as (phases + outer(s, phase_step)) % 1.0, so the same bits.
+        operands as (phases + outer(s * step, float_freqs)) % 1.0, so the
+        same bits.
         """
-        step = self.phase_step
+        omega = self.spec.float_freqs or ()
         phases, s = np.asarray(phases, dtype=float), np.asarray(s)
-        out = np.empty(np.broadcast_shapes(phases.shape, s.shape + step.shape))
-        for c, w in enumerate(step):
+        if self.step is not None:
+            s = s * self.step
+        out = np.empty(np.broadcast_shapes(phases.shape, s.shape + (len(omega),)))
+        for c, w in enumerate(omega):
             col = np.multiply(s, w, out=out[..., c])
             col += phases[..., c]
         return unit_mod(out, out=out)
@@ -437,22 +420,23 @@ class SystemHandle:
         return p
 
     def from_coords(self, c: Sequence[float]):
-        """The point with coordinates c; ValueError unless there are dim."""
+        """The point with coordinates c, its orbit at time 0 by the kernel
+        that moves it; ValueError unless there are dim."""
         if len(c) != self.dim:
             raise ValueError(f"needs {self.dim} coordinates, got {list(c)}")
-        return self.spec.from_coords(c)
+        return self.spec.evolve(tuple(map(float, c)), 0.0)
 
     def origin(self):
         return self.from_coords((0.0,) * self.dim)
 
     def orbit_coords(self, x, ts) -> np.ndarray:
-        """Rows evolve(x, t) over the 1-d times ts, shape
-        (len(ts), dim).  An isometric system is its own rotation factor:
-        closed form by rotate, equal to the scalar path up to rounding.
+        """Rows evolve(x, t) over the 1-d times ts, shape (len(ts), dim), bit
+        for bit; a row may read 1.0 where evolve reads 0.0, the same circle
+        point, since unit_mod keeps numpy's 1.0 for a tiny negative.  An
+        isometric system is its own rotation factor: closed form by rotate.
         Others take the spec's orbit over the times scaled by the step: on
-        the Heisenberg nilmanifold the one exact loop nil_orbit, with the
-        bits of evolve at each time; on a suspension the base's orbit_coords
-        beside the height column."""
+        the Heisenberg nilmanifold the one exact loop nil_orbit; on a
+        suspension the base's orbit_coords beside the height column."""
         if self.is_isometric:
             return self.rotate(x, ts)
         ts = np.asarray(ts, dtype=float)

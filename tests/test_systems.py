@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilflow.algebra import SymbolicReal, UnsupportedBasisError
+from nilflow.algebra import Basis, SymbolicReal, UnsupportedBasisError
 from nilflow.suspension import suspend
 from nilflow.systems import (HEIS_IDENTITY, HeisenbergElement, NilflowSpec,
-                             SystemHandle, circle_dist, flow_minimal_result,
-                             heis_multiply, heis_power, heis_reduce,
+                             SystemHandle, flow_minimal_result,
+                             heis_multiply, heis_power,
                              heisenberg_nilflow, nil_evolve, nil_orbit,
                              time_t_minimal, torus_evolve, torus_flow, unit_mod,
                              wrap_unit)
@@ -72,7 +72,9 @@ def _points(lo, hi):
     return st.tuples(coord, coord, coord)
 
 
-canonical_points = _points(0.0, 1.0).map(lambda c: heis_reduce(HeisenbergElement(*c))[0].coords)
+_NILFLOW = heisenberg_nilflow(SymbolicReal.symbol("SQRT2"), SymbolicReal.symbol("SQRT3"),
+                              Basis.default())
+canonical_points = _points(0.0, 1.0).map(_NILFLOW.from_coords)
 raw_points = _points(-3.0, 3.0)
 any_points = st.one_of(canonical_points, raw_points)
 generators = st.builds(HeisenbergElement,
@@ -200,40 +202,48 @@ class TestHeisenbergGroup:
             assert conjugate_power_gap(a, h, t) <= 1e-12
 
 
-class TestHeisReduce:
-    def test_worked_example(self):
-        g = HeisenbergElement(1.25, -0.5, 2.3)
-        canonical, gamma = heis_reduce(g)
-        assert canonical.coords == pytest.approx((0.25, 0.5, 0.55), abs=1e-12)
-        # canonical = g * gamma with integral gamma, by exact recomputation
-        assert gamma.coords == (-1.0, 1.0, -3.0)
-        assert coords_gap(heis_multiply(g, gamma), canonical) <= 1e-12
+def coset_gap(g, canonical):
+    """How far g^-1 * canonical is from the lattice: 0 when canonical is a
+    representative of g's coset g Gamma."""
+    h = heis_multiply(g.inverse(), HeisenbergElement(*canonical))
+    return max(abs(v - round(v)) for v in h.coords)
 
-    def test_already_canonical(self):
-        g = HeisenbergElement(0.3, 0.7, 0.1)
-        canonical, gamma = heis_reduce(g)
-        assert canonical == g
-        assert gamma == HEIS_IDENTITY
 
-    def test_integral_input(self):
-        canonical, gamma = heis_reduce(HeisenbergElement(2, 3, 5))
-        assert canonical.coords == (0.0, 0.0, 0.0)
-        assert gamma.coords[:2] == (-2.0, -3.0)
+class TestNilFromCoords:
+    """from_coords on the Heisenberg nilflow: the canonical representative
+    of the coset, nil_orbit at time 0."""
+
+    def test_worked_example(self, basis, sqrt2, sqrt3):
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        canonical = nil.from_coords((1.25, -0.5, 2.3))
+        assert canonical == pytest.approx((0.25, 0.5, 0.55), abs=1e-12)
+        assert coset_gap(HeisenbergElement(1.25, -0.5, 2.3), canonical) <= 1e-12
+
+    def test_y_wrap_rounds_z_once(self, basis, sqrt2, sqrt3):
+        # z = 0.2 + 0.97 - 1, rounded once; two roundings give 0.16999999999999993
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        assert nil.from_coords((0.97, -0.05, 0.2)) == (0.97, 0.95, 0.16999999999999998)
+
+    def test_already_canonical(self, basis, sqrt2, sqrt3):
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        assert nil.from_coords((0.3, 0.7, 0.1)) == (0.3, 0.7, 0.1)
+
+    def test_integral_input(self, basis, sqrt2, sqrt3):
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        canonical = nil.from_coords((2, 3, 5))
+        assert canonical == (0.0, 0.0, 0.0)
         # the forced central integer, checked through the group law
-        assert coords_gap(heis_multiply(HeisenbergElement(2, 3, 5), gamma),
-                          canonical) <= 1e-12
+        assert coset_gap(HeisenbergElement(2, 3, 5), canonical) <= 1e-12
 
-    def test_idempotent_and_roundtrip(self):
+    def test_idempotent_and_roundtrip(self, basis, sqrt2, sqrt3):
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
         rng = np.random.default_rng(9)
         for _ in range(300):
             g = HeisenbergElement(*(rng.random(3) * 8 - 4))
-            canonical, gamma = heis_reduce(g)
-            assert all(0.0 <= c < 1.0 for c in canonical.coords)
-            again, gamma2 = heis_reduce(canonical)
-            assert again == canonical and gamma2 == HEIS_IDENTITY
-            back = heis_multiply(canonical, gamma.inverse())
-            assert coords_gap(back, g) <= 1e-12
-            assert all(v == int(v) for v in gamma.coords)
+            canonical = nil.from_coords(g.coords)
+            assert all(0.0 <= c < 1.0 for c in canonical)
+            assert nil.from_coords(canonical) == canonical
+            assert coset_gap(g, canonical) <= 1e-12
 
 
 class TestNilflow:
@@ -409,7 +419,8 @@ def system_of_kind(kind, basis, sqrt2, sqrt3, step):
             "torus-map": lambda: SystemHandle(torus.spec, step),
             "heisenberg-nilflow": lambda: nil,
             "heisenberg-nilsystem": lambda: SystemHandle(nil.spec, step),
-            "suspension": lambda: suspend(SystemHandle(nil.spec, step))}[kind]()
+            "suspension": lambda: suspend(SystemHandle(nil.spec, step)),
+            "suspension-torus-map": lambda: suspend(SystemHandle(torus.spec, step))}[kind]()
 
 
 unit_coords = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4)
@@ -417,26 +428,26 @@ steps = st.floats(-3.0, 3.0).filter(lambda s: abs(s) >= 1e-3)
 
 
 class TestOrbitCoords:
-    # the torus closed form adds t * (omega * step) where evolve adds
-    # omega * (t * step), so rows agree to rounding there, exactly elsewhere
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", (*KINDS, "suspension-torus-map"))
     @settings(max_examples=60, deadline=None)
     @given(unit_coords, st.lists(st.one_of(st.integers(-1000, 1000),
                                            st.floats(-1e3, 1e3)), max_size=6), steps)
+    # at steps that are not powers of two, t * (omega * step) and
+    # omega * (t * step) round apart on about half the rows
+    @example([0.1, 0.2, 0.3, 0.4], [1, 2, 3, 5, 7, 11], 0.7)
     def test_rows_match_scalar_evolution(self, basis, sqrt2, sqrt3, kind, unit, times, step):
+        """Each row has the bits of evolve at its time; a row's 1.0 reads as
+        0.0, the same circle point (unit_mod keeps numpy's 1.0)."""
         sys = system_of_kind(kind, basis, sqrt2, sqrt3, step)
-        assert sys.tag == kind
+        assert sys.tag == ("suspension" if kind.startswith("suspension") else kind)
         x = sys.from_coords(unit[:sys.dim])
         ts = np.array(times, dtype=float)
         rows = sys.orbit_coords(x, ts)
         assert rows.shape == (len(ts), sys.dim)
         assert np.all((rows >= 0.0) & (rows <= 1.0))  # canonical coordinates
         for row, t in zip(rows, ts):
-            want = sys.evolve(x, t)
-            if sys.is_isometric:
-                assert max(circle_dist(a, b) for a, b in zip(row, want)) <= 1e-12
-            else:
-                assert tuple(row) == want
+            got = np.where(row == 1.0, 0.0, row)
+            assert (float_bits(got) == float_bits(sys.evolve(x, t))).all(), (row, t)
 
     @pytest.mark.parametrize("kind", ("torus-map", "heisenberg-nilsystem"))
     @settings(max_examples=100, deadline=None)
@@ -508,6 +519,17 @@ class TestFactors:
             flow.dist((0.1,), (0.1, 0.2))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("c", [(2, -1, 0, 3), tuple(map(np.float32, (0.25, -0.5, 1.75, 0.125))),
+                               tuple(map(Fraction, (1, -2, 3, 4), (3, 7, 2, 5)))],
+                         ids=("int", "float32", "Fraction"))
+def test_from_coords_gives_python_floats(basis, sqrt2, sqrt3, kind, c):
+    sys = system_of_kind(kind, basis, sqrt2, sqrt3, 0.7)
+    p = sys.from_coords(c[:sys.dim])
+    assert type(p) is tuple and [type(v) for v in p] == [float] * sys.dim, p
+    assert p == sys.from_coords(tuple(map(float, c[:sys.dim])))
+
+
 @pytest.mark.parametrize("kind", ("torus-flow", "heisenberg-nilflow", "suspension"))
 def test_from_coords_rejects_wrong_count(basis, sqrt2, sqrt3, kind):
     # one system per spec: TorusFlowSpec, NilflowSpec, SuspensionSpec
@@ -563,11 +585,10 @@ class TestCanonicalPoints:
         assert sys.dist(p, q) <= 1e-12
         assert sys.dist(sys.evolve(p, t), sys.evolve(q, t)) <= 1e-12
 
-    def test_y_rounding_up_moves_z(self, basis):
-        # the lattice step (0, -1, 0) that wraps y moves z by -x, and gamma
-        # records it
-        assert heis_reduce(HeisenbergElement(0.3, -1e-20, 0.5)) == \
-            (HeisenbergElement(0.3, 0.0, 0.5), HeisenbergElement(0.0, 0.0, 0.0))
+    def test_y_rounding_up_moves_z(self, basis, sqrt2, sqrt3):
+        # the lattice step (0, -1, 0) that wraps y moves z by -x
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        assert nil.from_coords((0.3, -1e-20, 0.5)) == (0.3, 0.0, 0.5)
         spec = exact_spec(HeisenbergElement(0.0, 2.0 ** -54 + 2.0 ** -56, 0.0), basis)
         assert nil_orbit(spec, (0.3, 1 - 2.0 ** -53, 0.5), [1]) == \
             [(0.3, 0.0, 0.2)]
@@ -613,8 +634,10 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, -1e-20, 1e-20, 2.0 ** 52, -(2.0 ** 52
 
 
 def rotate_reference(sys, phases, s):
-    """SystemHandle.rotate as an outer product broadcast against the phases."""
-    return (phases + np.multiply.outer(s, sys.phase_step)) % 1.0
+    """SystemHandle.rotate as an outer product broadcast against the phases,
+    the times scaled by a map's step before the frequencies."""
+    s = s if sys.step is None else np.multiply(s, sys.step)
+    return (phases + np.multiply.outer(s, np.array(sys.spec.float_freqs or (), dtype=float))) % 1.0
 
 
 class TestArrayKernelBits:
