@@ -43,8 +43,9 @@ from .averages import (Observable, TimeSeries, banach_density, jstar_embed,
 from .proximality import (EXHAUSTED, commuting_rp_transfer, cube_orbit_sample,
                           fiber_coverage, hausdorff_distance, nd_sample,
                           poly_orbit_density, require_arm_alphas, require_cell_grid,
-                          require_commuting, require_comparable, require_projection,
-                          require_torus, return_set, rp_witness_search)
+                          require_commuting, require_comparable, require_cube_points,
+                          require_face_count, require_projection, require_torus,
+                          require_transfer_order, return_set, rp_witness_search)
 from .suspension import integer_part_orbit, susp_rp_transfer_check, suspend
 from .systems import (HeisenbergElement, SystemHandle, exact_freqs,
                       flow_minimal_result, heisenberg_nilflow, time_t_minimal,
@@ -465,6 +466,7 @@ _RP = {**_SEARCH, "x": _floats, "y": _floats, "require_witness": (bool, False)}
 _CLOUD_RULES = [*_on("system", "x"), *_on("system_h", "x"),
                 ("system_h", require_comparable, ("system", "system_h"))]
 _ALPHAS = ("params.alphas", require_alphas, ("alphas",))
+_FACES = ("params.d", require_face_count, ("d",))
 _OBSERVABLE = ("params.observable", trig_phase_step, ("system", "observable"))
 
 _TABLE = {
@@ -472,10 +474,12 @@ _TABLE = {
                                    ("system",))]),
     "exceptional": (_op_exceptional, {"t": _nonzero_time}, [
         ("system", partial(exact_freqs, name="exceptional"), ("system",))]),
-    "rp-certify": (_op_rp_certify, _RP, _on("system", "x", "y")),
+    "rp-certify": (_op_rp_certify, _RP, [*_on("system", "x", "y"), _FACES]),
     "rp-transfer": (_op_rp_transfer, _RP, [*_on("system", "x", "y"), (
-        "system_h: must commute with system", require_commuting, ("system", "system_h"))]),
-    "cube": (_op_cube, _CLOUD, _CLOUD_RULES),
+        "system_h: must commute with system", require_commuting, ("system", "system_h")),
+        ("params.d", require_transfer_order, ("d",))]),
+    "cube": (_op_cube, _CLOUD, [*_CLOUD_RULES, ("params.d", require_cube_points,
+                                                ("d", "budget"))]),
     "nd-compare": (_op_nd_compare, {**_CLOUD, "alphas": (_alphas, None)}, [
         *_CLOUD_RULES,
         ("params.alphas", require_arm_alphas, ("system", "d", "alphas")),
@@ -503,7 +507,7 @@ _TABLE = {
             resolution, base.dim), ("system", "resolution"))]),
     "susp-rp": (_op_susp_rp, {**_SEARCH, "x1": _floats, "x2": _floats,
                               "s1": _float, "s2": _float}, [
-        *_on("system", "x1", "x2"), ("system", suspend, ("system",))]),
+        *_on("system", "x1", "x2"), ("system", suspend, ("system",)), _FACES]),
     "average": (_op_average, {
         "observable": _observable, "alphas": _alphas, "t": (_float, None),
         "t_grid": (_times, ()), "n_samples": (_count, 2 * 10 ** 4)}, [

@@ -66,6 +66,38 @@ def face_vectors(d: int, include_zero: bool = False) -> list[tuple[int, ...]]:
     return vecs if include_zero else [v for v in vecs if any(v)]
 
 
+# the most faces, 2^d, a witness check walks per scored candidate; the most
+# ranked g-tuples, 16^d, a commuting transfer sorts; the most points,
+# budget * 2^d, a cube sample stacks
+FACE_CAP = 2 ** 10
+RANKED_TUPLE_CAP = 2 ** 16
+CUBE_POINT_CAP = 2 ** 22
+
+
+def require_face_count(d: int) -> None:
+    """ValueError when a witness of order d has more than FACE_CAP faces."""
+    if d >= FACE_CAP.bit_length():
+        raise ValueError(f"d = {d} gives 2^{d} faces per candidate, above the witness "
+                         f"check's cap of {FACE_CAP}")
+
+
+def require_transfer_order(d: int) -> None:
+    """ValueError when a commuting transfer at order d would sort more than
+    RANKED_TUPLE_CAP ranked g-tuples, 16^d; its 2^d faces are then within
+    FACE_CAP."""
+    if 4 * d >= RANKED_TUPLE_CAP.bit_length():
+        raise ValueError(f"d = {d} gives 2^{d} faces and 16^{d} ranked g-tuples, above "
+                         f"the transfer's cap of {RANKED_TUPLE_CAP} tuples")
+
+
+def require_cube_points(d: int, budget: int) -> None:
+    """ValueError when a cube sample would stack more than CUBE_POINT_CAP
+    points, budget * 2^d."""
+    if d >= CUBE_POINT_CAP.bit_length() or budget << d > CUBE_POINT_CAP:
+        raise ValueError(f"d = {d} gives {budget} * 2^{d} points at budget {budget}, above "
+                         f"the cube sample's cap of {CUBE_POINT_CAP}")
+
+
 @dataclass(frozen=True)
 class RPWitness:
     """Certificate for finite-resolution membership in RP^[d]."""
@@ -147,9 +179,26 @@ class PointCloud:
 # ---------------------------------------------------------------------------
 # witness verification
 
+@lru_cache(maxsize=256, typed=True)
+def _face_times(*g) -> tuple:
+    """The distinct face times sum(g_i for eps_i = 1) over the eps of
+    face_vectors(len(g)), each at its first face.  Two faces with equal
+    times have the same bits (a sum from int 0 is never -0.0), and typed
+    keeps the ints of a map apart from the equal floats of a flow."""
+    return tuple(dict.fromkeys(sum(gi for gi, e in zip(g, eps) if e)
+                               for eps in face_vectors(len(g))))
+
+
 def witness_max_gap(sys: SystemHandle, x, y, witness: RPWitness,
                     memo: tuple | None = None) -> float:
     """Max over the 2 base inequalities and the 2^d - 1 face inequalities.
+
+    Each distinct face time is scored once (_face_times): faces with equal
+    times give equal distances, and a max is the same with or without
+    copies of an operand.  At time 0 the face distance is d(x', y'),
+    since evolve(p, 0) returns p for every point the system makes (its
+    from_coords is evolve at time 0); the face pairs x', y' must be such
+    points.
 
     memo, passed by _first_witness, is a pair (dist, evolve) of memoised
     stand-ins for sys.dist on the base pairs (x, x') and (y, y') and for
@@ -159,10 +208,10 @@ def witness_max_gap(sys: SystemHandle, x, y, witness: RPWitness,
     are always computed: each (x', y') pair is new.
     """
     base, image = memo or (sys.dist, sys.evolve)
-    gaps = [base(x, witness.x_prime), base(y, witness.y_prime)]
-    for eps in face_vectors(witness.order):
-        t = sum(g for g, e in zip(witness.g, eps) if e)
-        gaps.append(sys.dist(image(witness.x_prime, t), image(witness.y_prime, t)))
+    xp, yp = witness.x_prime, witness.y_prime
+    gaps = [base(x, xp), base(y, yp)]
+    for t in _face_times(*witness.g):
+        gaps.append(sys.dist(image(xp, t), image(yp, t)) if t else sys.dist(xp, yp))
     return max(gaps)
 
 
@@ -315,6 +364,7 @@ def rp_witness_search(sys: SystemHandle, x, y, d: int, delta: float,
         raise ValueError("delta must be positive")
     if d < 1:
         raise ValueError("d must be >= 1")
+    require_face_count(d)
     edge = 3 * Fraction(delta)
     for factor in sys.spec.factors:
         gap = factor.exact_gap(x, y)
@@ -398,6 +448,7 @@ def commuting_rp_transfer(sysG: SystemHandle, sysH: SystemHandle, x, y,
     H-action (see _first_witness) until one passes at delta_out.
     """
     require_commuting(sysG, sysH)
+    require_transfer_order(witnessG.order)
     gap = witness_max_gap(sysG, x, y, witnessG)  # rp_witness_verify, keeping the gap
     if not gap < delta_out / 3.0:
         raise ValueError("witnessG does not verify at delta_out/3")
@@ -439,6 +490,7 @@ def cube_orbit_sample(sys: SystemHandle, x, d: int, budget: int, seed: int) -> P
     Each sample draws d group elements and emits (g^(eps) x) over all
     eps in {0,1}^d, indexed with eps_1 as the most significant bit.
     """
+    require_cube_points(d, budget)
     rng = np.random.default_rng(seed)
     draws = _draw_elements(sys, rng, (budget, d))
     draws[0, :] = 0.0  # identity tuple first: the cloud always holds the diagonal

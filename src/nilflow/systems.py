@@ -19,8 +19,13 @@ times n * step.  A spec without a rotation factor of full dimension also
 declares orbit(p, ts), the coordinates of evolve(p, t) for each time of
 a list, behind orbit_coords.  Also here: unit_mod, the array mod 1; the
 Heisenberg group law and its one evolution loop, nil_orbit (nil_evolve
-is its one-time case), quotient metrics, and the exact minimality tests
-by rational independence of the frequencies.
+is its one-time case), which reads the generator's scaled terms from
+the spec (NilflowSpec.generator_terms, kept per instance) and converts
+only the point and the times; quotient metrics, and the exact
+minimality tests by rational independence of the frequencies.  A point
+is canonical where it is made, and evolve at time 0 leaves canonical
+coordinates as they are, so evolve(p, 0) returns p, repr for repr, for
+every point a system makes; proximality.witness_max_gap relies on it.
 
 Early exits, bit for bit.  The scalar metrics (_heis_sq_gap behind
 NilflowSpec.dist and the fallback proximality._scalar_directed of
@@ -50,6 +55,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -170,6 +176,29 @@ def torus_evolve(spec: TorusFlowSpec, p: tuple, t: float) -> tuple:
     return tuple(wrap_unit(c + w * t) for c, w in zip(p, spec.float_freqs))
 
 
+def _ratio(v) -> tuple[int, int]:
+    """v as (numerator, power-of-two denominator): a float exactly, an int
+    over 1."""
+    return v.as_integer_ratio() if isinstance(v, float) else (operator.index(v), 1)
+
+
+class GeneratorTerms(dict):
+    """The terms of nil_orbit that depend only on the generator a, by
+    exponent E, each scaled on first use and kept: a.x and a.y over 2^E,
+    a.z over 2^(2E+1), a.x * a.y, and the denominators 2^E, 2^(2E) and
+    2^(4E+1).  den is the largest denominator of a's coordinates."""
+
+    def __init__(self, a: HeisenbergElement):
+        super().__init__()
+        self.ratios = [_ratio(v) for v in (a.x, a.y, a.z)]
+        self.den = max(den for _, den in self.ratios)
+
+    def __missing__(self, e: int) -> tuple:
+        ax, ay, az = (num << e - d.bit_length() + 1 for num, d in self.ratios)
+        terms = self[e] = (ax, ay, az << 2 * e + 1, ax * ay, 1 << e, 1 << 2 * e, 1 << 4 * e + 1)
+        return terms
+
+
 def nil_orbit(spec: NilflowSpec, p: tuple, ts) -> list[tuple[float, float, float]]:
     """Coordinates of the canonical form of (a^t * p) Gamma for each t of ts,
     in dyadic integer arithmetic; the one Heisenberg evolution.
@@ -179,23 +208,25 @@ def nil_orbit(spec: NilflowSpec, p: tuple, ts) -> list[tuple[float, float, float
     to one denominator 2^E, x and y become ints over 2^(2E) and z over
     2^(4E+1).  Floors are shifts, and each coordinate is rounded once, by
     the correctly rounded int / int division.  E is the largest exponent
-    of t, a and p; the terms without t are scaled once per E and kept for
-    the later times with that E.
+    of t, a and p.  The generator's terms are the spec's
+    (NilflowSpec.generator_terms), scaled once per exponent E and kept, so a
+    call converts only the point and the times; the point's terms are
+    scaled once per E in a call and kept for its later times.
     """
-    a = spec.generator
-    fixed = [v.as_integer_ratio() if isinstance(v, float) else (operator.index(v), 1)
-             for v in (a.x, a.y, a.z, *p)]
-    e_fixed = max(den for _, den in fixed).bit_length()
+    a_terms = spec.generator_terms
+    fixed = [_ratio(v) for v in p]
+    e_fixed = max(a_terms.den, *(den for _, den in fixed)).bit_length()
     terms = {}
     rows = []
     for t in ts:
-        tt, den = t.as_integer_ratio() if isinstance(t, float) else (operator.index(t), 1)
+        tt, den = _ratio(t)
         e = max(den.bit_length(), e_fixed) - 1
         scaled = terms.get(e)
         if scaled is None:
-            ax, ay, az, px, py, pz = (num << e - d.bit_length() + 1 for num, d in fixed)
-            scaled = terms[e] = (ax, ay, px << e, py << e, (az << 2 * e + 1) + (ax * py << e + 1),
-                                 ax * ay, 1 << e, pz << 3 * e + 1, 1 << 2 * e, 1 << 4 * e + 1)
+            ax, ay, az_e, axy, one, xy_den, z_den = a_terms[e]
+            px, py, pz = (num << e - d.bit_length() + 1 for num, d in fixed)
+            scaled = terms[e] = (ax, ay, px << e, py << e, az_e + (ax * py << e + 1),
+                                 axy, one, pz << 3 * e + 1, xy_den, z_den)
         ax, ay, px_e, py_e, z_lin, axy, one, pz_e, xy_den, z_den = scaled
         tt <<= e - den.bit_length() + 1
         rx, ry = tt * ax + px_e, tt * ay + py_e
@@ -334,6 +365,12 @@ class NilflowSpec:
     @property
     def float_freqs(self) -> tuple[float, float]:
         return (self.generator.x, self.generator.y)
+
+    @cached_property
+    def generator_terms(self) -> GeneratorTerms:
+        """nil_orbit's generator terms, kept on this instance: a spec is
+        frozen, and every spec, dataclasses.replace's too, has its own."""
+        return GeneratorTerms(self.generator)
 
     evolve = nil_evolve
     orbit = nil_orbit

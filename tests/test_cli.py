@@ -279,6 +279,39 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(path)]) == EXIT_SCHEMA
         assert "params.alphas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("op, params, named", [
+        ("rp-certify", {"x": [0.3], "y": [0.3], "delta": 0.05}, "faces per candidate"),
+        ("rp-transfer", {"x": [0.3], "y": [0.3], "delta": 0.05}, "ranked g-tuples"),
+        ("susp-rp", {"x1": [0.3], "x2": [0.3], "s1": 0.0, "s2": 0.0, "delta": 0.05},
+         "faces per candidate"),
+        ("cube", {"x": [0.1], "budget": 10}, "10 * 2^64 points at budget 10"),
+    ], ids=["rp-certify", "rp-transfer", "susp-rp", "cube"])
+    def test_exponential_d_capped(self, op, params, named):
+        """2^d faces per candidate, 16^d ranked transfer tuples and budget * 2^d
+        cube points each have a cap, so a large d exits 2 before anything
+        runs; every d <= 3 still passes (validated only, never run)."""
+        cfg = {"operation": op, "system": self.ROT, "system_h": self.ROT,
+               "params": {**params, "d": 64}}
+        if op == "susp-rp":
+            del cfg["system_h"]
+        diags = validate_config(cfg)
+        assert len(diags) == 1 and diags[0].startswith("params.d: d = 64 gives ")
+        assert "2^64" in diags[0] and named in diags[0]
+        for d in (1, 2, 3):
+            assert validate_config({**cfg, "params": {**params, "d": d}}) == []
+
+    def test_caps_at_their_edges(self):
+        # the largest d each cap allows, and the next one
+        rp = {"operation": "rp-certify", "system": self.ROT,
+              "params": {"x": [0.3], "y": [0.3], "delta": 0.05}}
+        transfer = {**rp, "operation": "rp-transfer", "system_h": self.ROT}
+        cube = {"operation": "cube", "system": self.ROT, "system_h": self.ROT,
+                "params": {"x": [0.1], "budget": 2 ** 12}}
+        for cfg, last in ((rp, 10), (transfer, 4), (cube, 10)):
+            assert validate_config({**cfg, "params": {**cfg["params"], "d": last}}) == []
+            diags = validate_config({**cfg, "params": {**cfg["params"], "d": last + 1}})
+            assert len(diags) == 1 and f"2^{last + 1}" in diags[0], diags
+
     def test_maps_default_alphas(self):
         cfg = {"operation": "nd-compare", "system": self.ROT, "system_h": self.ROT,
                "params": {"x": [0.1], "d": 3, "budget": 10}}

@@ -52,6 +52,18 @@ def verify_reference(sys, x, y, w, delta):
     return True
 
 
+def reference_max_gap(sys, x, y, w):
+    """The largest gap of the RP^[d] witness condition with every face scored
+    on its own, its images evolved at every time, 0 included: a reference
+    for witness_max_gap, which scores each distinct face time once and reads
+    the time-0 face as d(x', y')."""
+    gaps = [sys.dist(x, w.x_prime), sys.dist(y, w.y_prime)]
+    for eps in face_vectors(w.order):
+        t = sum(g for g, e in zip(w.g, eps) if e)
+        gaps.append(sys.dist(sys.evolve(w.x_prime, t), sys.evolve(w.y_prime, t)))
+    return max(gaps)
+
+
 def fiber_pair(nilsys, xc, c):
     x = nilsys.from_coords(tuple(xc))
     y = nilsys.from_coords((xc[0], xc[1], (xc[2] + c) % 1.0))
@@ -229,8 +241,9 @@ class TestSearchRounds:
 
 def reference_first_witness(sys, x, y, candidates, delta, budget, near=None):
     """The candidate loop without memoised scoring: every candidate's base
-    distances and face images are computed afresh.  A pruned candidate
-    (None) is counted and not scored, as the search's mask asks."""
+    distances and face images are computed afresh, by reference_max_gap.  A
+    pruned candidate (None) is counted and not scored, as the search's mask
+    asks."""
     checked = pruned = 0
     best_gap = None
     for candidate in itertools.islice(candidates, budget):
@@ -239,7 +252,7 @@ def reference_first_witness(sys, x, y, candidates, delta, budget, near=None):
             pruned += 1
             continue
         xp, yp, g = candidate
-        gap = witness_max_gap(sys, x, y, RPWitness(xp, yp, g, delta))
+        gap = reference_max_gap(sys, x, y, RPWitness(xp, yp, g, delta))
         if gap < delta:
             return proximality.RPSearchResult(WITNESS, RPWitness(xp, yp, g, gap),
                                               checked, best_gap, pruned)
@@ -334,6 +347,10 @@ class TestMemoisedScoring:
     # y given at height -0.0: the witness moves x and y toward each other,
     # by the offset (-delta/2, -0.0), equal in value to (-delta/2, 0.0)
     @example(("suspension", (0.3, 0.0), (0.319, -0.0), 1, 0.01, 3000))
+    # d = 3, where every g-tuple of the grid repeats a face time: (0, 0, 1)
+    # has the times 1 and 0 only, (1, 0, 1) the times 1 and 2
+    @example(("heisenberg-nilsystem", (0.1, 0.2, 0.3), (0.1, 0.2, 0.8), 3, 0.1, 2000))
+    @example(("heisenberg-nilflow", (0.1, 0.2, 0.3), (0.15, 0.2, 0.6), 3, 0.1, 2000))
     def test_search_matches_reference(self, case):
         kind, xc, yc, d, delta, budget = case
         sys_h = SEARCH_SYSTEMS[kind]
@@ -377,6 +394,11 @@ class TestMemoisedScoring:
            gs=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                        min_size=10, max_size=60),
            slack=st.floats(0.0, 0.3), budget=st.integers(1, 80))
+    # d = 3 with repeated face times, and g-tuples that come back
+    @example(kind="heisenberg-nilsystem", seed=7, slack=0.05, budget=80,
+             gs=[(0, 0, 1), (1, 0, 1), (0, 0, 0), (1, 0, 1), (-1, 1, 0), (0, 0, 1)] * 2)
+    @example(kind="heisenberg-nilflow", seed=8, slack=0.0, budget=80,
+             gs=[(1, 0, 1), (0, 0, 1), (2, -2, 0), (1, 0, 1)] * 3)
     def test_loop_matches_reference(self, kind, seed, gs, slack, budget):
         # the transfer's shape, fixed x' and y' under many g, and any order of
         # g-tuples: a g may come back after another, and its images with it;
@@ -401,6 +423,29 @@ def _near_coords(rng, dim):
     xc = rng.random(dim)
     yc = (xc + rng.uniform(-0.3, 0.3, dim)) % 1.0
     return [xc, yc] + [(c + rng.uniform(-0.05, 0.05, dim)) % 1.0 for c in (xc, yc)]
+
+
+class TestFaceTimes:
+    """witness_max_gap against reference_max_gap, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(SEARCH_SYSTEMS)), seed=st.integers(0, 2 ** 32 - 1),
+           g=st.lists(st.sampled_from([0, 1, -1, 2]), min_size=1, max_size=3))
+    # d = 3 with face times that repeat: (0, 0, 1) has the times 1, 0, 1, 0,
+    # 1, 0, 1 and (1, 0, 1) the times 1, 0, 1, 1, 2, 1, 2
+    @example(kind="heisenberg-nilsystem", seed=3, g=[0, 0, 1])
+    @example(kind="heisenberg-nilflow", seed=3, g=[1, 0, 1])
+    @example(kind="suspension-heisenberg", seed=4, g=[1, -1, 0])
+    @example(kind="torus-map", seed=5, g=[0, 0, 0])
+    def test_max_gap_equals_every_face_reference(self, kind, seed, g):
+        # each distinct face time scored once, and the time-0 face read as
+        # d(x', y'), give the bits of every face evolved and scored
+        sys = SEARCH_SYSTEMS[kind]
+        x, y, xp, yp = (sys.from_coords(tuple(c.tolist()))
+                        for c in _near_coords(np.random.default_rng(seed), sys.dim))
+        scale = 1 if sys.discrete else 0.25
+        w = RPWitness(xp, yp, tuple(scale * v for v in g), 0.0)
+        assert repr(witness_max_gap(sys, x, y, w)) == repr(reference_max_gap(sys, x, y, w))
 
 
 class TestScoringMemoBounds:
@@ -429,7 +474,9 @@ class TestScoringMemoBounds:
     def test_memo_size_does_not_grow_with_budget(self, nilsys, pair, monkeypatch):
         real = proximality.witness_max_gap
         peaks = {}
-        for budget in (200, 2000):
+        # g = 0 evolves nothing (its face is d(x', y')), so each budget covers
+        # a whole g = 1 tuple: 127 candidates past the 127 of g = 0
+        for budget in (400, 4000):
             sizes = []
 
             def recording(sys_h, x, y, witness, memo=None):
@@ -442,7 +489,7 @@ class TestScoringMemoBounds:
             assert res.status == EXHAUSTED and len(sizes) == budget - res.pruned > 0
             peaks[budget] = tuple(map(max, zip(*sizes)))
         # (base distances, face images): every base pair, and one g's images
-        assert peaks[200] == peaks[2000] == (2 * 43, 2 * 43)
+        assert peaks[400] == peaks[4000] == (2 * 43, 2 * 43)
 
 
 def exact_factor_gap(columns, p, q) -> Fraction:
@@ -792,6 +839,62 @@ class TestCommutingTransfer:
         # delta_out/3 below the witness scale: precondition violated
         with pytest.raises(ValueError):
             commuting_rp_transfer(rot2, rot3, x, y, res.witness, 0.003, 100)
+
+
+def central_pairs(sys, seed, n):
+    """n seeded central pairs of the nilmanifold: y is x with its central
+    coordinate moved by a gap in [0.15, 0.55)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        base = rng.random(3).tolist()
+        gap = float(rng.uniform(0.15, 0.55))
+        yield sys.from_coords(base), sys.from_coords((base[0], base[1], (base[2] + gap) % 1.0))
+
+
+class TestFlowAndTimeStepMaps:
+    """ROADMAP item 4(d), the paper's R-flow half: the (sqrt2, sqrt3) nilflow
+    beside its time-step maps, on central pairs at delta = 0.1."""
+
+    @pytest.mark.parametrize("step", (1.0, 0.7, 2.5))
+    def test_map_witness_reverifies_on_the_flow(self, step):
+        """A map witness, its g read as the flow times n * step, verifies on
+        the flow.  A map's evolve at n is its flow's at the float n * step, so
+        at d = 1 the two gaps are bit-equal and the test checks the code path
+        (the rounding of n * step against the real times is not measured); at
+        d = 2 a face time n1 * step + n2 * step may round apart from the map's
+        (n1 + n2) * step, so only the verification is required."""
+        tmap = SystemHandle(_HEIS_FLOW.spec, step)
+        delta, found = 0.1, 0
+        for x, y in central_pairs(tmap, 44, 10):
+            for d in (1, 2):
+                res = rp_witness_search(tmap, x, y, d, delta, 1000)
+                if not res.found:
+                    continue
+                w = res.witness
+                times = RPWitness(w.x_prime, w.y_prime, tuple(n * step for n in w.g), w.delta)
+                gap = witness_max_gap(_HEIS_FLOW, x, y, times)
+                assert gap < delta
+                if d == 1:
+                    assert repr(gap) == repr(w.delta)
+                found += 1
+        assert found >= 15
+
+    def test_flow_witness_transfers_to_the_step_one_map(self):
+        """A flow witness whose g is not 0 transfers to the time-1 map at
+        3 delta through commuting_rp_transfer: a nilflow and its time-1 map
+        commute."""
+        tmap = SystemHandle(_HEIS_FLOW.spec, 1.0)
+        delta, moved = 0.1, 0
+        for x, y in central_pairs(_HEIS_FLOW, 45, 10):
+            res = rp_witness_search(_HEIS_FLOW, x, y, 1, delta, 10 ** 4)
+            assert res.found
+            if not any(res.witness.g):
+                continue  # a pair closer than 3 delta can meet at g = 0
+            tr = commuting_rp_transfer(_HEIS_FLOW, tmap, x, y, res.witness, 3 * delta, 10 ** 4)
+            assert tr.found and tr.checked >= 1
+            assert rp_witness_verify(tmap, x, y, tr.witness, 3 * delta)
+            moved += 1
+        assert moved >= 4
 
 
 class TestCubeSample:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -357,6 +358,25 @@ class TestKernelsMatchReference:
         spec = exact_spec(a, basis)
         assert nil_evolve(spec, p, t) == reference_nil_evolve(spec, p, t)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(generators, min_size=2, max_size=4), any_points,
+           st.lists(times, min_size=1, max_size=4))
+    @example([HeisenbergElement(0.5, 0.25, 0.0), HeisenbergElement(0.1, 0.7, 0.3)],
+             (0.1, 0.2, 0.3), [3, 0.1, 2.0 ** -40])
+    def test_nil_orbit_terms_per_spec(self, basis, gens, p, ts):
+        """Each spec keeps its own generator terms: specs built one after
+        another, and specs made by dataclasses.replace from one whose terms
+        are already kept, evolve as the reference says, interleaved."""
+        first = exact_spec(gens[0], basis)
+        assert nil_orbit(first, p, ts) == [reference_nil_evolve(first, p, t) for t in ts]
+        specs = [first, *(exact_spec(a, basis) for a in gens[1:]),
+                 *(dataclasses.replace(first, generator=a) for a in gens[1:])]
+        for t in ts:
+            for spec in specs:
+                assert nil_orbit(spec, p, [t]) == [reference_nil_evolve(spec, p, t)]
+        for spec in reversed(specs):
+            assert nil_orbit(spec, p, ts) == [reference_nil_evolve(spec, p, t) for t in ts]
+
     def test_nil_evolve_numpy_integer_time(self, basis, sqrt2, sqrt3):
         nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
         p = nil.from_coords((0.4, 0.6, 0.8))
@@ -584,6 +604,21 @@ class TestCanonicalPoints:
             self.check_canonical(sys, point)
         assert sys.dist(p, q) <= 1e-12
         assert sys.dist(sys.evolve(p, t), sys.evolve(q, t)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", (*KINDS, "suspension-torus-map"))
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(edge_reals, min_size=4, max_size=4), steps)
+    @example([1.0, -1e-20, -0.0, 1.0], 0.7)
+    @example([-1e-300, 1.0 - 2.0 ** -53, -0.0, -1e-20], 2.5)
+    @example([-0.0, -0.0, -0.0, -0.0], 1.0)
+    def test_evolve_at_time_zero_returns_the_point(self, basis, sqrt2, sqrt3, kind, coords,
+                                                   step):
+        """The identity witness_max_gap reads its time-0 face by: evolve(p, 0)
+        is p, repr for repr, for every point from_coords makes."""
+        sys = system_of_kind(kind, basis, sqrt2, sqrt3, step)
+        p = sys.from_coords(coords[:sys.dim])
+        for zero in (0, 0.0):
+            assert list(map(repr, sys.evolve(p, zero))) == list(map(repr, p))
 
     def test_y_rounding_up_moves_z(self, basis, sqrt2, sqrt3):
         # the lattice step (0, -1, 0) that wraps y moves z by -x
