@@ -7,12 +7,14 @@
 #
 #   bash .github/digest_diff.sh BASE_DIR HEAD_DIR [SEED ...]
 #
-# The seeds default to 1 2 3.  Report only: it exits 0 whatever the
+# The seeds default to 1 2 3 5 7, the seeds of the CI digest job; seeds 5
+# and 7 draw the susp-rp pairs whose height gap lies below 3 delta, which
+# only the suspension's rotation factor decides.  Report only: it exits 0 whatever the
 # digests say, because a correctness change moves digests on purpose.
 set -u
 base=$1 head=$2
 shift 2
-seeds=${*:-1 2 3}
+seeds=${*:-1 2 3 5 7}
 tmp=$(mktemp -d)
 # failed/attempted from the JSON of a run's last line, or "none"
 tally() {

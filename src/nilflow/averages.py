@@ -97,11 +97,9 @@ class Observable:
 
 def trig_phase_step(sys: SystemHandle, f: Observable) -> np.ndarray:
     """The phase step of the rotation factor that trig observable f lives
-    on: the whole torus, or the base 2-torus that carries every Heisenberg
-    pullback.  ValueError when sys has no rotation factor of f's dimension."""
+    on: a torus, the Heisenberg base (x, y), or a suspension's base columns
+    with its height.  ValueError unless f has the factor's dimension."""
     omega = sys.phase_step
-    if not len(omega):
-        raise ValueError(f"a {sys.tag} system has no rotation factor for trig observables")
     if f.dim != len(omega):
         raise ValueError(
             f"observable frequency dimension {f.dim} does not match the "
@@ -431,11 +429,11 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
                          n_samples: int = 10 ** 5, seed: int = 0) -> NilfunctionReport:
     """Sampled I_f(k, t) minus the predicted trig polynomial.
 
-    Torus systems sample on the uniform M-point mesh.  That rule
-    integrates e(m x) exactly for |m| < M, so with M above the largest
-    combined frequency it is an independent exact path (pointwise orbit
-    evaluation, no frequency algebra) and the residual is float noise.
-    Heisenberg pullbacks sample by Monte-Carlo and report stderrs.
+    Isometric systems (tori, suspensions over tori) sample on the uniform
+    M-point mesh, which integrates e(m x) exactly for |m| < M, so with M
+    above the largest combined frequency it is an independent exact path
+    (pointwise orbit evaluation, no frequency algebra) and the residual is
+    float noise.  Heisenberg pullbacks sample by Monte-Carlo and report stderrs.
     """
     alphas = require_alphas(alphas)
     require_exact_terms(f, alphas)

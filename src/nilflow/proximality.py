@@ -622,9 +622,9 @@ def _directed(tree, f, keyed, g, g_keyed, bound: float) -> float:
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     """Hausdorff distance between finite clouds under the product max metric.
 
-    On isometric (torus) systems the clouds are flat points of a periodic
-    unit box and the distance comes from periodic KD-trees, in the
-    early-break manner of Taha & Hanbury (TPAMI 2015):
+    On isometric systems (tori, suspensions over tori) the clouds are flat
+    points of a periodic unit box and the distance comes from periodic
+    KD-trees, in the early-break manner of Taha & Hanbury (TPAMI 2015):
 
     1. every 64th row of each cloud, queried against the other's tree,
        gives a lower bound: a nearest-neighbour distance that some row
@@ -649,7 +649,7 @@ def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     its own, and a maximum does not depend on the order of its operands,
     so neither the row order nor the worker count moves a bit.
 
-    Other systems (Heisenberg, suspensions) take the scalar max-min-max
+    Other systems (Heisenberg, suspensions over it) take the scalar max-min-max
     over sys.dist (_scalar_directed), which skips the pairs and rows that
     cannot change it, by the early-exit argument of the systems module.
     On every system an empty cloud is at inf from a nonempty one and at
@@ -800,11 +800,11 @@ def return_set(sys: SystemHandle, x, center, radius: float,
 
 
 def projection_table(sys: SystemHandle) -> dict[str, tuple[tuple, tuple]]:
-    """Fiber name -> (constrained, free) coordinates, for each factor on the
-    rotation factor that leaves some coordinates free (its complement)."""
-    k, dim = len(sys.phase_step), sys.dim
+    """Fiber name -> (constrained, free) coordinates, for each factor inside
+    the rotation factor that leaves some coordinates free (its complement)."""
+    rotation, dim = sys.spec.rotation.columns, sys.dim
     return {f.name: (f.columns, tuple(c for c in range(dim) if c not in f.columns))
-            for f in sys.spec.factors if max(f.columns) < k and len(f.columns) < dim}
+            for f in sys.spec.factors if set(f.columns) <= set(rotation) and len(f.columns) < dim}
 
 
 def require_projection(sys: SystemHandle, name: str) -> tuple[tuple, tuple]:
@@ -833,7 +833,8 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
     constrained, free = require_projection(sys, factor_projection)
     alphas = require_arm_alphas(sys, d, alphas)
     rng = np.random.default_rng(seed)
-    base, free = np.array(x), list(free)
+    base, free, rotation = np.array(x), list(free), sys.spec.rotation.columns
+    phases, positions = base[list(rotation)], [rotation.index(c) for c in constrained]
 
     def blocks():
         for start in _row_starts(budget):
@@ -842,8 +843,8 @@ def fiber_coverage(sys: SystemHandle, factor_projection: str, d: int,
             np.multiply(rng.random(out=drawn), horizon, out=drawn)
             keep = np.ones(len(ts), dtype=bool)
             for a in alphas:
-                comp = sys.rotate(base[:len(sys.phase_step)], a * ts)
-                keep &= periodic_linf(comp[:, constrained], base[None, constrained]) <= resolution
+                comp = sys.rotate(phases, a * ts)
+                keep &= periodic_linf(comp[:, positions], base[None, constrained]) <= resolution
             ts = ts[keep]
             yield np.hstack([sys.orbit_coords(x, a * ts)[:, free] for a in alphas])
 

@@ -16,12 +16,13 @@ projection.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .proximality import cell_coverage, rp_witness_search
-from .systems import SUSPENSION, Factor, SystemHandle, circle_dist, wrap_unit
+from .systems import SUSPENSION, Factor, Rotation, SystemHandle, circle_dist, wrap_unit
 
 INTEGRAL_GAP_TOL = 1e-12
 
@@ -29,27 +30,31 @@ INTEGRAL_GAP_TOL = 1e-12
 @dataclass(frozen=True)
 class SuspensionSpec:
     """Spec of the suspension flow over a discrete base (see systems.py), with
-    no rotation factor or time-t map kind; its factors are the height circle
-    and the suspension's rotation: the base's rotation-factor columns with
-    the height, on which the product flow is the rotation by
-    (base phase_step, 1) per unit time.  Over a torus these are all the
-    columns, and the factor gap is the suspension's metric."""
+    no exact frequencies or time-t map kind; its factors are the height
+    circle and its rotation factor, the base's rotation columns with the
+    height, which the product flow moves by (base phase_step, 1) per unit
+    time: a base column's scale is the base's times the step.  Over a torus
+    these are all the columns, and the factor gap is the metric."""
 
     base: SystemHandle
 
     tags = (SUSPENSION, None)
     pitch = 1.0
-    freqs = float_freqs = None
+    freqs = None
 
     @property
     def dim(self) -> int:
         return self.base.dim + 1
 
+    @cached_property
+    def rotation(self) -> Rotation:
+        r = self.base.spec.rotation
+        return Rotation("suspension-rotation", (*r.columns, self.dim - 1), (*r.freqs, 1.0),
+                        (*(scale * self.base.step for scale in r.scales), 1.0))
+
     @property
     def factors(self) -> tuple[Factor, ...]:
-        rotation = (*range(len(self.base.phase_step)), self.dim - 1)
-        return (Factor("suspension-height", (self.dim - 1,)),
-                Factor("suspension-rotation", rotation))
+        return (Factor("suspension-height", (self.dim - 1,)), self.rotation)
 
     def evolve(self, p: tuple, t: float) -> tuple:
         return susp_evolve(self.base, p, t)

@@ -5,17 +5,18 @@ R-flow (TorusFlowSpec, NilflowSpec, suspension.SuspensionSpec), or with
 a step the flow's time-step map.  A point of every system is the plain
 tuple of its canonical coordinates, which the spec's evolve returns.
 Besides dim, evolve and dist a spec declares its tags (kind as a flow
-and as a time-t map), the search grid pitch, freqs and float_freqs
-(exact and float frequencies of its rotation factor, None where it has
-none) and factors, its one tuple of Factors, which the absence rule of
-the witness search and the fiber table of fiber_coverage read.  Only the
-specs tell kinds apart.  One kernel per kind moves a point, and it makes
-every point too: the handle's from_coords checks the coordinate count
-and returns evolve at time 0.  From float_freqs the handle derives
-phase_step, is_isometric and rotate, the one code that moves
-rotation-factor phases; rotate scales the times by a map's step before
-the frequencies, as evolve does, so a map's rows are its flow's at the
-times n * step.  A spec without a rotation factor of full dimension also
+and as a time-t map), the search grid pitch, freqs (exact frequencies,
+None where no exact decision applies), rotation, its one rotation
+factor (a Rotation), and factors, its one tuple of Factors, the rotation
+among them, which the absence rule of the witness search and the fiber
+table of fiber_coverage read.  Only the specs tell kinds apart.  One
+kernel per kind moves a point, and it makes every point too: the
+handle's from_coords checks the coordinate count and returns evolve at
+time 0.  From the rotation the handle derives phase_step, is_isometric
+and rotate, the one code that moves rotation-factor phases; rotate
+scales the times by a map's step, then a column's scale, before the
+frequencies, as evolve does, so a map's rows are its flow's at the
+times n * step.  A spec whose rotation factor is not all of it also
 declares orbit(p, ts), the coordinates of evolve(p, t) for each time of
 a list, behind orbit_coords.  Also here: unit_mod, the array mod 1; the
 Heisenberg group law and its one evolution loop, nil_orbit (nil_evolve
@@ -173,7 +174,7 @@ def heis_conjugate(h: HeisenbergElement, a: HeisenbergElement) -> HeisenbergElem
 def torus_evolve(spec: TorusFlowSpec, p: tuple, t: float) -> tuple:
     if len(p) != spec.dim:
         raise ValueError("dimension mismatch")
-    return tuple(wrap_unit(c + w * t) for c, w in zip(p, spec.float_freqs))
+    return tuple(wrap_unit(c + w * t) for c, w in zip(p, spec.rotation.freqs))
 
 
 def _ratio(v) -> tuple[int, int]:
@@ -282,6 +283,15 @@ class Factor:
         return Fraction(max(min(g, one - g) for g in gaps), one)
 
 
+@dataclass(frozen=True)
+class Rotation(Factor):
+    """A spec's rotation factor: the flow moves column columns[i] by
+    (t * scales[i]) * freqs[i] mod 1."""
+
+    freqs: tuple[float, ...]
+    scales: tuple[float, ...]
+
+
 _WINDOW = (0.0, -1.0, 1.0, -2.0, 2.0)  # the lattice steps, nearest first
 
 
@@ -323,7 +333,7 @@ class TorusFlowSpec:
     """The linear flow x -> x + t * freqs on the torus T^dim."""
 
     freqs: tuple[SymbolicReal, ...]
-    float_freqs: tuple[float, ...]
+    rotation: Rotation
 
     tags = (TORUS_FLOW, TORUS_MAP)
     pitch = 0.25
@@ -334,8 +344,7 @@ class TorusFlowSpec:
 
     @property
     def factors(self) -> tuple[Factor, ...]:
-        whole = Factor("torus", tuple(range(self.dim)))
-        return (whole,) if self.dim < 2 else (whole, Factor("torus-coord-0", (0,)))
+        return (self.rotation,) if self.dim < 2 else (self.rotation, Factor("torus-coord-0", (0,)))
 
     evolve = torus_evolve
 
@@ -360,11 +369,14 @@ class NilflowSpec:
     tags = (HEIS_NILFLOW, HEIS_NILSYSTEM)
     pitch = 0.25
     dim = 3
-    factors = (Factor("heisenberg-base", (0, 1)),)
+
+    @cached_property
+    def rotation(self) -> Rotation:
+        return Rotation("heisenberg-base", (0, 1), self.generator.coords[:2], (1.0, 1.0))
 
     @property
-    def float_freqs(self) -> tuple[float, float]:
-        return (self.generator.x, self.generator.y)
+    def factors(self) -> tuple[Factor, ...]:
+        return (self.rotation,)
 
     @cached_property
     def generator_terms(self) -> GeneratorTerms:
@@ -405,8 +417,8 @@ class SystemHandle:
 
     @property
     def is_isometric(self) -> bool:
-        """Is the system its own rotation factor (torus flows and maps)?"""
-        return len(self.spec.float_freqs or ()) == self.dim
+        """Is the system its own rotation factor (tori, suspensions over tori)?"""
+        return len(self.spec.rotation.columns) == self.dim
 
     @property
     def dim(self) -> int:
@@ -414,34 +426,33 @@ class SystemHandle:
 
     @property
     def phase_step(self) -> np.ndarray:
-        """Translation of the rotation factor per unit time or step.  The
-        factor is the leading len(phase_step) coordinates of a point: all of
-        them on a torus, (x, y) on the Heisenberg nilmanifold, none (an
-        empty step) on a suspension."""
-        omega = np.array(self.spec.float_freqs or (), dtype=float)
-        return omega if self.step is None else omega * self.step
+        """Translation of the rotation factor's columns per unit time or
+        step, (step * scale) * freq per column, in rotate's order."""
+        r, step = self.spec.rotation, 1.0 if self.step is None else self.step
+        return np.array([(step * scale) * w for w, scale in zip(r.freqs, r.scales)])
 
     def rotate(self, phases, s) -> np.ndarray:
-        """Phases moved by the times s mod 1: the array of shape
-        broadcast(phases.shape, s.shape + (k,)) whose column c is
-        phases[..., c] + (s * step) * float_freqs[c], with plain s on a
-        flow, reduced by unit_mod.  The times are scaled before the
+        """Phases of the rotation factor's columns moved by the times s mod 1:
+        the array of shape broadcast(phases.shape, s.shape + (k,)) whose
+        column c is phases[..., c] + ((s * step) * scales[c]) * freqs[c],
+        with plain s on a flow and no product by a scale of 1.0 (which is
+        exact), reduced by unit_mod.  The times are scaled before the
         frequencies, as evolve scales them, so a map's phases are its
         flow's at the times s * step.
 
         It is filled one column at a time, the product into the column and
         then the phase added: numpy broadcasts slowly over a short trailing
         axis, and each element gets the same two operations on the same
-        operands as (phases + outer(s * step, float_freqs)) % 1.0, so the
+        operands as (phases + outer(scaled times, freqs)) % 1.0, so the
         same bits.
         """
-        omega = self.spec.float_freqs or ()
+        r = self.spec.rotation
         phases, s = np.asarray(phases, dtype=float), np.asarray(s)
         if self.step is not None:
             s = s * self.step
-        out = np.empty(np.broadcast_shapes(phases.shape, s.shape + (len(omega),)))
-        for c, w in enumerate(omega):
-            col = np.multiply(s, w, out=out[..., c])
+        out = np.empty(np.broadcast_shapes(phases.shape, s.shape + (len(r.freqs),)))
+        for c, (w, scale) in enumerate(zip(r.freqs, r.scales)):
+            col = np.multiply(s if scale == 1.0 else s * scale, w, out=out[..., c])
             col += phases[..., c]
         return unit_mod(out, out=out)
 
@@ -473,7 +484,7 @@ class SystemHandle:
         isometric system is its own rotation factor: closed form by rotate.
         Others take the spec's orbit over the times scaled by the step: on
         the Heisenberg nilmanifold the one exact loop nil_orbit; on a
-        suspension the base's orbit_coords beside the height column."""
+        suspension over it the base's orbit_coords beside the heights."""
         if self.is_isometric:
             return self.rotate(x, ts)
         ts = np.asarray(ts, dtype=float)
@@ -488,7 +499,9 @@ class SystemHandle:
 def torus_flow(freqs: Sequence[SymbolicReal], basis: Basis) -> SystemHandle:
     if not freqs:
         raise ValueError("torus flow needs at least one frequency")
-    return SystemHandle(TorusFlowSpec(tuple(freqs), tuple(basis.to_float(f) for f in freqs)))
+    n = len(freqs)
+    return SystemHandle(TorusFlowSpec(tuple(freqs), Rotation(
+        "torus", tuple(range(n)), tuple(basis.to_float(f) for f in freqs), (1.0,) * n)))
 
 
 def heisenberg_nilflow(alpha: SymbolicReal, beta: SymbolicReal, basis: Basis,

@@ -11,7 +11,8 @@ from nilflow.averages import (IndependenceViolation, Observable, TimeSeries,
                               gtilde_star_membership, jstar_embed,
                               multi_average_I, multi_average_series,
                               nilfunction_residual, potts_average, ud_sup)
-from nilflow.systems import (HeisenbergElement, heis_multiply,
+from nilflow.suspension import suspend
+from nilflow.systems import (HeisenbergElement, SystemHandle, heis_multiply,
                              heis_power, heisenberg_nilflow, torus_flow)
 
 
@@ -27,9 +28,11 @@ def nil(basis, sqrt2, sqrt3):
 
 @pytest.fixture(scope="module")
 def residual_flows(basis, one, sqrt2, sqrt3):
-    """The torus flows whose decomposition residual is sampled on the exact mesh."""
+    """The isometric flows whose decomposition residual is sampled on the
+    exact mesh: tori, and a suspension over a torus map."""
     return {"sqrt2": torus_flow((sqrt2,), basis), "1-sqrt2": torus_flow((one, sqrt2), basis),
-            "sqrt2-sqrt3": torus_flow((sqrt2, sqrt3), basis)}
+            "sqrt2-sqrt3": torus_flow((sqrt2, sqrt3), basis),
+            "suspended-sqrt2": suspend(SystemHandle(torus_flow((sqrt2,), basis).spec, 0.7))}
 
 
 # four complex coefficients: with eight alphas, 4^9 frequency tuples exceed

@@ -611,9 +611,12 @@ class TestParameterTable:
          "params.windows: window (0.0, 50.0) exceeds"),
         (valid("density", rho=50.0), "params.rho: 50.0 exceeds the horizon 20.0"),
         (on("average", PLANE), "params.observable: observable frequency dimension 1"),
-        (on("average", SUSP), "params.observable: a suspension system has no rotation"),
-        (on("potts", SUSP), "params.observables: a suspension system has no rotation"),
-        (on("nilres", SUSP), "params.observable: a suspension system has no rotation"),
+        (on("average", SUSP), "params.observable: observable frequency dimension 1 does not "
+                             "match the rotation factor's dimension 2"),
+        (on("potts", SUSP), "params.observables: observable frequency dimension 1 does not "
+                             "match the rotation factor's dimension 2"),
+        (on("nilres", SUSP), "params.observable: observable frequency dimension 1 does not "
+                             "match the rotation factor's dimension 2"),
         (valid("embed", gs=[[1, 0, 0], [0, 0, 1], [0, 0, 2]], alphas=[1.0, 2.0, 3.0]),
          "params.gs: only k <= 2 is supported"),
         (valid("embed", gs=[[1, 0, 0], [1, 0, 1]]),

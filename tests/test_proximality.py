@@ -897,6 +897,31 @@ class TestFlowAndTimeStepMaps:
         assert moved >= 4
 
 
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_base_gap_of_three_delta_is_absent_on_flow_maps_and_suspensions(self, d):
+        """Pairs whose exact base gap is at least 3 delta end proven-absent
+        before any candidate, by the heisenberg-base factor, on the flow and
+        on its maps; at equal heights the suspension of each map ends so by
+        its rotation factor, whose gap is then the base gap."""
+        delta, found = 0.1, 0
+        maps = [SystemHandle(_HEIS_FLOW.spec, step) for step in (1.0, 0.7, 2.5)]
+        rng = np.random.default_rng(47)
+        while found < 20:
+            x, y = (_HEIS_FLOW.from_coords(rng.random(3).tolist()) for _ in range(2))
+            gap = exact_factor_gap((0, 1), x, y)
+            if gap < 3 * Fraction(delta):
+                continue
+            found += 1
+            h = float(rng.random())
+            cases = [(sys_h, x, y, "heisenberg-base") for sys_h in (_HEIS_FLOW, *maps)]
+            cases += [(suspend(m), (*x, h), (*y, h), "suspension-rotation") for m in maps]
+            for sys_h, p, q, name in cases:
+                res = rp_witness_search(sys_h, sys_h.from_coords(p), sys_h.from_coords(q), d,
+                                        delta, 10)
+                assert res.status == PROVEN_ABSENT and res.checked == 0
+                assert res.reason == {"factor": name, "gap": float(gap)}
+
+
 class TestCubeSample:
     def test_budget_one_is_diagonal(self, rot2):
         x = (0.3,)
@@ -1223,16 +1248,19 @@ def scalar_hausdorff_reference(sys_h, pa, pb):
 
 _NIL = SystemHandle(heisenberg_nilflow(_SYMBOLS[1], _SYMBOLS[2], Basis.default()).spec, 1.0)
 _ROT = SystemHandle(torus_flow((_SYMBOLS[1],), Basis.default()).spec, 1.0)
+# the suspensions over torus maps are isometric: hausdorff_distance takes
+# its KD-tree path there, checked against the same scalar references
 SCALAR_SYSTEMS = {"heisenberg": _NIL,
                   "suspended-rotation": suspend(_ROT),
+                  "suspended-plane": suspend(SystemHandle(TORI[2].spec, 0.7)),
                   "suspended-heisenberg": suspend(_NIL)}
 
 
 @st.composite
 def scalar_cloud_pairs(draw):
-    """Two small clouds on a non-isometric system, independent, identical,
-    permuted or holding duplicate rows, optionally on a coarse grid (exact
-    distance ties)."""
+    """Two small clouds on a Heisenberg system or a suspension, independent,
+    identical, permuted or holding duplicate rows, optionally on a coarse
+    grid (exact distance ties)."""
     sys_h = SCALAR_SYSTEMS[draw(st.sampled_from(sorted(SCALAR_SYSTEMS)))]
     arity = draw(st.integers(1, 4))
     n_a, n_b = draw(st.integers(1, 15)), draw(st.integers(1, 15))
@@ -1467,11 +1495,14 @@ class TestFiberCoverage:
                  (TORI[3], {"torus-coord-0": ((0,), (1, 2))}),
                  (TORI[4], {"torus-coord-0": ((0,), (1, 2, 3))}),
                  (_NILFLOW, heis), (SystemHandle(_NILFLOW.spec, 1.0), heis),
-                 (suspend(rot2), {}), (suspend(SystemHandle(_NILFLOW.spec, 1.0)), {})]
+                 (suspend(rot2), {"suspension-height": ((1,), (0,))}),
+                 (suspend(SystemHandle(_NILFLOW.spec, 1.0)),
+                  {"suspension-height": ((3,), (0, 1, 2)),
+                   "suspension-rotation": ((0, 1, 3), (2,))})]
         for sys_h, table in cases:
             assert projection_table(sys_h) == table
         with pytest.raises(ValueError, match=r"'identity' does not apply to suspension "
-                                             r"of dimension 2 \(has \[\]\)"):
+                                             r"of dimension 2 \(has \['suspension-height'\]\)"):
             require_projection(suspend(rot2), "identity")
 
     @settings(max_examples=200, deadline=None)
@@ -1542,8 +1573,10 @@ def fiber_coverage_reference(sys_h, projection, alphas, x, budget, resolution,
 
 
 _NILFLOW = heisenberg_nilflow(_SYMBOLS[1], _SYMBOLS[2], Basis.default(), z=0.3)
-# the four kinds whose projection table is not empty (a circle and a
-# suspension have no declared factor on the rotation factor that leaves a
-# coordinate free); the test draws from every entry of each table
+# systems whose projection table is not empty (a circle has no declared
+# factor on the rotation factor that leaves a coordinate free; a suspension
+# has its height circle, and over the Heisenberg nilmanifold its rotation
+# factor too); the test draws from every entry of each table
 FIBER_SYSTEMS = [TORI[2], TORI[3], SystemHandle(TORI[2].spec, 1.0), _NILFLOW,
-                 SystemHandle(_NILFLOW.spec, 1.0)]
+                 SystemHandle(_NILFLOW.spec, 1.0), suspend(SystemHandle(TORI[1].spec, 0.7)),
+                 suspend(SystemHandle(_NILFLOW.spec, 2.5))]

@@ -670,9 +670,13 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, -1e-20, 1e-20, 2.0 ** 52, -(2.0 ** 52
 
 def rotate_reference(sys, phases, s):
     """SystemHandle.rotate as an outer product broadcast against the phases,
-    the times scaled by a map's step before the frequencies."""
+    per column of the rotation factor ((s * step) * scale) * freq: the
+    times scaled by a map's step, then by the column's scale, before the
+    frequency."""
+    r = sys.spec.rotation
     s = s if sys.step is None else np.multiply(s, sys.step)
-    return (phases + np.multiply.outer(s, np.array(sys.spec.float_freqs or (), dtype=float))) % 1.0
+    cols = [np.multiply(np.multiply(s, scale), w) for w, scale in zip(r.freqs, r.scales)]
+    return (phases + np.stack(cols, axis=-1)) % 1.0
 
 
 class TestArrayKernelBits:
@@ -691,7 +695,7 @@ class TestArrayKernelBits:
             assert unit_mod(inplace, out=inplace) is inplace
             assert (float_bits(inplace) == float_bits(want)).all()
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", (*KINDS, "suspension-torus-map"))
     @settings(max_examples=40, deadline=None)
     @given(step=steps, n=st.integers(0, 50), seed=st.integers(0, 2 ** 32 - 1),
            scale=st.sampled_from([1.0, 1e3, 1e6, 1e12]))
