@@ -412,10 +412,12 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
 
 @dataclass(frozen=True)
 class NilfunctionReport:
-    prediction: TimeSeries
     residual: TimeSeries
     stderrs: np.ndarray | None
-    exact_sampling: bool
+
+    @property
+    def exact_sampling(self) -> bool:
+        return self.stderrs is None
 
     def residual_within_stderr(self, factor: float = 3.0) -> bool:
         if self.stderrs is None:
@@ -447,8 +449,7 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
         sampled = _phase_correlation(sys, f, alphas, mesh.reshape(-1, sys.dim), t)[0]
     else:
         sampled, stderrs = _sample_correlation(sys, f, alphas, t, n_samples, seed)
-    return NilfunctionReport(TimeSeries(t, pred), TimeSeries(t, sampled - pred), stderrs,
-                             stderrs is None)
+    return NilfunctionReport(TimeSeries(t, sampled - pred), stderrs)
 
 
 # ---------------------------------------------------------------------------

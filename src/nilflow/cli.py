@@ -5,10 +5,10 @@ its parameters; subcommands are thin aliases that inject the operation
 name.  Each operation declares its parameters once, in ``_TABLE``: a
 parser giving the type and the allowed range, and a default unless the
 parameter is required; then its cross rules, each a check the library
-itself runs.  A config is parsed once, before anything runs, into typed
-parameters per sweep row.  Reports are deterministic under
-(config, seed): identical inputs produce byte-identical result payloads
-(wall time excluded).
+itself runs: a rule checks, and the operation decides.  A config is
+parsed once, before anything runs, into typed parameters per sweep row.
+Reports are deterministic under (config, seed): identical inputs produce
+byte-identical result payloads (wall time excluded).
 
 Exit codes: 0 success, 1 declared expectation failed, 2 schema
 violation, 3 unsupported basis product, 4 budget exhaustion where the
@@ -49,7 +49,7 @@ from .proximality import (EXHAUSTED, commuting_rp_transfer, cube_orbit_sample,
 from .suspension import integer_part_orbit, susp_rp_transfer_check, suspend
 from .systems import (HeisenbergElement, SystemHandle, exact_freqs,
                       flow_minimal_result, heisenberg_nilflow, time_t_minimal,
-                      torus_flow)
+                      time_t_values, torus_flow)
 
 EXIT_OK = 0
 EXIT_EXPECT_FAIL = 1
@@ -298,8 +298,7 @@ def _op_minimal(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
 
 
 def _op_exceptional(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
-    # decided while parsing, where it doubles as the basis check
-    return {"minimal": p["minimal"]}
+    return {"minimal": time_t_minimal(sysh, p["t"])}
 
 
 def _op_rp_certify(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
@@ -396,11 +395,16 @@ def _op_ud(p: dict, sysh: SystemHandle | None, ctx: RunContext) -> dict:
             "table": [{"sigma": s, "rho": r, "avg": a} for s, r, a in res.table]}
 
 
+def _horizon(time_grid, horizon) -> float:
+    """The density horizon: the given one, else the end of the time grid."""
+    return float(time_grid[-1]) if horizon is None else horizon
+
+
 def _op_density(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
     hits = return_set(sysh, sysh.from_coords(p["x"]), sysh.from_coords(p["center"]),
                       p["radius"], p["time_grid"])
-    lower, upper = banach_density(hits, p["rho"], p["step"], p["horizon"],
-                                  p["half_width"])
+    lower, upper = banach_density(hits, p["rho"], p["step"],
+                                  _horizon(p["time_grid"], p["horizon"]), p["half_width"])
     return {"n_hits": len(hits), "lower": lower, "upper": upper}
 
 
@@ -473,7 +477,8 @@ _TABLE = {
     "minimal": (_op_minimal, {}, [("system", partial(exact_freqs, name="minimal"),
                                    ("system",))]),
     "exceptional": (_op_exceptional, {"t": _nonzero_time}, [
-        ("system", partial(exact_freqs, name="exceptional"), ("system",))]),
+        ("system", partial(exact_freqs, name="exceptional"), ("system",)),
+        ("params.t", time_t_values, ("system", "t"))]),
     "rp-certify": (_op_rp_certify, _RP, [*_on("system", "x", "y"), _FACES]),
     "rp-transfer": (_op_rp_transfer, _RP, [*_on("system", "x", "y"), (
         "system_h: must commute with system", require_commuting, ("system", "system_h")),
@@ -521,7 +526,8 @@ _TABLE = {
         "rho": _positive, "step": _positive, "horizon": (_float, None),
         "half_width": (_positive, 0.05)}, [
         *_on("system", "x", "center"),
-        ("params.rho", require_rho_within, ("rho", "horizon"))]),
+        ("params.rho", lambda rho, time_grid, horizon: require_rho_within(
+            rho, _horizon(time_grid, horizon)), ("rho", "time_grid", "horizon"))]),
     "potts": (_op_potts, {
         "polys": _polys, "observables": _observables, "R": _positive,
         "n_x": (_count, 4), "h": (_positive, None)}, [
@@ -547,11 +553,11 @@ _TABLE = {
 OPERATIONS = (*_TABLE, "validate")
 
 
-def _parse_row(op: str, params: dict, handles: dict,
-               basis: Basis) -> tuple[list[str], dict]:
+def _parse_row(op: str, params: dict, handles: dict) -> tuple[list[str], dict]:
     """Diagnostics and typed parameters of one row, defaults filled in and
     each parameter its parser rejects left out; then the cross rules, each
-    once every key it reads is there and no earlier rule rejected one."""
+    once every key it reads is there and no earlier rule rejected one (a
+    failed rule rejects its parameters, or its systems if it reads none)."""
     _, spec, rules = _TABLE[op]
     diags = [f"params.{k}: unknown parameter" for k in params if k not in spec]
     p: dict = {}
@@ -569,10 +575,6 @@ def _parse_row(op: str, params: dict, handles: dict,
             p[key] = entry[1]
         else:
             diags.append(f"params.{key}: missing")
-    if op == "density" and p.get("horizon", 0) is None:
-        del p["horizon"]  # defaults to the end of the time grid
-        if "time_grid" in p:
-            p["horizon"] = float(p["time_grid"][-1])
     known, rejected = {**handles, **p}, set()
     for prefix, check, keys in rules:
         if any(k not in known or k in rejected for k in keys):
@@ -582,14 +584,7 @@ def _parse_row(op: str, params: dict, handles: dict,
         except ValueError as e:  # other errors are bugs; a basis error exits 3
             basis_error = isinstance(e, UnsupportedBasisError)
             diags.append(f"{'UNSUPPORTED-BASIS' if basis_error else prefix}: {e}")
-            rejected.update(k for k in keys if k in p)
-    if op == "exceptional" and {"system", "t"} <= known.keys():
-        try:
-            p["minimal"] = time_t_minimal(handles["system"], p["t"], basis)
-        except UnsupportedBasisError as e:
-            diags.append(f"UNSUPPORTED-BASIS: {e}")
-        except ValueError:
-            pass  # a system without exact frequencies: its rule names it
+            rejected.update([k for k in keys if k in p] or keys)
     return diags, p
 
 
@@ -669,7 +664,7 @@ def _parse(cfg: dict, seed: int | None = None) -> tuple[list[str], dict, list[di
             diags.append(f"sweep.values: must be a nonempty list, got {values!r}")
         else:
             rows = [{**params, path[7:]: v} for v in values]
-    parsed = [_parse_row(op, row, handles, basis) for row in rows]
+    parsed = [_parse_row(op, row, handles) for row in rows]
     diags += [d for row_diags, _ in parsed for d in row_diags]
     return list(dict.fromkeys(diags)), handles, [p for _, p in parsed]
 

@@ -273,16 +273,17 @@ def _joint_offsets(dim: int, delta: float) -> tuple:
 def _factor_mask(sys: SystemHandle, x, y, dx: np.ndarray, dy: np.ndarray,
                  delta: float) -> np.ndarray:
     """Which offset pairs (rows of dx and dy) leave x' = x + dx and
-    y' = y + dy closer than delta on every declared factor.  The action is
-    an isometry of each factor and a metric is at least its factor gaps, so
-    every face image pair of x' and y' is at least their factor gap apart:
-    a pair that fails here fails the face inequalities whatever g is.  The
-    gaps are periodic_linf's, since x - rint(x) is the signed circle gap of
-    any difference, on the coordinates before from_coords (evolve at time
-    0) reduces them; they differ from the scored distances by rounding,
+    y' = y + dy closer than delta on the rotation factor, whose columns
+    hold every declared factor's.  The action is an isometry of each
+    factor and a metric is at least its factor gaps, so every face image
+    pair of x' and y' is at least their factor gap apart: a pair that
+    fails here fails the face inequalities whatever g is.  The gaps are
+    periodic_linf's, since x - rint(x) is the signed circle gap of any
+    difference, on the coordinates before from_coords (evolve at time 0)
+    reduces them; they differ from the scored distances by rounding,
     orders of magnitude below _PRUNE_SLACK, and a pair within the slack is
     kept."""
-    cols = sorted({c for f in sys.spec.factors for c in f.columns})
+    cols = list(sys.spec.rotation.columns)
     return periodic_linf(np.add(x, dx)[:, cols], np.add(y, dy)[:, cols]) < delta + _PRUNE_SLACK
 
 
@@ -800,11 +801,10 @@ def return_set(sys: SystemHandle, x, center, radius: float,
 
 
 def projection_table(sys: SystemHandle) -> dict[str, tuple[tuple, tuple]]:
-    """Fiber name -> (constrained, free) coordinates, for each factor inside
-    the rotation factor that leaves some coordinates free (its complement)."""
-    rotation, dim = sys.spec.rotation.columns, sys.dim
-    return {f.name: (f.columns, tuple(c for c in range(dim) if c not in f.columns))
-            for f in sys.spec.factors if set(f.columns) <= set(rotation) and len(f.columns) < dim}
+    """Fiber name -> (constrained, free) coordinates, for each factor (all lie
+    inside the rotation factor) that leaves some coordinates free (its complement)."""
+    return {f.name: (f.columns, tuple(c for c in range(sys.dim) if c not in f.columns))
+            for f in sys.spec.factors if len(f.columns) < sys.dim}
 
 
 def require_projection(sys: SystemHandle, name: str) -> tuple[tuple, tuple]:

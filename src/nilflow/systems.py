@@ -6,27 +6,29 @@ a step the flow's time-step map.  A point of every system is the plain
 tuple of its canonical coordinates, which the spec's evolve returns.
 Besides dim, evolve and dist a spec declares its tags (kind as a flow
 and as a time-t map), the search grid pitch, freqs (exact frequencies,
-None where no exact decision applies), rotation, its one rotation
-factor (a Rotation), and factors, its one tuple of Factors, the rotation
-among them, which the absence rule of the witness search and the fiber
-table of fiber_coverage read.  Only the specs tell kinds apart.  One
-kernel per kind moves a point, and it makes every point too: the
-handle's from_coords checks the coordinate count and returns evolve at
-time 0.  From the rotation the handle derives phase_step, is_isometric
-and rotate, the one code that moves rotation-factor phases; rotate
-scales the times by a map's step, then a column's scale, before the
-frequencies, as evolve does, so a map's rows are its flow's at the
-times n * step.  A spec whose rotation factor is not all of it also
-declares orbit(p, ts), the coordinates of evolve(p, t) for each time of
-a list, behind orbit_coords.  Also here: unit_mod, the array mod 1; the
-Heisenberg group law and its one evolution loop, nil_orbit (nil_evolve
-is its one-time case), which reads the generator's scaled terms from
-the spec (NilflowSpec.generator_terms, kept per instance) and converts
-only the point and the times; quotient metrics, and the exact
-minimality tests by rational independence of the frequencies.  A point
-is canonical where it is made, and evolve at time 0 leaves canonical
-coordinates as they are, so evolve(p, 0) returns p, repr for repr, for
-every point a system makes; proximality.witness_max_gap relies on it.
+None where no exact decision applies) with basis (the Basis of their
+symbols), rotation, its one rotation factor (a Rotation), and factors,
+its one tuple of Factors, the rotation among them, which the absence
+rule of the witness search and the fiber table of fiber_coverage read.
+Only the specs tell kinds apart.  One kernel per kind moves a point, and
+it makes every point too: the handle's from_coords checks the coordinate
+count and returns evolve at time 0.  From the rotation the handle
+derives phase_step, is_isometric and rotate, the one code that moves
+rotation-factor phases; rotate scales the times by a map's step, then a
+column's scale, before the frequencies, as evolve does, so a map's rows
+are its flow's at the times n * step.  A spec whose rotation factor is
+not all of it also declares orbit(p, ts), the coordinates of
+evolve(p, t) for each time of a list, behind orbit_coords.  Also here:
+unit_mod, the array mod 1; the Heisenberg group law and its one
+evolution loop, nil_orbit (nil_evolve is its one-time case), which reads
+the generator's scaled terms from the spec (NilflowSpec.generator_terms,
+kept per instance) and converts only the point and the times; quotient
+metrics, and the exact minimality tests by rational independence of the
+frequencies.  Every exact decision reads the spec's freqs and basis, and
+takes no basis of its own.  A point is canonical where it is made, and
+evolve at time 0 leaves canonical coordinates as they are, so
+evolve(p, 0) returns p, repr for repr, for every point a system makes;
+proximality.witness_max_gap relies on it.
 
 Early exits, bit for bit.  The scalar metrics (_heis_sq_gap behind
 NilflowSpec.dist and the fallback proximality._scalar_directed of
@@ -330,10 +332,11 @@ def _heis_sq_gap(p: tuple, q: tuple, best: float) -> float:
 
 @dataclass(frozen=True)
 class TorusFlowSpec:
-    """The linear flow x -> x + t * freqs on the torus T^dim."""
+    """The linear flow x -> x + t * freqs on the torus T^dim, freqs in basis."""
 
     freqs: tuple[SymbolicReal, ...]
     rotation: Rotation
+    basis: Basis = field(compare=False, repr=False)
 
     tags = (TORUS_FLOW, TORUS_MAP)
     pitch = 0.25
@@ -501,7 +504,7 @@ def torus_flow(freqs: Sequence[SymbolicReal], basis: Basis) -> SystemHandle:
         raise ValueError("torus flow needs at least one frequency")
     n = len(freqs)
     return SystemHandle(TorusFlowSpec(tuple(freqs), Rotation(
-        "torus", tuple(range(n)), tuple(basis.to_float(f) for f in freqs), (1.0,) * n)))
+        "torus", tuple(range(n)), tuple(basis.to_float(f) for f in freqs), (1.0,) * n), basis))
 
 
 def heisenberg_nilflow(alpha: SymbolicReal, beta: SymbolicReal, basis: Basis,
@@ -530,15 +533,15 @@ def flow_minimal_result(sys: SystemHandle) -> IndependenceResult:
     return rationally_independent(exact_freqs(sys, "flow_minimal"))
 
 
-def time_t_minimal(sys: SystemHandle, t: SymbolicReal, basis: Basis) -> bool:
-    """Minimality of the time-t map, decided exactly.
-
-    The discrete system is minimal iff (1, x_1 t, ..., x_n t) are
-    rationally independent; symbol products that leave the declared basis
-    raise UnsupportedBasisError rather than falling back to floats.
-    """
+def time_t_values(sys: SystemHandle, t: SymbolicReal) -> list[SymbolicReal]:
+    """(1, x_1 t, ..., x_n t) over the flow's exact frequencies x_i, each product
+    in the spec's basis: UnsupportedBasisError if it is undeclared, no floats."""
     if t.is_zero:
         raise ValueError("t must be nonzero")
-    vals = [SymbolicReal.rational(1)]
-    vals.extend(basis.multiply(f, t) for f in exact_freqs(sys, "time_t_minimal"))
-    return rationally_independent(vals).independent
+    return [SymbolicReal.rational(1), *(sys.spec.basis.multiply(f, t)
+                                        for f in exact_freqs(sys, "time_t_minimal"))]
+
+
+def time_t_minimal(sys: SystemHandle, t: SymbolicReal) -> bool:
+    """Is the time-t map minimal, i.e. are time_t_values rationally independent?"""
+    return rationally_independent(time_t_values(sys, t)).independent

@@ -53,9 +53,9 @@ def test_criterion_01_kronecker_weyl_decisions():
     watch = Stopwatch(1.0)
     flow = torus_flow((ONE, SQRT2), BASIS)
     assert flow_minimal_result(flow).independent is True
-    assert time_t_minimal(flow, ONE, BASIS) is False
-    assert time_t_minimal(flow, SQRT2, BASIS) is False
-    assert time_t_minimal(flow, SQRT3, BASIS) is True
+    assert time_t_minimal(flow, ONE) is False
+    assert time_t_minimal(flow, SQRT2) is False
+    assert time_t_minimal(flow, SQRT3) is True
     watch.check()
     announce(1, "Kronecker-Weyl decisions", watch,
              "flow minimal; time-1/time-sqrt2 non-minimal; time-sqrt3 minimal")
@@ -86,7 +86,7 @@ def test_criterion_02_exceptional_set_structure():
     # 100 rational t: all lie in the exceptional family r / s1
     for _ in range(100):
         t = SymbolicReal.rational(rational_fraction())
-        assert time_t_minimal(flow, t, BASIS) is False
+        assert time_t_minimal(flow, t) is False
         agree += 1
         total += 1
     # 100 basis-irrational t: half of the exceptional form r/(s1 + s2 sqrt2)
@@ -108,7 +108,7 @@ def test_criterion_02_exceptional_set_structure():
             d = rational_fraction() if rng.random() < 0.5 else Fraction(0)
             t = _symbolic(rational_fraction(), rational_fraction(), c, d)
             expected = _expected_minimal(1, 1, c, d)
-        got = time_t_minimal(flow, t, BASIS)
+        got = time_t_minimal(flow, t)
         assert got == expected, f"disagreement at t={t}"
         agree += 1
         total += 1

@@ -232,9 +232,10 @@ class TestNilfunctionResidual:
         assert rep.exact_sampling
         res = ud_sup(rep.residual, [(s, 1000.0) for s in (0.0, 1000.0, 2000.0)])
         assert res.sup <= 1e-6
-        # the prediction itself is the closed form (1/2) cos(2 pi t)
-        expect = 0.5 * np.cos(2 * np.pi * rep.prediction.grid)
-        assert np.max(np.abs(rep.prediction.values.real - expect)) <= 1e-9
+        # the exact correlation it subtracts is the closed form (1/2) cos(2 pi t)
+        exact = multi_average_series(circle_flow, Observable.cosine(1), (1.0,), grid)
+        expect = 0.5 * np.cos(2 * np.pi * grid)
+        assert np.max(np.abs(np.array([v.value for v in exact]).real - expect)) <= 1e-9
 
     def test_heisenberg_pullback_within_stderr(self, nil):
         grid = np.array([0.0, 0.4, 1.3, 2.7, 5.1])
@@ -282,9 +283,7 @@ class TestNilfunctionResidual:
         rep = nilfunction_residual(plane, f, (1.0,), grid)
         assert rep.exact_sampling and np.max(np.abs(rep.residual.values)) <= 1e-12
         pointwise = [nilfunction_residual(plane, f, (1.0,), [t]) for t in grid]
-        for name in ("prediction", "residual"):
-            values = [getattr(r, name).values[0] for r in pointwise]
-            assert np.array_equal(getattr(rep, name).values, values)
+        assert np.array_equal(rep.residual.values, [r.residual.values[0] for r in pointwise])
 
 
 class TestJstarEmbed:

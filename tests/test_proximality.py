@@ -612,8 +612,12 @@ class TestFactorMask:
 def check_commutation(sysG, sysH, coords) -> float:
     """The sampled reference of the commuting rule: the largest gap between
     g h p and h g p over the points with these coordinates and the group
-    elements 1, 2, 5 of a map (0.7, 1.3, 2.9 of a flow)."""
-    elements = [[1, 2, 5] if s.discrete else [0.7, 1.3, 2.9] for s in (sysG, sysH)]
+    elements 1, 2, 5 of a map (0.7, 1.3, 2.9, 0.37 of a flow).  The other
+    flow times can all give integers s*t*c (c = 5 against a step 2 map);
+    at 0.37 = 37/100 that takes a t*c that is a nonzero multiple of 100,
+    and GENERATOR_VALUES give rational c of at most 6, and maps times of
+    at most 10."""
+    elements = [[1, 2, 5] if s.discrete else [0.7, 1.3, 2.9, 0.37] for s in (sysG, sysH)]
     worst = 0.0
     for p in (sysG.from_coords(c) for c in coords):
         for g in elements[0]:
@@ -788,6 +792,7 @@ class TestCommutingTransfer:
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[st.sampled_from(GENERATOR_VALUES)] * 4),
            st.tuples(*[st.sampled_from([None, 1.0, 2.0, 0.5, 1.5, -1.0])] * 2))
+    @example(({"SQRT6": "1"}, {"ONE": "1"}, {"ONE": "1"}, {"SQRT6": "1"}), (None, 2.0))
     def test_rule_agrees_with_sampled_reference(self, basis, gens, steps):
         """Every pair the exact rule accepts has a sampled commutator gap at
         rounding level, and every pair it rejects a gap far above it."""

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -9,13 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilflow.algebra import Basis, SymbolicReal, UnsupportedBasisError
+from nilflow.cli import EXIT_BASIS, EXIT_OK, build_basis, main
 from nilflow.suspension import suspend
 from nilflow.systems import (HEIS_IDENTITY, HeisenbergElement, NilflowSpec,
                              SystemHandle, flow_minimal_result,
                              heis_multiply, heis_power,
                              heisenberg_nilflow, nil_evolve, nil_orbit,
-                             time_t_minimal, torus_evolve, torus_flow, unit_mod,
-                             wrap_unit)
+                             time_t_minimal, time_t_values, torus_evolve, torus_flow,
+                             unit_mod, wrap_unit)
 
 
 def coords_gap(a, b):
@@ -400,31 +402,87 @@ class TestMinimality:
 
     def test_time_t_examples(self, basis, one, sqrt2, sqrt3):
         flow = torus_flow((one, sqrt2), basis)
-        assert not time_t_minimal(flow, one, basis)
-        assert not time_t_minimal(flow, sqrt2, basis)
-        assert time_t_minimal(flow, sqrt3, basis)
+        assert not time_t_minimal(flow, one)
+        assert not time_t_minimal(flow, sqrt2)
+        assert time_t_minimal(flow, sqrt3)
 
     def test_time_t_unsupported_basis(self, basis, one, sqrt2):
         flow = torus_flow((one, sqrt2), basis)
         s5 = SymbolicReal.symbol("SQRT5")
         with pytest.raises(UnsupportedBasisError):
-            time_t_minimal(flow, s5, basis)
+            time_t_minimal(flow, s5)
 
     def test_zero_time_rejected(self, basis, one, sqrt2):
         flow = torus_flow((one, sqrt2), basis)
         with pytest.raises(ValueError):
-            time_t_minimal(flow, SymbolicReal.rational(0), basis)
+            time_t_minimal(flow, SymbolicReal.rational(0))
 
     def test_decision_pure_in_frequency_order(self, basis, one, sqrt2, sqrt3):
         a = torus_flow((one, sqrt2, sqrt3), basis)
         b = torus_flow((sqrt3, one, sqrt2), basis)
         assert flow_minimal_result(a).independent == flow_minimal_result(b).independent
-        assert time_t_minimal(a, sqrt3, basis) == time_t_minimal(b, sqrt3, basis)
+        assert time_t_minimal(a, sqrt3) == time_t_minimal(b, sqrt3)
 
     def test_map_handles_rejected(self, basis, sqrt2):
         rot = SystemHandle(torus_flow((sqrt2,), basis).spec, 1.0)
         with pytest.raises(ValueError):
             flow_minimal_result(rot)
+
+
+# a basis block that declares SQRT2*SQRT5 = SQRT10 and SQRT3*SQRT5 = SQRT15
+SQRT5_PRODUCTS = {
+    "symbols": [{"symbol": "SQRT10", "value": "3.162277660168379331998893544432718533720"},
+                {"symbol": "SQRT15", "value": "3.872983346207416885179265399782399610833"}],
+    "products": [{"left": "SQRT2", "right": "SQRT5", "expansion": {"SQRT10": 1}},
+                 {"left": "SQRT3", "right": "SQRT5", "expansion": {"SQRT15": 1}}]}
+NILFLOW_CFG = {"kind": "heisenberg-nilflow", "alpha": {"SQRT2": "1"}, "beta": {"SQRT3": "1"}}
+
+
+class TestHeisenbergTimeT:
+    """The time-t map of the (sqrt2, sqrt3) nilflow is minimal iff its base
+    rotation is: (1, sqrt2 t, sqrt3 t) rationally independent, each product
+    taken in the basis the spec keeps."""
+
+    def test_examples(self, basis, one, sqrt2, sqrt3):
+        nil = heisenberg_nilflow(sqrt2, sqrt3, basis)
+        assert time_t_minimal(nil, one)  # (1, sqrt2, sqrt3)
+        assert not time_t_minimal(nil, sqrt2)  # (1, 2, sqrt6)
+        assert not time_t_minimal(nil, sqrt3)  # (1, sqrt6, 3)
+
+    def test_products_read_the_spec_basis(self, basis, sqrt2, sqrt3):
+        sqrt5 = SymbolicReal.symbol("SQRT5")
+        nil = heisenberg_nilflow(sqrt2, sqrt3, build_basis({"basis": SQRT5_PRODUCTS}))
+        assert time_t_values(nil, sqrt5) == [SymbolicReal.rational(1),
+                                             SymbolicReal.symbol("SQRT10"),
+                                             SymbolicReal.symbol("SQRT15")]
+        assert time_t_minimal(nil, sqrt5)
+        with pytest.raises(UnsupportedBasisError, match=r"SQRT2\*SQRT5"):
+            time_t_minimal(heisenberg_nilflow(sqrt2, sqrt3, basis), sqrt5)
+
+    @pytest.mark.parametrize("t, minimal", [("1", True), ({"SQRT2": "1"}, False),
+                                            ({"SQRT3": "1"}, False)])
+    def test_cli_examples(self, tmp_path, capsys, t, minimal):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"operation": "exceptional", "system": NILFLOW_CFG,
+                                    "params": {"t": t}}))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["payload"]["result"] == {"minimal": minimal}
+
+    def test_cli_reads_the_config_basis(self, tmp_path, capsys):
+        cfg = {"operation": "exceptional", "system": NILFLOW_CFG,
+               "params": {"t": {"SQRT5": "1"}}, "basis": SQRT5_PRODUCTS}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["payload"]["result"] == {"minimal": True}
+        del cfg["basis"]
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        diags = json.loads(capsys.readouterr().out)["payload"]["result"]["diagnostics"]
+        assert diags == ["UNSUPPORTED-BASIS: product SQRT2*SQRT5 is not expressible "
+                         "in the declared basis"]
+        assert main(["run", "--config", str(path)]) == EXIT_BASIS
+        assert "SQRT2*SQRT5" in capsys.readouterr().err
 
 
 KINDS = ("torus-flow", "torus-map", "heisenberg-nilflow", "heisenberg-nilsystem",
@@ -523,6 +581,15 @@ class TestFactors:
             gap = f.gap(p, q)
             assert abs(f.gap(pt, qt) - gap) <= 1e-12
             assert gap <= sys.dist(p, q) + 1e-12
+
+    @pytest.mark.parametrize("kind", sorted({*FACTOR_NAMES, "torus-flow"}))
+    def test_factors_lie_inside_the_rotation(self, basis, sqrt2, sqrt3, kind):
+        # proximality._factor_mask reads the rotation's columns as the union
+        # of every factor's, and projection_table takes each factor's fibers
+        spec = factor_system(kind, basis, sqrt2, sqrt3).spec
+        assert spec.rotation in spec.factors
+        for f in spec.factors:
+            assert set(f.columns) <= set(spec.rotation.columns), f.name
 
     @pytest.mark.parametrize("dim", (1, 2, 3))
     def test_torus_lists_itself_first(self, basis, sqrt2, sqrt3, dim):
