@@ -1,9 +1,9 @@
 """Multiple ergodic averages along flows and their decompositions.
 
-Trigonometric observables live on the rotation factor (trig_phase_step)
-and keep every integral exact by frequency bookkeeping; one block-mapped loop
-samples correlations over rotation-factor points, seeded Monte-Carlo
-with standard errors or an exact mesh.  Also houses uniform-density window
+Trigonometric observables live on the rotation factor (trig_phase_step),
+and each multiple average of one is exact: frequency terms, or the mean
+over the factor's mesh; a Heisenberg residual samples seeded Monte-Carlo
+points, with standard errors.  Also houses uniform-density window
 suprema, Banach density estimates, the polynomial product law deviation,
 the closed-form decomposition residual, and the level-by-level embedding
 solve for tuples of Heisenberg elements.
@@ -149,15 +149,6 @@ class TimeSeries:
 # ---------------------------------------------------------------------------
 # integrals and multicorrelations
 
-@dataclass(frozen=True)
-class IntegralEstimate:
-    """An integral over X: exact, or Monte-Carlo with its standard error."""
-
-    value: complex
-    stderr: float
-    exact: bool
-
-
 def require_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     """The dilations a_1, ..., a_k as floats: distinct and nonzero."""
     out = tuple(float(a) for a in alphas)
@@ -166,8 +157,10 @@ def require_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     return out
 
 
-# the most frequency tuples, len(f.terms)^(k + 1), an exact expansion visits
+# the most frequency tuples, len(f.terms)^(k + 1), an exact expansion visits,
+# and the most rotation-factor points, M^axes or n_samples, a correlation takes
 EXACT_TUPLE_CAP = 200_000
+POINT_CAP = 2 ** 20
 
 
 def require_exact_terms(f: Observable, alphas: Sequence) -> None:
@@ -177,6 +170,36 @@ def require_exact_terms(f: Observable, alphas: Sequence) -> None:
     if n > EXACT_TUPLE_CAP:
         raise ValueError(f"{len(f.terms)} terms and {len(alphas)} alphas expand to {n} "
                          f"frequency tuples, above the exact expansion's cap of {EXACT_TUPLE_CAP}")
+
+
+def _mesh_size(sys: SystemHandle, f: Observable, alphas: Sequence) -> tuple[int, int]:
+    """M = (k + 1) F + 1 and the axis count of _mesh."""
+    F = max(abs(v) for k, _ in f.terms for v in k)
+    return (len(alphas) + 1) * F + 1, len(trig_phase_step(sys, f))
+
+
+def _mesh(sys: SystemHandle, f: Observable, alphas: Sequence) -> np.ndarray:
+    """The mesh j / M on each rotation-factor axis, a row per point, M =
+    (k + 1) F + 1 for k alphas and F the largest |frequency| of f.  On each
+    axis f(x) f(x + a_1 t omega) ... f(x + a_k t omega) has frequencies
+    |m| <= (k + 1) F < M, and the mean of e(m x + c) over j / M vanishes
+    for 0 < |m| < M, so the mean over the mesh is its integral at every t."""
+    M, axes = _mesh_size(sys, f, alphas)
+    return np.stack(np.meshgrid(*[np.arange(M) / M] * axes, indexing="ij"), -1).reshape(-1, axes)
+
+
+def require_points(sys: SystemHandle, f: Observable, alphas: Sequence,
+                   n_samples: int | None = None) -> None:
+    """ValueError above POINT_CAP correlation points: a residual's n_samples
+    on a system that is not isometric, else the mesh, which an average
+    (n_samples None) builds only above EXACT_TUPLE_CAP."""
+    if n_samples is None and len(f.terms) ** (len(alphas) + 1) <= EXACT_TUPLE_CAP:
+        return
+    M, axes = _mesh_size(sys, f, alphas)
+    n, what = ((n_samples, "samples") if n_samples is not None and not sys.is_isometric
+               else (M ** axes, f"mesh points ({M}^{axes})"))
+    if n > POINT_CAP:
+        raise ValueError(f"{n} {what}, above the correlation's cap of {POINT_CAP}")
 
 
 def _exact_correlation_terms(sys: SystemHandle, f: Observable,
@@ -214,30 +237,24 @@ def _sum_terms(terms, t: np.ndarray) -> np.ndarray:
 
 
 def multi_average_series(sys: SystemHandle, f: Observable,
-                         alphas: Sequence[float], t_grid: Sequence[float],
-                         n_samples: int = 2 * 10 ** 4,
-                         seed: int = 0) -> list[IntegralEstimate]:
-    """I_f(k, t) = int f(x) f(T^{a_1 t} x)...f(T^{a_k t} x) dmu at each grid t.
-
-    The exact frequency terms are built once for the whole grid; the
-    Monte-Carlo fallback draws one seeded point set and reuses it for
-    every t.  Each value equals the one-point call at that t.
-    """
+                         alphas: Sequence[float], t_grid: Sequence[float]) -> np.ndarray:
+    """I_f(k, t) = int f(x) f(T^{a_1 t} x)...f(T^{a_k t} x) dmu at each grid
+    t, exactly: the exact terms, built once for the whole grid, or above
+    EXACT_TUPLE_CAP the mean over _mesh.  Each value equals the one-point
+    call at that t."""
     alphas = require_alphas(alphas)
+    require_points(sys, f, alphas)
     ts = np.array(t_grid, dtype=float)
     terms = _exact_correlation_terms(sys, f, alphas)
     if terms is not None:
-        return [IntegralEstimate(complex(v), 0.0, True) for v in _sum_terms(terms, ts)]
-    values, stderrs = _sample_correlation(sys, f, alphas, ts, n_samples, seed)
-    return [IntegralEstimate(complex(v), float(e), False)
-            for v, e in zip(values, stderrs)]
+        return _sum_terms(terms, ts)
+    return _phase_correlation(sys, f, alphas, _mesh(sys, f, alphas), ts)[0]
 
 
 def multi_average_I(sys: SystemHandle, f: Observable, alphas: Sequence[float],
-                    t: float, n_samples: int = 2 * 10 ** 4,
-                    seed: int = 0) -> IntegralEstimate:
+                    t: float) -> complex:
     """The correlation I_f(k, t) at one t (see multi_average_series)."""
-    return multi_average_series(sys, f, alphas, [t], n_samples, seed)[0]
+    return complex(multi_average_series(sys, f, alphas, [t])[0])
 
 
 def _sample_correlation(sys: SystemHandle, f: Observable, alphas, t_grid,
@@ -431,22 +448,20 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
                          n_samples: int = 10 ** 5, seed: int = 0) -> NilfunctionReport:
     """Sampled I_f(k, t) minus the predicted trig polynomial.
 
-    Isometric systems (tori, suspensions over tori) sample on the uniform
-    M-point mesh, which integrates e(m x) exactly for |m| < M, so with M
-    above the largest combined frequency it is an independent exact path
-    (pointwise orbit evaluation, no frequency algebra) and the residual is
-    float noise.  Heisenberg pullbacks sample by Monte-Carlo and report stderrs.
+    Isometric systems (tori, suspensions over tori) take the mean over
+    _mesh, an independent exact path (pointwise orbit evaluation, no
+    frequency algebra), so the residual is float noise.  Heisenberg
+    pullbacks sample by Monte-Carlo and report stderrs.
     """
     alphas = require_alphas(alphas)
     require_exact_terms(f, alphas)
+    require_points(sys, f, alphas, n_samples)
     terms = _exact_correlation_terms(sys, f, alphas)
     t = np.asarray(t_grid, dtype=float)
     pred = _sum_terms(terms, t)
     stderrs = None
     if sys.is_isometric:
-        M = max(64, 2 * (len(alphas) + 1) * max(abs(v) for k, _ in f.terms for v in k) + 2)
-        mesh = np.stack(np.meshgrid(*[np.arange(M) / M] * sys.dim, indexing="ij"), axis=-1)
-        sampled = _phase_correlation(sys, f, alphas, mesh.reshape(-1, sys.dim), t)[0]
+        sampled = _phase_correlation(sys, f, alphas, _mesh(sys, f, alphas), t)[0]
     else:
         sampled, stderrs = _sample_correlation(sys, f, alphas, t, n_samples, seed)
     return NilfunctionReport(TimeSeries(t, sampled - pred), stderrs)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilflow import averages
 from nilflow.algebra import RealPolynomial
 from nilflow.averages import (IndependenceViolation, Observable, TimeSeries,
                               banach_density, gtilde_star_conjugation_check,
@@ -39,6 +40,30 @@ def residual_flows(basis, one, sqrt2, sqrt3):
 # the exact expansion's limit
 SKEW = Observable.trig([((k,), complex(1.0 / abs(k), 0.3 * k)) for k in (-2, -1, 1, 2)])
 EIGHT = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+
+
+def mesh_mean(sys, f, alphas, ts, extra):
+    """The mean of f(x) f(x + a_1 t omega) ... over the mesh with extra more
+    points per axis than averages._mesh, one t at a time, with no block map."""
+    M, axes = averages._mesh_size(sys, f, alphas)
+    M += extra
+    x = np.stack(np.meshgrid(*[np.arange(M) / M] * axes, indexing="ij"), -1).reshape(-1, axes)
+    out = []
+    for t in ts:
+        prod = f.eval_phases(x)
+        for a in alphas:
+            prod = prod * f.eval_phases(sys.rotate(x, a * t))
+        out.append(prod.mean())
+    return np.array(out)
+
+
+def assert_mesh_exact(sys, f, alphas, ts):
+    """An average above the exact expansion's cap against the mesh at M + 3,
+    to 1e-9 relative to the coefficient norm."""
+    assert averages._exact_correlation_terms(sys, f, alphas) is None
+    norm = sum(abs(c) for _, c in f.terms)
+    err = np.abs(multi_average_series(sys, f, alphas, ts) - mesh_mean(sys, f, alphas, ts, 3))
+    assert np.max(err) <= 1e-9 * norm ** (len(alphas) + 1)
 
 
 def poly(*coeffs):
@@ -93,50 +118,63 @@ class TestMultiAverage:
     def test_constant_observable(self, circle_flow):
         for t in (0.0, 1.7, -3.3):
             r = multi_average_I(circle_flow, Observable.constant(1.0), (1.0,), t)
-            assert r.value == pytest.approx(1.0)
+            assert r == pytest.approx(1.0)
 
     def test_cosine_closed_form(self, circle_flow):
         f = Observable.cosine(1)
         for t in (0.0, 0.3, 0.77):
             r = multi_average_I(circle_flow, f, (1.0,), t)
-            assert r.exact
-            assert r.value.real == pytest.approx(0.5 * math.cos(2 * math.pi * t),
-                                                 abs=1e-6)
-            assert abs(r.value.imag) <= 1e-12
+            assert r.real == pytest.approx(0.5 * math.cos(2 * math.pi * t), abs=1e-6)
+            assert abs(r.imag) <= 1e-12
 
     def test_k2_vanishes(self, circle_flow):
         # exact expansion: no frequency combination +-1 +-1 +-1 sums to zero
         f = Observable.cosine(1)
         for t in (0.1, 0.9, 2.3):
             r = multi_average_I(circle_flow, f, (1.0, 2.0), t)
-            assert abs(r.value) <= 1e-12
+            assert abs(r) <= 1e-12
 
     def test_repeated_alphas_rejected(self, circle_flow):
         with pytest.raises(ValueError):
             multi_average_I(circle_flow, Observable.cosine(1), (1.0, 1.0), 0.1)
 
-    @pytest.mark.parametrize("path", ["exact", "trig-sampled", "trig-sampled-complex",
-                                      "trig-sampled-chunks"])
+    @pytest.mark.parametrize("path", ["exact", "trig-mesh", "trig-mesh-complex",
+                                      "trig-mesh-blocks"])
     def test_series_equals_pointwise(self, circle_flow, path):
-        # one build of the terms (or one seeded point set) for the whole
-        # grid gives the same bits as one call per t
-        f, alphas, n_samples, n_t = {
-            "exact": (Observable.cosine(1), (0.5, 1.0, 3.0), 500, 40),
+        # one build of the terms (or of the mesh) for the whole grid gives
+        # the same bits as one call per t
+        f, alphas, n_t = {
+            "exact": (Observable.cosine(1), (0.5, 1.0, 3.0), 40),
             # 8^6 frequency tuples exceed the exact expansion's limit
-            "trig-sampled": (Observable.trig(
+            "trig-mesh": (Observable.trig(
                 [((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]),
-                (0.5, 1.0, 1.5, 2.0, 3.0), 500, 40),
+                (0.5, 1.0, 1.5, 2.0, 3.0), 40),
             # the series holds 40 rows of products at once, each t-call one row
-            "trig-sampled-complex": (SKEW, EIGHT, 500, 40),
-            # 10^6 products per chunk: two t's, then one
-            "trig-sampled-chunks": (SKEW, EIGHT, 10 ** 6 // 3 + 1, 3),
+            "trig-mesh-complex": (SKEW, EIGHT, 40),
+            # F = 3000 gives a 27001-point mesh, so 2^16 // 27001 = 2 t's per
+            # block: two t's, then one
+            "trig-mesh-blocks": (Observable.trig([((1500 * k,), c) for (k,), c in SKEW.terms]),
+                                 EIGHT, 3),
         }[path]
         grid = np.arange(12.5, 12.5 + 40 * 0.37, 0.37)[:n_t]
-        series = multi_average_series(circle_flow, f, alphas, grid, n_samples, seed=3)
-        pointwise = [multi_average_I(circle_flow, f, alphas, float(t), n_samples, seed=3)
-                     for t in grid]
-        assert series == pointwise
-        assert all(r.exact == (path == "exact") for r in series)
+        series = multi_average_series(circle_flow, f, alphas, grid)
+        pointwise = [multi_average_I(circle_flow, f, alphas, float(t)) for t in grid]
+        assert series.tolist() == pointwise
+        assert (averages._exact_correlation_terms(circle_flow, f, alphas) is None) == (
+            path != "exact")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mesh_average_is_exact(self, residual_flows, nil, data):
+        # above the exact expansion's cap, on every kind: four or five terms
+        # and eight alphas, 4^9 frequency tuples or more
+        flow = data.draw(st.sampled_from([*residual_flows.values(), nil]))
+        dim = len(flow.phase_step)
+        freqs = st.tuples(*[st.integers(-3, 3)] * dim)
+        coeffs = st.builds(complex, st.integers(-8, 8), st.integers(-8, 8)).map(lambda c: c / 4)
+        terms = data.draw(st.lists(st.tuples(freqs, coeffs), min_size=4, max_size=5))
+        alphas = data.draw(st.permutations([-1.5, -1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]))
+        assert_mesh_exact(flow, Observable.trig(terms), alphas, np.arange(0.0, 25.0, 2.3))
 
     def test_measure_invariance_under_evolved_sampling(self, nil):
         # estimates from an evolved sample set agree within Monte-Carlo error
@@ -235,7 +273,7 @@ class TestNilfunctionResidual:
         # the exact correlation it subtracts is the closed form (1/2) cos(2 pi t)
         exact = multi_average_series(circle_flow, Observable.cosine(1), (1.0,), grid)
         expect = 0.5 * np.cos(2 * np.pi * grid)
-        assert np.max(np.abs(np.array([v.value for v in exact]).real - expect)) <= 1e-9
+        assert np.max(np.abs(exact.real - expect)) <= 1e-9
 
     def test_heisenberg_pullback_within_stderr(self, nil):
         grid = np.array([0.0, 0.4, 1.3, 2.7, 5.1])
@@ -250,9 +288,8 @@ class TestNilfunctionResidual:
         f = Observable.trig([((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)])
         with pytest.raises(ValueError, match="262144 frequency tuples, above the exact"):
             nilfunction_residual(circle_flow, f, (0.5, 1.0, 1.5, 2.0, 3.0), [0.0, 1.0])
-        # average falls back to sampling instead
-        assert not multi_average_I(circle_flow, f, (0.5, 1.0, 1.5, 2.0, 3.0), 1.0,
-                                   n_samples=100).exact
+        # average takes the mean over the mesh instead, which is exact
+        assert_mesh_exact(circle_flow, f, (0.5, 1.0, 1.5, 2.0, 3.0), [0.0, 1.0, 7.3])
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -274,12 +311,12 @@ class TestNilfunctionResidual:
         assert np.max(np.abs(rep.residual.values)) <= 1e-9 * norm ** (len(alphas) + 1)
 
     def test_mesh_chunks_equal_pointwise(self, basis, one, sqrt2):
-        # the 64 x 64 mesh of the 2-torus takes 244 t's per chunk of 10^6
-        # products: 600 t's span three chunks, with the same bits as one
-        # call per t
+        # F = 60 and one alpha give the 121 x 121 mesh of the 2-torus, which
+        # takes 2^16 // 121^2 = 4 t's per block: 10 t's span three blocks,
+        # with the same bits as one call per t
         plane = torus_flow((one, sqrt2), basis)
-        f = Observable.trig([((1, 0), 0.5 + 0.25j), ((0, -1), 0.5 - 0.25j)])
-        grid = np.arange(0.0, 300.0, 0.5)
+        f = Observable.trig([((60, 0), 0.5 + 0.25j), ((0, -1), 0.5 - 0.25j)])
+        grid = np.arange(0.0, 5.0, 0.5)
         rep = nilfunction_residual(plane, f, (1.0,), grid)
         assert rep.exact_sampling and np.max(np.abs(rep.residual.values)) <= 1e-12
         pointwise = [nilfunction_residual(plane, f, (1.0,), [t]) for t in grid]

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from nilflow import proximality, systems
 from nilflow.algebra import Basis, RealPolynomial, SymbolicReal
-from nilflow.averages import Observable, nilfunction_residual, potts_average
+from nilflow.averages import (Observable, _exact_correlation_terms, multi_average_series,
+                              nilfunction_residual, potts_average)
 from nilflow.proximality import PointCloud, hausdorff_distance
 from nilflow.systems import heisenberg_nilflow, map_blocks, map_pool, torus_flow
 
@@ -102,6 +103,28 @@ def test_nilfunction_residual_bits(case):
     for (want, want_err), (got, got_err) in each_split(compute):
         assert (got == want).all()
         assert (want_err is None and got_err is None) or (got_err == want_err).all()
+
+
+@st.composite
+def mesh_average_cases(draw):
+    """Averages above the exact expansion's cap, 4^9 frequency tuples or
+    more, which take the mean over the mesh, on grids of t-rows."""
+    sys, dim = draw(st.sampled_from([(LINE, 1), (PLANE, 2), (HEIS, 2)]))
+    freq = st.tuples(*[st.integers(-3, 3)] * dim)
+    coeff = st.sampled_from([1.0, 0.5, -0.25j, 0.3 + 0.4j])
+    f = Observable.trig(draw(st.lists(st.tuples(freq, coeff), min_size=4, max_size=5)))
+    alphas = draw(st.permutations([-1.5, -1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]))
+    ts = np.sort(draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40, unique=True)))
+    return sys, f, alphas, ts
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=mesh_average_cases())
+def test_multi_average_mesh_bits(case):
+    sys, f, alphas, ts = case
+    assert _exact_correlation_terms(sys, f, alphas) is None
+    for want, got in each_split(lambda: multi_average_series(sys, f, alphas, ts)):
+        assert (got == want).all()
 
 
 @st.composite

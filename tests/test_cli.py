@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nilflow import cli
+from nilflow import averages, cli
 from nilflow.cli import (EXIT_BASIS, EXIT_EXPECT_FAIL, EXIT_INTERNAL, EXIT_OK,
                          EXIT_SCHEMA, main, report_json, run, validate_config)
 
@@ -312,6 +312,39 @@ class TestMainExitCodes:
             diags = validate_config({**cfg, "params": {**cfg["params"], "d": last + 1}})
             assert len(diags) == 1 and f"2^{last + 1}" in diags[0], diags
 
+    def test_correlation_points_capped_at_the_edge(self, monkeypatch):
+        """POINT_CAP samples or mesh points validate, one more does not; the
+        cap sits above the benchmark's 10^5 samples.  Validated only, so
+        nothing is allocated."""
+        assert averages.POINT_CAP >= 10 ** 5
+        monkeypatch.setattr(averages, "POINT_CAP", 5 ** 2)
+        samples = on("nilres", HEIS_FLOW, observable=COS_2D)
+        # COS_2D (F = 1) and three alphas: a mesh of 5^2 points
+        mesh = on("nilres", PLANE, observable=COS_2D)
+        assert validate_config({**samples, "params": {**samples["params"], "n_samples": 25}}) == []
+        assert validate_config({**mesh, "params": {**mesh["params"], "alphas": [1, 2, 3]}}) == []
+        diags = validate_config({**samples, "params": {**samples["params"], "n_samples": 26}})
+        assert diags == ["params: 26 samples, above the correlation's cap of 25"]
+        monkeypatch.setattr(averages, "POINT_CAP", 5 ** 2 - 1)
+        assert validate_config({**mesh, "params": {**mesh["params"], "alphas": [1, 2, 3]}}) == [
+            "params: 25 mesh points (5^2), above the correlation's cap of 24"]
+        # average builds a mesh only above the exact expansion's cap
+        monkeypatch.setattr(averages, "POINT_CAP", 1)
+        assert validate_config(on("average", PLANE, observable=COS_2D)) == []
+
+    @pytest.mark.parametrize("spec, length", [
+        ({"kind": "uniform", "horizon": 10.0}, lambda m: {"count": m}),
+        ({"kind": "quadratic", "beta": 1.5}, lambda m: {"n_max": m}),
+        ({"kind": "grid", "start": 2.0, "step": 0.5}, lambda m: {"stop": 2.0 + 0.5 * (m - 1)}),
+    ], ids=["uniform", "quadratic", "grid"])
+    def test_times_capped_at_the_edge(self, monkeypatch, spec, length):
+        """A times spec of TIMES_CAP times validates, one more does not,
+        decided before any array is made."""
+        monkeypatch.setattr(cli, "TIMES_CAP", 6)
+        assert validate_config(valid("suspend", times={**spec, **length(6)})) == []
+        assert validate_config(valid("suspend", times={**spec, **length(7)})) == [
+            "params.times: holds 7 times, above the cap of 6"]
+
     def test_maps_default_alphas(self):
         cfg = {"operation": "nd-compare", "system": self.ROT, "system_h": self.ROT,
                "params": {"x": [0.1], "d": 3, "budget": 10}}
@@ -436,6 +469,8 @@ class TestMoreOperations:
         rep = run(cfg)
         assert rep["result"]["value_re"] == pytest.approx(
             0.5 * math.cos(2 * math.pi * 0.3), abs=1e-9)
+        # every average is exact, so no stderr is printed
+        assert rep["result"]["exact"] is True and "stderr" not in rep["result"]
 
     def test_ud_operation(self):
         grid = [float(x) * 0.5 for x in range(41)]
@@ -493,6 +528,7 @@ ROT = {"kind": "torus-map", "freqs": [{"SQRT2": "1"}]}
 HEIS_FLOW = {"kind": "heisenberg-nilflow", "alpha": {"SQRT2": "1"},
              "beta": {"SQRT3": "1"}}
 COS = {"kind": "cos", "freq": [1]}
+COS_2D = {"kind": "cos", "freq": [1, 0]}
 POLYS = [{"coeffs": ["0", "1"]}, {"coeffs": ["0", "0", "1"]}]
 GRID = {"kind": "grid", "start": 0.0, "stop": 20.0, "step": 1.0}
 PLANE = {"kind": "torus-flow", "freqs": [{"ONE": "1"}, {"SQRT2": "1"}]}
@@ -514,6 +550,10 @@ ROOT2 = {"kind": "torus-flow", "freqs": [{"SQRT2": "1"}]}
 RAGGED = {"kind": "trig", "terms": [{"freq": [1]}, {"freq": [1, 2]}]}
 EIGHT_TERMS = {"kind": "trig", "terms": [{"freq": [k], "re": 1.0}
                                          for k in (-4, -3, -2, -1, 1, 2, 3, 4)]}
+# EIGHT_TERMS at 150000 times the frequencies: with five alphas, a mesh of
+# 6 * 600000 + 1 points
+WIDE_TERMS = {"kind": "trig", "terms": [{"freq": [150000 * k], "re": 1.0}
+                                        for k in (-4, -3, -2, -1, 1, 2, 3, 4)]}
 
 # one valid config per operation; budgets stay small
 VALID = {
@@ -534,8 +574,7 @@ VALID = {
     "suspend": {"system": ROT, "params": {"x": [0.0], "times": [1.0, 4.0]}},
     "susp-rp": {"system": ROT, "params": {"x1": [0.2], "x2": [0.2], "s1": 0.4,
                                           "s2": 0.4, "delta": 0.1, "budget": 10}},
-    "average": {"system": LINE, "params": {"observable": COS, "alphas": [1.0],
-                                           "t": 0.3, "n_samples": 10}},
+    "average": {"system": LINE, "params": {"observable": COS, "alphas": [1.0], "t": 0.3}},
     "ud": {"params": {"series": {"grid": [0.0, 1.0, 2.0], "values": [0.0, 0.5, 1.0]},
                       "windows": [[0.0, 1.0]]}},
     "density": {"system": ROT, "params": {"x": [0.0], "center": [0.0], "radius": 0.1,
@@ -594,7 +633,8 @@ class TestParameterTable:
         (swept("cube", "params.budget", [5, 0]), "params.budget: must be an integer"),
         ({**valid("rp-certify"), "sweep": {"param": "params.delta"}}, "sweep.values"),
         (valid("rp-certify", budgte=10), "params.budgte: unknown parameter"),
-        (valid("average", n_samples=0), "params.n_samples: must be an integer"),
+        (valid("nilres", n_samples=0), "params.n_samples: must be an integer"),
+        (valid("average", n_samples=10), "params.n_samples: unknown parameter"),
         (swept("minimal", "seed", [1, 2]), "sweep.param"),
         ({**valid("minimal"), "seed": "abc"}, "seed: must be an integer"),
         ({**valid("minimal"), "expect": [{"path": "minimal", "op": "nope"}]},
@@ -719,6 +759,20 @@ class TestParameterTable:
         (on("nilres", ROOT2, observable=EIGHT_TERMS, alphas=[0.5, 1.0, 1.5, 2.0, 3.0]),
          "params.observable: 8 terms and 5 alphas expand to 262144 frequency tuples, "
          "above the exact expansion's cap of 200000"),
+        # correlation points and times past their caps, checked before anything
+        # is allocated
+        (on("nilres", HEIS_FLOW, observable=COS_2D, n_samples=10 ** 11),
+         "params: 100000000000 samples, above the correlation's cap of 1048576"),
+        (on("nilres", ROOT2, observable={"kind": "exp", "freq": [600000]}),
+         "params: 1200001 mesh points (1200001^1), above the correlation's cap of 1048576"),
+        (on("average", ROOT2, observable=WIDE_TERMS, alphas=[0.5, 1.0, 1.5, 2.0, 3.0]),
+         "params: 3600001 mesh points (3600001^1), above the correlation's cap of 1048576"),
+        (valid("suspend", times={"kind": "uniform", "count": 1e11, "horizon": 10.0}),
+         "params.times: holds 100000000000 times, above the cap of 1048576"),
+        (valid("density", time_grid={"kind": "quadratic", "beta": 1.0, "n_max": 2 ** 40}),
+         "params.time_grid: holds 1099511627776 times, above the cap of 1048576"),
+        (valid("nilres", t_grid={"kind": "grid", "start": 0.0, "stop": 10.0, "step": 1e-10}),
+         "params.t_grid: holds 100000000001 times, above the cap of 1048576"),
         # counts inside times and observables, and the times seed, which int()
         # used to truncate
         (valid("density", time_grid={"kind": "quadratic", "beta": 1.5, "n_max": 2.7}),
@@ -747,7 +801,8 @@ class TestParameterTable:
             "average-t-and-grid",
             "potts-no-R", "susp-rp-no-s1", "density-no-radius", "density-negative-radius",
             "suspend-no-times", "embed-no-gs", "exceptional-no-t", "swept-zero-budget",
-            "sweep-no-values", "budget-typo", "zero-n-samples", "sweep-not-params",
+            "sweep-no-values", "budget-typo", "zero-n-samples", "average-n-samples",
+            "sweep-not-params",
             "seed-not-integer", "expect-unknown-op", "embed-alpha-per-element",
             "membership-three-tuple", "potts-observable-per-poly", "ud-window-too-wide",
             "nilres-window-too-wide", "density-rho-above-horizon",
@@ -773,6 +828,9 @@ class TestParameterTable:
             "fiber-coverage-cell-key-overflow", "average-ragged-freqs",
             "nilres-ragged-freqs", "potts-ragged-freqs", "average-half-freq",
             "nilres-half-freq", "average-bool-freq", "nilres-over-exact-cap",
+            "nilres-samples-over-point-cap", "nilres-mesh-over-point-cap",
+            "average-mesh-over-point-cap", "suspend-uniform-over-times-cap",
+            "density-quadratic-over-times-cap", "nilres-grid-over-times-cap",
             "density-fractional-n-max", "suspend-bool-count", "suspend-fractional-count",
             "suspend-fractional-seed", "suspend-bool-seed", "average-fractional-dim",
             "average-bool-dim", "average-zero-dim", "suspension-with-step",
@@ -896,7 +954,6 @@ TRANSFER_PAIRS = [(ROT, ROT3, 1), (ROT, LINE, 1), (HEIS_MAP, HEIS_FLOW, 3),
                   (HEIS_MAP, HEIS_MAP_H, 3), (TORUS3_MAP, HEIS_MAP, 3), (ROT, HEIS_MAP, 1),
                   (SUSP, SUSP, 2), (HEIS_MAP, HEIS_MAP_NEAR, 3), (HALF_MAP, HALF_MAP_H, 3),
                   (HALF_MAP, {**HALF_MAP_H, "step": 0.5}, 3)]
-COS_2D = {"kind": "cos", "freq": [1, 0]}
 POLY_POOL = [{"coeffs": ["0", "1"]}, {"coeffs": ["0", "0", "1"]}, {"coeffs": ["0", "2"]},
              {"coeffs": ["3"]}]
 ELEMENTS = [[1, 0, 0], [2, 0, 1], [0, 0, 1], [1, 0, 1]]
@@ -909,16 +966,18 @@ def points(dim):
 
 
 alpha_lists = st.lists(st.sampled_from([1.0, 2.0, -0.5]), min_size=1, max_size=3)
+FIVE = [0.5, 1.0, 1.5, 2.0, 3.0]
+HIGH = {"kind": "exp", "freq": [600000]}
 
 
 @st.composite
-def cross_rule_configs(draw):
+def cross_rule_configs(draw, ops=tuple(sorted(VALID))):
     """A config whose parameters each parse, drawn around the cross rules:
     points against the systems' dimensions, d against the alphas, projection
-    names, gs/alphas and polys/observables lengths, rho against the horizon
-    and the system kinds.  Budgets stay small.  exceptional is left out: it
-    is decided while parsing, so its run never meets a bad input."""
-    op = draw(st.sampled_from(sorted(set(VALID) - {"exceptional"})))
+    names, gs/alphas and polys/observables lengths, rho against the horizon,
+    the products of exceptional's time in the basis, the correlation points
+    of average and nilres, and the system kinds.  Budgets stay small."""
+    op = draw(st.sampled_from(ops))
     cfg = valid(op)
     system, dim = draw(st.sampled_from(SYSTEMS))
     if "system" in cfg:
@@ -951,10 +1010,19 @@ def cross_rule_configs(draw):
             d=draw(st.integers(1, 2)), alphas=draw(alpha_lists), budget=5)
     elif op == "susp-rp":
         p.update(x1=draw(points(dim)), x2=draw(points(dim)), budget=5)
+    elif op == "exceptional":
+        # SQRT5 times SQRT2 is a product the basis does not declare
+        p["t"] = draw(st.sampled_from(["1", "1/3", {"SQRT2": "1"}, {"SQRT5": "1"}]))
     elif op in ("average", "nilres"):
-        p.update(observable=draw(st.sampled_from([COS, COS_2D])), alphas=draw(alpha_lists))
+        # EIGHT_TERMS with five alphas is past the exact expansion's cap, so
+        # average takes the mesh; WIDE_TERMS there and exp(2 pi i 600000 x)
+        # under nilres give meshes past the point cap, as do 10^11 samples
+        observable = draw(st.sampled_from([COS, COS_2D, EIGHT_TERMS, WIDE_TERMS, HIGH]))
+        p.update(observable=observable, alphas=FIVE if observable in (
+            EIGHT_TERMS, WIDE_TERMS) else draw(alpha_lists))
         if op == "nilres":
             p["windows"] = draw(st.sampled_from([None, [[0.0, 5.0]], [[0.0, 50.0]]]))
+            p["n_samples"] = draw(st.sampled_from([None, 100, 10 ** 11]))
     elif op == "ud":
         p["windows"] = draw(st.sampled_from([[[0.0, 1.0]], [[0.0, 5.0]], [[0.5, 0.6]]]))
     elif op == "density":
@@ -986,13 +1054,31 @@ def library_error(cfg):
     return None
 
 
-@settings(max_examples=300, deadline=None)
-@given(cfg=cross_rule_configs())
-def test_parsing_agrees_with_running(cfg):
+def assert_parsing_agrees(cfg):
     diags = validate_config(cfg)
     assert not any(d.endswith(": missing") or "cannot parse" in d for d in diags), diags
     err = library_error(cfg)
     assert (diags == []) == (err is None), (diags, err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=cross_rule_configs())
+def test_parsing_agrees_with_running(cfg):
+    assert_parsing_agrees(cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=cross_rule_configs(ops=("exceptional", "average", "nilres")))
+@example(cfg=on("exceptional", PLANE, t={"SQRT5": "1"}))
+@example(cfg=on("average", LINE, observable=EIGHT_TERMS, alphas=FIVE))
+@example(cfg=on("average", LINE, observable=WIDE_TERMS, alphas=FIVE))
+@example(cfg=on("nilres", LINE, observable=HIGH))
+@example(cfg=on("nilres", HEIS_FLOW, observable=COS_2D, n_samples=10 ** 11))
+def test_parsing_agrees_with_running_on_basis_and_point_rules(cfg):
+    # the operations whose rules decide basis products and point caps, drawn
+    # often enough that each rule fails and passes; the examples are an
+    # undeclared product, a mesh average, and a mesh and samples past the cap
+    assert_parsing_agrees(cfg)
 
 
 def reject_constant(name):
