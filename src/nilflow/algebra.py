@@ -282,12 +282,6 @@ class RealPolynomial:
     def is_constant(self) -> bool:
         return self.degree == 0
 
-    def __call__(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
-        return acc
-
     def eval_array(self, t):
         import numpy as np
         acc = np.zeros_like(np.asarray(t, dtype=float))

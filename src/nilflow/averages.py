@@ -69,10 +69,6 @@ class Observable:
     def constant(c: complex, dim: int = 1) -> "Observable":
         return Observable((((0,) * dim, c),))
 
-    @staticmethod
-    def trig(terms: Sequence[tuple[Sequence[int], complex]]) -> "Observable":
-        return Observable(tuple(terms))
-
     @property
     def dim(self) -> int:
         return len(self.terms[0][0])
@@ -136,14 +132,6 @@ class TimeSeries:
         if len(self.grid) != len(self.values):
             raise ValueError("grid/values length mismatch")
         require_increasing(self.grid)
-
-    def to_csv(self, path) -> None:
-        vals = np.asarray(self.values)
-        if np.iscomplexobj(vals):
-            data = np.column_stack([self.grid, vals.real, vals.imag])
-        else:
-            data = np.column_stack([self.grid, vals])
-        np.savetxt(path, data, delimiter=",", fmt="%.17g")
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +243,6 @@ def multi_average_I(sys: SystemHandle, f: Observable, alphas: Sequence[float],
                     t: float) -> complex:
     """The correlation I_f(k, t) at one t (see multi_average_series)."""
     return complex(multi_average_series(sys, f, alphas, [t])[0])
-
-
-def _sample_correlation(sys: SystemHandle, f: Observable, alphas, t_grid,
-                        n_samples: int, seed: int):
-    """Seeded Monte-Carlo I_f(k, t) over a t grid: (values, stderrs) arrays."""
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n_samples, len(trig_phase_step(sys, f))))
-    return _phase_correlation(sys, f, alphas, pts, t_grid)
 
 
 def _phase_correlation(sys: SystemHandle, f: Observable, alphas, pts,
@@ -409,10 +389,8 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
 
         def fill(cols: slice) -> None:
             for p, f in zip(polys, fs):
-                pt = p.eval_array(ts[cols])
-                for i in range(n_x):
-                    g = f.eval_phases(flow_sys.rotate(xs[i], pt))
-                    vals[i, cols] = np.multiply(vals[i, cols], g)  # see map_blocks
+                g = f.eval_phases(flow_sys.rotate(xs[:, None], p.eval_array(ts[cols])))
+                vals[:, cols] = np.multiply(vals[:, cols], g)  # see map_blocks
 
         map_blocks(fill, len(ts), per=n_x)
         total += vals.sum()  # one sum per chunk, in the order of one core
@@ -463,7 +441,8 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
     if sys.is_isometric:
         sampled = _phase_correlation(sys, f, alphas, _mesh(sys, f, alphas), t)[0]
     else:
-        sampled, stderrs = _sample_correlation(sys, f, alphas, t, n_samples, seed)
+        pts = np.random.default_rng(seed).random((n_samples, len(sys.phase_step)))
+        sampled, stderrs = _phase_correlation(sys, f, alphas, pts, t)
     return NilfunctionReport(TimeSeries(t, sampled - pred), stderrs)
 
 

@@ -215,9 +215,8 @@ def _observable(obj) -> Observable:
     if kind == "const":
         return Observable.constant(_float(obj.get("value", 1.0)), _count(obj.get("dim", 1)))
     if kind == "trig":
-        return Observable.trig([(tuple(t["freq"]),
-                                 complex(_float(t.get("re", 0.0)), _float(t.get("im", 0.0))))
-                                for t in obj["terms"]])
+        return Observable([(t["freq"], complex(_float(t.get("re", 0.0)), _float(t.get("im", 0.0))))
+                           for t in obj["terms"]])
     raise SchemaError(f"unknown observable kind {kind!r}")
 
 
@@ -294,11 +293,13 @@ class RunContext:
     out_path: Path | None
     artifacts: dict = field(default_factory=dict)
 
-    def write_artifact(self, name: str, writer) -> None:
+    def write_artifact(self, name: str, rows) -> None:
+        """With an out path, write the rows as CSV beside the report; each
+        float prints to 17 significant digits, so it reads back exactly."""
         self.artifacts[name] = None
         if self.out_path is not None:
             path = self.out_path.with_name(self.out_path.stem + f".{name}.csv")
-            writer(path)
+            np.savetxt(path, rows, delimiter=",", fmt="%.17g")
             self.artifacts[name] = str(path)
 
 
@@ -340,12 +341,12 @@ def _op_rp_transfer(p: dict, sysG: SystemHandle, ctx: RunContext) -> dict:
 def _op_cube(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
     cloud = cube_orbit_sample(sysh, sysh.from_coords(p["x"]), p["d"], p["budget"],
                               ctx.seed)
-    ctx.write_artifact("cloud_g", cloud.to_csv)
+    ctx.write_artifact("cloud_g", cloud.flat())
     out = {"cloud_g": cloud.manifest()}
     if ctx.sys_h is not None:
         cloud_h = cube_orbit_sample(ctx.sys_h, ctx.sys_h.from_coords(p["x"]), p["d"],
                                     p["budget"], ctx.seed + 1)
-        ctx.write_artifact("cloud_h", cloud_h.to_csv)
+        ctx.write_artifact("cloud_h", cloud_h.flat())
         out["cloud_h"] = cloud_h.manifest()
         out["hausdorff"] = hausdorff_distance(cloud, cloud_h)
     return out
@@ -354,8 +355,8 @@ def _op_cube(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
 def _op_nd_compare(p: dict, sysG: SystemHandle, ctx: RunContext) -> dict:
     a, b = (nd_sample(s, s.from_coords(p["x"]), p["d"], p["budget"], ctx.seed + i,
                       p["alphas"]) for i, s in enumerate((sysG, ctx.sys_h)))
-    ctx.write_artifact("cloud_g", a.to_csv)
-    ctx.write_artifact("cloud_h", b.to_csv)
+    ctx.write_artifact("cloud_g", a.flat())
+    ctx.write_artifact("cloud_h", b.flat())
     return {"cloud_g": a.manifest(), "cloud_h": b.manifest(),
             "hausdorff": hausdorff_distance(a, b)}
 
@@ -391,7 +392,7 @@ def _op_average(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
     if len(p["t_grid"]):
         grid = p["t_grid"]
         vals = multi_average_series(sysh, p["observable"], p["alphas"], grid)
-        ctx.write_artifact("series", TimeSeries(grid, vals).to_csv)
+        ctx.write_artifact("series", np.column_stack((grid, vals.real, vals.imag)))
         return {"n_points": len(grid), "exact": True, "max_abs": max(map(abs, vals.tolist()))}
     v = multi_average_I(sysh, p["observable"], p["alphas"], p["t"])
     return {"value_re": v.real, "value_im": v.imag, "exact": True}
@@ -425,11 +426,12 @@ def _op_potts(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
 def _op_nilres(p: dict, sysh: SystemHandle, ctx: RunContext) -> dict:
     rep = nilfunction_residual(sysh, p["observable"], p["alphas"], p["t_grid"],
                                p["n_samples"], ctx.seed)
-    ctx.write_artifact("residual", rep.residual.to_csv)
+    res = rep.residual
+    ctx.write_artifact("residual", np.column_stack((res.grid, res.values.real, res.values.imag)))
     out = {"exact_sampling": rep.exact_sampling,
-           "max_abs_residual": float(np.max(np.abs(rep.residual.values)))}
+           "max_abs_residual": float(np.max(np.abs(res.values)))}
     if p["windows"]:
-        out["ud_sup"] = ud_sup(rep.residual, p["windows"]).sup
+        out["ud_sup"] = ud_sup(res, p["windows"]).sup
     if rep.stderrs is not None:
         out["within_3_stderr"] = rep.residual_within_stderr(3.0)
     return out
@@ -560,7 +562,6 @@ _TABLE = {
         _ALPHAS, ("params.tuple", require_pair, ("tuple",)),
         ("params.alphas", require_pair, ("alphas",))]),
 }
-OPERATIONS = (*_TABLE, "validate")
 
 
 def _parse_row(op: str, params: dict, handles: dict) -> tuple[list[str], dict]:
@@ -613,7 +614,7 @@ def _parse(cfg: dict, seed: int | None = None) -> tuple[list[str], dict, list[di
     if not isinstance(cfg, dict):
         return ["config: must be a JSON object"], {}, []
     op = cfg.get("operation")
-    if op not in OPERATIONS:
+    if op not in _TABLE:
         return [f"operation: unknown or missing ({op!r})"], {}, []
     params = cfg.get("params", {})
     if not isinstance(params, dict):
@@ -631,8 +632,6 @@ def _parse(cfg: dict, seed: int | None = None) -> tuple[list[str], dict, list[di
         basis = build_basis(cfg)
     except _MALFORMED as e:
         return [f"basis: {e}"], {}, []
-    if op == "validate":
-        return [], {}, []
 
     try:
         _seed(cfg.get("seed", 0) if seed is None else seed)
@@ -719,7 +718,7 @@ def _check_expectations(result: dict, expects: list[dict]) -> bool:
 
 
 def run_validate(cfg: dict, seed: int | None = None) -> dict:
-    """The validate operation: diagnostics as data, never an error exit."""
+    """The validate subcommand: diagnostics as data, never an error exit."""
     diags = validate_config(cfg, seed)
     if seed is None:
         seed = cfg.get("seed", 0) if isinstance(cfg, dict) else 0
@@ -729,15 +728,13 @@ def run_validate(cfg: dict, seed: int | None = None) -> dict:
 
 def run(cfg: dict, seed: int | None = None, out_path: Path | None = None) -> dict:
     """Dispatch one operation (or a sweep) and assemble the run report."""
-    op = cfg.get("operation") if isinstance(cfg, dict) else None
-    if op == "validate":
-        return run_validate(cfg, seed)
     diags, handles, rows = _parse(cfg, seed)
     if diags:
         basis_diags = [d for d in diags if "UNSUPPORTED-BASIS" in d]
         if basis_diags:
             raise UnsupportedBasisError("; ".join(basis_diags))
         raise SchemaError("; ".join(diags))
+    op = cfg["operation"]
     eff_seed = int(seed if seed is not None else cfg.get("seed", 0))
     start = time.perf_counter()
     sweep = cfg.get("sweep")
@@ -787,7 +784,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="nilflow",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in OPERATIONS + ("run",):
+    for name in (*_TABLE, "validate", "run"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)

@@ -168,9 +168,6 @@ class PointCloud:
     def flat(self) -> np.ndarray:
         return self.points.reshape(self.n, -1)
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.flat(), delimiter=",", fmt="%.17g")
-
     def manifest(self) -> dict:
         return {"system": self.system.tag, "arity": self.arity, "n": self.n,
                 **self.meta}
@@ -765,7 +762,8 @@ def _row_starts(n: int) -> range:
 
 def require_torus(sys: SystemHandle) -> None:
     if not sys.is_isometric:
-        raise ValueError(f"poly-density supports torus systems, got {sys.tag}")
+        raise ValueError(f"poly-density supports isometric systems (tori and suspensions "
+                         f"over tori), got {sys.tag}")
 
 
 def poly_orbit_density(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],

@@ -257,20 +257,16 @@ def circle_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-def circle_gap(a: Sequence[float], b: Sequence[float], columns) -> float:
-    return max(circle_dist(a[c], b[c]) for c in columns)
-
-
 @dataclass(frozen=True)
 class Factor:
     """An equivariant projection of a spec onto its coordinate columns, on
-    which the action is an isometry for circle_gap over those columns."""
+    which the action is an isometry for gap, the largest circle distance."""
 
     name: str
     columns: tuple[int, ...]
 
     def gap(self, p, q) -> float:
-        return circle_gap(p, q, self.columns)
+        return max(circle_dist(p[c], q[c]) for c in self.columns)
 
     def exact_gap(self, p, q) -> Fraction:
         """gap on the exact values of the coordinates, with no rounding: a
@@ -352,10 +348,10 @@ class TorusFlowSpec:
     evolve = torus_evolve
 
     def dist(self, p: tuple, q: tuple) -> float:
-        """The default factor metric over all coordinates."""
-        if len(p) != len(q):
+        """The rotation's gap: the largest circle distance over all coordinates."""
+        if not len(p) == len(q) == self.dim:
             raise ValueError("mismatched systems")
-        return circle_gap(p, q, range(len(p)))
+        return self.rotation.gap(p, q)
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,7 @@ class TestSymbolicReal:
 class TestPolynomials:
     def test_eval(self):
         p = RealPolynomial.from_coeffs(["1", "0", "2"])
-        assert p(3.0) == pytest.approx(19.0)
+        assert p.eval_array(3.0) == pytest.approx(19.0)
 
     def test_r_independent_guard(self):
         t = RealPolynomial.from_coeffs([0, 1])

@@ -38,7 +38,7 @@ def residual_flows(basis, one, sqrt2, sqrt3):
 
 # four complex coefficients: with eight alphas, 4^9 frequency tuples exceed
 # the exact expansion's limit
-SKEW = Observable.trig([((k,), complex(1.0 / abs(k), 0.3 * k)) for k in (-2, -1, 1, 2)])
+SKEW = Observable([((k,), complex(1.0 / abs(k), 0.3 * k)) for k in (-2, -1, 1, 2)])
 EIGHT = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
 
@@ -81,14 +81,14 @@ class TestObservable:
     ], ids=["empty", "ragged", "half", "bool", "numpy-bool", "string"])
     def test_constructor_rejects(self, terms, error):
         with pytest.raises(ValueError, match=error):
-            Observable.trig(terms)
+            Observable(terms)
 
     def test_integer_valued_frequencies_read_as_ints(self):
-        f = Observable.trig([((1.0, np.int64(-2)), 2)])
+        f = Observable([((1.0, np.int64(-2)), 2)])
         assert f.terms == (((1, -2), 2 + 0j),)
         assert all(type(v) is int for v in f.terms[0][0])
         assert type(f.terms[0][1]) is complex
-        assert f == Observable.trig([((1, -2), 2.0)])
+        assert f == Observable([((1, -2), 2.0)])
 
 
 class TestIntegrateHaar:
@@ -108,7 +108,7 @@ class TestIntegrateHaar:
             for _ in range(rng.integers(1, 4)):
                 k = tuple(int(v) for v in rng.integers(-3, 4, size=dim))
                 terms.append((k, complex(rng.normal(), rng.normal())))
-            f = Observable.trig(terms)
+            f = Observable(terms)
             vals = f.eval_phases(np.random.default_rng(trial).random((n, dim)))
             stderr = np.std(vals) / math.sqrt(n)
             assert abs(vals.mean() - f.haar_integral()) <= 3 * stderr + 1e-12
@@ -146,14 +146,14 @@ class TestMultiAverage:
         f, alphas, n_t = {
             "exact": (Observable.cosine(1), (0.5, 1.0, 3.0), 40),
             # 8^6 frequency tuples exceed the exact expansion's limit
-            "trig-mesh": (Observable.trig(
+            "trig-mesh": (Observable(
                 [((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]),
                 (0.5, 1.0, 1.5, 2.0, 3.0), 40),
             # the series holds 40 rows of products at once, each t-call one row
             "trig-mesh-complex": (SKEW, EIGHT, 40),
             # F = 3000 gives a 27001-point mesh, so 2^16 // 27001 = 2 t's per
             # block: two t's, then one
-            "trig-mesh-blocks": (Observable.trig([((1500 * k,), c) for (k,), c in SKEW.terms]),
+            "trig-mesh-blocks": (Observable([((1500 * k,), c) for (k,), c in SKEW.terms]),
                                  EIGHT, 3),
         }[path]
         grid = np.arange(12.5, 12.5 + 40 * 0.37, 0.37)[:n_t]
@@ -174,15 +174,15 @@ class TestMultiAverage:
         coeffs = st.builds(complex, st.integers(-8, 8), st.integers(-8, 8)).map(lambda c: c / 4)
         terms = data.draw(st.lists(st.tuples(freqs, coeffs), min_size=4, max_size=5))
         alphas = data.draw(st.permutations([-1.5, -1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]))
-        assert_mesh_exact(flow, Observable.trig(terms), alphas, np.arange(0.0, 25.0, 2.3))
+        assert_mesh_exact(flow, Observable(terms), alphas, np.arange(0.0, 25.0, 2.3))
 
     def test_measure_invariance_under_evolved_sampling(self, nil):
-        # estimates from an evolved sample set agree within Monte-Carlo error
-        from nilflow.averages import _sample_correlation
+        # estimates from an evolved sample set agree within Monte-Carlo error:
+        # the residuals of two seeds differ by their estimates' difference
         f = Observable.cosine(1, 0)
-        v1, s1 = _sample_correlation(nil, f, (1.0,), np.array([0.7]), 10 ** 4, 3)
-        v2, s2 = _sample_correlation(nil, f, (1.0,), np.array([0.7]), 10 ** 4, 4)
-        assert abs(v1[0] - v2[0]) <= 3 * (s1[0] + s2[0])
+        r1, r2 = (nilfunction_residual(nil, f, (1.0,), [0.7], 10 ** 4, seed) for seed in (3, 4))
+        gap = abs(r1.residual.values[0] - r2.residual.values[0])
+        assert gap <= 3 * (r1.stderrs[0] + r2.stderrs[0])
 
 
 class TestUDSup:
@@ -285,7 +285,7 @@ class TestNilfunctionResidual:
     def test_unsupported_observable(self, circle_flow):
         # 8^6 frequency tuples exceed the exact expansion's cap, so there is
         # no prediction to compare with
-        f = Observable.trig([((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)])
+        f = Observable([((k,), 1.0 / abs(k)) for k in (-4, -3, -2, -1, 1, 2, 3, 4)])
         with pytest.raises(ValueError, match="262144 frequency tuples, above the exact"):
             nilfunction_residual(circle_flow, f, (0.5, 1.0, 1.5, 2.0, 3.0), [0.0, 1.0])
         # average takes the mean over the mesh instead, which is exact
@@ -304,7 +304,7 @@ class TestNilfunctionResidual:
         terms = data.draw(st.lists(st.tuples(freqs, coeffs), min_size=1, max_size=3))
         alphas = data.draw(st.lists(st.sampled_from([-1.5, -1.0, 0.5, 1.0, 2.0, 3.0]),
                                     min_size=1, max_size=2, unique=True))
-        rep = nilfunction_residual(flow, Observable.trig(terms), alphas,
+        rep = nilfunction_residual(flow, Observable(terms), alphas,
                                    np.arange(0.0, 25.0, 0.83))
         assert rep.exact_sampling
         norm = sum(abs(c) for _, c in terms)
@@ -315,7 +315,7 @@ class TestNilfunctionResidual:
         # takes 2^16 // 121^2 = 4 t's per block: 10 t's span three blocks,
         # with the same bits as one call per t
         plane = torus_flow((one, sqrt2), basis)
-        f = Observable.trig([((60, 0), 0.5 + 0.25j), ((0, -1), 0.5 - 0.25j)])
+        f = Observable([((60, 0), 0.5 + 0.25j), ((0, -1), 0.5 - 0.25j)])
         grid = np.arange(0.0, 5.0, 0.5)
         rep = nilfunction_residual(plane, f, (1.0,), grid)
         assert rep.exact_sampling and np.max(np.abs(rep.residual.values)) <= 1e-12

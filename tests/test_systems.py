@@ -604,6 +604,8 @@ class TestFactors:
         flow = torus_flow((sqrt2,), basis)
         with pytest.raises(ValueError, match="mismatched systems"):
             flow.dist((0.1,), (0.1, 0.2))
+        with pytest.raises(ValueError, match="mismatched systems"):
+            flow.dist((0.1, 0.2), (0.3, 0.4))  # each point has one coordinate too many
 
 
 @pytest.mark.parametrize("kind", KINDS)
