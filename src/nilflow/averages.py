@@ -6,11 +6,12 @@ over the factor's mesh; a Heisenberg residual samples seeded Monte-Carlo
 points, with standard errors.  Also houses uniform-density window
 suprema, Banach density estimates, the polynomial product law deviation,
 the closed-form decomposition residual, and the level-by-level embedding
-solve for tuples of Heisenberg elements.
+solve for tuples of Heisenberg elements, all on the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 from .algebra import (RealPolynomial, binom_real, polys_r_independent,
                       require_nonconstant)
 from .systems import (HeisenbergElement, SystemHandle, heis_conjugate,
-                      heis_multiply, heis_power, map_blocks)
+                      heis_multiply, heis_power)
 
 
 class IndependenceViolation(ValueError):
@@ -145,19 +146,23 @@ def require_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     return out
 
 
-# the most frequency tuples, len(f.terms)^(k + 1), an exact expansion visits,
-# and the most rotation-factor points, M^axes or n_samples, a correlation takes
+# the most frequency tuples an expansion visits, the most rotation-factor
+# points, M^axes or n_samples, a correlation takes, and the most values an
+# array pass holds (1 MB of complex temporaries)
 EXACT_TUPLE_CAP = 200_000
 POINT_CAP = 2 ** 20
+_BLOCK = 2 ** 16
 
 
-def require_exact_terms(f: Observable, alphas: Sequence) -> None:
-    """ValueError when the exact expansion of I_f(k, t) over the alphas
-    visits more than EXACT_TUPLE_CAP frequency tuples."""
-    n = len(f.terms) ** (len(alphas) + 1)
+def require_exact_terms(fs: Sequence[Observable]) -> None:
+    """ValueError when the expansion of a product of observables over its
+    frequency tuples visits more than EXACT_TUPLE_CAP of them: the product
+    law's, or I_f(k, t)'s of k alphas, [f] * (k + 1)."""
+    n = math.prod(len(f.terms) for f in fs)
     if n > EXACT_TUPLE_CAP:
-        raise ValueError(f"{len(f.terms)} terms and {len(alphas)} alphas expand to {n} "
-                         f"frequency tuples, above the exact expansion's cap of {EXACT_TUPLE_CAP}")
+        raise ValueError(f"factors of {', '.join(str(len(f.terms)) for f in fs)} terms expand "
+                         f"to {n} frequency tuples, above the exact expansion's cap of "
+                         f"{EXACT_TUPLE_CAP}")
 
 
 def _mesh_size(sys: SystemHandle, f: Observable, alphas: Sequence) -> tuple[int, int]:
@@ -248,22 +253,21 @@ def multi_average_I(sys: SystemHandle, f: Observable, alphas: Sequence[float],
 def _phase_correlation(sys: SystemHandle, f: Observable, alphas, pts,
                        t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error over the rotation-factor points x of
-    f(x) f(x + a_1 t omega) ... f(x + a_k t omega) at each t, one block of
-    t-rows per map_blocks call: (values, stderrs) arrays."""
+    f(x) f(x + a_1 t omega) ... f(x + a_k t omega) at each t, in blocks of
+    _BLOCK // len(pts) t-rows, by per-row work, so the bits do not depend on
+    the block size (np.multiply: in place, numpy's complex multiply takes
+    another path on one row, and prod * g may compute g * prod)."""
     base_vals = f.eval_phases(pts)
     values = np.empty(len(t), dtype=complex)
     stderrs = np.empty(len(t))
-
-    def fill(rows: slice) -> None:
-        tc = t[rows]
-        prod = np.broadcast_to(base_vals, (len(tc), len(pts))).copy()
+    size = max(1, _BLOCK // len(pts))
+    for start in range(0, len(t), size):
+        rows = slice(start, start + size)
+        prod = np.broadcast_to(base_vals, (len(t[rows]), len(pts))).copy()
         for a in alphas:
-            g = f.eval_phases(sys.rotate(pts, (a * tc)[:, None]))
-            prod = np.multiply(prod, g)  # prod * g into a new array: see map_blocks
+            prod = np.multiply(prod, f.eval_phases(sys.rotate(pts, (a * t[rows])[:, None])))
         values[rows] = prod.mean(axis=1)
         stderrs[rows] = np.std(prod, axis=1) / math.sqrt(len(pts))
-
-    map_blocks(fill, len(t), per=len(pts))
     return values, stderrs
 
 
@@ -369,36 +373,43 @@ def potts_average(flow_sys: SystemHandle, polys: Sequence[RealPolynomial],
     Computes (1/R) int_0^R prod_j f_j(T^{p_j(t)} x) dt by stratified
     jittered quadrature at step h (one sample per cell; a plain uniform
     grid aliases quadratic phases into Gauss-sum resonances), averaged
-    over sampled x, minus prod_j int f_j dmu.
+    over n_x sampled x, minus prod_j int f_j dmu.
+
+    The quadrature sum is taken by frequency tuples: with f_j the sum of
+    c e(k . y) over its terms, sum_x sum_t prod_j f_j(x + p_j(t) omega) is
+    the sum over the tuples of one term (k_j, c_j) per f_j of prod_j c_j *
+    sum_x e(K . x) * sum_t e(sum_j k_j . r_j(t)), K = sum_j k_j and r_j(t)
+    the zero phase rotated by p_j(t).  The x sums come from eval_phases, the
+    t sums are real cos and sin sums, one _BLOCK of nodes at a time (the
+    jitter drawn in one stream).  ValueError above EXACT_TUPLE_CAP tuples.
     """
     require_one_per("polys", fs, polys)
     require_nonconstant(polys)
     require_independent(polys)
     require_rotation_factor(flow_sys, fs)
+    require_exact_terms(fs)
     if h is None:
         h = min(1e-3 * math.sqrt(R), 0.01)
     n_time = int(math.ceil(R / h))
     rng = np.random.default_rng(seed)
     xs = rng.random((n_x, len(flow_sys.phase_step)))
-    total = 0j
-    chunk = 10 ** 6
-    for start in range(0, n_time, chunk):
-        ks = np.arange(start, min(start + chunk, n_time))
-        ts = (ks + rng.random(len(ks))) * h
-        vals = np.ones((n_x, len(ts)), dtype=complex)
-
-        def fill(cols: slice) -> None:
-            for p, f in zip(polys, fs):
-                g = f.eval_phases(flow_sys.rotate(xs[:, None], p.eval_array(ts[cols])))
-                vals[:, cols] = np.multiply(vals[:, cols], g)  # see map_blocks
-
-        map_blocks(fill, len(ts), per=n_x)
-        total += vals.sum()  # one sum per chunk, in the order of one core
-    time_avg = total / (n_x * n_time)
-    prod = 1.0 + 0j
-    for f in fs:
-        prod *= f.haar_integral()
-    dev = complex(time_avg - prod)
+    combos = list(itertools.product(*(f.terms for f in fs)))
+    freqs = np.array([[k for k, _ in combo] for combo in combos])  # (tuple, j, column)
+    sums = np.zeros((2, len(combos)))  # of cos and of sin, per tuple
+    for start in range(0, n_time, _BLOCK):
+        n = min(_BLOCK, n_time - start)
+        ts = (np.arange(start, start + n) + rng.random(n)) * h
+        cols = [flow_sys.rotate(np.zeros(xs.shape[1]), p.eval_array(ts)) for p in polys]
+        batch = max(1, _BLOCK // n)  # tuples per array of about _BLOCK phases
+        for b in range(0, len(combos), batch):
+            k = freqs[b:b + batch, :, :, None]
+            angle = 2 * np.pi * sum(k[:, j, c] * col[:, c] for j, col in enumerate(cols)
+                                    for c in range(col.shape[1]))
+            sums[:, b:b + batch] += np.cos(angle).sum(axis=1), np.sin(angle).sum(axis=1)
+    x_sum = functools.cache(lambda *K: complex(Observable.exponential(*K).eval_phases(xs).sum()))
+    total = sum(math.prod(c for _, c in combo) * x_sum(*K) * complex(cs, ss)
+                for combo, K, cs, ss in zip(combos, freqs.sum(axis=1).tolist(), *sums.tolist()))
+    dev = complex(total / (n_x * n_time) - math.prod(f.haar_integral() for f in fs))
     return ProductLawReport(dev, abs(dev), float(R), float(h), n_time, n_x)
 
 
@@ -432,7 +443,7 @@ def nilfunction_residual(sys: SystemHandle, f: Observable,
     pullbacks sample by Monte-Carlo and report stderrs.
     """
     alphas = require_alphas(alphas)
-    require_exact_terms(f, alphas)
+    require_exact_terms([f] * (len(alphas) + 1))
     require_points(sys, f, alphas, n_samples)
     terms = _exact_correlation_terms(sys, f, alphas)
     t = np.asarray(t_grid, dtype=float)

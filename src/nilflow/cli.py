@@ -265,7 +265,9 @@ def _series(obj) -> TimeSeries:
     if "csv" in obj:
         data = np.loadtxt(obj["csv"], delimiter=",", ndmin=2)
         grid = data[:, 0]
-        values = data[:, 1] if data.shape[1] < 3 else data[:, 1] + 1j * data[:, 2]
+        if data.shape[1] not in (2, 3):
+            raise SchemaError(f"a CSV must have 2 or 3 columns (t, re[, im]), got {data.shape[1]}")
+        values = data[:, 1] if data.shape[1] == 2 else data[:, 1] + 1j * data[:, 2]
     else:
         grid = np.array([_float(t) for t in obj["grid"]])
         values = np.array([_float(v) for v in obj["values"]])
@@ -333,7 +335,7 @@ def _op_rp_transfer(p: dict, sysG: SystemHandle, ctx: RunContext) -> dict:
         if p["require_witness"] and tr.status == EXHAUSTED:
             raise BudgetExhaustedFailure("transfer exhausted")
         out["transfer"] = tr.to_jsonable()
-    elif p["require_witness"]:
+    elif p["require_witness"] and found.status == EXHAUSTED:
         raise BudgetExhaustedFailure("no witness to transfer")
     return out
 
@@ -545,11 +547,13 @@ _TABLE = {
         ("params.polys", require_nonconstant, ("polys",)),
         ("params.polys", require_independent, ("polys",)),
         ("params.observables", partial(require_one_per, "polys"), ("observables", "polys")),
-        ("params.observables", require_rotation_factor, ("system", "observables"))]),
+        ("params.observables", require_rotation_factor, ("system", "observables")),
+        ("params.observables", require_exact_terms, ("observables",))]),
     "nilres": (_op_nilres, {
         "observable": _observable, "t_grid": _times, "alphas": _alphas,
         "n_samples": (_count, 10 ** 5), "windows": (_windows, ())}, [
-        _OBSERVABLE, _ALPHAS, ("params.observable", require_exact_terms, ("observable", "alphas")),
+        _OBSERVABLE, _ALPHAS, ("params.observable", lambda f, alphas: require_exact_terms(
+            [f] * (len(alphas) + 1)), ("observable", "alphas")),
         ("params", require_points, ("system", "observable", "alphas", "n_samples")),
         ("params.t_grid", require_increasing, ("t_grid",)),
         ("params.windows", window_spans, ("t_grid", "windows"))]),

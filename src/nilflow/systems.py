@@ -74,10 +74,7 @@ SUSPENSION = "suspension"
 
 
 # ---------------------------------------------------------------------------
-# thread pool and block map
-
-_BLOCK = 2 ** 16  # items per block at per=1: 1 MB of complex temporaries
-
+# thread pool
 
 def usable_cpus() -> int:
     """The CPUs this process may run on."""
@@ -95,22 +92,6 @@ def map_pool(fn, items) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(fn, items))
-
-
-def map_blocks(fill, n: int, per: int = 1) -> None:
-    """Call fill(block) through map_pool for consecutive slices that cover
-    range(n), each of about _BLOCK // per items.
-
-    The bits must depend neither on the block size nor on the worker count:
-    a fill writes only its own slice, by elementwise or per-row work, and
-    leaves every reduction across items to the caller.  A block may hold
-    one item, so a fill multiplies complex arrays by np.multiply into a new
-    array: numpy's in-place complex multiply takes another path on a
-    one-element array, and the * operator may write into a large temporary
-    right operand, computing g * prod; either gives other bits.
-    """
-    size = max(1, _BLOCK // per)
-    map_pool(fill, [slice(a, min(a + size, n)) for a in range(0, n, size)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow import averages
-from nilflow.algebra import RealPolynomial
+from nilflow.algebra import Basis, RealPolynomial, SymbolicReal
 from nilflow.averages import (IndependenceViolation, Observable, TimeSeries,
                               banach_density, gtilde_star_conjugation_check,
                               gtilde_star_membership, jstar_embed,
@@ -44,7 +44,7 @@ EIGHT = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
 def mesh_mean(sys, f, alphas, ts, extra):
     """The mean of f(x) f(x + a_1 t omega) ... over the mesh with extra more
-    points per axis than averages._mesh, one t at a time, with no block map."""
+    points per axis than averages._mesh, one t at a time, in one block."""
     M, axes = averages._mesh_size(sys, f, alphas)
     M += extra
     x = np.stack(np.meshgrid(*[np.arange(M) / M] * axes, indexing="ij"), -1).reshape(-1, axes)
@@ -232,6 +232,57 @@ class TestBanachDensity:
     def test_window_exceeds_horizon(self):
         with pytest.raises(ValueError):
             banach_density([1.0], 100.0, 1.0, 50.0)
+
+
+def potts_one_point_at_a_time(flow, polys, fs, R, n_x, seed, h) -> complex:
+    """potts_average's deviation by the quadrature loop that the frequency
+    tuples replaced: each base point rotated on its own by every p_j(t) and
+    the observables multiplied node by node, over one chunk of times."""
+    n_time = math.ceil(R / h)
+    rng = np.random.default_rng(seed)
+    xs = rng.random((n_x, len(flow.phase_step)))
+    ts = (np.arange(n_time) + rng.random(n_time)) * h
+    vals = np.ones((n_x, n_time), dtype=complex)
+    for p, f in zip(polys, fs):
+        pt = p.eval_array(ts)
+        for i in range(n_x):
+            vals[i] = np.multiply(vals[i], f.eval_phases(flow.rotate(xs[i], pt)))
+    prod = 1.0 + 0j
+    for f in fs:
+        prod *= f.haar_integral()
+    return complex((0j + vals.sum()) / (n_x * n_time) - prod)
+
+
+SQRT2, SQRT3 = SymbolicReal.symbol("SQRT2"), SymbolicReal.symbol("SQRT3")
+POTTS_FLOWS = [torus_flow((SymbolicReal.rational(1),), Basis.default()),
+               torus_flow((SymbolicReal.rational(1), SQRT2), Basis.default()),
+               heisenberg_nilflow(SQRT2, SQRT3, Basis.default()),
+               suspend(SystemHandle(torus_flow((SQRT2,), Basis.default()).spec, 0.7))]
+
+
+@st.composite
+def potts_cases(draw):
+    """Two or three independent polynomials on a torus, the Heisenberg
+    nilflow or a suspension over a torus map, one to three terms per
+    observable: up to 27 frequency tuples."""
+    flow = draw(st.sampled_from(POTTS_FLOWS))
+    polys = [poly(0, 1), poly(0, 0, 1), poly(0, 0, 0, 1)][:draw(st.integers(2, 3))]
+    freq = st.tuples(*[st.integers(-3, 3)] * len(flow.phase_step))
+    coeff = st.sampled_from([1.0, 0.5, -0.25j, 0.3 + 0.4j])
+    fs = [Observable(draw(st.lists(st.tuples(freq, coeff), min_size=1, max_size=3)))
+          for _ in polys]
+    return (flow, polys, fs, draw(st.floats(1.0, 6.0)), draw(st.integers(1, 3)),
+            draw(st.integers(0, 2 ** 16)), draw(st.sampled_from([0.01, 0.013, 0.05])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=potts_cases())
+def test_potts_tuples_match_the_point_loop(case):
+    flow, polys, fs, R, n_x, seed, h = case
+    rep = potts_average(flow, polys, fs, R, n_x, seed, h)
+    assert rep.n_time == math.ceil(R / h) and rep.n_x == n_x
+    assert abs(rep.deviation - potts_one_point_at_a_time(flow, polys, fs, R, n_x, seed, h)) \
+        <= 1e-12
 
 
 class TestProductLaw:

@@ -1,14 +1,14 @@
-"""The block map of the array kernels: the bits depend on neither the block
-size nor the worker count.
+"""The blocked and pooled kernels: the bits depend on neither the block size
+of the correlations' row blocks (averages._BLOCK) nor the worker count of
+the Hausdorff pairs and queries (map_pool).
 
-Each property runs a kernel once as a single block on one worker, the
-loop of one core, and then under drawn block sizes and worker counts, and
-compares with ==.  `test_real_cpu_count` leaves the worker count to the
-machine, so under `taskset -c 0` it runs the inline path.
+Each property runs a kernel once as a single block on one worker, and then
+under drawn block sizes and worker counts, and compares with ==.
+`test_real_cpu_count` leaves the worker count to the machine, so under
+`taskset -c 0` it runs the inline path.
 """
 
 import contextlib
-import math
 import sys
 import threading
 import time
@@ -18,18 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilflow import proximality, systems
-from nilflow.algebra import Basis, RealPolynomial, SymbolicReal
+from nilflow import averages, proximality, systems
+from nilflow.algebra import Basis, SymbolicReal
 from nilflow.averages import (Observable, _exact_correlation_terms, multi_average_series,
-                              nilfunction_residual, potts_average)
+                              nilfunction_residual)
 from nilflow.proximality import PointCloud, hausdorff_distance
-from nilflow.systems import heisenberg_nilflow, map_blocks, map_pool, torus_flow
+from nilflow.systems import heisenberg_nilflow, map_pool, torus_flow
 
 BASIS = Basis.default()
 LINE = torus_flow((SymbolicReal.rational(1),), BASIS)
 PLANE = torus_flow((SymbolicReal.rational(1), SymbolicReal.symbol("SQRT2")), BASIS)
 HEIS = heisenberg_nilflow(SymbolicReal.symbol("SQRT2"), SymbolicReal.symbol("SQRT3"), BASIS)
-POLYS = [RealPolynomial.from_coeffs(["0", "1"]), RealPolynomial.from_coeffs(["0", "0", "1"])]
 
 ONE_BLOCK = 10 ** 12
 SPLITS = [(block, cpus) for block in (1, 3, 5, 7, 2 ** 16) for cpus in (1, 2)]
@@ -44,61 +43,23 @@ def observables(dim):
 
 
 @contextlib.contextmanager
-def split(block, cpus, *, cpus_too=True):
-    """Set the block size and, unless cpus_too is False, the worker count of
-    map_pool (behind map_blocks and the Hausdorff pairs) and of the
-    Hausdorff queries."""
+def split(block, cpus):
+    """Set the correlations' block size and the worker count of map_pool
+    (behind the Hausdorff pairs) and of the Hausdorff queries."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(systems, "_BLOCK", block)
-        if cpus_too:
-            mp.setattr(systems, "usable_cpus", lambda: cpus)
-            mp.setattr(proximality, "usable_cpus", lambda: cpus)
+        mp.setattr(averages, "_BLOCK", block)
+        mp.setattr(systems, "usable_cpus", lambda: cpus)
+        mp.setattr(proximality, "usable_cpus", lambda: cpus)
         yield
 
 
-def each_split(compute, *, cpus_too=True):
+def each_split(compute):
     """compute() as one block on one worker, then under every split."""
     with split(ONE_BLOCK, 1):
         want = compute()
     for block, cpus in SPLITS:
-        with split(block, cpus, cpus_too=cpus_too):
+        with split(block, cpus):
             yield want, compute()
-
-
-@st.composite
-def potts_cases(draw):
-    flow, dim = draw(st.sampled_from([(LINE, 1), (PLANE, 2), (HEIS, 2)]))
-    fs = [draw(observables(dim)), draw(observables(dim))]
-    return (flow, fs, draw(st.floats(1.0, 6.0)), draw(st.integers(1, 3)),
-            draw(st.integers(0, 2 ** 16)), draw(st.sampled_from([0.01, 0.013, 0.05])))
-
-
-def potts_one_point_at_a_time(flow, polys, fs, R, n_x, seed, h) -> complex:
-    """potts_average's deviation with each base point rotated on its own,
-    over one chunk of times: the loop that its broadcast replaced."""
-    n_time = math.ceil(R / h)
-    rng = np.random.default_rng(seed)
-    xs = rng.random((n_x, len(flow.phase_step)))
-    ts = (np.arange(n_time) + rng.random(n_time)) * h
-    vals = np.ones((n_x, n_time), dtype=complex)
-    for p, f in zip(polys, fs):
-        pt = p.eval_array(ts)
-        for i in range(n_x):
-            vals[i] = np.multiply(vals[i], f.eval_phases(flow.rotate(xs[i], pt)))
-    prod = 1.0 + 0j
-    for f in fs:
-        prod *= f.haar_integral()
-    return complex((0j + vals.sum()) / (n_x * n_time) - prod)
-
-
-@settings(max_examples=15, deadline=None)
-@given(case=potts_cases())
-def test_potts_average_bits(case):
-    flow, fs, R, n_x, seed, h = case
-    reference = potts_one_point_at_a_time(flow, POLYS, fs, R, n_x, seed, h)
-    for want, got in each_split(lambda: potts_average(flow, POLYS, fs, R, n_x, seed, h)):
-        assert got.deviation == want.deviation == reference
-        assert got.n_time == want.n_time
 
 
 @st.composite
@@ -165,48 +126,37 @@ def test_hausdorff_distance_bits(clouds):
 
 
 def test_real_cpu_count():
-    """The machine's own worker count: the inline path on one CPU."""
-    fs = [Observable.cosine(3, -2), Observable.exponential(1, 1)]
-
-    def compute():
-        return (potts_average(PLANE, POLYS, fs, 40.0, 3, 7, 0.01).deviation,
-                nilfunction_residual(HEIS, fs[0], [1.0, 2.0], np.linspace(0, 9, 11),
-                                     2000, 3).residual.values.tobytes())
-
-    for want, got in each_split(compute, cpus_too=False):
-        assert got == want
+    """The machine's own worker count against one worker: the inline path on
+    one CPU."""
+    rng = np.random.default_rng(5)
+    clouds = [PointCloud(rng.random((n, 2, 2)), {}, PLANE) for n in (20000, 15000)]
+    with split(ONE_BLOCK, 1):
+        want = hausdorff_distance(*clouds)
+    assert hausdorff_distance(*clouds) == want
 
 
 def test_more_workers_than_cores():
-    """Eight workers with a short switch interval: a fill that wrote outside
-    its slice, or a lost update, would move the bits."""
-    fs = [Observable.cosine(3, -2), Observable.exponential(1, 1)]
+    """Eight workers with a short switch interval: a task that wrote into
+    another's result, or a lost update, would move the bits."""
+    rng = np.random.default_rng(11)
+    clouds = [PointCloud(rng.random((n, 2, 2)), {}, PLANE) for n in (3000, 2000)]
     with split(ONE_BLOCK, 1):
-        want = potts_average(PLANE, POLYS, fs, 20.0, 3, 11, 0.01).deviation
+        want = hausdorff_distance(*clouds)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with split(7, 8):
-            got = potts_average(PLANE, POLYS, fs, 20.0, 3, 11, 0.01).deviation
+            got = hausdorff_distance(*clouds)
     finally:
         sys.setswitchinterval(interval)
     assert got == want
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(0, 300), per=st.integers(1, 50), block=st.integers(1, 200))
-def test_blocks_cover_range(n, per, block):
-    seen = []
-    with split(block, 1):
-        map_blocks(seen.append, n, per)
-    assert [i for b in seen for i in range(n)[b]] == list(range(n))
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_map_pool_reads_patched_cpus(cpus):
-    """map_pool, behind map_blocks and the Hausdorff pairs, reads the
-    usable_cpus that split patches: inline on the caller's thread at one,
-    on pool threads otherwise, with the results in item order."""
+    """map_pool, behind the Hausdorff pairs, reads the usable_cpus that split
+    patches: inline on the caller's thread at one, on pool threads
+    otherwise, with the results in item order."""
     def where(i):
         time.sleep(0.01)  # so that more than one worker takes an item
         return i, threading.get_ident()
@@ -222,10 +172,11 @@ def test_map_pool_reads_patched_cpus(cpus):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_fill_exception_reaches_caller(cpus):
-    def fill(block):
-        if block.start >= 10:
-            raise ZeroDivisionError(f"block at {block.start}")
+def test_map_pool_exception_reaches_caller(cpus):
+    def task(i):
+        if i >= 3:
+            raise ZeroDivisionError(f"task {i}")
+        return i
 
-    with split(4, cpus), pytest.raises(ZeroDivisionError, match="block at"):
-        map_blocks(fill, 40)
+    with split(ONE_BLOCK, cpus), pytest.raises(ZeroDivisionError, match="task"):
+        map_pool(task, range(6))

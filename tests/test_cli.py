@@ -170,6 +170,24 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == cli.EXIT_BUDGET
         assert "budget exhausted: no witness to transfer" in capsys.readouterr().err
 
+    def test_require_witness_exits_budget_only_when_exhausted(self, tmp_path, capsys):
+        # rp-certify and rp-transfer's G-search on the same pair: a proven
+        # absence spends no budget and exits 0, an exhausted search exits 4
+        rot3 = {"kind": "torus-map", "freqs": [{"SQRT3": "1"}]}
+        absent = {"x": [0.1], "y": [0.6], "delta": 0.05}
+        exhausted = {"x": [0.0, 0.0, 0.0], "y": [0.0, 0.0, 0.5], "delta": 0.002, "budget": 50}
+        for system, system_h, pair, status, code in [
+                (ROT, rot3, absent, "proven-absent", EXIT_OK),
+                (HEIS_MAP, {**HEIS_MAP, "z": 0.37}, exhausted, "exhausted", cli.EXIT_BUDGET)]:
+            for op in ("rp-certify", "rp-transfer"):
+                cfg = on(op, system, system_h if op == "rp-transfer" else None, **pair)
+                result = run(cfg)["result"]
+                assert result.get("witness_g", result)["status"] == status
+                assert "transfer" not in result
+                cfg["params"]["require_witness"] = True
+                assert main(["run", "--config", str(write_cfg(tmp_path, cfg))]) == code
+        capsys.readouterr()
+
     def test_unsupported_basis_exit(self, tmp_path, capsys):
         cfg = {"operation": "exceptional", "system": TORUS_1_SQRT2,
                "params": {"t": {"SQRT5": "1"}}}
@@ -579,6 +597,11 @@ EIGHT_TERMS = {"kind": "trig", "terms": [{"freq": [k], "re": 1.0}
 # 6 * 600000 + 1 points
 WIDE_TERMS = {"kind": "trig", "terms": [{"freq": [150000 * k], "re": 1.0}
                                         for k in (-4, -3, -2, -1, 1, 2, 3, 4)]}
+# potts observables of 400, 500 and 501 terms: 400 * 500 frequency tuples are
+# the exact expansion's cap, 400 * 501 lie above it
+TERMS_400, TERMS_500, TERMS_501 = ({"kind": "trig", "terms": [{"freq": [k], "re": 1.0}
+                                                              for k in range(n)]}
+                                   for n in (400, 500, 501))
 
 # one valid config per operation; budgets stay small
 VALID = {
@@ -783,7 +806,10 @@ class TestParameterTable:
          "params.observable: cannot parse {'kind': 'exp', 'freq': [True]} "
          "(ValueError: frequencies must be integers, got True)"),
         (on("nilres", ROOT2, observable=EIGHT_TERMS, alphas=[0.5, 1.0, 1.5, 2.0, 3.0]),
-         "params.observable: 8 terms and 5 alphas expand to 262144 frequency tuples, "
+         "params.observable: factors of 8, 8, 8, 8, 8, 8 terms expand to 262144 frequency "
+         "tuples, above the exact expansion's cap of 200000"),
+        (valid("potts", observables=[TERMS_400, TERMS_501]),
+         "params.observables: factors of 400, 501 terms expand to 200400 frequency tuples, "
          "above the exact expansion's cap of 200000"),
         # correlation points and times past their caps, checked before anything
         # is allocated
@@ -864,6 +890,7 @@ class TestParameterTable:
             "fiber-coverage-cell-key-overflow", "average-ragged-freqs",
             "nilres-ragged-freqs", "potts-ragged-freqs", "average-half-freq",
             "nilres-half-freq", "average-bool-freq", "nilres-over-exact-cap",
+            "potts-over-exact-cap",
             "nilres-samples-over-point-cap", "nilres-mesh-over-point-cap",
             "average-mesh-over-point-cap", "suspend-uniform-over-times-cap",
             "density-quadratic-over-times-cap", "nilres-grid-over-times-cap",
@@ -891,6 +918,13 @@ class TestParameterTable:
         default = run(without("rp-certify", "budget"))
         assert validate_config(valid("potts", h=None)) == []
         assert explicit["result"] == default["result"]
+
+    def test_potts_at_the_tuple_cap_runs(self):
+        # 400 * 500 frequency tuples are the cap itself (one more term is past
+        # it: potts-over-exact-cap above); the node sums take few arrays
+        cfg = valid("potts", observables=[TERMS_400, TERMS_500])
+        assert validate_config(cfg) == []
+        assert run(cfg)["result"]["n_time"] == 20
 
     def test_unknown_key_named(self):
         diags = validate_config(valid("cube", x=[0.1], alphas=[1.0, 2.0]))
@@ -1014,7 +1048,8 @@ def cross_rule_configs(draw, ops):
     points against the systems' dimensions, d against the alphas, projection
     names, gs/alphas and polys/observables lengths, rho against the horizon,
     the products of exceptional's time in the basis, the correlation points
-    of average and nilres, and the system kinds.  Budgets stay small."""
+    of average and nilres, the frequency tuples of potts, and the system
+    kinds.  Budgets stay small."""
     op = draw(st.sampled_from(ops))
     cfg = valid(op)
     system, dim = draw(st.sampled_from(SYSTEMS))
@@ -1067,9 +1102,11 @@ def cross_rule_configs(draw, ops):
         p.update(center=draw(points(dim)), rho=draw(st.sampled_from([5.0, 25.0])),
                  horizon=draw(st.sampled_from([None, 10.0, 30.0])))
     elif op == "potts":
+        # or a pair at the exact expansion's cap of frequency tuples, or above it
         p.update(polys=draw(st.lists(st.sampled_from(POLY_POOL), min_size=1, max_size=3)),
                  observables=draw(st.lists(st.sampled_from([COS, COS_2D]), min_size=1,
-                                           max_size=3)))
+                                           max_size=3) | st.sampled_from(
+                     [[TERMS_400, TERMS_500], [TERMS_400, TERMS_501]])))
     elif op == "embed":
         p.update(gs=draw(st.lists(st.sampled_from(ELEMENTS), min_size=1, max_size=3)),
                  alphas=draw(alpha_lists))
@@ -1257,6 +1294,16 @@ def test_ud_csv_series_must_be_finite(tmp_path):
     path.write_text("0,1\n1,inf\n2,0\n")
     diags = validate_config(valid("ud", series={"csv": str(path)}))
     assert len(diags) == 1 and diags[0].startswith("params.series: must be finite")
+
+
+@pytest.mark.parametrize("row", ["0", "0,1,0,5"], ids=["one-column", "four-columns"])
+def test_ud_csv_series_has_two_or_three_columns(tmp_path, row):
+    # no column is dropped: only t, re and an optional im are read
+    path = tmp_path / "series.csv"
+    path.write_text(f"{row}\n{row}\n")
+    n = row.count(",") + 1
+    assert validate_config(valid("ud", series={"csv": str(path)})) == [
+        f"params.series: a CSV must have 2 or 3 columns (t, re[, im]), got {n}"]
 
 
 def test_poly_density_on_both_kinds_of_suspension():
